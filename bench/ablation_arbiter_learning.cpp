@@ -44,13 +44,13 @@ int main(int argc, char** argv) {
   metrics::Table table({"Config", "early third(s)", "middle(s)", "late(s)"});
 
   for (const bool with_feedback : {false, true}) {
-    RunConfig cfg;
-    cfg.mode = workloads::Mode::kStrings;
-    cfg.nodes = workloads::supernode();
-    cfg.balancing = "GWtMin";
-    if (with_feedback) cfg.feedback = "MBF";
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kStrings;
+    cfg.testbed.nodes = workloads::supernode();
+    cfg.testbed.balancing_policy = "GWtMin";
+    if (with_feedback) cfg.testbed.feedback_policy = "MBF";
 
-    StreamSpec hi;
+    workloads::ArrivalConfig hi;
     hi.app = "HI";
     hi.origin = 0;
     hi.requests = opt.quick ? 9 : 18;
@@ -58,13 +58,14 @@ int main(int argc, char** argv) {
     hi.server_threads = 8;
     hi.seed = 12;
     hi.tenant = "tenantA";
-    StreamSpec ev = hi;
+    workloads::ArrivalConfig ev = hi;
     ev.app = "EV";
     ev.origin = 1;
     ev.seed = 13;
     ev.tenant = "tenantB";
 
-    const RunOutput out = run_scenario(cfg, {hi, ev});
+    cfg.streams = {hi, ev};
+    const auto out = bench::run("run", cfg);
     // Interleave both streams' responses in arrival order approximation:
     // report HI's (the bandwidth-sensitive one).
     const auto t = thirds(out.streams[0].response_times);

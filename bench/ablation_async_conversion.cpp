@@ -19,14 +19,14 @@ int main(int argc, char** argv) {
   print_header("ablation_async_conversion",
                "design ablation: MOT / SST / non-blocking RPC", opt);
 
-  StreamSpec a;
+  workloads::ArrivalConfig a;
   a.app = "MC";
   a.requests = opt.quick ? 6 : 12;
   a.lambda_scale = 0.35;
   a.server_threads = 6;
   a.seed = 4;
   a.tenant = "tenantA";
-  StreamSpec b = a;
+  workloads::ArrivalConfig b = a;
   b.app = "DC";
   b.requests = opt.quick ? 4 : 8;
   b.seed = 7;
@@ -53,19 +53,20 @@ int main(int argc, char** argv) {
   metrics::Table table({"Variant", "MC resp(s)", "DC resp(s)", "slowdown"});
   double full_mean = 0.0;
   for (const auto& v : variants) {
-    RunConfig cfg;
-    cfg.mode = workloads::Mode::kStrings;
-    cfg.nodes = workloads::small_server();
-    cfg.balancing = "GMin";
-    cfg.convert_sync_to_async = v.mot;
-    cfg.convert_device_sync = v.sst;
-    cfg.nonblocking_rpc = v.oneway;
-    const RunOutput out = run_scenario(cfg, {a, b});
-    const double mean =
-        (mean_response(out, 0) + mean_response(out, 1)) / 2.0;
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kStrings;
+    cfg.testbed.nodes = workloads::small_server();
+    cfg.testbed.balancing_policy = "GMin";
+    cfg.testbed.convert_sync_to_async = v.mot;
+    cfg.testbed.convert_device_sync = v.sst;
+    cfg.testbed.nonblocking_rpc = v.oneway;
+    cfg.streams = {a, b};
+    const auto out = bench::run("run", cfg);
+    const double mc = out.streams.at(0).mean_response_s();
+    const double dc = out.streams.at(1).mean_response_s();
+    const double mean = (mc + dc) / 2.0;
     if (full_mean == 0.0) full_mean = mean;
-    table.add_row({v.label, metrics::Table::fmt(mean_response(out, 0)),
-                   metrics::Table::fmt(mean_response(out, 1)),
+    table.add_row({v.label, metrics::Table::fmt(mc), metrics::Table::fmt(dc),
                    metrics::Table::fmt(mean / full_mean) + "x"});
   }
   table.print();

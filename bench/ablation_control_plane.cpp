@@ -69,12 +69,12 @@ std::vector<Deployment> deployments() {
   return out;
 }
 
-std::vector<StreamSpec> make_streams(int nodes, int requests) {
-  std::vector<StreamSpec> streams;
+std::vector<workloads::ArrivalConfig> make_streams(int nodes, int requests) {
+  std::vector<workloads::ArrivalConfig> streams;
   const char* apps[] = {"MC", "BS", "DC"};
   std::uint32_t seed = 3;
   for (int i = 0; i < 3; ++i) {
-    StreamSpec s;
+    workloads::ArrivalConfig s;
     s.app = apps[i];
     s.origin = i % nodes;
     s.requests = requests;
@@ -87,56 +87,49 @@ std::vector<StreamSpec> make_streams(int nodes, int requests) {
   return streams;
 }
 
+std::vector<double> mean_responses(const workloads::RunResult& out) {
+  std::vector<double> times;
+  for (const auto& st : out.streams) times.push_back(st.mean_response_s());
+  return times;
+}
+
 void run_topology(const char* name,
                   const std::vector<std::vector<gpu::DeviceProps>>& nodes,
                   const Options& opt) {
   const int requests = opt.quick ? 4 : 8;
-  const auto streams = make_streams(static_cast<int>(nodes.size()), requests);
+  workloads::ScenarioConfig cfg;
+  cfg.testbed.nodes = nodes;
+  cfg.streams = make_streams(static_cast<int>(nodes.size()), requests);
 
   // CUDA-runtime baseline: static provisioning, all requests collide on the
   // app's programmed device (the denominator of eq. 2).
-  RunConfig base;
-  base.label = "CUDA";
-  base.mode = workloads::Mode::kCudaBaseline;
-  base.nodes = nodes;
-  std::vector<double> base_times;
-  {
-    const RunOutput out = run_scenario(base, streams);
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      base_times.push_back(mean_response(out, i));
-    }
-  }
+  cfg.testbed.mode = workloads::Mode::kCudaBaseline;
+  const std::vector<double> base_times =
+      mean_responses(bench::run("CUDA", cfg));
 
   metrics::Table speedup_table({"Deployment", "weighted speedup"});
-  std::vector<metrics::ControlPlaneSummary> summaries;
+  std::vector<std::pair<std::string, core::ControlPlaneStats>> rows;
+  cfg.testbed.mode = workloads::Mode::kStrings;
+  cfg.testbed.balancing_policy = "GWtMin";
+  cfg.testbed.feedback_policy = "MBF";
   for (const auto& d : deployments()) {
-    RunConfig cfg;
-    cfg.label = d.label;
-    cfg.mode = workloads::Mode::kStrings;
-    cfg.nodes = nodes;
-    cfg.balancing = "GWtMin";
-    cfg.feedback = "MBF";
-    cfg.control_plane = d.cp;
+    cfg.testbed.control_plane = d.cp;
     // The stale row pays for its control traffic on the shared wires.
-    cfg.shared_network =
+    cfg.testbed.shared_network =
         d.cp.transport == core::ControlTransport::kDataPlane;
-    const RunOutput out = run_scenario(cfg, streams);
-    std::vector<double> times;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      times.push_back(mean_response(out, i));
-    }
+    const auto out = bench::run(d.label, cfg);
     speedup_table.add_row(
-        {d.label,
-         metrics::Table::fmt(metrics::weighted_speedup(base_times, times)) +
-             "x"});
-    summaries.push_back(control_plane_summary(d.label, out));
+        {d.label, metrics::Table::fmt(metrics::weighted_speedup(
+                      base_times, mean_responses(out))) +
+                      "x"});
+    rows.emplace_back(d.label, out.control_plane);
   }
 
   std::printf("-- %s --\n", name);
   speedup_table.print();
   std::printf("\n");
   report_table(std::string("ablation_control_plane_") + name,
-               metrics::control_plane_table(summaries));
+               control_plane_table(rows));
   std::printf("\n");
 }
 
@@ -147,26 +140,22 @@ void run_topology(const char* name,
 // (both deployments see fresh state at every decision instant) and push
 // must cut sync round-trips by at least 5x.
 int run_push_vs_pull_check(const Options& opt) {
-  const auto nodes = workloads::supernode();
-  std::vector<StreamSpec> streams = make_streams(static_cast<int>(nodes.size()),
-                                                 opt.quick ? 6 : 10);
-  for (auto& s : streams) s.lambda_scale = 0.15;  // bursty arrivals
+  workloads::ScenarioConfig pull;
+  pull.testbed.mode = workloads::Mode::kStrings;
+  pull.testbed.nodes = workloads::supernode();
+  pull.testbed.balancing_policy = "GWtMin";
+  pull.testbed.feedback_policy = "MBF";
+  pull.testbed.control_plane.placement = core::PlacementMode::kDistributed;
+  pull.testbed.control_plane.refresh_epoch = 0;
+  pull.streams = make_streams(static_cast<int>(pull.testbed.nodes.size()),
+                              opt.quick ? 6 : 10);
+  for (auto& s : pull.streams) s.lambda_scale = 0.15;  // bursty arrivals
 
-  RunConfig pull;
-  pull.label = "push-check-pull-fresh";
-  pull.mode = workloads::Mode::kStrings;
-  pull.nodes = nodes;
-  pull.balancing = "GWtMin";
-  pull.feedback = "MBF";
-  pull.control_plane.placement = core::PlacementMode::kDistributed;
-  pull.control_plane.refresh_epoch = 0;
+  workloads::ScenarioConfig push = pull;
+  push.testbed.control_plane.sync_mode = core::SyncMode::kPush;
 
-  RunConfig push = pull;
-  push.label = "push-check-push";
-  push.control_plane.sync_mode = core::SyncMode::kPush;
-
-  const RunOutput a = run_scenario(pull, streams);
-  const RunOutput b = run_scenario(push, streams);
+  const auto a = bench::run("push-check-pull-fresh", pull);
+  const auto b = bench::run("push-check-push", push);
 
   std::printf("-- push vs pull(fresh), bursty supernode --\n");
   std::printf("pull: sync=%lld deltas=%lld   push: sync=%lld deltas=%lld "

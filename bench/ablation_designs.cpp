@@ -16,14 +16,14 @@ int main(int argc, char** argv) {
                "Fig. 5 designs: process/app vs master thread vs thread/app",
                opt);
 
-  StreamSpec a;
+  workloads::ArrivalConfig a;
   a.app = "MC";
   a.requests = opt.quick ? 6 : 12;
   a.lambda_scale = 0.3;
   a.server_threads = 6;
   a.seed = 4;
   a.tenant = "tenantA";
-  StreamSpec b = a;
+  workloads::ArrivalConfig b = a;
   b.app = "HI";
   b.requests = opt.quick ? 4 : 8;
   b.seed = 7;
@@ -42,15 +42,17 @@ int main(int argc, char** argv) {
 
   metrics::Table table({"Design", "MC resp(s)", "HI resp(s)", "CtxSwitches"});
   for (const auto& v : variants) {
-    RunConfig cfg;
-    cfg.mode = v.mode;
-    cfg.nodes = workloads::small_server();
-    cfg.balancing = "GMin";
-    const RunOutput out = run_scenario(cfg, {a, b});
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = v.mode;
+    cfg.testbed.nodes = workloads::small_server();
+    cfg.testbed.balancing_policy = "GMin";
+    cfg.streams = {a, b};
+    const auto out = bench::run("run", cfg);
     std::int64_t switches = 0;
     for (const auto& c : out.device_counters) switches += c.context_switches;
-    table.add_row({v.label, metrics::Table::fmt(mean_response(out, 0)),
-                   metrics::Table::fmt(mean_response(out, 1)),
+    table.add_row({v.label,
+                   metrics::Table::fmt(out.streams.at(0).mean_response_s()),
+                   metrics::Table::fmt(out.streams.at(1).mean_response_s()),
                    std::to_string(switches)});
   }
   table.print();

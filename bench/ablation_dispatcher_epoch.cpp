@@ -14,47 +14,35 @@ int main(int argc, char** argv) {
   print_header("ablation_dispatcher_epoch",
                "dispatcher epoch sweep (TFS on one shared GPU)", opt);
 
-  StreamSpec a;
+  workloads::ScenarioConfig cfg;
+  cfg.testbed.mode = workloads::Mode::kStrings;
+  cfg.testbed.nodes = {{gpu::tesla_c2050()}};
+  cfg.testbed.device_policy = "TFS";
+  workloads::ArrivalConfig a;
   a.app = "MC";
   a.requests = opt.quick ? 8 : 14;
   a.lambda_scale = 0.2;
   a.server_threads = 4;
   a.seed = 4;
   a.tenant = "tenantA";
-  StreamSpec b = a;
+  workloads::ArrivalConfig b = a;
   b.app = "BS";
-  b.requests = opt.quick ? 8 : 14;
   b.seed = 7;
   b.tenant = "tenantB";
+  cfg.streams = {a, b};
 
   metrics::Table table({"Epoch", "MC resp(s)", "BS resp(s)", "Jain"});
   for (const sim::SimTime epoch :
        {sim::msec(1), sim::msec(5), sim::msec(10), sim::msec(50),
         sim::msec(200)}) {
-    sim::Simulation sim;
-    workloads::TestbedConfig tcfg;
-    tcfg.mode = workloads::Mode::kStrings;
-    tcfg.nodes = {{gpu::tesla_c2050()}};
-    tcfg.device_policy = "TFS";
-    tcfg.sched_epoch = epoch;
-    workloads::Testbed bed(sim, tcfg);
-    std::vector<workloads::ArrivalConfig> arrivals;
-    for (const auto& s : {a, b}) {
-      workloads::ArrivalConfig ac;
-      ac.app = s.app;
-      ac.requests = s.requests;
-      ac.lambda_scale = s.lambda_scale;
-      ac.server_threads = s.server_threads;
-      ac.seed = s.seed;
-      ac.tenant = s.tenant;
-      arrivals.push_back(ac);
-    }
-    const auto stats = workloads::run_streams(bed, arrivals);
-    const double j = metrics::jain_fairness(
-        {bed.attained_service_s("tenantA"), bed.attained_service_s("tenantB")});
+    cfg.testbed.sched_epoch = epoch;
+    const auto out = workloads::run(cfg);
+    const double j =
+        metrics::jain_fairness({out.tenant_service_s.at("tenantA"),
+                                out.tenant_service_s.at("tenantB")});
     table.add_row({metrics::Table::fmt(sim::to_millis(epoch), 0) + "ms",
-                   metrics::Table::fmt(stats[0].mean_response_s()),
-                   metrics::Table::fmt(stats[1].mean_response_s()),
+                   metrics::Table::fmt(out.streams.at(0).mean_response_s()),
+                   metrics::Table::fmt(out.streams.at(1).mean_response_s()),
                    metrics::Table::fmt(100 * j, 1) + "%"});
   }
   table.print();

@@ -81,11 +81,11 @@ int main(int argc, char** argv) {
   for (const double factor : factors) {
     const double heavy_rate = (factor - kLightRate * kLightGpuS) / kHeavyGpuS;
     for (const auto& policy : policies) {
-      workloads::TestbedConfig tcfg;
-      tcfg.mode = workloads::Mode::kStrings;
-      tcfg.nodes = {{gpu::tesla_c2050()}};  // one shared GPU
-      tcfg.balancing_policy = "GWtMin";
-      tcfg.device_policy = policy;
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = workloads::Mode::kStrings;
+      cfg.testbed.nodes = {{gpu::tesla_c2050()}};  // one shared GPU
+      cfg.testbed.balancing_policy = "GWtMin";
+      cfg.testbed.device_policy = policy;
 
       workloads::OpenLoopTenant light;
       light.name = "light-svc";
@@ -102,16 +102,15 @@ int main(int argc, char** argv) {
       heavy.requests = 30;
       heavy.seed = 22;
 
-      sim::Simulation sim;
-      workloads::Testbed bed(sim, tcfg);
-      const auto stats = workloads::run_open_loop(bed, {light, heavy});
+      cfg.tenants = {light, heavy};
+      const auto out = workloads::run(cfg);
+      const auto& stats = out.streams;
 
       ArmResult r;
       r.light_p99_slowdown = p99_seconds(stats[0]) / light_standalone_s;
       r.heavy_p99_slowdown = p99_seconds(stats[1]) / heavy_standalone_s;
-      r.jain = metrics::jain_fairness(
-          {bed.attained_service_s("light-svc"),
-           bed.attained_service_s("heavy-svc")});
+      r.jain = metrics::jain_fairness({out.tenant_service_s.at("light-svc"),
+                                       out.tenant_service_s.at("heavy-svc")});
 
       char factor_label[32];
       std::snprintf(factor_label, sizeof(factor_label), "%.1fx", factor);

@@ -30,14 +30,14 @@ int main(int argc, char** argv) {
   for (int nodes = 1; nodes <= (opt.quick ? 3 : 6); ++nodes) {
    for (const Wire& wire : wires) {
     if (nodes == 1 && wire.shared) continue;  // no network at one node
-    RunConfig cfg;
-    cfg.mode = workloads::Mode::kStrings;
-    cfg.balancing = "GMin";
-    cfg.remote_link = rpc::LinkModel::gigabit_ethernet();  // honest link
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kStrings;
+    cfg.testbed.balancing_policy = "GMin";
+    cfg.testbed.remote_link = rpc::LinkModel::gigabit_ethernet();  // honest
     for (int n = 0; n < nodes; ++n) {
-      cfg.nodes.push_back(workloads::paper_node_a());
+      cfg.testbed.nodes.push_back(workloads::paper_node_a());
     }
-    StreamSpec mc;
+    workloads::ArrivalConfig mc;
     mc.app = "MC";
     mc.origin = 0;
     mc.requests = opt.quick ? 8 : 14;
@@ -45,14 +45,15 @@ int main(int argc, char** argv) {
     mc.server_threads = 10;
     mc.seed = 6;
     mc.tenant = "tenantA";
-    StreamSpec dc = mc;
+    workloads::ArrivalConfig dc = mc;
     dc.app = "DC";
     dc.requests = opt.quick ? 5 : 8;
     dc.seed = 8;
     dc.tenant = "tenantB";
 
-    cfg.shared_network = wire.shared;
-    const RunOutput out = run_scenario(cfg, {mc, dc});
+    cfg.testbed.shared_network = wire.shared;
+    cfg.streams = {mc, dc};
+    const auto out = bench::run("run", cfg);
     std::int64_t local_kernels = 0, remote_kernels = 0;
     for (std::size_t g = 0; g < out.device_counters.size(); ++g) {
       (g < 2 ? local_kernels : remote_kernels) +=
@@ -63,8 +64,8 @@ int main(int argc, char** argv) {
         static_cast<double>(std::max<std::int64_t>(1, local_kernels +
                                                           remote_kernels));
     table.add_row({std::to_string(nodes) + "x2 GPUs", wire.label,
-                   metrics::Table::fmt(mean_response(out, 0)),
-                   metrics::Table::fmt(mean_response(out, 1)),
+                   metrics::Table::fmt(out.streams.at(0).mean_response_s()),
+                   metrics::Table::fmt(out.streams.at(1).mean_response_s()),
                    metrics::Table::fmt(remote_pct, 1) + "%"});
    }
   }

@@ -27,34 +27,25 @@ int main(int argc, char** argv) {
       {"WAN-ish", rpc::LinkModel{sim::msec(2), 0.05}},
   };
 
+  workloads::ScenarioConfig cfg;
+  cfg.testbed.mode = workloads::Mode::kStrings;
+  cfg.testbed.nodes = workloads::small_server();
+  workloads::ArrivalConfig s;
+  s.app = "BS";  // many small calls relative to work
+  s.requests = opt.quick ? 6 : 12;
+  s.lambda_scale = 0.5;
+  s.seed = 3;
+  cfg.streams = {s};
+
   metrics::Table table({"Link", "one-way RPC", "blocking RPC", "overhead"});
   double ideal_oneway = 0.0;
   for (const auto& link : links) {
     double resp[2] = {0, 0};
     int i = 0;
     for (const bool oneway : {true, false}) {
-      RunConfig cfg;
-      cfg.mode = workloads::Mode::kStrings;
-      cfg.nodes = workloads::small_server();
-      cfg.nonblocking_rpc = oneway;
-      StreamSpec s;
-      s.app = "BS";  // many small calls relative to work
-      s.requests = opt.quick ? 6 : 12;
-      s.lambda_scale = 0.5;
-      s.seed = 3;
-      sim::Simulation sim;
-      workloads::TestbedConfig tcfg;
-      tcfg.mode = cfg.mode;
-      tcfg.nodes = cfg.nodes;
-      tcfg.nonblocking_rpc = oneway;
-      tcfg.local_link = link.model;
-      workloads::Testbed bed(sim, tcfg);
-      workloads::ArrivalConfig a;
-      a.app = s.app;
-      a.requests = s.requests;
-      a.lambda_scale = s.lambda_scale;
-      a.seed = s.seed;
-      resp[i++] = workloads::run_streams(bed, {a})[0].mean_response_s();
+      cfg.testbed.nonblocking_rpc = oneway;
+      cfg.testbed.local_link = link.model;
+      resp[i++] = workloads::run(cfg).streams.at(0).mean_response_s();
     }
     if (ideal_oneway == 0.0) ideal_oneway = resp[0];
     table.add_row({link.label, metrics::Table::fmt(resp[0]),

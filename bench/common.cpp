@@ -13,7 +13,6 @@
 #include <unistd.h>
 #endif
 
-#include "obs/export.hpp"
 
 namespace strings::bench {
 
@@ -46,27 +45,6 @@ std::string sanitize_label(const std::string& label) {
     }
   }
   return out;
-}
-
-// Writes <dir>/<label>.trace.json and <dir>/<label>.metrics.csv when the
-// STRINGS_TRACE_DIR toggle is active.
-void export_observability(const RunConfig& cfg, workloads::Testbed& bed) {
-  const char* dir = trace_dir();
-  if (dir == nullptr) return;
-  // Pointing STRINGS_TRACE_DIR at a fresh path is the common case in CI;
-  // create it instead of warning once per run.
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string base = std::string(dir) + "/" + sanitize_label(cfg.label);
-  const std::string trace_path = base + ".trace.json";
-  if (bed.tracer() != nullptr &&
-      !obs::write_chrome_trace_file(*bed.tracer(), trace_path)) {
-    std::fprintf(stderr, "warning: cannot write %s\n", trace_path.c_str());
-  }
-  const std::string metrics_path = base + ".metrics.csv";
-  if (!obs::write_metrics_csv_file(bed.metrics_registry(), metrics_path)) {
-    std::fprintf(stderr, "warning: cannot write %s\n", metrics_path.c_str());
-  }
 }
 
 // --- BENCH_report.json recorder (the CI perf-gate input) -----------------
@@ -104,7 +82,7 @@ std::string report_binary_name() {
 }
 
 // Keys an entry "<binary>/<label>[#k]", stores it, and arms the at-exit
-// flush. Shared by run_scenario recording and record_bench_entry.
+// flush. Shared by bench::run and record_bench_entry.
 void store_report_entry(const std::string& label, const std::string& value) {
   static std::map<std::string, int> key_counts;
   std::string key = report_binary_name() + "/" + sanitize_label(label);
@@ -118,10 +96,9 @@ void store_report_entry(const std::string& label, const std::string& value) {
   (void)registered;
 }
 
-void record_bench_report(const RunConfig& cfg,
-                         const std::vector<StreamSpec>& streams,
-                         const RunOutput& out, double wall_s) {
-  if (bench_report_path() == nullptr) return;
+void record_bench_report(const std::string& label,
+                         const workloads::ScenarioConfig& cfg,
+                         const workloads::RunResult& out, double wall_s) {
   std::vector<double> responses;
   for (const auto& st : out.streams) {
     for (const sim::SimTime t : st.response_times) {
@@ -132,7 +109,7 @@ void record_bench_report(const RunConfig& cfg,
   for (const auto& [tenant, service] : out.tenant_service_s) {
     attained.push_back(service);
     double weight = 1.0;
-    for (const auto& s : streams) {
+    for (const auto& s : cfg.streams) {
       if (s.tenant == tenant) {
         weight = s.tenant_weight;
         break;
@@ -148,107 +125,30 @@ void record_bench_report(const RunConfig& cfg,
                 metrics::percentile(responses, 50.0),
                 metrics::percentile(responses, 99.0),
                 metrics::jain_fairness(attained, shares), wall_s);
-  store_report_entry(cfg.label, value);
-}
-
-std::vector<workloads::ArrivalConfig> to_arrivals(
-    const std::vector<StreamSpec>& streams) {
-  std::vector<workloads::ArrivalConfig> arrivals;
-  for (const auto& s : streams) {
-    workloads::ArrivalConfig a;
-    a.app = s.app;
-    a.origin = s.origin;
-    a.requests = s.requests;
-    a.lambda_scale = s.lambda_scale;
-    a.seed = s.seed;
-    a.tenant = s.tenant;
-    a.tenant_weight = s.tenant_weight;
-    a.server_threads = s.server_threads;
-    arrivals.push_back(std::move(a));
-  }
-  return arrivals;
-}
-
-workloads::TestbedConfig to_testbed_config(const RunConfig& cfg) {
-  workloads::TestbedConfig tcfg;
-  tcfg.mode = cfg.mode;
-  tcfg.nodes = cfg.nodes.empty() ? workloads::small_server() : cfg.nodes;
-  tcfg.balancing_policy = cfg.balancing;
-  tcfg.feedback_policy = cfg.feedback;
-  tcfg.device_policy = cfg.device_policy;
-  tcfg.trace_devices = cfg.trace_devices;
-  tcfg.convert_sync_to_async = cfg.convert_sync_to_async;
-  tcfg.convert_device_sync = cfg.convert_device_sync;
-  tcfg.nonblocking_rpc = cfg.nonblocking_rpc;
-  tcfg.use_device_scheduler = cfg.use_device_scheduler;
-  tcfg.remote_link = cfg.remote_link;
-  tcfg.shared_network = cfg.shared_network;
-  tcfg.control_plane = cfg.control_plane;
-  tcfg.trace = trace_dir() != nullptr;
-  return tcfg;
-}
-
-void collect(const RunConfig& cfg, workloads::Testbed& bed,
-             const std::vector<StreamSpec>& streams, RunOutput& out) {
-  out.control_plane = bed.control_plane_stats();
-  for (const auto& s : streams) {
-    out.tenant_service_s[s.tenant] = bed.attained_service_s(s.tenant);
-  }
-  for (const auto& st : out.streams) {
-    out.makespan = std::max(out.makespan, st.makespan);
-  }
-  for (core::Gid g = 0; g < bed.gpu_count(); ++g) {
-    out.device_counters.push_back(bed.device(g).counters());
-    if (cfg.trace_devices && out.makespan > 0) {
-      const auto& tr = bed.device(g).tracer();
-      DeviceUtilSummary u;
-      u.mean_compute_util = tr.mean_compute_util(0, out.makespan);
-      u.mean_bw_util = tr.mean_bw_util(0, out.makespan);
-      u.idle_frac = tr.compute_idle_fraction(0, out.makespan);
-      u.switching_frac = tr.switching_fraction(0, out.makespan);
-      u.util_cov = tr.compute_util_cov(0, out.makespan, sim::msec(100));
-      u.idle_gaps = tr.idle_gap_count(0, out.makespan, sim::msec(5));
-      out.device_util.push_back(u);
-    }
-  }
+  store_report_entry(label, value);
 }
 }  // namespace
 
-RunOutput run_scenario_until(const RunConfig& cfg,
-                             const std::vector<StreamSpec>& streams,
-                             sim::SimTime horizon) {
+workloads::RunResult run(const std::string& label,
+                         const workloads::ScenarioConfig& cfg,
+                         sim::SimTime horizon) {
+  workloads::RunArtifacts artifacts;
+  if (const char* dir = trace_dir()) {
+    // Pointing STRINGS_TRACE_DIR at a fresh path is the common case in CI;
+    // create it instead of failing once per run.
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    const std::string base = std::string(dir) + "/" + sanitize_label(label);
+    artifacts.trace_path = base + ".trace.json";
+    artifacts.metrics_path = base + ".metrics.csv";
+  }
   const auto wall_start = std::chrono::steady_clock::now();
-  sim::Simulation sim;
-  workloads::TestbedConfig tcfg = to_testbed_config(cfg);
-  workloads::Testbed bed(sim, tcfg);
-  auto stats = workloads::start_streams(bed, to_arrivals(streams));
-  sim.run_until(horizon);
+  workloads::RunResult out = workloads::run(cfg, artifacts, horizon);
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;
-  RunOutput out;
-  out.streams = *stats;
-  collect(cfg, bed, streams, out);
-  export_observability(cfg, bed);
-  out.makespan = horizon;
-  record_bench_report(cfg, streams, out, wall.count());
-  // Unwind live processes while the testbed they reference is still alive.
-  sim.terminate_processes();
-  return out;
-}
-
-RunOutput run_scenario(const RunConfig& cfg,
-                       const std::vector<StreamSpec>& streams) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  sim::Simulation sim;
-  workloads::TestbedConfig tcfg = to_testbed_config(cfg);
-  workloads::Testbed bed(sim, tcfg);
-  RunOutput out;
-  out.streams = workloads::run_streams(bed, to_arrivals(streams));
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
-  collect(cfg, bed, streams, out);
-  export_observability(cfg, bed);
-  record_bench_report(cfg, streams, out, wall.count());
+  if (bench_report_path() != nullptr) {
+    record_bench_report(label, cfg, out, wall.count());
+  }
   return out;
 }
 
@@ -257,69 +157,118 @@ void record_bench_entry(const std::string& label, const std::string& value) {
   store_report_entry(label, value);
 }
 
-double mean_response(const RunOutput& out, std::size_t idx) {
-  return out.streams.at(idx).mean_response_s();
+double stale_hit_rate(const core::ControlPlaneStats& s) {
+  const std::int64_t lookups = s.stale_hits + s.sync_rpcs;
+  return lookups > 0 ? static_cast<double>(s.stale_hits) /
+                           static_cast<double>(lookups)
+                     : 0.0;
 }
 
-metrics::ControlPlaneSummary control_plane_summary(const std::string& label,
-                                                   const RunOutput& out) {
-  const core::ControlPlaneStats& s = out.control_plane;
-  metrics::ControlPlaneSummary sum;
-  sum.label = label;
-  sum.select_rpcs = s.select_rpcs;
-  sum.unbind_rpcs = s.unbind_rpcs;
-  sum.sync_rpcs = s.sync_rpcs;
-  sum.oneway_msgs = s.oneway_msgs;
-  sum.feedback_records = s.feedback_records;
-  sum.feedback_batches = s.feedback_batches;
-  sum.stale_hits = s.stale_hits;
-  sum.deltas_sent = s.deltas_sent;
-  sum.deltas_applied = s.deltas_applied;
-  sum.delta_gap_syncs = s.delta_gap_syncs;
-  sum.direct_calls = s.direct_calls;
-  sum.bytes = s.bytes_sent;
-  sum.packets = s.packets_sent;
-  sum.max_snapshot_age_ms = sim::to_millis(s.max_snapshot_age);
-  sum.placement_latencies_ms.reserve(s.placement_latencies.size());
-  for (const sim::SimTime t : s.placement_latencies) {
-    sum.placement_latencies_ms.push_back(sim::to_millis(t));
+metrics::Table control_plane_table(
+    const std::vector<std::pair<std::string, core::ControlPlaneStats>>&
+        rows) {
+  using metrics::Table;
+  Table t({"deployment", "select", "sync", "deltas", "gap-sync", "unbind",
+           "oneway", "fb-recs", "fb-batches", "direct", "KB", "stale-hit",
+           "max-age ms", "p50 ms", "p95 ms", "p99 ms"});
+  for (const auto& [label, s] : rows) {
+    std::vector<double> latencies_ms;
+    for (const sim::SimTime l : s.placement_latencies) {
+      latencies_ms.push_back(sim::to_millis(l));
+    }
+    t.add_row({label, std::to_string(s.select_rpcs),
+               std::to_string(s.sync_rpcs), std::to_string(s.deltas_sent),
+               std::to_string(s.delta_gap_syncs),
+               std::to_string(s.unbind_rpcs), std::to_string(s.oneway_msgs),
+               std::to_string(s.feedback_records),
+               std::to_string(s.feedback_batches),
+               std::to_string(s.direct_calls),
+               Table::fmt(static_cast<double>(s.bytes_sent) / 1024.0),
+               Table::fmt(stale_hit_rate(s)),
+               Table::fmt(sim::to_millis(s.max_snapshot_age)),
+               Table::fmt(metrics::percentile(latencies_ms, 50.0), 3),
+               Table::fmt(metrics::percentile(latencies_ms, 95.0), 3),
+               Table::fmt(metrics::percentile(latencies_ms, 99.0), 3)});
   }
-  return sum;
+  return t;
 }
 
-std::vector<RunConfig> balancing_matrix(
-    const std::vector<std::vector<gpu::DeviceProps>>& nodes) {
-  std::vector<RunConfig> configs;
+std::vector<std::pair<std::string, workloads::TestbedConfig>>
+balancing_matrix(const std::vector<std::vector<gpu::DeviceProps>>& nodes) {
+  std::vector<std::pair<std::string, workloads::TestbedConfig>> configs;
   for (const auto* policy : {"GRR", "GMin", "GWtMin"}) {
     for (const auto mode : {workloads::Mode::kRain, workloads::Mode::kStrings}) {
-      RunConfig cfg;
-      cfg.label = std::string(policy) + "-" + workloads::mode_name(mode);
-      cfg.mode = mode;
-      cfg.nodes = nodes;
-      cfg.balancing = policy;
-      configs.push_back(std::move(cfg));
+      workloads::TestbedConfig tb;
+      tb.mode = mode;
+      tb.nodes = nodes;
+      tb.balancing_policy = policy;
+      configs.emplace_back(
+          std::string(policy) + "-" + workloads::mode_name(mode), tb);
     }
   }
   return configs;
 }
 
 std::vector<double> single_node_grr_baseline(
-    const std::vector<StreamSpec>& streams, workloads::Mode mode) {
+    const std::vector<workloads::ArrivalConfig>& streams,
+    workloads::Mode mode) {
   // Each stream gets its own 2-GPU node under GRR, independently — the
   // "single node GRR" the paper measures the supernode figures against.
   std::vector<double> result;
   for (const auto& s : streams) {
-    RunConfig cfg;
-    cfg.label = "single-node-GRR";
-    cfg.mode = mode;
-    cfg.nodes = workloads::small_server();
-    cfg.balancing = "GRR";
-    StreamSpec local = s;
-    local.origin = 0;
-    const RunOutput out = run_scenario(cfg, {local});
-    result.push_back(mean_response(out, 0));
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = mode;
+    cfg.testbed.nodes = workloads::small_server();
+    cfg.testbed.balancing_policy = "GRR";
+    cfg.streams = {s};
+    cfg.streams[0].origin = 0;
+    result.push_back(
+        run("single-node-GRR", cfg).streams.at(0).mean_response_s());
   }
   return result;
+}
+
+std::vector<workloads::ArrivalConfig> pair_streams(
+    const workloads::WorkloadPair& pair, const Options& opt) {
+  workloads::ArrivalConfig a;
+  a.app = pair.long_app;
+  a.origin = 0;
+  a.requests = opt.quick ? 6 : 10;
+  a.lambda_scale = 0.22;  // overloaded node: bursts spill to the pool
+  a.server_threads = 8;
+  a.seed = 11;
+  a.tenant = "tenantA";
+  workloads::ArrivalConfig b = a;
+  b.app = pair.short_app;
+  b.origin = 1;
+  b.requests = opt.quick ? 12 : 20;
+  b.seed = 23;
+  b.tenant = "tenantB";
+  return {a, b};
+}
+
+std::map<std::string, double> pair_baselines(
+    const std::vector<workloads::WorkloadPair>& pairs, const Options& opt) {
+  // The single-node-GRR baseline depends only on the app, not on the pair:
+  // compute once per app.
+  std::map<std::string, double> baseline;
+  for (const auto& pair : pairs) {
+    for (const auto& s : pair_streams(pair, opt)) {
+      if (!baseline.contains(s.app)) {
+        baseline[s.app] = single_node_grr_baseline({s})[0];
+      }
+    }
+  }
+  return baseline;
+}
+
+double pair_speedup(const std::map<std::string, double>& baseline,
+                    const workloads::WorkloadPair& pair,
+                    const workloads::RunResult& out) {
+  return metrics::weighted_speedup(
+      {baseline.at(pair.long_app), baseline.at(pair.short_app)},
+      {out.streams.at(0).mean_response_s(),
+       out.streams.at(1).mean_response_s()});
 }
 
 void report_table(const std::string& name, const metrics::Table& table) {

@@ -1,20 +1,20 @@
-// Shared experiment machinery for the figure-reproduction benches.
+// Shared machinery for the figure-reproduction benches.
 //
-// Every bench binary builds scenarios from RunConfig (a mode + topology +
-// policy selection) and StreamSpec (a request stream), runs them to
-// completion in virtual time, and prints a table mirroring the paper's
-// figure. Pass --quick (or set STRINGS_BENCH_QUICK=1) for a reduced sweep.
+// Every bench binary describes its runs as workloads::ScenarioConfig (the
+// same description scenario files parse into), executes them through
+// bench::run, and prints a table mirroring the paper's figure. Pass --quick
+// (or set STRINGS_BENCH_QUICK=1) for a reduced sweep.
 #pragma once
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/control_plane.hpp"
 #include "metrics/metrics.hpp"
-#include "rpc/channel.hpp"
-#include "workloads/service.hpp"
-#include "workloads/testbed.hpp"
+#include "workloads/profiles.hpp"
+#include "workloads/scenario_config.hpp"
 
 namespace strings::bench {
 
@@ -23,94 +23,52 @@ struct Options {
   static Options parse(int argc, char** argv);
 };
 
-/// One scheduling configuration under test.
-struct RunConfig {
-  std::string label;
-  workloads::Mode mode = workloads::Mode::kStrings;
-  std::vector<std::vector<gpu::DeviceProps>> nodes;
-  std::string balancing = "GMin";
-  std::string feedback;                  // Policy Arbiter target ("" = off)
-  std::string device_policy = "AllAwake";
-  bool trace_devices = false;
-  // Ablation knobs forwarded to the testbed.
-  bool convert_sync_to_async = true;
-  bool convert_device_sync = true;
-  bool nonblocking_rpc = true;
-  bool use_device_scheduler = true;
-  rpc::LinkModel remote_link = rpc::LinkModel::numa_like();
-  bool shared_network = false;  // one physical wire per node pair
-  /// Affinity Mapper deployment (PlacementService + per-node agents).
-  core::ControlPlaneConfig control_plane;
-};
+/// Runs `cfg` through workloads::run — to drain, or up to `horizon`. When
+/// STRINGS_TRACE_DIR is set, the run also writes <dir>/<label>.trace.json
+/// (Chrome trace-event format, loadable in Perfetto) and
+/// <dir>/<label>.metrics.csv. When STRINGS_BENCH_REPORT is set, it records
+/// a perf-gate entry keyed by `label` (see flush_bench_report).
+workloads::RunResult run(const std::string& label,
+                         const workloads::ScenarioConfig& cfg,
+                         sim::SimTime horizon = sim::kNever);
 
-/// One request stream (maps onto workloads::ArrivalConfig).
-struct StreamSpec {
-  std::string app;
-  core::NodeId origin = 0;
-  int requests = 8;
-  double lambda_scale = 0.8;
-  std::uint32_t seed = 1;
-  std::string tenant = "tenantA";
-  double tenant_weight = 1.0;
-  int server_threads = 4;
-};
-
-/// Per-device utilization summary over [0, makespan] (traced runs only).
-struct DeviceUtilSummary {
-  double mean_compute_util = 0.0;
-  double mean_bw_util = 0.0;
-  double idle_frac = 0.0;
-  double switching_frac = 0.0;
-  double util_cov = 0.0;  // coefficient of variation on a 100ms grid
-  int idle_gaps = 0;      // idle intervals >= 5ms (Fig. 2 "glitches")
-};
-
-struct RunOutput {
-  std::vector<workloads::StreamStats> streams;
-  /// Attained GPU service per tenant (for Jain's fairness).
-  std::map<std::string, double> tenant_service_s;
-  /// Per-GID device counters after the run.
-  std::vector<gpu::DeviceCounters> device_counters;
-  /// Filled when RunConfig::trace_devices is set.
-  std::vector<DeviceUtilSummary> device_util;
-  /// Aggregated control-plane counters (RPCs, bytes, staleness, per-select
-  /// latency) plus the authoritative placement log.
-  core::ControlPlaneStats control_plane;
-  sim::SimTime makespan = 0;
-};
-
-/// Flattens control-plane counters for metrics::control_plane_table.
-metrics::ControlPlaneSummary control_plane_summary(const std::string& label,
-                                                   const RunOutput& out);
-
-/// Builds a testbed from `cfg`, runs all streams, and collects results.
-/// When STRINGS_TRACE_DIR is set, the run executes with observability
-/// tracing on and writes <dir>/<label>.trace.json (Chrome trace-event
-/// format, loadable in Perfetto) plus <dir>/<label>.metrics.csv.
-RunOutput run_scenario(const RunConfig& cfg,
-                       const std::vector<StreamSpec>& streams);
-
-/// Like run_scenario but stops the clock at `horizon`: used to sample
-/// attained service while every tenant is still backlogged (fairness).
-RunOutput run_scenario_until(const RunConfig& cfg,
-                             const std::vector<StreamSpec>& streams,
-                             sim::SimTime horizon);
-
-/// Mean response time (seconds) of stream `idx`.
-double mean_response(const RunOutput& out, std::size_t idx);
-
-/// The six balancing configurations of Figs. 9/10:
-/// {GRR, GMin, GWtMin} x {Rain, Strings}.
-std::vector<RunConfig> balancing_matrix(
-    const std::vector<std::vector<gpu::DeviceProps>>& nodes);
+/// The six balancing configurations of Figs. 9/10, labelled
+/// "<policy>-<mode>": {GRR, GMin, GWtMin} x {Rain, Strings}.
+std::vector<std::pair<std::string, workloads::TestbedConfig>>
+balancing_matrix(const std::vector<std::vector<gpu::DeviceProps>>& nodes);
 
 /// The paper's Fig. 10/12/14/15 baseline: each stream served by its own
 /// single node (2 GPUs) under GRR ("single node GRR" — the previous
 /// section's scheduler generation, i.e. Rain). Returns the mean response
 /// per stream, computed on independent testbeds.
 std::vector<double> single_node_grr_baseline(
-    const std::vector<StreamSpec>& streams,
+    const std::vector<workloads::ArrivalConfig>& streams,
     workloads::Mode mode = workloads::Mode::kRain);
+
+/// The supernode pair workload of Figs. 10 and 12-15: the pair's long app
+/// arrives at NodeA as tenantA, its short app at NodeB as tenantB, both as
+/// overloaded exponential streams that spill into the pool.
+std::vector<workloads::ArrivalConfig> pair_streams(
+    const workloads::WorkloadPair& pair, const Options& opt);
+
+/// single_node_grr_baseline per app over `pairs` (each app's first
+/// pair_streams role, in pair order), keyed by app.
+std::map<std::string, double> pair_baselines(
+    const std::vector<workloads::WorkloadPair>& pairs, const Options& opt);
+
+/// Weighted speedup (paper eq. 2) of a pair_streams run over the
+/// pair_baselines of its two apps.
+double pair_speedup(const std::map<std::string, double>& baseline,
+                    const workloads::WorkloadPair& pair,
+                    const workloads::RunResult& out);
+
+/// Fraction of distributed selects served from a cached (stale) snapshot.
+double stale_hit_rate(const core::ControlPlaneStats& s);
+
+/// One row per labelled deployment: RPC/byte counters, stale-hit rate, and
+/// p50/p95/p99 placement latency.
+metrics::Table control_plane_table(
+    const std::vector<std::pair<std::string, core::ControlPlaneStats>>& rows);
 
 /// Prints the standard bench header.
 void print_header(const std::string& title, const std::string& paper_ref,
@@ -120,8 +78,8 @@ void print_header(const std::string& title, const std::string& paper_ref,
 /// writes it as <dir>/<name>.csv for artifact collection.
 void report_table(const std::string& name, const metrics::Table& table);
 
-/// Perf-gate hook. When STRINGS_BENCH_REPORT names a file, every
-/// run_scenario / run_scenario_until call records an entry
+/// Perf-gate hook. When STRINGS_BENCH_REPORT names a file, every bench::run
+/// call records an entry
 ///   "<bench binary>/<label>": {makespan_s, p50_s, p99_s, jain, wall_s}
 /// and the process merges its entries into that JSON file at exit, so a
 /// whole bench sweep accumulates one report (tools/bench_gate compares two
@@ -132,7 +90,7 @@ void flush_bench_report();
 
 /// Records a raw perf-report entry "<bench binary>/<label>[#k]" with a
 /// preformatted JSON object value (e.g. {"wall_s":...,"events_per_sec":...}).
-/// Used by micro benches for metrics run_scenario cannot compute, such as
+/// Used by micro benches for metrics bench::run cannot compute, such as
 /// event-loop throughput. No-op when STRINGS_BENCH_REPORT is unset.
 void record_bench_entry(const std::string& label, const std::string& value);
 

@@ -11,7 +11,6 @@
 #include "common.hpp"
 
 #include <cstdio>
-#include <map>
 
 using namespace strings;
 using namespace strings::bench;
@@ -25,56 +24,23 @@ int main(int argc, char** argv) {
   if (opt.quick) {
     pairs = {pairs[0], pairs[8], pairs[10], pairs[22]};  // A, I, K, W
   }
-  const int requests_long = opt.quick ? 6 : 10;
-  const int requests_short = opt.quick ? 12 : 20;
-
-  auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
-    a.app = pair.long_app;
-    a.origin = 0;
-    a.requests = requests_long;
-    a.lambda_scale = 0.22;  // overloaded node: bursts spill to the pool
-    a.server_threads = 8;
-    a.seed = 11;
-    a.tenant = "tenantA";
-    StreamSpec b;
-    b.app = pair.short_app;
-    b.origin = 1;
-    b.requests = requests_short;
-    b.lambda_scale = 0.22;
-    b.server_threads = 8;
-    b.seed = 23;
-    b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
-  };
-
-  // The single-node-GRR baseline depends only on the app, not on the pair:
-  // compute once per app.
-  std::map<std::string, double> baseline;
-  for (const auto& pair : pairs) {
-    for (const auto* role : {&pair.long_app, &pair.short_app}) {
-      if (baseline.contains(*role)) continue;
-      StreamSpec s = make_streams(pair)[role == &pair.short_app ? 1 : 0];
-      baseline[*role] = single_node_grr_baseline({s})[0];
-    }
-  }
+  const auto baseline = pair_baselines(pairs, opt);
 
   auto configs = balancing_matrix(workloads::supernode());
 
   std::vector<std::string> headers{"Pair", "Mix"};
-  for (const auto& c : configs) headers.push_back(c.label);
+  for (const auto& c : configs) headers.push_back(c.first);
   metrics::Table table(headers);
   std::vector<std::vector<double>> speedups(configs.size());
 
   for (const auto& pair : pairs) {
-    const auto streams = make_streams(pair);
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      const RunOutput out = run_scenario(configs[c], streams);
-      const double ws = metrics::weighted_speedup(
-          {baseline[pair.long_app], baseline[pair.short_app]},
-          {mean_response(out, 0), mean_response(out, 1)});
+      const workloads::ScenarioConfig cfg{configs[c].second,
+                                          pair_streams(pair, opt), {}};
+      const double ws =
+          pair_speedup(baseline, pair, bench::run(configs[c].first, cfg));
       speedups[c].push_back(ws);
       row.push_back(metrics::Table::fmt(ws) + "x");
     }

@@ -54,42 +54,41 @@ int main(int argc, char** argv) {
   // progress-fairness index that tolerates asymmetric demands.
   const sim::SimTime horizon = sim::sec(opt.quick ? 25 : 40);
   std::map<std::string, double> solo;  // app -> solo attained service
-  auto solo_demand = [&](const StreamSpec& s) {
+  auto solo_demand = [&](const workloads::ArrivalConfig& s) {
     if (auto it = solo.find(s.app); it != solo.end()) return it->second;
-    RunConfig cfg;
-    cfg.mode = workloads::Mode::kStrings;
-    cfg.nodes = {{gpu::tesla_c2050()}};
-    const RunOutput out = run_scenario_until(cfg, {s}, horizon);
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kStrings;
+    cfg.testbed.nodes = {{gpu::tesla_c2050()}};
+    cfg.streams = {s};
+    const auto out = bench::run("run", cfg, horizon);
     return solo[s.app] = out.tenant_service_s.at(s.tenant);
   };
 
   for (const auto& pair : pairs) {
-    StreamSpec a;
+    workloads::ArrivalConfig a;
     a.app = pair.long_app;
     a.requests = 40;
     a.lambda_scale = 0.02;  // back-to-back: tenant continuously backlogged
     a.server_threads = 2;
     a.seed = 5;
     a.tenant = "tenantA";
-    StreamSpec b = a;
+    workloads::ArrivalConfig b = a;
     b.app = pair.short_app;
     b.requests = 200;
     b.seed = 6;
     b.tenant = "tenantB";
-    StreamSpec b_solo = b;
-    b_solo.tenant = "tenantA";  // solo_demand keys service by tenantA
     const double demand_a = solo_demand(a);
-    const double demand_b = solo_demand(b_solo);
+    const double demand_b = solo_demand(b);
 
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = configs[c].label;
-      cfg.mode = configs[c].mode;
-      cfg.nodes = {{gpu::tesla_c2050()}};  // one shared GPU
-      cfg.device_policy = configs[c].device_policy;
-      const RunOutput out = run_scenario_until(cfg, {a, b}, horizon);
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = configs[c].mode;
+      cfg.testbed.nodes = {{gpu::tesla_c2050()}};  // one shared GPU
+      cfg.testbed.device_policy = configs[c].device_policy;
+      cfg.streams = {a, b};
+      const auto out = bench::run(configs[c].label, cfg, horizon);
       const double attained_a = out.tenant_service_s.at("tenantA");
       const double attained_b = out.tenant_service_s.at("tenantB");
       fairness_raw[c].push_back(

@@ -9,7 +9,6 @@
 #include "common.hpp"
 
 #include <cstdio>
-#include <map>
 
 using namespace strings;
 using namespace strings::bench;
@@ -22,8 +21,6 @@ int main(int argc, char** argv) {
 
   std::vector<workloads::WorkloadPair> pairs = workloads::workload_pairs();
   if (opt.quick) pairs = {pairs[1], pairs[9], pairs[13], pairs[20]};
-  const int requests_long = opt.quick ? 6 : 10;
-  const int requests_short = opt.quick ? 12 : 20;
 
   struct Config {
     const char* label;
@@ -36,36 +33,7 @@ int main(int argc, char** argv) {
       {"GWtMinPS-Strings", workloads::Mode::kStrings, "PS"},
   };
 
-  auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
-    a.app = pair.long_app;
-    a.origin = 0;
-    a.requests = requests_long;
-    a.lambda_scale = 0.22;
-    a.server_threads = 8;
-    a.seed = 11;
-    a.tenant = "tenantA";
-    StreamSpec b;
-    b.app = pair.short_app;
-    b.origin = 1;
-    b.requests = requests_short;
-    b.lambda_scale = 0.22;
-    b.server_threads = 8;
-    b.seed = 23;
-    b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
-  };
-
-  std::map<std::string, double> baseline;
-  for (const auto& pair : pairs) {
-    const auto streams = make_streams(pair);
-    if (!baseline.contains(pair.long_app)) {
-      baseline[pair.long_app] = single_node_grr_baseline({streams[0]})[0];
-    }
-    if (!baseline.contains(pair.short_app)) {
-      baseline[pair.short_app] = single_node_grr_baseline({streams[1]})[0];
-    }
-  }
+  const auto baseline = pair_baselines(pairs, opt);
 
   std::vector<std::string> headers{"Pair", "Mix"};
   for (const auto& c : configs) headers.push_back(c.label);
@@ -76,21 +44,18 @@ int main(int argc, char** argv) {
   std::vector<double> jain_las, jain_ps;
 
   for (const auto& pair : pairs) {
-    const auto streams = make_streams(pair);
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     double las_jain = 0.0, ps_jain = 0.0;
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = configs[c].label;
-      cfg.mode = configs[c].mode;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GWtMin";
-      cfg.device_policy = configs[c].device_policy;
-      const RunOutput out = run_scenario(cfg, streams);
-      const double ws = metrics::weighted_speedup(
-          {baseline[pair.long_app], baseline[pair.short_app]},
-          {mean_response(out, 0), mean_response(out, 1)});
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = configs[c].mode;
+      cfg.testbed.nodes = workloads::supernode();
+      cfg.testbed.balancing_policy = "GWtMin";
+      cfg.testbed.device_policy = configs[c].device_policy;
+      cfg.streams = pair_streams(pair, opt);
+      const auto out = bench::run(configs[c].label, cfg);
+      const double ws = pair_speedup(baseline, pair, out);
       speedups[c].push_back(ws);
       row.push_back(metrics::Table::fmt(ws) + "x");
       const double j = metrics::jain_fairness(

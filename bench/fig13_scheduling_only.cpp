@@ -20,8 +20,6 @@ int main(int argc, char** argv) {
 
   std::vector<workloads::WorkloadPair> pairs = workloads::workload_pairs();
   if (opt.quick) pairs = {pairs[1], pairs[9], pairs[13], pairs[20]};
-  const int requests_long = opt.quick ? 6 : 10;
-  const int requests_short = opt.quick ? 12 : 20;
 
   struct Config {
     const char* label;
@@ -34,57 +32,32 @@ int main(int argc, char** argv) {
       {"PS-Strings", workloads::Mode::kStrings, "PS"},
   };
 
-  auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
-    a.app = pair.long_app;
-    a.origin = 0;
-    a.requests = requests_long;
-    a.lambda_scale = 0.22;
-    a.server_threads = 8;
-    a.seed = 11;
-    a.tenant = "tenantA";
-    StreamSpec b;
-    b.app = pair.short_app;
-    b.origin = 1;
-    b.requests = requests_short;
-    b.lambda_scale = 0.22;
-    b.server_threads = 8;
-    b.seed = 23;
-    b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
-  };
-
   std::vector<std::string> headers{"Pair", "Mix"};
   for (const auto& c : configs) headers.push_back(c.label);
   metrics::Table table(headers);
   std::vector<std::vector<double>> speedups(configs.size());
 
   for (const auto& pair : pairs) {
-    const auto streams = make_streams(pair);
     // Baseline: GRR over the shared 4-GPU pool, no dispatcher, Rain.
-    std::vector<double> base;
-    {
-      RunConfig cfg;
-      cfg.mode = workloads::Mode::kRain;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GRR";
-      cfg.device_policy = "AllAwake";
-      const RunOutput out = run_scenario(cfg, streams);
-      base = {mean_response(out, 0), mean_response(out, 1)};
-    }
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kRain;
+    cfg.testbed.nodes = workloads::supernode();
+    cfg.testbed.balancing_policy = "GRR";
+    cfg.testbed.device_policy = "AllAwake";
+    cfg.streams = pair_streams(pair, opt);
+    const auto base_out = bench::run("run", cfg);
+    const std::vector<double> base = {base_out.streams.at(0).mean_response_s(),
+                                      base_out.streams.at(1).mean_response_s()};
 
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = configs[c].label;
-      cfg.mode = configs[c].mode;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GRR";
-      cfg.device_policy = configs[c].device_policy;
-      const RunOutput out = run_scenario(cfg, streams);
+      cfg.testbed.mode = configs[c].mode;
+      cfg.testbed.device_policy = configs[c].device_policy;
+      const auto out = bench::run(configs[c].label, cfg);
       const double ws = metrics::weighted_speedup(
-          base, {mean_response(out, 0), mean_response(out, 1)});
+          base, {out.streams.at(0).mean_response_s(),
+                 out.streams.at(1).mean_response_s()});
       speedups[c].push_back(ws);
       row.push_back(metrics::Table::fmt(ws) + "x");
     }

@@ -9,7 +9,6 @@
 #include "common.hpp"
 
 #include <cstdio>
-#include <map>
 
 using namespace strings;
 using namespace strings::bench;
@@ -22,8 +21,6 @@ int main(int argc, char** argv) {
 
   std::vector<workloads::WorkloadPair> pairs = workloads::workload_pairs();
   if (opt.quick) pairs = {pairs[2], pairs[9], pairs[16], pairs[23]};
-  const int requests_long = opt.quick ? 6 : 10;
-  const int requests_short = opt.quick ? 12 : 20;
 
   struct Config {
     const char* label;
@@ -37,36 +34,7 @@ int main(int argc, char** argv) {
       {"GUF-Strings", workloads::Mode::kStrings, "GUF"},
   };
 
-  auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
-    a.app = pair.long_app;
-    a.origin = 0;
-    a.requests = requests_long;
-    a.lambda_scale = 0.22;
-    a.server_threads = 8;
-    a.seed = 11;
-    a.tenant = "tenantA";
-    StreamSpec b;
-    b.app = pair.short_app;
-    b.origin = 1;
-    b.requests = requests_short;
-    b.lambda_scale = 0.22;
-    b.server_threads = 8;
-    b.seed = 23;
-    b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
-  };
-
-  std::map<std::string, double> baseline;
-  for (const auto& pair : pairs) {
-    const auto streams = make_streams(pair);
-    if (!baseline.contains(pair.long_app)) {
-      baseline[pair.long_app] = single_node_grr_baseline({streams[0]})[0];
-    }
-    if (!baseline.contains(pair.short_app)) {
-      baseline[pair.short_app] = single_node_grr_baseline({streams[1]})[0];
-    }
-  }
+  const auto baseline = pair_baselines(pairs, opt);
 
   std::vector<std::string> headers{"Pair", "Mix"};
   for (const auto& c : configs) headers.push_back(c.label);
@@ -74,20 +42,18 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> speedups(configs.size());
 
   for (const auto& pair : pairs) {
-    const auto streams = make_streams(pair);
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = configs[c].label;
-      cfg.mode = configs[c].mode;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GWtMin";          // until feedback exists
-      cfg.feedback = configs[c].feedback;  // then the Arbiter switches
-      const RunOutput out = run_scenario(cfg, streams);
-      const double ws = metrics::weighted_speedup(
-          {baseline[pair.long_app], baseline[pair.short_app]},
-          {mean_response(out, 0), mean_response(out, 1)});
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = configs[c].mode;
+      cfg.testbed.nodes = workloads::supernode();
+      // GWtMin until feedback exists, then the Arbiter switches.
+      cfg.testbed.balancing_policy = "GWtMin";
+      cfg.testbed.feedback_policy = configs[c].feedback;
+      cfg.streams = pair_streams(pair, opt);
+      const double ws =
+          pair_speedup(baseline, pair, bench::run(configs[c].label, cfg));
       speedups[c].push_back(ws);
       row.push_back(metrics::Table::fmt(ws) + "x");
     }

@@ -12,7 +12,6 @@
 #include "common.hpp"
 
 #include <cstdio>
-#include <map>
 
 using namespace strings;
 using namespace strings::bench;
@@ -24,59 +23,25 @@ int main(int argc, char** argv) {
 
   std::vector<workloads::WorkloadPair> pairs = workloads::workload_pairs();
   if (opt.quick) pairs = {pairs[1], pairs[3], pairs[17], pairs[21]};
-  const int requests_long = opt.quick ? 6 : 10;
-  const int requests_short = opt.quick ? 12 : 20;
 
-  auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
-    a.app = pair.long_app;
-    a.origin = 0;
-    a.requests = requests_long;
-    a.lambda_scale = 0.22;
-    a.server_threads = 8;
-    a.seed = 11;
-    a.tenant = "tenantA";
-    StreamSpec b;
-    b.app = pair.short_app;
-    b.origin = 1;
-    b.requests = requests_short;
-    b.lambda_scale = 0.22;
-    b.server_threads = 8;
-    b.seed = 23;
-    b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
-  };
-
-  std::map<std::string, double> baseline;
-  for (const auto& pair : pairs) {
-    const auto streams = make_streams(pair);
-    if (!baseline.contains(pair.long_app)) {
-      baseline[pair.long_app] = single_node_grr_baseline({streams[0]})[0];
-    }
-    if (!baseline.contains(pair.short_app)) {
-      baseline[pair.short_app] = single_node_grr_baseline({streams[1]})[0];
-    }
-  }
+  const auto baseline = pair_baselines(pairs, opt);
 
   const std::vector<std::string> policies = {"DTF", "MBF"};
   metrics::Table table({"Pair", "Mix", "DTF-Strings", "MBF-Strings"});
   std::vector<std::vector<double>> speedups(policies.size());
 
   for (const auto& pair : pairs) {
-    const auto streams = make_streams(pair);
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < policies.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = policies[c] + "-Strings";
-      cfg.mode = workloads::Mode::kStrings;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GWtMin";
-      cfg.feedback = policies[c];
-      const RunOutput out = run_scenario(cfg, streams);
-      const double ws = metrics::weighted_speedup(
-          {baseline[pair.long_app], baseline[pair.short_app]},
-          {mean_response(out, 0), mean_response(out, 1)});
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = workloads::Mode::kStrings;
+      cfg.testbed.nodes = workloads::supernode();
+      cfg.testbed.balancing_policy = "GWtMin";
+      cfg.testbed.feedback_policy = policies[c];
+      cfg.streams = pair_streams(pair, opt);
+      const double ws = pair_speedup(
+          baseline, pair, bench::run(policies[c] + "-Strings", cfg));
       speedups[c].push_back(ws);
       row.push_back(metrics::Table::fmt(ws) + "x");
     }

@@ -40,17 +40,18 @@ int main(int argc, char** argv) {
                         "class", "Idle frac", "Idle gaps>=5ms"});
 
   for (const auto& app : apps) {
-    RunConfig cfg;
-    cfg.mode = workloads::Mode::kStrings;
-    cfg.nodes = {{gpu::tesla_c2050()}};
-    cfg.trace_devices = true;
-    StreamSpec s;
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kStrings;
+    cfg.testbed.nodes = {{gpu::tesla_c2050()}};
+    cfg.testbed.trace_devices = true;
+    workloads::ArrivalConfig s;
     s.app = app;
     s.requests = opt.quick ? 3 : 5;
     s.lambda_scale = 0.9;  // exponential arrivals, moderate load
     s.seed = 3;
-    const RunOutput out = run_scenario(cfg, {s});
-    const DeviceUtilSummary& u = out.device_util.at(0);
+    cfg.streams = {s};
+    const auto out = bench::run("run", cfg);
+    const workloads::DeviceUtilSummary& u = out.device_util.at(0);
     // Bandwidth utilization classes compare the app's demand to what it
     // could demand; normalize against the busy (non-idle) window.
     const double busy = 1.0 - u.idle_frac;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                "Fig. 2 (MC stream: separate contexts vs packed context)",
                opt);
 
-  StreamSpec s;
+  workloads::ArrivalConfig s;
   s.app = "MC";
   s.requests = opt.quick ? 8 : 14;
   s.lambda_scale = 0.15;  // busy server: utilization gaps are scheduler-made
@@ -40,12 +40,13 @@ int main(int argc, char** argv) {
   double cov[2] = {0, 0};
   int idx = 0;
   for (const auto& v : variants) {
-    RunConfig cfg;
-    cfg.mode = v.mode;
-    cfg.nodes = {{gpu::tesla_c2050()}};  // one GPU, as in the paper's Fig. 2
-    cfg.trace_devices = true;
-    const RunOutput out = run_scenario(cfg, {s});
-    const DeviceUtilSummary& u = out.device_util.at(0);
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = v.mode;
+    cfg.testbed.nodes = {{gpu::tesla_c2050()}};  // one GPU, as in Fig. 2
+    cfg.testbed.trace_devices = true;
+    cfg.streams = {s};
+    const auto out = bench::run("run", cfg);
+    const workloads::DeviceUtilSummary& u = out.device_util.at(0);
     const auto& c = out.device_counters.at(0);
     cov[idx++] = u.util_cov;
     table.add_row(

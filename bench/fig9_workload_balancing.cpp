@@ -30,27 +30,30 @@ int main(int argc, char** argv) {
   auto configs = balancing_matrix(workloads::small_server());
 
   std::vector<std::string> headers{"App", "CUDA(s)"};
-  for (const auto& c : configs) headers.push_back(c.label);
+  for (const auto& c : configs) headers.push_back(c.first);
   metrics::Table table(headers);
 
   std::vector<std::vector<double>> speedups(configs.size());
   for (const auto& app : apps) {
-    StreamSpec spec;
+    workloads::ArrivalConfig spec;
     spec.app = app;
     spec.requests = requests;
     spec.lambda_scale = 0.45;  // bursty overload: requests queue and collide
     spec.server_threads = 8;
     spec.seed = 1;
 
-    RunConfig base;
-    base.label = "CUDA";
-    base.mode = workloads::Mode::kCudaBaseline;
-    base.nodes = workloads::small_server();
-    const double cuda_time = mean_response(run_scenario(base, {spec}), 0);
+    workloads::ScenarioConfig base;
+    base.testbed.mode = workloads::Mode::kCudaBaseline;
+    base.testbed.nodes = workloads::small_server();
+    base.streams = {spec};
+    const double cuda_time =
+        bench::run("CUDA", base).streams.at(0).mean_response_s();
 
     std::vector<std::string> row{app, metrics::Table::fmt(cuda_time)};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      const double t = mean_response(run_scenario(configs[c], {spec}), 0);
+      const workloads::ScenarioConfig cfg{configs[c].second, {spec}, {}};
+      const double t =
+          bench::run(configs[c].first, cfg).streams.at(0).mean_response_s();
       const double speedup = t > 0 ? cuda_time / t : 0.0;
       speedups[c].push_back(speedup);
       row.push_back(metrics::Table::fmt(speedup) + "x");

@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  workloads::ScenarioRunResult result;
+  workloads::RunResult result;
   try {
     workloads::RunArtifacts artifacts;
     artifacts.trace_path = args.trace_path;
@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
             .count();
       };
     }
-    result = workloads::run_scenario_config_full(cfg, artifacts);
+    result = workloads::run(cfg, artifacts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

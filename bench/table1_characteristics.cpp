@@ -41,15 +41,16 @@ int main(int argc, char** argv) {
                         "paper", "BW(MB/s)", "paper"});
 
   for (const PaperRow& paper : kPaper) {
-    RunConfig cfg;
-    cfg.mode = workloads::Mode::kStrings;
-    cfg.nodes = {{gpu::tesla_c2050()}};
-    StreamSpec s;
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kStrings;
+    cfg.testbed.nodes = {{gpu::tesla_c2050()}};
+    workloads::ArrivalConfig s;
     s.app = paper.app;
     s.requests = 1;
     s.lambda_scale = 0.01;
     s.seed = 1;
-    const RunOutput out = run_scenario(cfg, {s});
+    cfg.streams = {s};
+    const auto out = bench::run("run", cfg);
 
     // The solo run's Feedback Engine record carries the measured shape; we
     // recompute it here from the stream stats + device counters.

@@ -140,34 +140,4 @@ std::string Table::to_csv() const {
 
 void Table::print() const { std::fputs(to_string().c_str(), stdout); }
 
-double ControlPlaneSummary::stale_hit_rate() const {
-  const std::int64_t lookups = stale_hits + sync_rpcs;
-  return lookups > 0 ? static_cast<double>(stale_hits) /
-                           static_cast<double>(lookups)
-                     : 0.0;
-}
-
-Table control_plane_table(const std::vector<ControlPlaneSummary>& rows) {
-  Table t({"deployment", "select", "sync", "deltas", "gap-sync", "unbind",
-           "oneway", "fb-recs", "fb-batches", "direct", "KB", "stale-hit",
-           "max-age ms", "p50 ms", "p95 ms", "p99 ms"});
-  for (const auto& r : rows) {
-    t.add_row({r.label, std::to_string(r.select_rpcs),
-               std::to_string(r.sync_rpcs), std::to_string(r.deltas_sent),
-               std::to_string(r.delta_gap_syncs),
-               std::to_string(r.unbind_rpcs),
-               std::to_string(r.oneway_msgs),
-               std::to_string(r.feedback_records),
-               std::to_string(r.feedback_batches),
-               std::to_string(r.direct_calls),
-               Table::fmt(static_cast<double>(r.bytes) / 1024.0),
-               Table::fmt(r.stale_hit_rate()),
-               Table::fmt(r.max_snapshot_age_ms),
-               Table::fmt(percentile(r.placement_latencies_ms, 50.0), 3),
-               Table::fmt(percentile(r.placement_latencies_ms, 95.0), 3),
-               Table::fmt(percentile(r.placement_latencies_ms, 99.0), 3)});
-  }
-  return t;
-}
-
 }  // namespace strings::metrics

@@ -37,32 +37,6 @@ double percentile(std::vector<double> v, double p);
 /// Population coefficient of variation (stddev / mean); 0 for empty input.
 double coeff_of_variation(const std::vector<double>& v);
 
-/// Control-plane counters of one deployment, flattened for reporting (a
-/// plain struct so the metrics layer stays independent of src/core; the
-/// Testbed's ControlPlaneStats converts into this shape).
-struct ControlPlaneSummary {
-  std::string label;
-  std::int64_t select_rpcs = 0;
-  std::int64_t unbind_rpcs = 0;
-  std::int64_t sync_rpcs = 0;
-  std::int64_t oneway_msgs = 0;
-  std::int64_t feedback_records = 0;
-  std::int64_t feedback_batches = 0;
-  std::int64_t stale_hits = 0;
-  std::int64_t deltas_sent = 0;
-  std::int64_t deltas_applied = 0;
-  std::int64_t delta_gap_syncs = 0;
-  std::int64_t direct_calls = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t packets = 0;
-  double max_snapshot_age_ms = 0.0;
-  /// Per-placement latency as seen by the caller, in milliseconds.
-  std::vector<double> placement_latencies_ms;
-
-  /// Fraction of distributed selects served from a cached (stale) snapshot.
-  double stale_hit_rate() const;
-};
-
 /// Fixed-width results table (printed by every bench binary).
 class Table {
  public:
@@ -80,9 +54,5 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// One row per summary: RPC/byte counters, stale-hit rate, and p50/p95/p99
-/// placement latency.
-Table control_plane_table(const std::vector<ControlPlaneSummary>& rows);
 
 }  // namespace strings::metrics

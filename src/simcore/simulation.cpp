@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <stdexcept>
 
 namespace strings::sim {
 
@@ -80,7 +81,13 @@ void Simulation::terminate_processes() {
       p->state_ = Process::State::kFinished;
       continue;
     }
+    // Unwind in the killed process's own context, so code its destructors
+    // run sees it as current(): one that blocks parks the fiber instead of
+    // dereferencing a null current process.
+    Process* prev = current_;
+    current_ = p.get();
     p->resume();
+    current_ = prev;
   }
 }
 
@@ -178,7 +185,9 @@ void Simulation::schedule_resume(Process& p, SimTime delay) {
 
 void Simulation::block_current() {
   Process* p = current_;
-  assert(p != nullptr && "blocking call outside process context");
+  if (p == nullptr) {
+    throw std::logic_error("blocking call outside process context");
+  }
   p->state_ = Process::State::kBlocked;
   ++p->wait_epoch_;
   p->suspend();
@@ -186,7 +195,7 @@ void Simulation::block_current() {
 
 void Simulation::wait_for(SimTime delay) {
   Process* p = current_;
-  assert(p != nullptr && "wait_for outside process context");
+  if (p == nullptr) throw std::logic_error("wait_for outside process context");
   assert(delay >= 0);
   schedule_resume(*p, delay);
   // schedule_resume only resumes kBlocked processes; mark *after* queuing so
@@ -202,7 +211,9 @@ void Event::wait() { wait_for(kNever); }
 
 bool Event::wait_for(SimTime timeout) {
   Process* p = sim_.current();
-  assert(p != nullptr && "Event::wait outside process context");
+  if (p == nullptr) {
+    throw std::logic_error("Event::wait outside process context");
+  }
   p->waiting_on_ = this;
   p->wait_woken_ = false;
   waiters_.push_back(p);

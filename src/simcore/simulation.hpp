@@ -163,8 +163,8 @@ class Simulation {
   /// The process currently running, or nullptr in kernel context.
   Process* current() const { return current_; }
 
-  /// Blocks the calling process for `delay` of virtual time. Must be called
-  /// from process context.
+  /// Blocks the calling process for `delay` of virtual time. Throws
+  /// std::logic_error outside process context.
   void wait_for(SimTime delay);
 
   /// Reschedules the calling process after all events already queued at the
@@ -186,8 +186,9 @@ class Simulation {
   /// Current calendar-queue bucket count (geometry adapts to load).
   std::size_t queue_buckets() const { return queue_.bucket_count(); }
 
-  /// True while the Simulation destructor is unwinding blocked processes.
-  /// Long-lived components use this to skip blocking work in destructors.
+  /// True once terminate_processes() has started unwinding processes.
+  /// Destructors check it to skip blocking work: there is no event loop
+  /// left to wake them.
   bool tearing_down() const { return tearing_down_; }
 
   /// Kills every unfinished process (each unwinds via ProcessKilled on its

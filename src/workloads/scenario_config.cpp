@@ -348,37 +348,8 @@ ScenarioConfig load_scenario(const std::string& path) {
   return parse_scenario(in);
 }
 
-namespace {
-
-/// Starts closed-loop streams and open-loop tenants, drives the simulation
-/// to completion, and returns stream rows followed by tenant rows (one
-/// StreamStats per [tenant], so the run_scenario table covers both).
-std::vector<StreamStats> run_all_traffic(Testbed& bed,
-                                         const ScenarioConfig& cfg) {
-  auto stream_stats = start_streams(bed, cfg.streams);
-  auto tenant_stats = start_open_loop(bed, cfg.tenants);
-  bed.simulation().run();
-  std::vector<StreamStats> out = std::move(*stream_stats);
-  out.insert(out.end(), tenant_stats->begin(), tenant_stats->end());
-  return out;
-}
-
-}  // namespace
-
-std::vector<StreamStats> run_scenario_config(const ScenarioConfig& cfg) {
-  sim::Simulation sim;
-  Testbed bed(sim, cfg.testbed);
-  return run_all_traffic(bed, cfg);
-}
-
-std::vector<StreamStats> run_scenario_config(const ScenarioConfig& cfg,
-                                             const std::string& trace_path,
-                                             const std::string& metrics_path) {
-  return run_scenario_config_full(cfg, trace_path, metrics_path, "").streams;
-}
-
-ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
-                                           const RunArtifacts& artifacts) {
+RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
+              sim::SimTime horizon) {
   ScenarioConfig run_cfg = cfg;
   if (!artifacts.trace_path.empty() || !artifacts.prof_path.empty()) {
     run_cfg.testbed.trace = true;
@@ -421,8 +392,38 @@ ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
       stream_out.flush();
     });
   }
-  ScenarioRunResult result;
-  result.streams = run_all_traffic(bed, run_cfg);
+  auto stream_stats = start_streams(bed, run_cfg.streams);
+  auto tenant_stats = start_open_loop(bed, run_cfg.tenants);
+  if (horizon == sim::kNever) {
+    sim.run();
+  } else {
+    sim.run_until(horizon);
+  }
+  RunResult result;
+  result.streams = *stream_stats;
+  result.streams.insert(result.streams.end(), tenant_stats->begin(),
+                        tenant_stats->end());
+  for (const StreamStats& st : result.streams) {
+    result.tenant_service_s[st.tenant] = bed.attained_service_s(st.tenant);
+    result.makespan = std::max(result.makespan, st.makespan);
+  }
+  if (horizon != sim::kNever) result.makespan = horizon;
+  result.control_plane = bed.control_plane_stats();
+  for (core::Gid g = 0; g < bed.gpu_count(); ++g) {
+    result.device_counters.push_back(bed.device(g).counters());
+    if (run_cfg.testbed.trace_devices && result.makespan > 0) {
+      const auto& tr = bed.device(g).tracer();
+      const sim::SimTime end = result.makespan;
+      DeviceUtilSummary u;
+      u.mean_compute_util = tr.mean_compute_util(0, end);
+      u.mean_bw_util = tr.mean_bw_util(0, end);
+      u.idle_frac = tr.compute_idle_fraction(0, end);
+      u.switching_frac = tr.switching_fraction(0, end);
+      u.util_cov = tr.compute_util_cov(0, end, sim::msec(100));
+      u.idle_gaps = tr.idle_gap_count(0, end, sim::msec(5));
+      result.device_util.push_back(u);
+    }
+  }
   // Close the trailing window (the weak tick dies with the last real
   // event) before any export reads the registry or the alert log.
   bed.finalize_stream();
@@ -497,18 +498,10 @@ ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
       bed.analyzer()->render(out);
     }
   }
+  // Unwind live processes (requests in flight at the horizon, idle
+  // daemons) while the testbed they reference is still alive.
+  sim.terminate_processes();
   return result;
-}
-
-ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
-                                           const std::string& trace_path,
-                                           const std::string& metrics_path,
-                                           const std::string& analysis_path) {
-  RunArtifacts artifacts;
-  artifacts.trace_path = trace_path;
-  artifacts.metrics_path = metrics_path;
-  artifacts.analysis_path = analysis_path;
-  return run_scenario_config_full(cfg, artifacts);
 }
 
 }  // namespace strings::workloads

@@ -61,14 +61,16 @@
 //   seed = 7
 //   weight = 1.0
 //
-// Parsed into a ScenarioConfig, which converts to TestbedConfig + arrival
-// streams + open-loop tenants. See bench/run_scenario for the command-line
-// driver.
+// Parsed into a ScenarioConfig — the one experiment description: a
+// TestbedConfig plus closed-loop streams and open-loop tenants.
+// workloads::run executes it; bench/run_scenario is the command-line front
+// end, and the figure benches build ScenarioConfigs in code.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <istream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,39 +102,7 @@ ScenarioConfig parse_scenario(const std::string& text);
 /// Loads a scenario file from disk.
 ScenarioConfig load_scenario(const std::string& path);
 
-/// Runs a parsed scenario to completion and returns the stream stats.
-std::vector<StreamStats> run_scenario_config(const ScenarioConfig& cfg);
-
-/// Like run_scenario_config, but additionally exports observability data:
-/// a Chrome trace-event JSON to `trace_path` (forces tracing on when
-/// non-empty) and a metrics-registry CSV to `metrics_path`. Pass "" to
-/// skip either output. Throws std::runtime_error when a file can't be
-/// written.
-std::vector<StreamStats> run_scenario_config(const ScenarioConfig& cfg,
-                                             const std::string& trace_path,
-                                             const std::string& metrics_path);
-
-/// Everything a scenario run produced: per-stream stats plus the analysis
-/// verdict (zero counts when the analyzer was not enabled).
-struct ScenarioRunResult {
-  std::vector<StreamStats> streams;
-  /// Protocol invariant violations (INV-*) — a non-zero count means the
-  /// run broke a state-machine contract and run_scenario exits 3.
-  std::int64_t invariant_violations = 0;
-  /// Logical races (unordered conflicting accesses) — informational; many
-  /// timing-ordered schedules are not causally ordered.
-  std::int64_t logical_races = 0;
-  /// Requests the profiler saw issued but never completed (only populated
-  /// when a prof report was requested) — run_scenario exits 4 on > 0.
-  int prof_incomplete_requests = 0;
-  /// SLO watchdog tallies (only populated when rules were loaded) —
-  /// run_scenario exits 5 when slo_hard_violations > 0.
-  std::int64_t slo_warns = 0;
-  std::int64_t slo_fails = 0;
-  std::int64_t slo_hard_violations = 0;
-};
-
-/// Output files a scenario run should produce; empty path = skip.
+/// Output files a run should produce; empty path = skip.
 struct RunArtifacts {
   std::string trace_path;     // Chrome trace-event JSON (forces trace on)
   std::string metrics_path;   // metrics-registry CSV
@@ -153,18 +123,56 @@ struct RunArtifacts {
   std::function<double()> wall_clock_ms;
 };
 
-/// The full-fat runner behind `run_scenario`: optional Chrome trace JSON,
-/// metrics CSV, analysis report and profiler report. A non-empty prof path
-/// runs obs::prof over the tracer and registers prof/... metrics before
-/// the CSV export, so --metrics carries the attribution too. Throws
-/// std::runtime_error when an output file can't be written.
-ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
-                                           const RunArtifacts& artifacts);
+/// Per-device utilization over [0, makespan] (trace_devices runs only).
+struct DeviceUtilSummary {
+  double mean_compute_util = 0.0;
+  double mean_bw_util = 0.0;
+  double idle_frac = 0.0;
+  double switching_frac = 0.0;
+  double util_cov = 0.0;  // coefficient of variation on a 100ms grid
+  int idle_gaps = 0;      // idle intervals >= 5ms (Fig. 2 "glitches")
+};
 
-/// Back-compat shim for the pre-profiler signature.
-ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
-                                           const std::string& trace_path,
-                                           const std::string& metrics_path,
-                                           const std::string& analysis_path);
+/// Everything one run produced.
+struct RunResult {
+  /// One row per [stream], then one per [tenant], in config order.
+  std::vector<StreamStats> streams;
+  /// Attained GPU service per tenant (the input to Jain's fairness).
+  std::map<std::string, double> tenant_service_s;
+  /// Per-GID device counters after the run.
+  std::vector<gpu::DeviceCounters> device_counters;
+  /// Filled when TestbedConfig::trace_devices is set.
+  std::vector<DeviceUtilSummary> device_util;
+  /// Aggregated control-plane counters (RPCs, bytes, staleness, per-select
+  /// latency) plus the authoritative placement log.
+  core::ControlPlaneStats control_plane;
+  /// Last completion; the horizon itself for a fixed-horizon run.
+  sim::SimTime makespan = 0;
+  /// Protocol invariant violations (INV-*) — a non-zero count means the
+  /// run broke a state-machine contract and run_scenario exits 3.
+  std::int64_t invariant_violations = 0;
+  /// Logical races (unordered conflicting accesses) — informational; many
+  /// timing-ordered schedules are not causally ordered.
+  std::int64_t logical_races = 0;
+  /// Requests the profiler saw issued but never completed (only populated
+  /// when a prof report was requested) — run_scenario exits 4 on > 0.
+  int prof_incomplete_requests = 0;
+  /// SLO watchdog tallies (only populated when rules were loaded) —
+  /// run_scenario exits 5 when slo_hard_violations > 0.
+  std::int64_t slo_warns = 0;
+  std::int64_t slo_fails = 0;
+  std::int64_t slo_hard_violations = 0;
+};
+
+/// The one experiment runner. Builds a Testbed from `cfg`, starts its
+/// streams and open-loop tenants, and runs to drain — or, with a finite
+/// `horizon`, stops the clock there (fairness sampling while every tenant
+/// is still backlogged) and unwinds the requests still in flight. Writes
+/// the requested `artifacts`; a non-empty prof path runs obs::prof over the
+/// tracer and registers prof/... metrics before the CSV export, so the
+/// metrics file carries the attribution too. Throws std::runtime_error
+/// when an output file can't be written.
+RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts = {},
+              sim::SimTime horizon = sim::kNever);
 
 }  // namespace strings::workloads

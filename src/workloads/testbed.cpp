@@ -16,18 +16,21 @@ namespace {
 /// attributes every last completion; without the erase the map grows by one
 /// entry per request for the life of the run (open-loop churn made that a
 /// real leak). The accumulated per-tenant service itself survives — that is
-/// the whole-run quantity Jain is computed over.
+/// the whole-run quantity Jain is computed over. During teardown (a fixed-
+/// horizon run killing in-flight requests) there is no event loop left to
+/// flush against, so the destructor must not block.
 class BaselineApi final : public frontend::DirectApi {
  public:
-  BaselineApi(cuda::CudaRuntime& rt,
+  BaselineApi(const sim::Simulation& sim, cuda::CudaRuntime& rt,
               sim::FlatMap<cuda::ProcessId, std::string>& pid_tenant)
-      : DirectApi(rt), pid_tenant_(pid_tenant) {}
+      : DirectApi(rt), sim_(sim), pid_tenant_(pid_tenant) {}
   ~BaselineApi() override {
-    cudaThreadExit();
+    if (!sim_.tearing_down()) cudaThreadExit();
     pid_tenant_.erase(pid());
   }
 
  private:
+  const sim::Simulation& sim_;
   sim::FlatMap<cuda::ProcessId, std::string>& pid_tenant_;
 };
 
@@ -579,7 +582,7 @@ rpc::LinkModel Testbed::control_link_for(core::NodeId node) const {
 std::unique_ptr<frontend::GpuApi> Testbed::make_api(
     const backend::AppDescriptor& app) {
   if (config_.mode == Mode::kCudaBaseline) {
-    auto api = std::make_unique<BaselineApi>(runtime(app.origin_node),
+    auto api = std::make_unique<BaselineApi>(sim_, runtime(app.origin_node),
                                              baseline_pid_tenant_);
     baseline_pid_tenant_[api->pid()] = app.tenant;
     return api;

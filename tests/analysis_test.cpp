@@ -268,7 +268,7 @@ tenant = options-svc
 
 TEST(AnalysisEndToEnd, CleanDistributedRunHasNoInvariantViolations) {
   auto cfg = workloads::parse_scenario(std::string(kAnalyzedScenario));
-  const auto result = workloads::run_scenario_config_full(cfg, "", "", "");
+  const auto result = workloads::run(cfg);
   EXPECT_EQ(result.invariant_violations, 0);
   for (const auto& s : result.streams) EXPECT_EQ(s.errors, 0);
 }
@@ -277,7 +277,9 @@ TEST(AnalysisEndToEnd, ReportArtifactWrittenAndAnalyzeForcedOn) {
   const std::string path = ::testing::TempDir() + "/analysis_e2e_report.txt";
   auto cfg = workloads::parse_scenario(std::string(kAnalyzedScenario));
   cfg.testbed.analyze = false;  // a non-empty path must force it back on
-  const auto result = workloads::run_scenario_config_full(cfg, "", "", path);
+  workloads::RunArtifacts artifacts;
+  artifacts.analysis_path = path;
+  const auto result = workloads::run(cfg, artifacts);
   EXPECT_EQ(result.invariant_violations, 0);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -88,7 +88,7 @@ std::vector<workloads::StreamStats> run_with_analyze(const char* scenario,
                                                      bool analyze) {
   auto cfg = workloads::parse_scenario(std::string(scenario));
   cfg.testbed.analyze = analyze;
-  return workloads::run_scenario_config(cfg);
+  return workloads::run(cfg).streams;
 }
 
 TEST(AnalysisZeroOverhead, DistributedMapperTimelineIsUnperturbed) {
@@ -122,10 +122,11 @@ TEST(AnalysisZeroOverhead, ExportedArtifactsAreByteIdentical) {
   auto run = [&](bool analyze, const std::string& tag) {
     auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
     cfg.testbed.analyze = analyze;
-    const std::string trace = dir + "/zo_" + tag + ".trace.json";
-    const std::string metrics = dir + "/zo_" + tag + ".metrics.csv";
-    workloads::run_scenario_config(cfg, trace, metrics);
-    return std::make_pair(slurp(trace), slurp(metrics));
+    workloads::RunArtifacts art;
+    art.trace_path = dir + "/zo_" + tag + ".trace.json";
+    art.metrics_path = dir + "/zo_" + tag + ".metrics.csv";
+    workloads::run(cfg, art);
+    return std::make_pair(slurp(art.trace_path), slurp(art.metrics_path));
   };
   const auto off = run(false, "off");
   const auto on = run(true, "on");

@@ -268,8 +268,7 @@ seed = 32
   const workloads::ScenarioConfig cfg = workloads::parse_scenario(text);
   workloads::RunArtifacts artifacts;
   artifacts.analysis_path = ::testing::TempDir() + "churn_analysis.txt";
-  const workloads::ScenarioRunResult result =
-      workloads::run_scenario_config_full(cfg, artifacts);
+  const workloads::RunResult result = workloads::run(cfg, artifacts);
   EXPECT_EQ(result.invariant_violations, 0);
   ASSERT_EQ(result.streams.size(), 2u);
   EXPECT_GT(result.streams[0].completed, 0);

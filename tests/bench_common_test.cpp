@@ -1,7 +1,8 @@
-// Tests for the shared bench machinery (bench/common): the observability
-// export must create STRINGS_TRACE_DIR on demand, and the perf-gate
-// recorder must write the BENCH_report.json schema tools/bench_gate
-// consumes, merging with entries other bench binaries already wrote.
+// Tests for the shared bench machinery (bench/common): bench::run must
+// create STRINGS_TRACE_DIR on demand, the perf-gate recorder must write the
+// BENCH_report.json schema tools/bench_gate consumes, merging with entries
+// other bench binaries already wrote, and the control-plane table must
+// report the stale-hit rate without dividing by zero.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,18 +27,16 @@ class ScopedEnv {
   const char* key_;
 };
 
-bench::RunConfig tiny_config(const std::string& label) {
-  bench::RunConfig cfg;
-  cfg.label = label;
-  return cfg;  // defaults: strings mode on the small server
-}
-
-std::vector<bench::StreamSpec> tiny_streams() {
-  bench::StreamSpec s;
+// Defaults: strings mode on the small server.
+workloads::ScenarioConfig tiny_config() {
+  workloads::ScenarioConfig cfg;
+  workloads::ArrivalConfig s;
   s.app = "MC";
   s.requests = 2;
+  s.lambda_scale = 0.8;
   s.tenant = "tenantA";
-  return {s};
+  cfg.streams = {s};
+  return cfg;
 }
 
 std::string slurp(const std::string& path) {
@@ -54,7 +53,7 @@ TEST(BenchCommon, TraceDirIsCreatedOnDemand) {
   std::filesystem::remove_all(::testing::TempDir() + "/bct_trace");
   ASSERT_FALSE(std::filesystem::exists(dir));
   ScopedEnv env("STRINGS_TRACE_DIR", dir);
-  bench::run_scenario(tiny_config("bct-mkdir"), tiny_streams());
+  bench::run("bct-mkdir", tiny_config());
   EXPECT_TRUE(std::filesystem::exists(dir + "/bct-mkdir.trace.json"));
   EXPECT_TRUE(std::filesystem::exists(dir + "/bct-mkdir.metrics.csv"));
 }
@@ -74,8 +73,7 @@ TEST(BenchCommon, BenchReportRecordsSchemaAndMerges) {
         << "}\n";
   }
   ScopedEnv env("STRINGS_BENCH_REPORT", path);
-  const bench::RunOutput out =
-      bench::run_scenario(tiny_config("bct-report"), tiny_streams());
+  const workloads::RunResult out = bench::run("bct-report", tiny_config());
   EXPECT_GT(out.makespan, 0);
   bench::flush_bench_report();
 
@@ -100,8 +98,8 @@ TEST(BenchCommon, RepeatedLabelsGetDistinctKeys) {
       ::testing::TempDir() + "/bct_report/BENCH_repeat.json";
   std::filesystem::remove(path);
   ScopedEnv env("STRINGS_BENCH_REPORT", path);
-  bench::run_scenario(tiny_config("bct-twice"), tiny_streams());
-  bench::run_scenario(tiny_config("bct-twice"), tiny_streams());
+  bench::run("bct-twice", tiny_config());
+  bench::run("bct-twice", tiny_config());
   bench::flush_bench_report();
   const std::string report = slurp(path);
   EXPECT_NE(report.find("/bct-twice\": {"), std::string::npos) << report;
@@ -113,11 +111,37 @@ TEST(BenchCommon, NoReportWithoutEnvToggle) {
   const std::string path = ::testing::TempDir() + "/bct_report/BENCH_off.json";
   std::filesystem::remove(path);
   ::unsetenv("STRINGS_BENCH_REPORT");
-  bench::run_scenario(tiny_config("bct-off"), tiny_streams());
+  bench::run("bct-off", tiny_config());
   // Even if the toggle appears later, nothing was recorded to flush.
   ScopedEnv env("STRINGS_BENCH_REPORT", path);
   bench::flush_bench_report();
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ControlPlaneTable, StaleHitRateZeroSelectsIsZero) {
+  // A run with no distributed selects at all must not divide by zero.
+  core::ControlPlaneStats s;
+  EXPECT_DOUBLE_EQ(bench::stale_hit_rate(s), 0.0);
+}
+
+TEST(ControlPlaneTable, StaleHitRateAllDirectIsZero) {
+  // Centralized/direct deployments never consult a snapshot: every select
+  // is a direct call, so the stale-hit rate stays 0 even though the run
+  // served traffic.
+  core::ControlPlaneStats s;
+  s.select_rpcs = 20;
+  s.direct_calls = 20;
+  EXPECT_DOUBLE_EQ(bench::stale_hit_rate(s), 0.0);
+}
+
+TEST(ControlPlaneTable, StaleHitRateMixed) {
+  core::ControlPlaneStats s;
+  s.stale_hits = 3;
+  s.sync_rpcs = 1;
+  EXPECT_DOUBLE_EQ(bench::stale_hit_rate(s), 0.75);
+  // All selects served from cache: rate saturates at 1.
+  s.sync_rpcs = 0;
+  EXPECT_DOUBLE_EQ(bench::stale_hit_rate(s), 1.0);
 }
 
 }  // namespace

@@ -122,32 +122,6 @@ TEST(Stats, PercentileBoundaries) {
   EXPECT_DOUBLE_EQ(percentile({42.0}, 100), 42.0);
 }
 
-TEST(ControlPlaneSummary, StaleHitRateZeroSelectsIsZero) {
-  // A run with no distributed selects at all must not divide by zero.
-  ControlPlaneSummary s;
-  EXPECT_DOUBLE_EQ(s.stale_hit_rate(), 0.0);
-}
-
-TEST(ControlPlaneSummary, StaleHitRateAllDirectIsZero) {
-  // Centralized/direct deployments never consult a snapshot: every select
-  // is a direct call, so the stale-hit rate stays 0 even though the run
-  // served traffic.
-  ControlPlaneSummary s;
-  s.select_rpcs = 20;
-  s.direct_calls = 20;
-  EXPECT_DOUBLE_EQ(s.stale_hit_rate(), 0.0);
-}
-
-TEST(ControlPlaneSummary, StaleHitRateMixed) {
-  ControlPlaneSummary s;
-  s.stale_hits = 3;
-  s.sync_rpcs = 1;
-  EXPECT_DOUBLE_EQ(s.stale_hit_rate(), 0.75);
-  // All selects served from cache: rate saturates at 1.
-  s.sync_rpcs = 0;
-  EXPECT_DOUBLE_EQ(s.stale_hit_rate(), 1.0);
-}
-
 TEST(Stats, CoefficientOfVariation) {
   EXPECT_DOUBLE_EQ(coeff_of_variation({5.0, 5.0, 5.0}), 0.0);
   // {0, 10}: mean 5, stddev 5 -> CoV 1.

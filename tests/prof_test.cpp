@@ -278,12 +278,12 @@ TEST(ProfZeroOverhead, TraceIsByteIdenticalWithAndWithoutProf) {
 
   workloads::RunArtifacts plain;
   plain.trace_path = dir + "/prof_zo_off.trace.json";
-  const auto off = workloads::run_scenario_config_full(cfg, plain);
+  const auto off = workloads::run(cfg, plain);
 
   workloads::RunArtifacts profiled;
   profiled.trace_path = dir + "/prof_zo_on.trace.json";
   profiled.prof_path = dir + "/prof_zo_on.prof.txt";
-  const auto on = workloads::run_scenario_config_full(cfg, profiled);
+  const auto on = workloads::run(cfg, profiled);
 
   ASSERT_EQ(off.streams.size(), on.streams.size());
   for (std::size_t i = 0; i < off.streams.size(); ++i) {
@@ -486,12 +486,12 @@ TEST(ProfForensics, ForensicsIsAPureObserver) {
   auto cfg = workloads::parse_scenario(std::string(kTwoTenantScenario));
 
   workloads::RunArtifacts plain;
-  const auto off = workloads::run_scenario_config_full(cfg, plain);
+  const auto off = workloads::run(cfg, plain);
 
   workloads::RunArtifacts forensic;
   forensic.stream_path = dir + "/forensics_observer.stream.jsonl";
   forensic.exemplar_k = 2;
-  const auto on = workloads::run_scenario_config_full(cfg, forensic);
+  const auto on = workloads::run(cfg, forensic);
 
   ASSERT_EQ(off.streams.size(), on.streams.size());
   for (std::size_t i = 0; i < off.streams.size(); ++i) {

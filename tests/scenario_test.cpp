@@ -183,11 +183,53 @@ app = GA
 requests = 3
 lambda_scale = 0.5
 )"));
-  const auto stats = run_scenario_config(cfg);
+  const auto stats = run(cfg).streams;
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].completed, 3);
   EXPECT_EQ(stats[0].errors, 0);
 }
+
+// Fixed-horizon runs stop the clock with requests still in flight; run()
+// must unwind them (destructors included) without blocking or crashing, in
+// every mode. The CUDA-baseline API used to flush in its destructor and
+// dereference a null current process here.
+class FixedHorizonRun : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(FixedHorizonRun, UnwindsRequestsInFlightAtHorizon) {
+  ScenarioConfig cfg;
+  cfg.testbed.mode = GetParam();
+  cfg.testbed.nodes = {{gpu::tesla_c2050()}};
+  ArrivalConfig a;
+  a.app = "MC";
+  a.requests = 20;
+  a.lambda_scale = 0.02;  // back-to-back: always backlogged
+  a.server_threads = 2;
+  a.seed = 5;
+  a.tenant = "tenantA";
+  ArrivalConfig b = a;
+  b.app = "BS";
+  b.seed = 6;
+  b.tenant = "tenantB";
+  cfg.streams = {a, b};
+
+  const sim::SimTime horizon = sim::sec(5);
+  const RunResult result = run(cfg, {}, horizon);
+  EXPECT_EQ(result.makespan, horizon);
+  ASSERT_EQ(result.streams.size(), 2u);
+  EXPECT_LT(result.streams[0].completed + result.streams[1].completed, 40)
+      << "every request finished: nothing was in flight at the horizon";
+  EXPECT_GT(result.tenant_service_s.at("tenantA"), 0.0);
+  EXPECT_GT(result.tenant_service_s.at("tenantB"), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, FixedHorizonRun,
+    ::testing::Values(Mode::kCudaBaseline, Mode::kRain, Mode::kStrings,
+                      Mode::kDesign2),
+    [](const ::testing::TestParamInfo<Mode>& info) {
+      return std::string(info.param == Mode::kDesign2 ? "Design2"
+                                                      : mode_name(info.param));
+    });
 
 }  // namespace
 }  // namespace strings::workloads

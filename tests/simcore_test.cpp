@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -117,6 +118,43 @@ TEST(Simulation, TeardownKillsBlockedProcesses) {
     // Simulation destroyed with the process still blocked.
   }
   EXPECT_TRUE(cleaned_up);
+}
+
+TEST(Simulation, TeardownUnwindsInProcessContext) {
+  // A destructor running while terminate_processes() unwinds a killed
+  // process sees that process as current, with tearing_down() set.
+  Simulation sim;
+  Event ev(sim);
+  const Process* unwinding_as = nullptr;
+  bool saw_teardown = false;
+  Process& p = sim.spawn("stuck", [&] {
+    struct Raii {
+      Simulation& sim;
+      const Process*& as;
+      bool& teardown;
+      ~Raii() {
+        as = sim.current();
+        teardown = sim.tearing_down();
+      }
+    } raii{sim, unwinding_as, saw_teardown};
+    ev.wait();
+  });
+  sim.run_until(msec(1));
+  sim.terminate_processes();
+  EXPECT_EQ(unwinding_as, &p);
+  EXPECT_TRUE(saw_teardown);
+  EXPECT_EQ(sim.current(), nullptr);
+}
+
+TEST(Simulation, BlockingOutsideProcessContextThrows) {
+  // Kernel context cannot block: every build type reports it instead of
+  // dereferencing a null current process.
+  Simulation sim;
+  Event ev(sim);
+  EXPECT_THROW(sim.wait_for(msec(1)), std::logic_error);
+  EXPECT_THROW(sim.yield(), std::logic_error);
+  EXPECT_THROW(ev.wait(), std::logic_error);
+  EXPECT_THROW(ev.wait_for(msec(1)), std::logic_error);
 }
 
 TEST(Event, NotifyAllWakesEveryWaiter) {

@@ -80,7 +80,7 @@ TEST(StreamZeroOverhead, OffRunHasNoTelemetryFootprint) {
     workloads::RunArtifacts art;
     art.trace_path = dir + "/szo_" + tag + ".trace.json";
     art.metrics_path = dir + "/szo_" + tag + ".metrics.csv";
-    workloads::run_scenario_config_full(cfg, art);
+    workloads::run(cfg, art);
     return std::make_pair(slurp(art.trace_path), slurp(art.metrics_path));
   };
   const auto a = run("a");
@@ -100,7 +100,7 @@ TEST(StreamZeroOverhead, StreamOnDoesNotPerturbTimeline) {
   auto run = [&](bool stream) {
     auto cfg = workloads::parse_scenario(std::string(kScenario));
     cfg.testbed.stream = stream;
-    return workloads::run_scenario_config(cfg);
+    return workloads::run(cfg).streams;
   };
   expect_identical_streams(run(false), run(true));
 }
@@ -114,7 +114,7 @@ TEST(StreamZeroOverhead, StreamFileIsByteIdenticalAcrossRuns) {
     auto cfg = workloads::parse_scenario(std::string(kScenario));
     workloads::RunArtifacts art;
     art.stream_path = dir + "/szo_stream_" + tag + ".jsonl";
-    workloads::run_scenario_config_full(cfg, art);
+    workloads::run(cfg, art);
     return slurp(art.stream_path);
   };
   const std::string a = run("a");

@@ -143,11 +143,12 @@ TEST(TraceExport, RegistryCoversAllSubsystems) {
 TEST(TraceExport, FilesWrittenViaRunScenarioConfig) {
   const std::string trace_path = ::testing::TempDir() + "/obs_e2e.trace.json";
   const std::string metrics_path = ::testing::TempDir() + "/obs_e2e.metrics.csv";
+  workloads::RunArtifacts art;
+  art.trace_path = trace_path;
+  art.metrics_path = metrics_path;
   auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
-  cfg.testbed.trace = false;  // the overload must force it back on
-  const auto stats =
-      workloads::run_scenario_config(cfg, trace_path, metrics_path);
-  ASSERT_EQ(stats.size(), 2u);
+  cfg.testbed.trace = false;  // a trace path must force it back on
+  ASSERT_EQ(workloads::run(cfg, art).streams.size(), 2u);
   std::ifstream tf(trace_path);
   ASSERT_TRUE(tf.good());
   std::stringstream trace;
@@ -168,9 +169,9 @@ TEST(TraceExport, FilesWrittenViaRunScenarioConfig) {
 
 TEST(TraceExport, UnwritablePathThrows) {
   auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
-  EXPECT_THROW(workloads::run_scenario_config(
-                   cfg, "/nonexistent-dir/x.json", ""),
-               std::runtime_error);
+  workloads::RunArtifacts art;
+  art.trace_path = "/nonexistent-dir/x.json";
+  EXPECT_THROW(workloads::run(cfg, art), std::runtime_error);
 }
 
 // The acceptance pin: instrumentation must not perturb the simulation.
@@ -180,7 +181,7 @@ TEST(TraceExport, TracingIsBehaviorNeutral) {
   auto run_with = [](bool trace) {
     auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
     cfg.testbed.trace = trace;
-    return workloads::run_scenario_config(cfg);
+    return workloads::run(cfg).streams;
   };
   const auto off = run_with(false);
   const auto on = run_with(true);
