@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     workloads::ScenarioConfig cfg;
     cfg.testbed.mode = workloads::Mode::kStrings;
     cfg.testbed.nodes = {{gpu::tesla_c2050()}};
-    cfg.testbed.trace_devices = true;
+    cfg.testbed.trace = true;
     workloads::ArrivalConfig s;
     s.app = app;
     s.requests = opt.quick ? 3 : 5;

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     workloads::ScenarioConfig cfg;
     cfg.testbed.mode = v.mode;
     cfg.testbed.nodes = {{gpu::tesla_c2050()}};  // one GPU, as in Fig. 2
-    cfg.testbed.trace_devices = true;
+    cfg.testbed.trace = true;
     cfg.streams = {s};
     const auto out = bench::run("run", cfg);
     const workloads::DeviceUtilSummary& u = out.device_util.at(0);

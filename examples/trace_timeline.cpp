@@ -23,7 +23,7 @@ void run_variant(const char* label, workloads::Mode mode) {
   workloads::TestbedConfig config;
   config.mode = mode;
   config.nodes = {{gpu::tesla_c2050()}};
-  config.trace_devices = true;
+  config.trace = true;
   workloads::Testbed bed(sim, config);
 
   workloads::ArrivalConfig a;

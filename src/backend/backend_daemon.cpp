@@ -182,23 +182,21 @@ rpc::DuplexChannel& BackendDaemon::connect(
     // Register with the scheduler for monitoring/feedback. No per-app gate:
     // a single master thread cannot be dispatched per application — one of
     // Design II's documented shortcomings.
-    if (config_.use_device_scheduler) {
-      auto& sched = *schedulers_[dev_index];
-      const cuda::ProcessId pid = device_pids_[dev_index];
-      const cuda::cudaStream_t stream = packers_[dev_index]->stream_for(app.app_id);
-      core::GpuScheduler::RcbInit init;
-      init.app_type = app.app_type;
-      init.tenant = app.tenant;
-      init.tenant_weight = app.tenant_weight;
-      init.stream_id = stream;
-      init.gate = nullptr;
-      init.backlog_probe = [this, &c, pid, stream] {
-        return backlog_of(c, pid, stream);
-      };
-      c.signal_id = sched.register_app(init);
-      sched.ack(c.signal_id);
-      routes_[{pid, stream}] = {&sched, c.signal_id};
-    }
+    auto& sched = *schedulers_[dev_index];
+    const cuda::ProcessId pid = device_pids_[dev_index];
+    const cuda::cudaStream_t stream = packers_[dev_index]->stream_for(app.app_id);
+    core::GpuScheduler::RcbInit init;
+    init.app_type = app.app_type;
+    init.tenant = app.tenant;
+    init.tenant_weight = app.tenant_weight;
+    init.stream_id = stream;
+    init.gate = nullptr;
+    init.backlog_probe = [this, &c, pid, stream] {
+      return backlog_of(c, pid, stream);
+    };
+    c.signal_id = sched.register_app(init);
+    sched.ack(c.signal_id);
+    routes_[{pid, stream}] = {&sched, c.signal_id};
   } else {
     sim_.spawn(name, [this, &c] { worker_loop(c); });
   }
@@ -221,24 +219,21 @@ void BackendDaemon::worker_loop(Conn& conn) {
     rt_.cudaSetDevice(pid, conn.local_dev);
   }
 
-  int signal_id = -1;
-  if (config_.use_device_scheduler) {
-    // Three-way handshake with the Request Manager (paper Fig. 7a):
-    // (1) register stream/tenant -> (2) RM returns the signal id ->
-    // (3) worker installs its handler (the WakeGate) and acks.
-    core::GpuScheduler::RcbInit init;
-    init.app_type = conn.app.app_type;
-    init.tenant = conn.app.tenant;
-    init.tenant_weight = conn.app.tenant_weight;
-    init.stream_id = stream;
-    init.gate = conn.gate.get();
-    init.backlog_probe = [this, &conn, pid, stream] {
-      return backlog_of(conn, pid, stream);
-    };
-    signal_id = sched.register_app(init);
-    sched.ack(signal_id);
-    routes_[{pid, stream}] = {&sched, signal_id};
-  }
+  // Three-way handshake with the Request Manager (paper Fig. 7a):
+  // (1) register stream/tenant -> (2) RM returns the signal id ->
+  // (3) worker installs its handler (the WakeGate) and acks.
+  core::GpuScheduler::RcbInit init;
+  init.app_type = conn.app.app_type;
+  init.tenant = conn.app.tenant;
+  init.tenant_weight = conn.app.tenant_weight;
+  init.stream_id = stream;
+  init.gate = conn.gate.get();
+  init.backlog_probe = [this, &conn, pid, stream] {
+    return backlog_of(conn, pid, stream);
+  };
+  const int signal_id = sched.register_app(init);
+  sched.ack(signal_id);
+  routes_[{pid, stream}] = {&sched, signal_id};
   conn.signal_id = signal_id;
 
   bool exit = false;
@@ -285,8 +280,7 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     // issue new GPU work. Per-app workers exist in Designs I (processes,
     // Rain) and III (threads, Strings); Design II's single master thread
     // cannot be gated per application.
-    if (conn.gate && config_.design != Design::kSingleMaster &&
-        config_.use_device_scheduler) {
+    if (conn.gate && config_.design != Design::kSingleMaster) {
       const sim::SimTime t0 = sim_.now();
       if (tracer_ != nullptr) {
         tracer_->request_phase(conn.app.app_id, obs::ReqPhase::kDispatchWait,

@@ -50,8 +50,6 @@ struct BackendConfig {
   policies::MqfqConfig mqfq;
   core::GpuScheduler::Config sched;
   ContextPacker::Config packer;
-  /// Register apps with the per-device GPU scheduler (wake gating + RMO).
-  bool use_device_scheduler = true;
 };
 
 class BackendDaemon {

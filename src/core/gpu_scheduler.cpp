@@ -36,13 +36,6 @@ int GpuScheduler::register_app(const RcbInit& init) {
   e.registered_at = sim_.now();
   rcb_.emplace(signal_id, std::move(e));
   arm_epoch();
-  if (trace_ != nullptr && trace_->enabled()) {
-    // Handshake steps 1+2 (paper Fig. 7a): registration and signal-id reply.
-    trace_->log("gpusched/" + std::to_string(gid_), "rm.register",
-                "app=" + init.app_type + " tenant=" + init.tenant);
-    trace_->log("gpusched/" + std::to_string(gid_), "rm.signal_id",
-                "signal=" + std::to_string(signal_id));
-  }
   return signal_id;
 }
 
@@ -54,11 +47,6 @@ void GpuScheduler::ack(int signal_id) {
   auto it = rcb_.find(signal_id);
   assert(it != rcb_.end() && "ack for unknown signal id");
   it->second.acked = true;
-  if (trace_ != nullptr && trace_->enabled()) {
-    // Handshake step 3: the backend thread installed its handler.
-    trace_->log("gpusched/" + std::to_string(gid_), "rm.ack",
-                "signal=" + std::to_string(signal_id));
-  }
   run_dispatcher();  // let the new thread take effect immediately
   // The admit decision is the thread's first wake: gates are born open, so
   // run_dispatcher above records no transition when the policy keeps the
@@ -67,11 +55,6 @@ void GpuScheduler::ack(int signal_id) {
   const RcbEntry& e = it->second;
   if (e.init.gate != nullptr && e.init.gate->awake()) {
     ++wakes_;
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->log("gpusched/" + std::to_string(gid_), "dispatch.wake",
-                  "signal=" + std::to_string(signal_id) +
-                      " app=" + e.init.app_type + " admit=1");
-    }
     if (tracer_ != nullptr) {
       tracer_->dispatcher_event(gid_, /*wake=*/true, sim_.now(),
                                 {{"app", e.init.app_type},
@@ -109,11 +92,6 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
 
   // Leave the thread awake on the way out so teardown never blocks.
   if (e.init.gate != nullptr) e.init.gate->set(true);
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->log("gpusched/" + std::to_string(gid_), "fe.feedback",
-                "app=" + rec.app_type + " gpu_util=" +
-                    std::to_string(rec.gpu_util));
-  }
   if (tracer_ != nullptr) {
     // Attained-service hook for the profiler: snapshot the tenant's engine
     // residency (the quantity the LAS CGS math accumulates) at departure.
@@ -267,12 +245,6 @@ void GpuScheduler::run_dispatcher() {
         ++wakes_;
       } else {
         ++sleeps_;
-      }
-      if (trace_ != nullptr && trace_->enabled()) {
-        trace_->log("gpusched/" + std::to_string(gid_),
-                    keep_awake ? "dispatch.wake" : "dispatch.sleep",
-                    "signal=" + std::to_string(id) + " app=" +
-                        e.init.app_type);
       }
       if (tracer_ != nullptr) {
         tracer_->dispatcher_event(gid_, keep_awake, sim_.now(),

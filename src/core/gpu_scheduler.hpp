@@ -26,7 +26,6 @@
 #include "obs/trace.hpp"
 #include "policies/device_policies.hpp"
 #include "simcore/simulation.hpp"
-#include "simcore/trace_log.hpp"
 
 namespace strings::core {
 
@@ -107,9 +106,6 @@ class GpuScheduler {
     feedback_sink_ = std::move(sink);
   }
 
-  /// Optional structured tracing of RM handshakes and dispatcher decisions.
-  void set_trace_log(sim::TraceLog* log) { trace_ = log; }
-
   /// Observability tracer: op-completion spans land on the device's
   /// compute/copy tracks and dispatcher wake/sleep transitions become
   /// instants on its dispatch track (register_gpu(gid) must have run).
@@ -167,7 +163,6 @@ class GpuScheduler {
   bool epoch_armed_ = false;
   std::int64_t epochs_ = 0;
   std::function<void(const FeedbackRecord&)> feedback_sink_;
-  sim::TraceLog* trace_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   std::int64_t wakes_ = 0;
   std::int64_t sleeps_ = 0;

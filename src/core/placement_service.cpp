@@ -58,8 +58,7 @@ Gid PlacementService::select_device(const std::string& app_type,
   in.origin_node = origin_node;
 
   Gid gid = -1;
-  const bool feedback = use_feedback_for(app_type);
-  if (feedback) {
+  if (use_feedback_for(app_type)) {
     gid = feedback_policy_->select(in);
     ++feedback_selections_;
   } else {
@@ -67,13 +66,6 @@ Gid PlacementService::select_device(const std::string& app_type,
     ++static_selections_;
   }
   assert(gid >= 0 && gid < gmap_.size());
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->log("mapper", "tgs.select",
-                "app=" + app_type + " gid=" + std::to_string(gid) +
-                    " policy=" +
-                    (feedback ? feedback_policy_->name()
-                              : static_policy_->name()));
-  }
   apply_bind(gid, app_type);
   return gid;
 }
@@ -122,17 +114,8 @@ void PlacementService::unbind(Gid gid, const std::string& app_type,
 
 void PlacementService::on_feedback(const FeedbackRecord& rec) {
   ANALYSIS_WRITE(&state_.sft, "service/sft");
-  const bool was_static = !use_feedback_for(rec.app_type);
   state_.sft.update(rec);
   ++state_.version;
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->log("mapper", "pa.feedback", "app=" + rec.app_type);
-    if (was_static && use_feedback_for(rec.app_type)) {
-      // The paper's dynamic policy switching point.
-      trace_->log("mapper", "pa.switch_policy",
-                  "app=" + rec.app_type + " to=" + feedback_policy_->name());
-    }
-  }
   DeltaOp op;
   op.kind = DeltaOp::Kind::kFeedback;
   op.feedback = rec;

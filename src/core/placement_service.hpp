@@ -34,7 +34,6 @@
 #include "policies/balancing.hpp"
 #include "rpc/channel.hpp"
 #include "simcore/simulation.hpp"
-#include "simcore/trace_log.hpp"
 
 namespace strings::core {
 
@@ -137,9 +136,6 @@ class PlacementService {
   /// Control-plane requests served over channels, by kind.
   std::int64_t rpcs_served() const { return rpcs_served_; }
 
-  /// Optional structured tracing of selections and Arbiter switches.
-  void set_trace_log(sim::TraceLog* log) { trace_ = log; }
-
   /// Observability tracer: control-plane channels created by subsequent
   /// connect_agent() calls emit transmit spans on the network tracks
   /// between each agent's node and `service_node`.
@@ -189,7 +185,6 @@ class PlacementService {
   /// (fault-injected) deliveries.
   sim::Simulation* sim_ = nullptr;
   bool finalized_ = false;
-  sim::TraceLog* trace_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   NodeId service_node_ = 0;
 };

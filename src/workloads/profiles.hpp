@@ -28,18 +28,18 @@ namespace strings::workloads {
 struct AppProfile {
   std::string name;        // Table I abbreviation, e.g. "MC"
   std::string full_name;   // e.g. "MonteCarlo"
-  bool long_running;       // Group A (10-55s) vs Group B (<10s)
-  int iterations;
-  sim::SimTime cpu_per_iter;      // host-only phase per iteration
+  bool long_running = false;  // Group A (10-55s) vs Group B (<10s)
+  int iterations = 0;
+  sim::SimTime cpu_per_iter = 0;  // host-only phase per iteration
   /// Fraction of the CPU phase spent *after* the upload (input prep before,
   /// host-side compute after); the post-upload half is what MOT's async
   /// conversion overlaps with the transfer.
   double cpu_after_upload = 0.5;
-  std::size_t h2d_bytes_per_iter; // total H2D payload per iteration
-  std::size_t d2h_bytes_per_iter; // total D2H payload per iteration
-  int kernels_per_iter;
-  gpu::KernelDesc kernel;         // per-launch demand (reference device)
-  std::size_t alloc_bytes;        // resident device buffer (chunk size)
+  std::size_t h2d_bytes_per_iter = 0;  // total H2D payload per iteration
+  std::size_t d2h_bytes_per_iter = 0;  // total D2H payload per iteration
+  int kernels_per_iter = 0;
+  gpu::KernelDesc kernel;              // per-launch demand (reference device)
+  std::size_t alloc_bytes = 0;         // resident device buffer (chunk size)
 };
 
 /// All ten Table I applications, Group A first (DC, SC, BO, MM, HI, EV)

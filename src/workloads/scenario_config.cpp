@@ -170,14 +170,8 @@ ScenarioConfig parse_scenario(std::istream& in) {
         cfg.testbed.shared_network = to_bool(line, value);
       } else if (key == "epoch_ms") {
         cfg.testbed.sched_epoch = sim::msec(to_int(line, value));
-      } else if (key == "trace_devices") {
-        cfg.testbed.trace_devices = to_bool(line, value);
-      } else if (key == "trace_events") {
-        cfg.testbed.trace_events = to_bool(line, value);
       } else if (key == "trace") {
         cfg.testbed.trace = to_bool(line, value);
-      } else if (key == "sampler_epoch_ms") {
-        cfg.testbed.sampler_epoch = sim::msec(to_int(line, value));
       } else if (key == "analyze") {
         cfg.testbed.analyze = to_bool(line, value);
       } else if (key == "stream") {
@@ -411,7 +405,7 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
   result.control_plane = bed.control_plane_stats();
   for (core::Gid g = 0; g < bed.gpu_count(); ++g) {
     result.device_counters.push_back(bed.device(g).counters());
-    if (run_cfg.testbed.trace_devices && result.makespan > 0) {
+    if (run_cfg.testbed.trace && result.makespan > 0) {
       const auto& tr = bed.device(g).tracer();
       const sim::SimTime end = result.makespan;
       DeviceUtilSummary u;

@@ -19,8 +19,8 @@
 //   sync_mode = pull          # pull | push | hybrid delta invalidation
 //   feedback_batch = 1        # records per kFeedbackBatch
 //   feedback_flush_ms = 1     # partial-batch flush delay
-//   trace = false             # observability spans (run_scenario --trace)
-//   sampler_epoch_ms = 1      # utilization/queue-depth sampling period
+//   trace = false             # observability spans + device utilization
+//                             # series (run_scenario --trace)
 //   analyze = false           # invariant checker (run_scenario --analyze)
 //   stream = false            # streaming telemetry (run_scenario --stream)
 //   stream_window_ms = 10     # telemetry tumbling-window width
@@ -123,7 +123,7 @@ struct RunArtifacts {
   std::function<double()> wall_clock_ms;
 };
 
-/// Per-device utilization over [0, makespan] (trace_devices runs only).
+/// Per-device utilization over [0, makespan] (traced runs only).
 struct DeviceUtilSummary {
   double mean_compute_util = 0.0;
   double mean_bw_util = 0.0;
@@ -141,7 +141,7 @@ struct RunResult {
   std::map<std::string, double> tenant_service_s;
   /// Per-GID device counters after the run.
   std::vector<gpu::DeviceCounters> device_counters;
-  /// Filled when TestbedConfig::trace_devices is set.
+  /// Filled when TestbedConfig::trace is set.
   std::vector<DeviceUtilSummary> device_util;
   /// Aggregated control-plane counters (RPCs, bytes, staleness, per-select
   /// latency) plus the authoritative placement log.

@@ -11,6 +11,12 @@ namespace strings::workloads {
 
 namespace {
 
+/// Period of the sampler that renders per-GPU utilization and scheduler
+/// queue depth as counter tracks on traced runs.
+constexpr sim::SimTime kSamplerEpoch = sim::msec(1);
+/// Closed stream windows retained in memory (the sink sees every window).
+constexpr std::size_t kStreamRetain = 256;
+
 /// Baseline-mode API wrapper: retires the pid -> tenant mapping when the
 /// app instance goes away. The exit flush runs first so the op observer
 /// attributes every last completion; without the erase the map grows by one
@@ -92,9 +98,6 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
                                core::PlacementMode::kDistributed);
   }
 
-  if (config_.trace_events) {
-    trace_log_ = std::make_unique<sim::TraceLog>(sim_);
-  }
   if (config_.trace) {
     tracer_ = std::make_unique<obs::Tracer>();
     // Run-config labels: exported as trace metadata and echoed in the
@@ -128,7 +131,6 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
   mcfg.static_policy = config_.balancing_policy;
   mcfg.feedback_policy = config_.feedback_policy;
   service_ = std::make_unique<core::PlacementService>(mcfg);
-  service_->set_trace_log(trace_log_.get());
   if (tracer_ != nullptr) {
     service_->set_tracer(tracer_.get(), config_.control_plane.service_node);
   }
@@ -139,7 +141,7 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
     for (std::size_t d = 0; d < config_.nodes[n].size(); ++d) {
       devices_[n].push_back(std::make_unique<gpu::GpuDevice>(
           sim_, static_cast<int>(d), config_.nodes[n][d],
-          config_.trace_devices));
+          config_.trace));
       ptrs.push_back(devices_[n].back().get());
     }
     runtimes_.push_back(std::make_unique<cuda::CudaRuntime>(sim_, ptrs));
@@ -232,7 +234,6 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
   bcfg.sched.epoch = config_.sched_epoch;
   bcfg.device_policy = config_.device_policy;
   bcfg.mqfq = config_.mqfq;
-  bcfg.use_device_scheduler = config_.use_device_scheduler;
   bcfg.packer.convert_sync_to_async = config_.convert_sync_to_async;
   bcfg.packer.convert_device_sync = config_.convert_device_sync;
   switch (config_.mode) {
@@ -255,12 +256,6 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
     daemons_.push_back(std::make_unique<backend::BackendDaemon>(
         sim_, static_cast<core::NodeId>(n), *runtimes_[n], node_gids_[n],
         bcfg));
-    if (trace_log_ != nullptr) {
-      for (std::size_t d = 0; d < config_.nodes[n].size(); ++d) {
-        daemons_.back()->scheduler(static_cast<int>(d))
-            .set_trace_log(trace_log_.get());
-      }
-    }
     if (tracer_ != nullptr) {
       daemons_.back()->set_tracer(tracer_.get());
       for (std::size_t d = 0; d < config_.nodes[n].size(); ++d) {
@@ -271,9 +266,9 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
   }
 
   register_metrics();
-  if (tracer_ != nullptr && config_.sampler_epoch > 0) {
+  if (tracer_ != nullptr) {
     sampled_busy_.assign(static_cast<std::size_t>(service_->gmap().size()), 0);
-    sim_.schedule_weak(config_.sampler_epoch, [this] { sample_tick(); });
+    sim_.schedule_weak(kSamplerEpoch, [this] { sample_tick(); });
   }
   if (config_.stream) init_stream();
 }
@@ -383,10 +378,8 @@ void Testbed::sample_tick() {
           c.compute_busy_time + c.h2d_busy_time + c.d2h_busy_time;
       const sim::SimTime prev = sampled_busy_[static_cast<std::size_t>(gid)];
       sampled_busy_[static_cast<std::size_t>(gid)] = busy;
-      const double util = config_.sampler_epoch > 0
-                              ? std::min(1.0, double(busy - prev) /
-                                                  double(config_.sampler_epoch))
-                              : 0.0;
+      const double util =
+          std::min(1.0, double(busy - prev) / double(kSamplerEpoch));
       tracer_->gpu_counter(gid, "util", now, util);
       if (n < daemons_.size()) {
         tracer_->gpu_counter(
@@ -396,13 +389,13 @@ void Testbed::sample_tick() {
       }
     }
   }
-  sim_.schedule_weak(config_.sampler_epoch, [this] { sample_tick(); });
+  sim_.schedule_weak(kSamplerEpoch, [this] { sample_tick(); });
 }
 
 void Testbed::init_stream() {
   obs::TimeSeries::Config ts;
   ts.window = config_.stream_window;
-  ts.retain = config_.stream_retain;
+  ts.retain = kStreamRetain;
   timeseries_ = std::make_unique<obs::TimeSeries>(ts);
   register_sim_metrics();
   sim_.schedule_weak(config_.stream_window, [this] { stream_tick(); });

@@ -54,12 +54,11 @@ struct TestbedConfig {
   /// consulted when device_policy selects MQFQ.
   policies::MqfqConfig mqfq;
   sim::SimTime sched_epoch = sim::msec(10);
-  bool trace_devices = false;
-  /// Structured event tracing of scheduler decisions (Testbed::trace_log).
-  bool trace_events = false;
   /// Unified observability: request-lifecycle spans, per-device tracks and
-  /// the periodic sampler (Testbed::tracer). Off by default — a disabled
-  /// run is bit-for-bit identical to one without instrumentation.
+  /// the 1 ms utilization/queue-depth sampler (Testbed::tracer), plus each
+  /// device's change-driven utilization series (GpuDevice::tracer, read by
+  /// the Fig. 1/2 statistics). Off by default — a disabled run is
+  /// bit-for-bit identical to one without instrumentation.
   bool trace = false;
   /// Dynamic analysis: install the happens-before tracker and protocol
   /// invariant checker on the simulation (Testbed::analyzer). Off by
@@ -67,10 +66,6 @@ struct TestbedConfig {
   /// analysis layer, and an enabled run observes without perturbing
   /// (pinned by tests/analysis_zero_overhead_test).
   bool analyze = false;
-  /// Period of the sampler that renders per-GPU utilization and scheduler
-  /// queue depth as counter tracks (only runs when `trace` is set; 0
-  /// disables sampling).
-  sim::SimTime sampler_epoch = sim::msec(1);
   /// Streaming telemetry: windowed aggregation of the metrics registry
   /// (obs::TimeSeries) on a weak tick, plus per-tenant request instruments
   /// and the sim/... kernel self-metrics. Off by default — a disabled run
@@ -79,8 +74,6 @@ struct TestbedConfig {
   bool stream = false;
   /// Tumbling-window width of the telemetry stream (virtual time).
   sim::SimTime stream_window = sim::msec(10);
-  /// Closed windows retained in memory (the sink sees every window).
-  std::size_t stream_retain = 256;
   /// Interference forensics: turn on the Tracer's occupant flight recorder
   /// (GpuScheduler / BackendDaemon / Channel stamp who held which resource
   /// when) so the profiler can attribute blocked time to culprit tenants.
@@ -97,7 +90,6 @@ struct TestbedConfig {
   bool convert_sync_to_async = true;
   bool convert_device_sync = true;
   bool nonblocking_rpc = true;
-  bool use_device_scheduler = true;
   rpc::LinkModel local_link = rpc::LinkModel::shared_memory();
   /// Default follows the paper's SIII-A idealization (remote GPUs as NUMA
   /// memory); swap in LinkModel::gigabit_ethernet() to model the physical
@@ -170,8 +162,6 @@ class Testbed final : public frontend::SchedulerDirectory {
   /// the happens-before tracker and invariant checker; render its report
   /// with analyzer()->render(os) after the run.
   analysis::Analyzer* analyzer() { return analyzer_.get(); }
-  /// Populated when TestbedConfig::trace_events is set; nullptr otherwise.
-  sim::TraceLog* trace_log() { return trace_log_.get(); }
   /// Populated when TestbedConfig::trace is set; nullptr otherwise. Export
   /// with obs::write_chrome_trace_file after the run.
   obs::Tracer* tracer() { return tracer_.get(); }
@@ -258,7 +248,6 @@ class Testbed final : public frontend::SchedulerDirectory {
   std::unique_ptr<core::PlacementService> service_;
   /// Declared after service_: agents hold channels the service owns.
   std::vector<std::unique_ptr<core::MapperAgent>> agents_;
-  std::unique_ptr<sim::TraceLog> trace_log_;
   std::unique_ptr<obs::Tracer> tracer_;
   obs::Registry registry_;
   std::unique_ptr<obs::TimeSeries> timeseries_;

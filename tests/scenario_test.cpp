@@ -18,7 +18,7 @@ device_policy = PS
 remote_link = gige
 shared_network = true
 epoch_ms = 20
-trace_devices = true
+trace = true
 
 [stream]
 app = MC
@@ -37,7 +37,7 @@ weight = 2.5
   EXPECT_EQ(cfg.testbed.feedback_policy, "MBF");
   EXPECT_EQ(cfg.testbed.device_policy, "PS");
   EXPECT_TRUE(cfg.testbed.shared_network);
-  EXPECT_TRUE(cfg.testbed.trace_devices);
+  EXPECT_TRUE(cfg.testbed.trace);
   EXPECT_EQ(cfg.testbed.sched_epoch, sim::msec(20));
   EXPECT_DOUBLE_EQ(cfg.testbed.remote_link.bandwidth_gbps, 0.117);
   ASSERT_EQ(cfg.streams.size(), 1u);
@@ -152,6 +152,19 @@ TEST(ScenarioParse, RejectsMalformedInput) {
       ScenarioParseError);
   EXPECT_THROW(parse_scenario(std::string("topology = 0x4\n[stream]\napp=GA\n")),
                ScenarioParseError);
+  // Not options: `trace` records the device series, the sampling period is
+  // fixed, and scheduler decisions are read from the Tracer and analyzer.
+  for (const char* key : {"trace_events", "trace_devices", "sampler_epoch_ms"}) {
+    SCOPED_TRACE(key);
+    try {
+      parse_scenario(std::string(key) + " = 1\n[stream]\napp = GA\n");
+      ADD_FAILURE() << "expected ScenarioParseError";
+    } catch (const ScenarioParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown global key"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioParse, RejectsEmptyOrIncompleteScenarios) {

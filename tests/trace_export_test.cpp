@@ -198,5 +198,89 @@ TEST(TraceExport, TracingIsBehaviorNeutral) {
   }
 }
 
+// The scheduler decisions of the paper's protocols, read from the state
+// that already records them: the analyzer's handshake invariants, the
+// placement log and selection counters, and the Tracer's dispatch track.
+struct SequentialRun {
+  explicit SequentialRun(int requests, bool analyze = false) {
+    workloads::TestbedConfig cfg;
+    cfg.mode = workloads::Mode::kStrings;
+    cfg.nodes = workloads::small_server();
+    cfg.balancing_policy = "GWtMin";
+    cfg.device_policy = "TFS";
+    cfg.feedback_policy = "MBF";
+    cfg.analyze = analyze;
+    bed = std::make_unique<workloads::Testbed>(sim, cfg);
+    workloads::ArrivalConfig a;
+    a.app = "BS";
+    a.requests = requests;
+    a.lambda_scale = 1.5;  // sequential: feedback lands between requests
+    a.seed = 7;
+    stats = workloads::run_streams(*bed, {a});
+  }
+  sim::Simulation sim;
+  std::unique_ptr<workloads::Testbed> bed;
+  std::vector<workloads::StreamStats> stats;
+};
+
+TEST(TracedStack, HandshakeSequencePerRegistration) {
+  SequentialRun run(/*requests=*/2, /*analyze=*/true);
+  ASSERT_EQ(run.stats.at(0).completed, 2);
+  analysis::Analyzer* analyzer = run.bed->analyzer();
+  ASSERT_NE(analyzer, nullptr);
+  // Fig. 7a: every registration went register -> signal id -> ack before
+  // its first dispatch, and unregistered exactly once.
+  EXPECT_FALSE(analyzer->report().has("INV-RCB-1"));
+  EXPECT_FALSE(analyzer->report().has("INV-HSK-1"));
+  EXPECT_EQ(analyzer->report().invariant_violations(), 0);
+}
+
+TEST(TracedStack, MapperLogsSelectionsAndArbiterSwitch) {
+  SequentialRun run(/*requests=*/3);
+  core::PlacementService& mapper = run.bed->mapper();
+  ASSERT_EQ(mapper.placements().size(), 3u);
+  // The first selection used the static policy; the Arbiter switched to
+  // MBF after the first feedback record, so the later ones used MBF.
+  EXPECT_EQ(mapper.static_selections(), 1);
+  EXPECT_EQ(mapper.feedback_selections(), 2);
+  EXPECT_STREQ(mapper.active_policy_name("BS"), "MBF");
+}
+
+TEST(TracedStack, TfsDispatcherLogsWakeSleepTransitions) {
+  sim::Simulation sim;
+  workloads::TestbedConfig cfg;
+  cfg.mode = workloads::Mode::kStrings;
+  cfg.nodes = {{gpu::tesla_c2050()}};
+  cfg.device_policy = "TFS";
+  cfg.trace = true;
+  workloads::Testbed bed(sim, cfg);
+  workloads::ArrivalConfig a;
+  a.app = "MC";
+  a.requests = 3;
+  a.lambda_scale = 0.05;  // pile up: TFS must arbitrate
+  a.server_threads = 3;
+  a.seed = 3;
+  workloads::run_streams(bed, {a});
+  obs::Tracer* tracer = bed.tracer();
+  ASSERT_NE(tracer, nullptr);
+  int wakes = 0, sleeps = 0;
+  for (const auto& e : tracer->events()) {
+    if (e.type != obs::Tracer::EventType::kInstant) continue;
+    wakes += e.name == "dispatch.wake";
+    sleeps += e.name == "dispatch.sleep";
+  }
+  EXPECT_GT(sleeps, 0);
+  EXPECT_GT(wakes, 0);
+}
+
+TEST(TracedStack, TracingOffByDefault) {
+  sim::Simulation sim;
+  workloads::TestbedConfig cfg;
+  cfg.mode = workloads::Mode::kStrings;
+  cfg.nodes = workloads::small_server();
+  workloads::Testbed bed(sim, cfg);
+  EXPECT_EQ(bed.tracer(), nullptr);
+}
+
 }  // namespace
 }  // namespace strings
