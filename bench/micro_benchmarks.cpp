@@ -13,8 +13,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common.hpp"
+#include "core/gpu_scheduler.hpp"
 #include "core/tables.hpp"
 #include "gpu/gpu_device.hpp"
 #include "policies/balancing.hpp"
@@ -217,25 +221,84 @@ void BM_BalancingPolicySelect(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancingPolicySelect);
 
-void BM_DevicePolicyPickAwake(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+// `n` RCB entries spread over up to eight tenants (names registered out of
+// name order), mixed phases and service, most of them backlogged.
+std::vector<policies::RcbSnapshot> multi_tenant_rcb(int n) {
+  static const char* const kTenants[] = {"t7", "t2", "t5", "t0",
+                                         "t6", "t1", "t4", "t3"};
   std::vector<policies::RcbSnapshot> rcb;
   for (int i = 0; i < n; ++i) {
     policies::RcbSnapshot s;
     s.key = static_cast<std::uint64_t>(i);
+    s.tenant_id = static_cast<std::uint32_t>(i % 8);
+    s.tenant = kTenants[i % 8];
+    s.tenant_weight = 1.0 + (i % 3);
     s.total_service = sim::msec(i * 7 % 50);
+    s.tenant_attained = sim::msec((i % 8) * 11 % 40);
     s.cgs = i * 13 % 29;
     s.phase = static_cast<policies::Phase>(i % 4);
-    s.backlogged = true;
-    rcb.push_back(std::move(s));
+    s.backlogged = i % 5 != 4;
+    rcb.push_back(s);
   }
-  auto policy = policies::make_device_policy("PS");
+  return rcb;
+}
+
+// One device-policy decision over a fixed snapshot. MQFQ advances each
+// tenant's attained service between decisions so its virtual clocks move.
+void BM_DevicePolicyPickAwake(benchmark::State& state, const char* policy) {
+  auto rcb = multi_tenant_rcb(static_cast<int>(state.range(0)));
+  auto p = policies::make_device_policy(policy);
+  sim::SimTime now = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->pick_awake(rcb));
+    benchmark::DoNotOptimize(p->pick_awake(rcb, now));
+    now += sim::msec(1);
+    for (auto& s : rcb) s.tenant_attained += sim::usec(100 + s.tenant_id);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DevicePolicyPickAwake)->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_DevicePolicyPickAwake, PS, "PS")->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_DevicePolicyPickAwake, LAS, "LAS")->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_DevicePolicyPickAwake, MQFQ, "MQFQ")->Arg(8)->Arg(64);
+
+// One dispatcher epoch per iteration: a GpuScheduler under MQFQ with 32
+// acked entries over 8 tenants, each tick updating CGS/entitlement, probing
+// every entry's backlog once, running the policy and toggling gates. A few
+// op completions per epoch keep the tenants' service moving.
+void BM_DispatcherEpoch(benchmark::State& state) {
+  constexpr int kEntries = 32;
+  sim::Simulation sim;
+  core::GpuScheduler::Config cfg;
+  cfg.epoch = sim::msec(1);
+  core::GpuScheduler sched(sim, 0, policies::make_device_policy("mqfq"), cfg);
+  std::vector<std::unique_ptr<core::WakeGate>> gates;
+  std::vector<int> ids;
+  for (int i = 0; i < kEntries; ++i) {
+    gates.push_back(std::make_unique<core::WakeGate>(sim));
+    core::GpuScheduler::RcbInit init;
+    init.app_type = "MM";
+    init.tenant = "tenant" + std::to_string(i % 8);
+    init.gate = gates.back().get();
+    init.backlog_probe = [i] { return i % 5 != 4 ? 1 : 0; };
+    ids.push_back(sched.register_app(init));
+    sched.ack(ids.back());
+  }
+  gpu::GpuDevice::Op op;
+  op.kind = gpu::GpuDevice::OpKind::kKernel;
+  int next = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < 4; ++k) {
+      op.started = sim.now();
+      op.submitted = op.started;
+      op.completed = op.started + sim::usec(200 + 50 * k);
+      sched.on_op_complete(ids[static_cast<std::size_t>(next)], op);
+      next = (next + 7) % kEntries;
+    }
+    sim.run_until(sim.now() + cfg.epoch);
+  }
+  state.SetItemsProcessed(sched.epochs_run());
+  state.counters["rcb_entries"] = kEntries;
+}
+BENCHMARK(BM_DispatcherEpoch);
 
 void BM_FluidModelContention(benchmark::State& state) {
   // Many concurrent kernels forcing frequent rate recomputation.

@@ -107,9 +107,14 @@ void BackendDaemon::route_op(cuda::ProcessId pid, cuda::cudaStream_t stream,
 
 int BackendDaemon::backlog_of(const Conn& conn, cuda::ProcessId pid,
                               cuda::cudaStream_t stream) const {
-  return static_cast<int>(conn.channel->request.pending_count()) +
-         (conn.processing ? 1 : 0) +
-         rt_.outstanding_ops_on_stream(pid, conn.local_dev, stream);
+  // The dispatcher only asks whether the backlog is positive, and every
+  // term is non-negative: stop at the first positive one, cheapest first.
+  if (conn.processing) return 1;
+  if (const std::size_t queued = conn.channel->request.pending_count();
+      queued > 0) {
+    return static_cast<int>(queued);
+  }
+  return rt_.outstanding_ops_on_stream(pid, conn.local_dev, stream);
 }
 
 rpc::DuplexChannel& BackendDaemon::connect(

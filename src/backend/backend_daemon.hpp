@@ -127,6 +127,8 @@ class BackendDaemon {
                       const rpc::Packet& req);
   void route_op(cuda::ProcessId pid, cuda::cudaStream_t stream,
                 const gpu::GpuDevice::Op& op);
+  /// The RCB backlog probe: positive iff the app has a request queued or
+  /// being handled, or GPU ops outstanding on its stream.
   int backlog_of(const Conn& conn, cuda::ProcessId pid,
                  cuda::cudaStream_t stream) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <limits>
 
 #include "analysis/access.hpp"
 
@@ -33,6 +34,7 @@ int GpuScheduler::register_app(const RcbInit& init) {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   RcbEntry e;
   e.init = init;
+  e.tenant_id = intern_tenant(init.tenant);
   e.registered_at = sim_.now();
   rcb_.emplace(signal_id, std::move(e));
   arm_epoch();
@@ -97,7 +99,7 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
     // residency (the quantity the LAS CGS math accumulates) at departure.
     char fmt[32];
     std::snprintf(fmt, sizeof fmt, "%.6f",
-                  sim::to_seconds(tenant_service_[e.init.tenant]));
+                  sim::to_seconds(tenants_[e.tenant_id].service));
     tracer_->gpu_instant(gid_, "fe.departure", sim_.now(),
                          {{"app", rec.app_type},
                           {"tenant", e.init.tenant},
@@ -127,7 +129,7 @@ void GpuScheduler::on_op_complete(int signal_id,
   // fields below use the (possibly wait-inflated) measurement the scheduler
   // actually acts on — the distinction is the paper's explanation for
   // TFS-Rain's fairness error.
-  tenant_service_[e.init.tenant] += op.completed - op.started;
+  tenants_[e.tenant_id].service += op.completed - op.started;
   if (op.kind == gpu::GpuDevice::OpKind::kKernel) {
     e.gpu_time += duration;
     // Approximate data accesses: the kernel's bandwidth demand over its
@@ -149,8 +151,8 @@ void GpuScheduler::on_op_complete(int signal_id,
                      {"signal", std::to_string(signal_id)}});
     // Forensics: engine residency is the occupant timeline both execute
     // contention and WakeGate (dispatch_wait) blame resolve against.
-    tracer_->occupant("gpu" + std::to_string(gid_) + ".engines",
-                      e.init.tenant, op.started, op.completed);
+    tracer_->occupant(engines_track_, e.init.tenant, op.started,
+                      op.completed);
   }
 }
 
@@ -161,28 +163,51 @@ void GpuScheduler::set_phase(int signal_id, policies::Phase phase) {
   it->second.phase = phase;
 }
 
-std::vector<policies::RcbSnapshot> GpuScheduler::snapshot() const {
+void GpuScheduler::set_tracer(obs::Tracer* tracer) {
+  tracer_ = tracer;
+  engines_track_ = "gpu" + std::to_string(gid_) + ".engines";
+}
+
+std::uint32_t GpuScheduler::intern_tenant(const std::string& tenant) {
+  if (auto it = tenant_ids_.find(tenant); it != tenant_ids_.end()) {
+    return it->second;
+  }
+  const auto id = static_cast<std::uint32_t>(tenants_.size());
+  tenant_ids_.emplace(tenant, id);
+  tenants_.push_back({tenant});
+  return id;
+}
+
+sim::SimTime GpuScheduler::tenant_service(const std::string& tenant) const {
+  auto it = tenant_ids_.find(tenant);
+  return it == tenant_ids_.end() ? 0 : tenants_[it->second].service;
+}
+
+void GpuScheduler::fill_snapshot(std::vector<policies::RcbSnapshot>& out,
+                                 bool probe) const {
   ANALYSIS_READ(&rcb_, rcb_name(gid_));
-  std::vector<policies::RcbSnapshot> out;
-  out.reserve(rcb_.size());
   for (const auto& [id, e] : rcb_) {
     if (!e.acked) continue;
-    policies::RcbSnapshot s;
+    policies::RcbSnapshot& s = out.emplace_back();
     s.key = static_cast<std::uint64_t>(id);
-    s.tenant = e.init.tenant;
+    const Tenant& t = tenants_[e.tenant_id];
+    s.tenant_id = e.tenant_id;
+    s.tenant = t.name;
     s.tenant_weight = e.init.tenant_weight;
     s.total_service = total_service(e);
     s.epoch_service = e.epoch_service;
     s.cgs = e.cgs;
     s.entitled = e.entitled;
     s.phase = e.phase;
-    s.backlogged = e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
-    if (auto ts = tenant_service_.find(e.init.tenant);
-        ts != tenant_service_.end()) {
-      s.tenant_attained = ts->second;
-    }
-    out.push_back(std::move(s));
+    s.backlogged = probe ? probe_backlog(e) : e.backlogged;
+    s.tenant_attained = t.service;
   }
+}
+
+std::vector<policies::RcbSnapshot> GpuScheduler::snapshot() const {
+  std::vector<policies::RcbSnapshot> out;
+  out.reserve(rcb_.size());
+  fill_snapshot(out, /*probe=*/true);
   return out;
 }
 
@@ -213,33 +238,45 @@ void GpuScheduler::epoch_tick() {
     e.service_at_last_epoch = total;
     e.cgs = config_.las_k * static_cast<double>(e.epoch_service) +
             (1.0 - config_.las_k) * e.cgs;
-    const bool backlogged =
-        e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
-    if (backlogged) backlogged_weight += e.init.tenant_weight;
+    // The tick's one probe of this entry; dispatch() reuses it.
+    e.backlogged = probe_backlog(e);
+    if (e.backlogged) backlogged_weight += e.init.tenant_weight;
   }
   if (backlogged_weight > 0) {
     for (auto& [id, e] : rcb_) {
-      const bool backlogged =
-          e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
-      if (!backlogged) continue;
+      if (!e.backlogged) continue;
       e.entitled += static_cast<sim::SimTime>(
           static_cast<double>(config_.epoch) * e.init.tenant_weight /
           backlogged_weight);
     }
   }
 
-  run_dispatcher();
+  dispatch();
   arm_epoch();
 }
 
 void GpuScheduler::run_dispatcher() {
-  const auto snaps = snapshot();
-  const auto awake = policy_->pick_awake(snaps, sim_.now());
   for (auto& [id, e] : rcb_) {
+    if (e.acked) e.backlogged = probe_backlog(e);
+  }
+  dispatch();
+}
+
+void GpuScheduler::dispatch() {
+  snaps_.clear();
+  fill_snapshot(snaps_, /*probe=*/false);
+  for (const std::uint64_t key : policy_->pick_awake(snaps_, sim_.now())) {
+    if (key > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      continue;
+    }
+    if (auto it = rcb_.find(static_cast<int>(key)); it != rcb_.end()) {
+      it->second.picked = true;
+    }
+  }
+  for (auto& [id, e] : rcb_) {
+    const bool keep_awake = e.picked;
+    e.picked = false;
     if (e.init.gate == nullptr || !e.acked) continue;
-    const bool keep_awake =
-        std::find(awake.begin(), awake.end(), static_cast<std::uint64_t>(id)) !=
-        awake.end();
     if (e.init.gate->awake() != keep_awake) {
       if (keep_awake) {
         ++wakes_;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -73,7 +74,8 @@ class GpuScheduler {
     double tenant_weight = 1.0;
     std::uint64_t stream_id = 0;
     WakeGate* gate = nullptr;
-    /// Returns the thread's queued + in-flight request count (backlog).
+    /// Positive iff the thread has queued or in-flight requests (backlog).
+    /// Each dispatcher decision calls it once per entry.
     std::function<int()> backlog_probe;
   };
 
@@ -109,17 +111,16 @@ class GpuScheduler {
   /// Observability tracer: op-completion spans land on the device's
   /// compute/copy tracks and dispatcher wake/sleep transitions become
   /// instants on its dispatch track (register_gpu(gid) must have run).
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  void set_tracer(obs::Tracer* tracer);
 
   // ---- introspection ----
+  /// The acked RCB entries as the policy sees them, with backlog probed now.
   std::vector<policies::RcbSnapshot> snapshot() const;
   sim::SimTime service_attained(int signal_id) const;
-  /// Cumulative GPU service per tenant across all (including exited) apps —
+  /// Cumulative GPU service of `tenant` across all (including exited) apps —
   /// the quantity Jain's fairness is computed over. Always measured as true
   /// engine residency, independent of measure_includes_wait.
-  const sim::FlatMap<std::string, sim::SimTime>& tenant_service() const {
-    return tenant_service_;
-  }
+  sim::SimTime tenant_service(const std::string& tenant) const;
   int registered_count() const { return static_cast<int>(rcb_.size()); }
   std::int64_t epochs_run() const { return epochs_; }
   /// Dispatcher gate transitions since construction (sleep->awake and back).
@@ -132,6 +133,7 @@ class GpuScheduler {
  private:
   struct RcbEntry {
     RcbInit init;
+    std::uint32_t tenant_id = 0;
     sim::SimTime registered_at = 0;
     bool acked = false;
     policies::Phase phase = policies::Phase::kDefault;
@@ -144,26 +146,48 @@ class GpuScheduler {
     sim::SimTime epoch_service = 0;
     double cgs = 0.0;
     sim::SimTime entitled = 0;
+    bool backlogged = false;  // probed once per decision
+    bool picked = false;      // in the policy's awake set (during dispatch)
+  };
+  struct Tenant {
+    std::string name;
+    sim::SimTime service = 0;  // engine residency, all apps ever
   };
 
   sim::SimTime total_service(const RcbEntry& e) const {
     return e.gpu_time + e.transfer_time;
   }
+  static bool probe_backlog(const RcbEntry& e) {
+    return e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
+  }
+  std::uint32_t intern_tenant(const std::string& tenant);
+  /// Appends the acked entries to `out`; backlog is probed afresh when
+  /// `probe` is set, else taken from the entry's last probe.
+  void fill_snapshot(std::vector<policies::RcbSnapshot>& out,
+                     bool probe) const;
   void arm_epoch();
   void epoch_tick();
+  /// ack/unregister: probes the acked entries once each, then dispatches.
   void run_dispatcher();
+  /// Runs the policy over the entries' last probe and toggles the gates.
+  void dispatch();
 
   sim::Simulation& sim_;
   Gid gid_;
   std::unique_ptr<policies::DeviceSchedPolicy> policy_;
   Config config_;
   sim::FlatMap<int, RcbEntry> rcb_;
-  sim::FlatMap<std::string, sim::SimTime> tenant_service_;
+  // Tenants by id, interned at register_app. A deque keeps each name's
+  // address stable, so snapshots can view it.
+  std::deque<Tenant> tenants_;
+  sim::FlatMap<std::string, std::uint32_t> tenant_ids_;
+  std::vector<policies::RcbSnapshot> snaps_;  // the dispatcher's, reused
   int next_signal_ = 1;
   bool epoch_armed_ = false;
   std::int64_t epochs_ = 0;
   std::function<void(const FeedbackRecord&)> feedback_sink_;
   obs::Tracer* tracer_ = nullptr;
+  std::string engines_track_;  // "gpu<gid>.engines", set with the tracer
   std::int64_t wakes_ = 0;
   std::int64_t sleeps_ = 0;
 };

@@ -120,23 +120,51 @@ std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
   return pick_awake(rcb, last_now_);
 }
 
+MqfqStickyPolicy::Flow& MqfqStickyPolicy::flow_of(const RcbSnapshot& r) {
+  if (r.tenant_id >= flows_.size()) flows_.resize(r.tenant_id + 1);
+  Flow& f = flows_[r.tenant_id];
+  if (!f.known) {
+    // A new tenant: the only point where names are copied or compared.
+    // Its rank slots it into name order, which the tie-breaks below use.
+    f.known = true;
+    f.fresh = true;
+    f.name.assign(r.tenant);
+    const auto pos = std::lower_bound(
+        by_name_.begin(), by_name_.end(), f.name,
+        [this](std::uint32_t id, const std::string& name) {
+          return flows_[id].name < name;
+        });
+    const auto from = static_cast<std::size_t>(pos - by_name_.begin());
+    by_name_.insert(pos, r.tenant_id);
+    for (std::size_t i = from; i < by_name_.size(); ++i) {
+      flows_[by_name_[i]].rank = static_cast<std::uint32_t>(i);
+    }
+  }
+  return f;
+}
+
 std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
     const std::vector<RcbSnapshot>& rcb, sim::SimTime now) {
   last_now_ = now;
+  ++decision_;
 
-  // Group the per-thread snapshots by tenant: MQFQ queues are tenant-level,
-  // one flow per tenant regardless of how many threads it has registered.
-  struct TenantView {
-    sim::SimTime attained = 0;
-    double weight = 1.0;
-    bool backlogged = false;
-  };
-  std::map<std::string, TenantView> tenants;
+  // Group the per-thread snapshots by tenant in one pass: MQFQ queues are
+  // tenant-level, one flow per tenant regardless of how many threads it has
+  // registered. A flow's head of line is its lowest backlogged key.
+  prev_present_.swap(present_);
+  present_.clear();
   for (const auto& r : rcb) {
-    auto& t = tenants[r.tenant];
-    t.attained = std::max(t.attained, r.tenant_attained);
-    t.weight = r.tenant_weight > 0.0 ? r.tenant_weight : 1.0;
-    t.backlogged = t.backlogged || r.backlogged;
+    Flow& f = flow_of(r);
+    if (f.seen != decision_) {
+      f.seen = decision_;
+      f.attained = 0;
+      f.backlogged = false;
+      present_.push_back(r.tenant_id);
+    }
+    f.attained = std::max(f.attained, r.tenant_attained);
+    f.weight = r.tenant_weight > 0.0 ? r.tenant_weight : 1.0;
+    if (r.backlogged && (!f.backlogged || r.key < f.head)) f.head = r.key;
+    f.backlogged = f.backlogged || r.backlogged;
   }
 
   // Advance each flow's virtual clock by the service its tenant attained
@@ -144,87 +172,98 @@ std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
   // idle -> backlogged is lifted to the global virtual time first: idling
   // must never bank credit against active tenants (start-time fair queueing
   // arrival rule).
-  for (auto& [name, view] : tenants) {
-    auto [it, inserted] = flows_.try_emplace(name);
-    Flow& f = it->second;
-    if (inserted) {
+  for (const std::uint32_t id : present_) {
+    Flow& f = flows_[id];
+    if (f.fresh) {
+      f.fresh = false;
       f.vt = global_vt_;
-      f.last_attained = view.attained;
+      f.last_attained = f.attained;
     }
-    if (view.backlogged && !f.was_backlogged) f.vt = std::max(f.vt, global_vt_);
-    const sim::SimTime delta = view.attained - f.last_attained;
-    if (delta > 0) f.vt += static_cast<double>(delta) / view.weight;
-    f.last_attained = view.attained;
-    f.was_backlogged = view.backlogged;
+    if (f.backlogged && !f.was_backlogged) f.vt = std::max(f.vt, global_vt_);
+    const sim::SimTime delta = f.attained - f.last_attained;
+    if (delta > 0) f.vt += static_cast<double>(delta) / f.weight;
+    f.last_attained = f.attained;
+    f.was_backlogged = f.backlogged;
   }
   // Flows for tenants with no registered threads left keep their virtual
   // time (so a detach/re-attach cycle cannot reset history) but drop out of
-  // the backlogged set and the global-vt computation below.
-  for (auto& [name, f] : flows_) {
-    if (tenants.find(name) == tenants.end()) f.was_backlogged = false;
+  // the backlogged set and the global-vt computation below. Only a flow of
+  // the previous snapshot can still be marked backlogged.
+  for (const std::uint32_t id : prev_present_) {
+    Flow& f = flows_[id];
+    if (f.seen != decision_) f.was_backlogged = false;
   }
 
   // Global virtual time = minimum over backlogged flows; throttle flows more
   // than T ahead of it. The minimum flow is never throttled, so whenever any
   // queue is backlogged at least one tenant is runnable (work conservation).
-  std::vector<std::pair<std::string, const TenantView*>> backlogged;
-  for (const auto& [name, view] : tenants) {
-    if (view.backlogged) backlogged.emplace_back(name, &view);
+  throttled_.clear();
+  runnable_.clear();
+  bool any_backlogged = false;
+  double min_vt = 0.0;
+  for (const std::uint32_t id : present_) {
+    const Flow& f = flows_[id];
+    if (!f.backlogged) continue;
+    min_vt = any_backlogged ? std::min(min_vt, f.vt) : f.vt;
+    any_backlogged = true;
   }
-  last_throttled_.clear();
-  if (backlogged.empty()) return {};
-  double min_vt = flows_[backlogged.front().first].vt;
-  for (const auto& [name, view] : backlogged) {
-    min_vt = std::min(min_vt, flows_[name].vt);
-  }
+  if (!any_backlogged) return {};
   global_vt_ = min_vt;
   const double throttle_at = global_vt_ + static_cast<double>(cfg_.throttle_T);
-
-  std::vector<std::string> runnable;
-  for (const auto& [name, view] : backlogged) {
-    if (flows_[name].vt > throttle_at) {
-      last_throttled_.push_back(name);
-    } else {
-      runnable.push_back(name);
-    }
+  for (const std::uint32_t id : present_) {
+    const Flow& f = flows_[id];
+    if (!f.backlogged) continue;
+    (f.vt > throttle_at ? throttled_ : runnable_).push_back(id);
   }
+  const auto by_rank = [this](std::uint32_t a, std::uint32_t b) {
+    return flows_[a].rank < flows_[b].rank;
+  };
+  std::sort(throttled_.begin(), throttled_.end(), by_rank);
 
   // Stickiness: tenants still inside their window keep their slots first;
   // remaining slots go to the lowest virtual times. Ties break on tenant
-  // name (tenants is an ordered map, so `runnable` is name-sorted already
-  // and stable_sort keeps that order within equal keys).
-  std::stable_sort(runnable.begin(), runnable.end(),
-                   [&](const std::string& a, const std::string& b) {
-                     const Flow& fa = flows_[a];
-                     const Flow& fb = flows_[b];
-                     const bool sa = fa.sticky_until > now;
-                     const bool sb = fb.sticky_until > now;
-                     if (sa != sb) return sa;
-                     return fa.vt < fb.vt;
-                   });
-  if (cfg_.slots > 0 && runnable.size() > static_cast<std::size_t>(cfg_.slots))
-    runnable.resize(static_cast<std::size_t>(cfg_.slots));
+  // name (rank).
+  std::sort(runnable_.begin(), runnable_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const Flow& fa = flows_[a];
+              const Flow& fb = flows_[b];
+              const bool sa = fa.sticky_until > now;
+              const bool sb = fb.sticky_until > now;
+              if (sa != sb) return sa;
+              if (fa.vt != fb.vt) return fa.vt < fb.vt;
+              return fa.rank < fb.rank;
+            });
+  if (cfg_.slots > 0 &&
+      runnable_.size() > static_cast<std::size_t>(cfg_.slots)) {
+    runnable_.resize(static_cast<std::size_t>(cfg_.slots));
+  }
 
   // Each flow is a FIFO: only its head-of-line thread dispatches (lowest
   // key = registration order). Waking a tenant's whole thread set would let
   // a deep backlog flood the engine queues past the throttle's reach.
   std::vector<std::uint64_t> awake;
-  for (const auto& name : runnable) {
-    flows_[name].sticky_until = now + cfg_.sticky_window;
-    const RcbSnapshot* head = nullptr;
-    for (const auto& r : rcb) {
-      if (r.tenant != name || !r.backlogged) continue;
-      if (head == nullptr || r.key < head->key) head = &r;
-    }
-    if (head != nullptr) awake.push_back(head->key);
+  awake.reserve(runnable_.size());
+  for (const std::uint32_t id : runnable_) {
+    Flow& f = flows_[id];
+    f.sticky_until = now + cfg_.sticky_window;
+    awake.push_back(f.head);
   }
   return awake;
 }
 
 std::vector<std::pair<std::string, double>> MqfqStickyPolicy::vtimes() const {
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(flows_.size());
-  for (const auto& [name, f] : flows_) out.emplace_back(name, f.vt);
+  out.reserve(by_name_.size());
+  for (const std::uint32_t id : by_name_) {
+    out.emplace_back(flows_[id].name, flows_[id].vt);
+  }
+  return out;
+}
+
+std::vector<std::string> MqfqStickyPolicy::last_throttled() const {
+  std::vector<std::string> out;
+  out.reserve(throttled_.size());
+  for (const std::uint32_t id : throttled_) out.push_back(flows_[id].name);
   return out;
 }
 

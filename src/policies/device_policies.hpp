@@ -19,9 +19,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,7 +37,12 @@ const char* phase_name(Phase p);
 /// Read-only view of one Request Control Block entry at epoch boundary.
 struct RcbSnapshot {
   std::uint64_t key = 0;  // registration (signal) id
-  std::string tenant;
+  /// Dense id of `tenant`, assigned by the scheduler when the tenant first
+  /// registers (0, 1, 2, ... per scheduler). Policies key per-tenant state
+  /// by it; every snapshot handed to one policy must give an id one name.
+  std::uint32_t tenant_id = 0;
+  /// The tenant's name, owned by the scheduler (valid for its lifetime).
+  std::string_view tenant;
   double tenant_weight = 1.0;
   /// Total GPU service attained since registration.
   sim::SimTime total_service = 0;
@@ -137,22 +142,39 @@ class MqfqStickyPolicy final : public DeviceSchedPolicy {
   std::vector<std::pair<std::string, double>> vtimes() const;
   /// Global virtual time: min over backlogged tenants at the last decision.
   double global_vtime() const { return global_vt_; }
-  /// Tenants throttled (vt > global + T) at the last decision.
-  const std::vector<std::string>& last_throttled() const {
-    return last_throttled_;
-  }
+  /// Tenants throttled (vt > global + T) at the last decision, sorted by
+  /// name.
+  std::vector<std::string> last_throttled() const;
 
  private:
   struct Flow {
+    std::string name;
+    std::uint32_t rank = 0;          // position in name order
+    bool known = false;              // seen in some snapshot
+    bool fresh = false;              // created by the current decision
     double vt = 0.0;                 // virtual time, ns / weight
     sim::SimTime last_attained = 0;  // tenant_attained at last evaluation
     sim::SimTime sticky_until = -1;  // holds a slot while now < sticky_until
     bool was_backlogged = false;
+    // The current decision's view of the tenant, aggregated over its
+    // threads in one pass (valid while seen == decision_).
+    std::uint64_t seen = 0;
+    sim::SimTime attained = 0;
+    double weight = 1.0;
+    bool backlogged = false;
+    std::uint64_t head = 0;  // lowest backlogged key: the head of line
   };
+  Flow& flow_of(const RcbSnapshot& r);
+
   MqfqConfig cfg_;
-  std::map<std::string, Flow> flows_;  // ordered: deterministic tie-breaks
+  std::vector<Flow> flows_;              // indexed by tenant_id
+  std::vector<std::uint32_t> by_name_;   // known tenant ids in name order
+  std::vector<std::uint32_t> present_;   // tenant ids in this snapshot
+  std::vector<std::uint32_t> prev_present_;
+  std::vector<std::uint32_t> runnable_;
+  std::vector<std::uint32_t> throttled_;  // at the last decision, by rank
+  std::uint64_t decision_ = 0;
   double global_vt_ = 0.0;
-  std::vector<std::string> last_throttled_;
   sim::SimTime last_now_ = 0;
 };
 

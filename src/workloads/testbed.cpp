@@ -651,9 +651,7 @@ double Testbed::attained_service_s(const std::string& tenant) const {
                                 config_.nodes[static_cast<std::size_t>(
                                                   d->node())].size());
          ++dev) {
-      const auto& per_tenant = d->scheduler(dev).tenant_service();
-      auto it = per_tenant.find(tenant);
-      if (it != per_tenant.end()) total += it->second;
+      total += d->scheduler(dev).tenant_service(tenant);
     }
   }
   return sim::to_seconds(total);

@@ -340,6 +340,83 @@ TEST(GpuScheduler, UnregisterLeavesGateOpen) {
   EXPECT_TRUE(g2.awake());
 }
 
+TEST(GpuScheduler, ProbesEachEntryOncePerDecision) {
+  GpuScheduler::Config cfg;
+  cfg.epoch = msec(10);
+  SchedFixture f("MQFQ", cfg);
+  std::vector<int> calls(3, 0);
+  std::vector<int> backlog = {1, 0, 2};
+  std::vector<std::unique_ptr<WakeGate>> gates;
+  std::vector<int> ids;
+  const char* tenants[] = {"B", "A", "B"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    gates.push_back(std::make_unique<WakeGate>(f.sim));
+    GpuScheduler::RcbInit init;
+    init.tenant = tenants[i];
+    init.gate = gates.back().get();
+    init.backlog_probe = [&calls, &backlog, i] {
+      ++calls[i];
+      return backlog[i];
+    };
+    ids.push_back(f.sched.register_app(init));
+  }
+  // ack: one probe of each acked entry; unacked entries are not probed.
+  f.sched.ack(ids[0]);
+  EXPECT_EQ(calls, (std::vector<int>{1, 0, 0}));
+  f.sched.ack(ids[1]);
+  f.sched.ack(ids[2]);
+  EXPECT_EQ(calls, (std::vector<int>{3, 2, 1}));
+
+  // Epoch ticks: exactly one probe per entry per tick.
+  calls.assign(3, 0);
+  f.sim.run_until(msec(35));
+  ASSERT_EQ(f.sched.epochs_run(), 3);
+  EXPECT_EQ(calls, (std::vector<int>{3, 3, 3}));
+
+  // The public snapshot probes afresh, once per entry.
+  calls.assign(3, 0);
+  backlog[0] = 0;
+  const auto snaps = f.sched.snapshot();
+  ASSERT_EQ(snaps.size(), 3u);
+  EXPECT_FALSE(snaps[0].backlogged);
+  EXPECT_FALSE(snaps[1].backlogged);
+  EXPECT_TRUE(snaps[2].backlogged);
+  EXPECT_EQ(calls, (std::vector<int>{1, 1, 1}));
+
+  // unregister: one probe of each remaining entry.
+  calls.assign(3, 0);
+  f.sched.unregister_app(ids[1]);
+  EXPECT_EQ(calls, (std::vector<int>{1, 0, 1}));
+}
+
+TEST(GpuScheduler, TenantIdsAreDenseAndServiceAnswersByName) {
+  SchedFixture f("AllAwake");
+  const char* tenants[] = {"zulu", "alpha", "zulu"};
+  std::vector<int> ids;
+  for (const char* t : tenants) {
+    GpuScheduler::RcbInit init;
+    init.tenant = t;
+    ids.push_back(f.sched.register_app(init));
+    f.sched.ack(ids.back());
+  }
+  const auto snaps = f.sched.snapshot();
+  ASSERT_EQ(snaps.size(), 3u);
+  EXPECT_EQ(snaps[0].tenant_id, 0u);
+  EXPECT_EQ(snaps[1].tenant_id, 1u);
+  EXPECT_EQ(snaps[2].tenant_id, 0u);
+  EXPECT_EQ(snaps[1].tenant, "alpha");
+  EXPECT_EQ(snaps[2].tenant, "zulu");
+  f.sched.on_op_complete(ids[0], make_op(gpu::GpuDevice::OpKind::kKernel, 0,
+                                         msec(4)));
+  f.sched.on_op_complete(ids[2], make_op(gpu::GpuDevice::OpKind::kH2D, 0,
+                                         msec(1)));
+  f.sched.unregister_app(ids[2]);
+  EXPECT_EQ(f.sched.tenant_service("zulu"), msec(5));
+  EXPECT_EQ(f.sched.tenant_service("alpha"), 0);
+  EXPECT_EQ(f.sched.tenant_service("nobody"), 0);
+  EXPECT_EQ(f.sched.snapshot()[0].tenant_attained, msec(5));
+}
+
 TEST(WakeGate, BlocksUntilOpened) {
   sim::Simulation sim;
   WakeGate gate(sim);
