@@ -37,6 +37,9 @@ int GpuScheduler::register_app(const RcbInit& init) {
   e.tenant_id = intern_tenant(init.tenant);
   e.registered_at = sim_.now();
   rcb_.emplace(signal_id, std::move(e));
+  if (tracer_ != nullptr) {
+    tracer_->gpu_counter(gid_, "queue_depth", sim_.now(), registered_count());
+  }
   arm_epoch();
   return signal_id;
 }
@@ -78,6 +81,9 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
   // alias a different app.
   const RcbEntry e = std::move(it->second);
   rcb_.erase(it);
+  if (tracer_ != nullptr) {
+    tracer_->gpu_counter(gid_, "queue_depth", sim_.now(), registered_count());
+  }
 
   FeedbackRecord rec;
   rec.app_type = e.init.app_type;

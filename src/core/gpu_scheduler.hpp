@@ -109,8 +109,9 @@ class GpuScheduler {
   }
 
   /// Observability tracer: op-completion spans land on the device's
-  /// compute/copy tracks and dispatcher wake/sleep transitions become
-  /// instants on its dispatch track (register_gpu(gid) must have run).
+  /// compute/copy tracks; dispatcher wake/sleep transitions become
+  /// instants and each RCB change a `queue_depth` counter sample on its
+  /// dispatch track (register_gpu(gid) must have run).
   void set_tracer(obs::Tracer* tracer);
 
   // ---- introspection ----

@@ -1,8 +1,12 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 namespace strings::obs {
 
@@ -25,6 +29,15 @@ void write_args(std::ostream& os, const std::vector<TraceArg>& args) {
        << json_escape(args[i].value) << '"';
   }
   os << '}';
+}
+
+void write_counter(std::ostream& os, const Tracer::Track& t,
+                   const std::string& name, sim::SimTime ts, double value) {
+  char val[48];
+  std::snprintf(val, sizeof val, "%.17g", value);
+  os << "{\"ph\":\"C\",\"name\":\"" << json_escape(name)
+     << "\",\"pid\":" << t.pid << ",\"tid\":" << t.tid
+     << ",\"ts\":" << fmt_us(ts) << ",\"args\":{\"value\":" << val << "}}";
 }
 
 }  // namespace
@@ -94,12 +107,24 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
        << json_escape(t.name) << "\"}}";
   }
 
+  // Each GPU's KL/H2D/D2H spans (its compute and copy tracks), gathered by
+  // dispatch track as they stream out; `util` is derived from them below.
   const auto& tracks = tracer.tracks();
+  std::vector<int> dispatch_of(tracks.size(), -1);
+  for (const auto& [gid, g] : tracer.gpu_tracks()) {
+    dispatch_of[static_cast<std::size_t>(g.compute)] = g.dispatch;
+    dispatch_of[static_cast<std::size_t>(g.copy)] = g.dispatch;
+  }
+  std::map<int, std::vector<std::pair<sim::SimTime, sim::SimTime>>> busy;
   for (const auto& e : tracer.events()) {
     const auto& t = tracks[static_cast<std::size_t>(e.track)];
     sep();
     switch (e.type) {
       case Tracer::EventType::kComplete:
+        if (const int d = dispatch_of[static_cast<std::size_t>(e.track)];
+            d >= 0 && e.dur > 0) {
+          busy[d].emplace_back(e.ts, e.ts + e.dur);
+        }
         os << "{\"ph\":\"X\",\"name\":\"" << json_escape(e.name)
            << "\",\"pid\":" << t.pid << ",\"tid\":" << t.tid
            << ",\"ts\":" << fmt_us(e.ts) << ",\"dur\":" << fmt_us(e.dur)
@@ -114,16 +139,33 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
         write_args(os, e.args);
         os << '}';
         break;
-      case Tracer::EventType::kCounter: {
-        char val[48];
-        std::snprintf(val, sizeof val, "%.17g", e.value);
-        os << "{\"ph\":\"C\",\"name\":\"" << json_escape(e.name)
-           << "\",\"pid\":" << t.pid << ",\"tid\":" << t.tid
-           << ",\"ts\":" << fmt_us(e.ts) << ",\"args\":{\"value\":" << val
-           << "}}";
+      case Tracer::EventType::kCounter:
+        write_counter(os, t, e.name, e.ts, e.value);
         break;
-      }
     }
+  }
+
+  // Device utilization: 1 while any engine of the GPU holds an op (the
+  // union of its spans), 0 otherwise, one counter sample per transition on
+  // the GPU's dispatch track.
+  for (auto& [d, spans] : busy) {
+    const auto& t = tracks[static_cast<std::size_t>(d)];
+    auto emit = [&](sim::SimTime begin, sim::SimTime end) {
+      sep();
+      write_counter(os, t, "util", begin, 1.0);
+      sep();
+      write_counter(os, t, "util", end, 0.0);
+    };
+    std::sort(spans.begin(), spans.end());
+    sim::SimTime begin = spans.front().first, end = spans.front().second;
+    for (const auto& [span_begin, span_end] : spans) {
+      if (span_begin > end) {
+        emit(begin, end);
+        begin = span_begin;
+      }
+      end = std::max(end, span_end);
+    }
+    emit(begin, end);
   }
 
   // Interference forensics: the occupant flight-recorder ring, one "occ"

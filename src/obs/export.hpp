@@ -20,7 +20,8 @@ namespace strings::obs {
 
 /// Emits the trace as Chrome trace-event JSON. Metadata events name every
 /// process and thread; complete ("X"), instant ("i"), and counter ("C")
-/// events carry the collected data.
+/// events carry the collected data. Each GPU's `util` counter is derived
+/// here from its KL/H2D/D2H spans: 1 over their union, 0 elsewhere.
 void write_chrome_trace(const Tracer& tracer, std::ostream& os);
 
 /// Convenience: write_chrome_trace to `path`. Returns false (and writes

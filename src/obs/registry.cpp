@@ -63,9 +63,11 @@ std::size_t Registry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-std::vector<Registry::Sample> Registry::collect() const {
+void Registry::for_each(
+    const std::function<void(const std::string&, double)>& scalar,
+    const std::function<void(const std::string&, const Histogram&)>& hist)
+    const {
   // Merge the three name-sorted maps into one lexicographic stream.
-  std::vector<Sample> out;
   auto c = counters_.begin();
   auto g = gauges_.begin();
   auto h = histograms_.begin();
@@ -80,33 +82,39 @@ std::vector<Registry::Sample> Registry::collect() const {
     }
     return best;
   };
-  auto fmt_bound = [](double b) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", b);
-    return std::string(buf);
-  };
   while (const std::string* name = next_name()) {
     if (c != counters_.end() && &c->first == name) {
-      out.push_back({*name, "value", static_cast<double>(c->second->value())});
+      scalar(*name, static_cast<double>(c->second->value()));
       ++c;
     } else if (g != gauges_.end() && &g->first == name) {
-      out.push_back({*name, "value", g->second->value()});
+      scalar(*name, g->second->value());
       ++g;
     } else {
-      const Histogram& hist = *h->second;
-      out.push_back({*name, "count", static_cast<double>(hist.count())});
-      out.push_back({*name, "sum", hist.sum()});
-      out.push_back({*name, "min", hist.min()});
-      out.push_back({*name, "max", hist.max()});
-      const auto cum = hist.cumulative();
-      for (std::size_t i = 0; i < hist.bounds().size(); ++i) {
-        out.push_back({*name, "le_" + fmt_bound(hist.bounds()[i]),
-                       static_cast<double>(cum[i])});
-      }
-      out.push_back({*name, "le_inf", static_cast<double>(cum.back())});
+      hist(*name, *h->second);
       ++h;
     }
   }
+}
+
+std::vector<Registry::Sample> Registry::collect() const {
+  std::vector<Sample> out;
+  for_each(
+      [&](const std::string& name, double v) {
+        out.push_back({name, "value", v});
+      },
+      [&](const std::string& name, const Histogram& hist) {
+        out.push_back({name, "count", static_cast<double>(hist.count())});
+        out.push_back({name, "sum", hist.sum()});
+        out.push_back({name, "min", hist.min()});
+        out.push_back({name, "max", hist.max()});
+        const auto cum = hist.cumulative();
+        char field[40];
+        for (std::size_t i = 0; i < hist.bounds().size(); ++i) {
+          std::snprintf(field, sizeof field, "le_%g", hist.bounds()[i]);
+          out.push_back({name, field, static_cast<double>(cum[i])});
+        }
+        out.push_back({name, "le_inf", static_cast<double>(cum.back())});
+      });
   return out;
 }
 

@@ -95,6 +95,14 @@ class Registry {
   bool contains(const std::string& name) const;
   std::size_t size() const;
 
+  /// Visits every instrument, lexicographically by name: counters and
+  /// gauges through `scalar` with their current value, histograms through
+  /// `hist`. The one read path behind collect() and obs::TimeSeries.
+  void for_each(
+      const std::function<void(const std::string&, double)>& scalar,
+      const std::function<void(const std::string&, const Histogram&)>& hist)
+      const;
+
   /// Flattens every instrument, lexicographically by name. Counters and
   /// gauges yield one "value" sample; histograms yield count/sum/min/max
   /// plus one cumulative "le_<bound>" sample per bucket and "le_inf".

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 namespace strings::obs {
@@ -32,22 +30,6 @@ double WindowHistogram::quantile(double q) const {
   return histogram_quantile(bounds, cum, q);
 }
 
-namespace {
-
-/// Parses the numeric bound out of a histogram bucket field ("le_0.5",
-/// "le_inf"). Returns false for non-bucket fields (count/sum/min/max).
-bool parse_bucket_bound(const std::string& field, double* bound) {
-  if (field.size() < 4 || field.compare(0, 3, "le_") != 0) return false;
-  if (field == "le_inf") {
-    *bound = std::numeric_limits<double>::infinity();
-    return true;
-  }
-  *bound = std::strtod(field.c_str() + 3, nullptr);
-  return true;
-}
-
-}  // namespace
-
 TimeSeries::TimeSeries(Config config) : config_(config) {
   if (config_.window <= 0) {
     throw std::invalid_argument("TimeSeries window must be positive");
@@ -63,57 +45,32 @@ const Window& TimeSeries::close_window(const Registry& registry,
   w.end = end;
   w.partial = partial;
 
-  // One pass over the lexicographic sample stream. Scalar samples carry
-  // field "value"; a histogram's fields (count/sum/min/max/le_*) arrive
-  // consecutively under one metric name, le_* in ascending bound order.
-  const auto samples = registry.collect();
-  for (std::size_t i = 0; i < samples.size();) {
-    const Registry::Sample& s = samples[i];
-    if (s.field == "value") {
-      SeriesPoint p;
-      p.value = s.value;
-      const auto prev = prev_scalar_.find(s.metric);
-      p.delta = prev == prev_scalar_.end() ? p.value : p.value - prev->second;
-      prev_scalar_[s.metric] = p.value;
-      w.series.emplace(s.metric, p);
-      ++i;
-      continue;
-    }
-    // Histogram: consume every field of this metric.
-    std::int64_t total = 0;
-    double sum = 0.0;
-    std::vector<double> bounds;
-    std::vector<std::int64_t> cum;
-    for (; i < samples.size() && samples[i].metric == s.metric; ++i) {
-      const Registry::Sample& f = samples[i];
-      double bound = 0.0;
-      if (f.field == "count") {
-        total = static_cast<std::int64_t>(f.value);
-      } else if (f.field == "sum") {
-        sum = f.value;
-      } else if (parse_bucket_bound(f.field, &bound)) {
-        if (!std::isinf(bound)) bounds.push_back(bound);
-        cum.push_back(static_cast<std::int64_t>(f.value));
-      }
-    }
-    auto& prev_cum = prev_hist_cum_[s.metric];
-    auto& prev_sum = prev_hist_sum_[s.metric];
-    WindowHistogram h;
-    h.bounds = std::move(bounds);
-    h.cum.resize(cum.size());
-    for (std::size_t b = 0; b < cum.size(); ++b) {
-      const std::int64_t before =
-          b < prev_cum.size() ? prev_cum[b] : std::int64_t{0};
-      // Cumulative-over-buckets of per-window bucket deltas equals the delta
-      // of the cumulative buckets, so the window histogram stays monotone.
-      h.cum[b] = cum[b] - before;
-    }
-    h.count = h.cum.empty() ? total : h.cum.back();
-    h.sum = sum - prev_sum;
-    prev_cum = std::move(cum);
-    prev_sum = sum;
-    if (h.count > 0) w.hists.emplace(s.metric, std::move(h));
-  }
+  registry.for_each(
+      [&](const std::string& name, double value) {
+        double& prev = prev_scalar_[name];  // 0 before the first close
+        w.series.emplace_hint(w.series.end(), name,
+                              SeriesPoint{value, value - prev});
+        prev = value;
+      },
+      [&](const std::string& name, const Histogram& hist) {
+        HistState& prev = prev_hist_[name];  // empty before the first close
+        std::vector<std::int64_t> cum = hist.cumulative();
+        WindowHistogram h;
+        h.bounds = hist.bounds();
+        h.cum = cum;
+        // Cumulative-over-buckets of per-window bucket deltas equals the
+        // delta of the cumulative buckets, so the window histogram stays
+        // monotone.
+        for (std::size_t b = 0; b < prev.cum.size(); ++b) {
+          h.cum[b] -= prev.cum[b];
+        }
+        h.count = h.cum.back();
+        h.sum = hist.sum() - prev.sum;
+        prev = {std::move(cum), hist.sum()};
+        if (h.count > 0) {
+          w.hists.emplace_hint(w.hists.end(), name, std::move(h));
+        }
+      });
 
   last_end_ = end;
   ring_.push_back(std::move(w));

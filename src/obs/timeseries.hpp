@@ -3,8 +3,8 @@
 //
 // The Registry is cumulative: counters only grow, histograms only fill.
 // TimeSeries turns that into fixed-width tumbling windows of *virtual* time:
-// at each window close it snapshots Registry::collect(), diffs against the
-// previous close, and derives per-window statistics —
+// at each window close it visits every instrument (Registry::for_each),
+// diffs against the previous close, and derives per-window statistics —
 //
 //   scalar series (counters + gauges): value at close, delta over the window
 //     (rate = delta / window seconds is derived on demand);
@@ -44,9 +44,7 @@ struct SeriesPoint {
 
 /// One histogram's activity within a single window.
 struct WindowHistogram {
-  /// Finite upper bounds, ascending (parsed back from the registry's
-  /// le_<bound> fields, so the stream needs no side channel to the
-  /// Histogram objects).
+  /// Finite upper bounds, ascending (the Histogram's own bounds()).
   std::vector<double> bounds;
   /// Cumulative observation counts within this window: cum[i] observations
   /// <= bounds[i]; the final entry is the +inf bucket (== count).
@@ -130,10 +128,13 @@ class TimeSeries {
   Config config_;
   std::uint64_t next_index_ = 0;
   sim::SimTime last_end_ = 0;
+  struct HistState {
+    std::vector<std::int64_t> cum;
+    double sum = 0.0;
+  };
   /// Previous close's cumulative state, keyed by metric name.
   std::map<std::string, double> prev_scalar_;
-  std::map<std::string, std::vector<std::int64_t>> prev_hist_cum_;
-  std::map<std::string, double> prev_hist_sum_;
+  std::map<std::string, HistState> prev_hist_;
   std::deque<Window> ring_;
 };
 

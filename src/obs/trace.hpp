@@ -130,6 +130,12 @@ class Tracer {
     int sort_index = 0;
   };
 
+  struct GpuTracks {
+    int compute = -1;
+    int copy = -1;
+    int dispatch = -1;
+  };
+
   // ---- track registry ----
   /// Creates (or returns) the process named `name`.
   int add_process(const std::string& name, int sort_index = 0);
@@ -154,13 +160,14 @@ class Tracer {
   /// A dispatcher wake/sleep instant on the device's dispatch track.
   void dispatcher_event(int gid, bool wake, sim::SimTime ts,
                         std::vector<TraceArg> args = {});
-  /// A sampled counter (utilization, queue depth) on the dispatch track.
+  /// A counter sample (queue depth) on the dispatch track.
   void gpu_counter(int gid, const char* name, sim::SimTime ts, double value);
   /// A named instant on the device's dispatch track (scheduler milestones
   /// that are neither wake nor sleep, e.g. feedback-engine departures).
   void gpu_instant(int gid, const char* name, sim::SimTime ts,
                    std::vector<TraceArg> args = {});
   bool has_gpu(int gid) const { return gpu_tracks_.count(gid) != 0; }
+  const std::map<int, GpuTracks>& gpu_tracks() const { return gpu_tracks_; }
 
   // ---- network tracks ----
   /// The transmission track of the directed link `from` -> `to`.
@@ -216,12 +223,6 @@ class Tracer {
   }
 
  private:
-  struct GpuTracks {
-    int compute = -1;
-    int copy = -1;
-    int dispatch = -1;
-  };
-
   RequestTrace& request_or_create(std::uint64_t app_id);
 
   std::vector<ProcessInfo> processes_;

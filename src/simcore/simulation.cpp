@@ -143,7 +143,7 @@ bool Simulation::step() {
 
 void Simulation::run() {
   // Weak events past the last real event are abandoned, so a self-rearming
-  // sampler does not keep the simulation alive.
+  // observer tick does not keep the simulation alive.
   while (real_events_ > 0) step();
   check_deadlock();
 }

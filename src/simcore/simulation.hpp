@@ -141,8 +141,9 @@ class Simulation {
 
   /// Like schedule(), but the event is *weak*: it runs if simulation time
   /// reaches it, yet does not by itself keep run() alive (analogous to
-  /// daemon processes). Used by periodic observers — samplers that re-arm
-  /// themselves weakly stop automatically when the real workload drains.
+  /// daemon processes). Used by periodic observers — the telemetry stream's
+  /// window tick re-arms itself weakly and so stops when the real workload
+  /// drains.
   template <typename F>
   void schedule_weak(SimTime delay, F&& fn) {
     assert(delay >= 0 && "cannot schedule into the past");

@@ -1,6 +1,5 @@
 #include "workloads/testbed.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -11,9 +10,6 @@ namespace strings::workloads {
 
 namespace {
 
-/// Period of the sampler that renders per-GPU utilization and scheduler
-/// queue depth as counter tracks on traced runs.
-constexpr sim::SimTime kSamplerEpoch = sim::msec(1);
 /// Closed stream windows retained in memory (the sink sees every window).
 constexpr std::size_t kStreamRetain = 256;
 
@@ -266,10 +262,6 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
   }
 
   register_metrics();
-  if (tracer_ != nullptr) {
-    sampled_busy_.assign(static_cast<std::size_t>(service_->gmap().size()), 0);
-    sim_.schedule_weak(kSamplerEpoch, [this] { sample_tick(); });
-  }
   if (config_.stream) init_stream();
 }
 
@@ -366,30 +358,6 @@ void Testbed::register_metrics() {
       });
     }
   }
-}
-
-void Testbed::sample_tick() {
-  const sim::SimTime now = sim_.now();
-  for (std::size_t n = 0; n < devices_.size(); ++n) {
-    for (std::size_t d = 0; d < devices_[n].size(); ++d) {
-      const core::Gid gid = node_gids_[n][d];
-      const gpu::DeviceCounters& c = devices_[n][d]->counters();
-      const sim::SimTime busy =
-          c.compute_busy_time + c.h2d_busy_time + c.d2h_busy_time;
-      const sim::SimTime prev = sampled_busy_[static_cast<std::size_t>(gid)];
-      sampled_busy_[static_cast<std::size_t>(gid)] = busy;
-      const double util =
-          std::min(1.0, double(busy - prev) / double(kSamplerEpoch));
-      tracer_->gpu_counter(gid, "util", now, util);
-      if (n < daemons_.size()) {
-        tracer_->gpu_counter(
-            gid, "queue_depth", now,
-            double(daemons_[n]->scheduler(static_cast<int>(d))
-                       .registered_count()));
-      }
-    }
-  }
-  sim_.schedule_weak(kSamplerEpoch, [this] { sample_tick(); });
 }
 
 void Testbed::init_stream() {

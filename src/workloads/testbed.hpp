@@ -54,8 +54,9 @@ struct TestbedConfig {
   /// consulted when device_policy selects MQFQ.
   policies::MqfqConfig mqfq;
   sim::SimTime sched_epoch = sim::msec(10);
-  /// Unified observability: request-lifecycle spans, per-device tracks and
-  /// the 1 ms utilization/queue-depth sampler (Testbed::tracer), plus each
+  /// Unified observability: request-lifecycle spans and per-device tracks
+  /// (Testbed::tracer; the exported `util` counter is derived from the op
+  /// spans, `queue_depth` is written at each RCB change), plus each
   /// device's change-driven utilization series (GpuDevice::tracer, read by
   /// the Fig. 1/2 statistics). Off by default — a disabled run is
   /// bit-for-bit identical to one without instrumentation.
@@ -163,7 +164,8 @@ class Testbed final : public frontend::SchedulerDirectory {
   /// with analyzer()->render(os) after the run.
   analysis::Analyzer* analyzer() { return analyzer_.get(); }
   /// Populated when TestbedConfig::trace is set; nullptr otherwise. Export
-  /// with obs::write_chrome_trace_file after the run.
+  /// with obs::write_chrome_trace_file after the run. kCudaBaseline runs no
+  /// GpuScheduler, so its trace has no op spans and no util/queue_depth.
   obs::Tracer* tracer() { return tracer_.get(); }
   /// The deployment's metrics registry (always available). Control-plane,
   /// scheduler, daemon, and device instruments are registered under the
@@ -218,9 +220,6 @@ class Testbed final : public frontend::SchedulerDirectory {
   /// Registers the standing registry instruments (gauges over component
   /// counters, the per-agent placement-latency histograms).
   void register_metrics();
-  /// One sampler tick: emit per-GPU utilization and queue-depth counters
-  /// onto the trace, then weakly re-arm.
-  void sample_tick();
   /// Creates the TimeSeries, registers the sim/... self-metrics, and arms
   /// the weak stream tick. Called from the constructor when
   /// TestbedConfig::stream is set.
@@ -259,9 +258,6 @@ class Testbed final : public frontend::SchedulerDirectory {
   int slo_track_ = -1;
   std::vector<std::unique_ptr<backend::BackendDaemon>> daemons_;
   std::uint64_t next_app_id_ = 1;
-  /// Sampler bookkeeping: last-seen busy-time totals per GID, for
-  /// utilization-over-epoch deltas.
-  std::vector<sim::SimTime> sampled_busy_;
   // Baseline-mode service accounting (no schedulers exist to measure it).
   sim::FlatMap<cuda::ProcessId, std::string> baseline_pid_tenant_;
   sim::FlatMap<std::string, sim::SimTime> baseline_tenant_service_;

@@ -142,6 +142,22 @@ TEST(TimeSeries, HistogramWindowsAreDeltas) {
   EXPECT_FALSE(reduce_window(w3, "lat", "p99").has_value());
 }
 
+TEST(TimeSeries, WindowHistogramKeepsExactBounds) {
+  // A bound with more significant digits than a "%g" rendering keeps: the
+  // window reads the Histogram itself, so nothing rounds it.
+  Registry reg;
+  TimeSeries ts(cfg(sim::msec(10)));
+  reg.histogram("lat", {1.2345678, 3.0}).observe(1.0);
+  const Window& w = ts.close_window(reg, sim::msec(10));
+  ASSERT_EQ(w.hists.count("lat"), 1u);
+  const WindowHistogram& h = w.hists.at("lat");
+  EXPECT_EQ(h.bounds, (std::vector<double>{1.2345678, 3.0}));
+  // The one observation fills the first bucket, whose top is the bound.
+  EXPECT_EQ(h.quantile(1.0), 1.2345678);
+  EXPECT_EQ(*reduce_window(w, "lat", "p99"),
+            histogram_quantile({1.2345678, 3.0}, {1, 1, 1}, 0.99));
+}
+
 TEST(TimeSeries, QuantileClampsToLastFiniteBound) {
   // Observations past the top bucket have no upper edge to interpolate to.
   std::vector<double> bounds{1.0, 10.0};

@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
       "process_name", "thread_name",  // metadata present
       "KL", "H2D", "D2H",             // device op spans
       "dispatch.wake",                // dispatcher instants
-      "util", "queue_depth",          // sampler counters
+      "util", "queue_depth",          // derived device counters
   };
   for (const char* name : required) {
     if (strings.count(name) == 0) {

@@ -5,11 +5,14 @@
 // scheduling results to an untraced one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "obs/export.hpp"
+#include "simcore/hooks.hpp"
 #include "workloads/scenario_config.hpp"
 #include "workloads/service.hpp"
 #include "workloads/testbed.hpp"
@@ -107,7 +110,7 @@ TEST(TraceExport, DeviceAndNetworkTracksPopulated) {
     if (e.name == "KL") ++kernels;
     if (e.name == "H2D" || e.name == "D2H") ++copies;
     if (e.name == "dispatch.wake") ++wakes;
-    if (e.name == "util") ++samples;
+    if (e.name == "queue_depth") ++samples;
     if (e.name.rfind("strings.", 0) == 0 &&
         e.type == obs::Tracer::EventType::kComplete) {
       ++net_spans;
@@ -117,7 +120,148 @@ TEST(TraceExport, DeviceAndNetworkTracksPopulated) {
   EXPECT_GT(copies, 0);
   EXPECT_GT(wakes, 0);
   EXPECT_GT(net_spans, 0);  // rpc::Channel packet spans on link tracks
-  EXPECT_GT(samples, 0);    // periodic sampler ran on the weak-event path
+  EXPECT_GT(samples, 0);    // the schedulers wrote each RCB change
+}
+
+// After every event and process slice, each GPU's latest queue_depth
+// sample must equal its scheduler's registered_count(): a change that wrote
+// no sample, or a sample that disagrees with the RCB, shows up at once.
+class QueueDepthWatch final : public sim::SimHooks {
+ public:
+  explicit QueueDepthWatch(workloads::Testbed& bed) : tracer_(*bed.tracer()) {
+    for (int n = 0; n < bed.node_count(); ++n) {
+      for (std::size_t d = 0; d < bed.config().nodes[n].size(); ++d) {
+        core::GpuScheduler& s = bed.daemon(n).scheduler(static_cast<int>(d));
+        scheds_[tracer_.gpu_tracks().at(s.gid()).dispatch] = &s;
+      }
+    }
+  }
+  int samples = 0;
+  int mismatches = 0;
+
+  void on_event_end(sim::Simulation&, std::uint64_t) override { check(); }
+  void on_process_yielded(sim::Simulation&, sim::Process&) override {
+    check();
+  }
+  void on_event_scheduled(sim::Simulation&, std::uint64_t) override {}
+  void on_event_begin(sim::Simulation&, std::uint64_t) override {}
+  void on_process_spawned(sim::Simulation&, sim::Process&) override {}
+  void on_process_running(sim::Simulation&, sim::Process&) override {}
+  void on_mailbox_send(const void*) override {}
+  void on_mailbox_recv(const void*) override {}
+  void on_mailbox_destroyed(const void*) override {}
+
+ private:
+  void check() {
+    const auto& events = tracer_.events();
+    for (; seen_ < events.size(); ++seen_) {
+      const auto& e = events[seen_];
+      if (e.type != obs::Tracer::EventType::kCounter ||
+          e.name != "queue_depth") {
+        continue;
+      }
+      last_[e.track] = e.value;
+      ++samples;
+    }
+    for (const auto& [track, sched] : scheds_) {
+      const auto it = last_.find(track);
+      const double got = it == last_.end() ? 0.0 : it->second;
+      if (got != double(sched->registered_count())) ++mismatches;
+    }
+  }
+
+  obs::Tracer& tracer_;
+  std::map<int, core::GpuScheduler*> scheds_;  // by dispatch track
+  std::map<int, double> last_;
+  std::size_t seen_ = 0;
+};
+
+struct HooksGuard {
+  explicit HooksGuard(sim::SimHooks* h) { sim::set_sim_hooks(h); }
+  ~HooksGuard() { sim::set_sim_hooks(nullptr); }
+};
+
+// The device counter tracks are exact: ∫util dt is the length of the union
+// of the GPU's KL/H2D/D2H spans, every counter sample is a change, and
+// queue_depth tracks registered_count().
+TEST(TraceExport, UtilAndQueueDepthAreExact) {
+  sim::Simulation sim;
+  const auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
+  workloads::Testbed bed(sim, cfg.testbed);
+  QueueDepthWatch watch(bed);
+  {
+    HooksGuard guard(&watch);
+    workloads::run_streams(bed, cfg.streams);
+  }
+  EXPECT_GT(watch.samples, 0);
+  EXPECT_EQ(watch.mismatches, 0);
+
+  // Busy time per dispatch track: sweep the op spans' edges.
+  const obs::Tracer& tracer = *bed.tracer();
+  std::map<int, sim::SimTime> busy;
+  for (const auto& [gid, g] : tracer.gpu_tracks()) {
+    std::vector<std::pair<sim::SimTime, int>> edges;
+    for (const auto& e : tracer.events()) {
+      if ((e.track != g.compute && e.track != g.copy) || e.dur == 0) continue;
+      edges.emplace_back(e.ts, +1);
+      edges.emplace_back(e.ts + e.dur, -1);
+    }
+    std::sort(edges.begin(), edges.end());
+    int open = 0;
+    sim::SimTime since = 0;
+    for (const auto& [ts, step] : edges) {
+      if (open == 0 && step > 0) since = ts;
+      open += step;
+      if (open == 0) busy[g.dispatch] += ts - since;
+    }
+  }
+
+  // Counter samples as exported, per (dispatch track, counter name).
+  std::ostringstream os;
+  obs::write_chrome_trace(tracer, os);
+  std::map<std::pair<int, int>, int> track_of;  // (pid, tid) -> track
+  for (std::size_t i = 0; i < tracer.tracks().size(); ++i) {
+    track_of[{tracer.tracks()[i].pid, tracer.tracks()[i].tid}] = int(i);
+  }
+  using Samples = std::vector<std::pair<long long, double>>;  // (ns, value)
+  std::map<std::pair<int, std::string>, Samples> series;
+  std::istringstream lines(os.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    char name[64];
+    int pid = 0, tid = 0;
+    long long us = 0, frac = 0;
+    double value = 0.0;
+    if (std::sscanf(line.c_str(),
+                    "{\"ph\":\"C\",\"name\":\"%63[^\"]\",\"pid\":%d,"
+                    "\"tid\":%d,\"ts\":%lld.%lld,\"args\":{\"value\":%lf}}",
+                    name, &pid, &tid, &us, &frac, &value) != 6) {
+      continue;
+    }
+    series[{track_of.at({pid, tid}), name}].emplace_back(us * 1000 + frac,
+                                                         value);
+  }
+
+  std::map<int, sim::SimTime> util_area;
+  for (const auto& [key, samples] : series) {
+    SCOPED_TRACE("track " + std::to_string(key.first) + " " + key.second);
+    int repeats = 0, same_instant = 0;
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+      if (samples[i].second == samples[i - 1].second) ++repeats;
+      if (samples[i].first == samples[i - 1].first) ++same_instant;
+    }
+    EXPECT_EQ(repeats, 0);
+    if (key.second != "util") continue;
+    EXPECT_EQ(same_instant, 0);  // touching spans merge: no 0-width gaps
+    EXPECT_EQ(samples.back().second, 0.0);
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+      const double width = double(samples[i].first - samples[i - 1].first);
+      util_area[key.first] +=
+          static_cast<sim::SimTime>(samples[i - 1].second * width);
+    }
+  }
+  EXPECT_FALSE(busy.empty());
+  EXPECT_EQ(util_area, busy);
 }
 
 TEST(TraceExport, RegistryCoversAllSubsystems) {
