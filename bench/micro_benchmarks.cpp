@@ -61,6 +61,58 @@ long run_event_chains(int chains, long total) {
   return fired;
 }
 
+// The horizon mix the scale workloads keep in one queue: op chains
+// re-arming 0-200 us ahead (40% of them zero-delay wakeups), a 10 ms
+// dispatcher epoch per device, and one arrival chain per tenant re-arming
+// 0.1-10 s ahead. Every chain stops once `total` events have fired. The
+// uniform chains above are the opposite case: one horizon, 1 us.
+struct BimodalLoad {
+  sim::Simulation* sim = nullptr;
+  long remaining = 0;
+  std::uint64_t rng = 88172645463325252ull;  // xorshift64 state
+
+  std::uint64_t next() {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  }
+  void op() {
+    if (--remaining <= 0) return;
+    const std::uint64_t r = next();
+    const sim::SimTime delay =
+        r % 100 < 40 ? 0
+                     : 1 + static_cast<sim::SimTime>((r >> 8) % sim::usec(200));
+    sim->schedule(delay, [this] { op(); });
+  }
+  void epoch() {
+    if (--remaining <= 0) return;
+    sim->schedule(sim::msec(10), [this] { epoch(); });
+  }
+  void arrival() {
+    if (--remaining <= 0) return;
+    const std::uint64_t span = sim::sec(10) - sim::msec(100);
+    sim->schedule(sim::msec(100) + static_cast<sim::SimTime>(next() % span),
+                  [this] { arrival(); });
+  }
+};
+
+long run_event_bimodal(long total) {
+  sim::Simulation sim;
+  BimodalLoad load{&sim, total};
+  for (int i = 0; i < 256; ++i) {
+    sim.schedule(sim::usec(i), [&load] { load.op(); });
+  }
+  for (int d = 0; d < 32; ++d) {
+    sim.schedule(sim::usec(300) * d, [&load] { load.epoch(); });
+  }
+  for (int t = 0; t < 128; ++t) {
+    sim.schedule(sim::msec(100) * t, [&load] { load.arrival(); });
+  }
+  sim.run();
+  return static_cast<long>(sim.events_executed());
+}
+
 // `procs` processes each parking and resuming `waits` times: one fiber (or,
 // before the fiber kernel, thread-baton) round trip per wait.
 long run_park_resume(int procs, int waits) {
@@ -132,6 +184,19 @@ void BM_EventLoopThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_EventLoopThroughput)->Arg(100000);
+
+void BM_EventLoopBimodal(benchmark::State& state) {
+  // Schedule/fire cost when near and far horizons share the queue.
+  const long events = state.range(0);
+  long fired = 0;
+  for (auto _ : state) {
+    const long n = run_event_bimodal(events);
+    benchmark::DoNotOptimize(n);
+    fired += n;
+  }
+  state.SetItemsProcessed(fired);
+}
+BENCHMARK(BM_EventLoopBimodal)->Arg(100000);
 
 void BM_ProcessParkResume(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
@@ -346,6 +411,8 @@ void record_event_loop_report() {
   std::printf("\n-- event-loop throughput (STRINGS_BENCH_REPORT entries) --\n");
   record_throughput_entry("event_loop",
                           [] { return run_event_chains(256, 2'000'000); });
+  record_throughput_entry("event_loop_bimodal",
+                          [] { return run_event_bimodal(2'000'000); });
   record_throughput_entry("park_resume",
                           [] { return run_park_resume(256, 2'000); });
   record_throughput_entry("mailbox_pingpong",

@@ -467,15 +467,29 @@ cudaError_t CudaRuntime::enqueue(ProcessId pid, cudaStream_t stream,
     return fail(*p, cudaError_t::cudaErrorInvalidResourceHandle);
   }
   ctx.streams[stream].pending.push_back(std::move(op));
-  pump_all(ctx);
+  pump_after(ctx, stream);
   return cudaError_t::cudaSuccess;
 }
 
-void CudaRuntime::pump_all(Context& ctx) {
-  // Default stream first (it gates the others), then the rest.
-  if (ctx.streams.contains(cudaStreamDefault)) {
-    pump_stream(ctx, cudaStreamDefault);
+bool CudaRuntime::default_stream_busy(const Context& ctx) const {
+  auto dit = ctx.streams.find(cudaStreamDefault);
+  return dit != ctx.streams.end() &&
+         (!dit->second.pending.empty() || dit->second.in_flight != 0);
+}
+
+void CudaRuntime::pump_after(Context& ctx, cudaStream_t stream) {
+  // After every pump, each stream is in flight, empty, or blocked behind the
+  // default stream. An enqueue or completion on a private stream therefore
+  // makes no stream but its own admissible — unless the default stream has
+  // work, whose draining may release all of them.
+  if (stream != cudaStreamDefault && !default_stream_busy(ctx)) {
+    pump_stream(ctx, stream);
+    return;
   }
+  // Default stream first (it gates the others), then the rest in ascending
+  // id — none of which may submit while the default stream stays busy.
+  pump_stream(ctx, cudaStreamDefault);
+  if (default_stream_busy(ctx)) return;
   for (auto& [id, st] : ctx.streams) {
     if (id != cudaStreamDefault) pump_stream(ctx, id);
   }
@@ -528,7 +542,7 @@ void CudaRuntime::op_finished(Context& ctx, cudaStream_t stream) {
   if (sit != ctx.streams.end()) sit->second.in_flight = 0;
   --ctx.total_in_flight;
   if (ctx.total_in_flight == 0) ctx.drained->notify_all();
-  pump_all(ctx);
+  pump_after(ctx, stream);
 }
 
 }  // namespace strings::cuda

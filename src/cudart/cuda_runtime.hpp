@@ -168,7 +168,10 @@ class CudaRuntime {
   cudaError_t enqueue(ProcessId pid, cudaStream_t stream, PendingOp op);
   // Tries to hand the next admissible op of `stream` to the device.
   void pump_stream(Context& ctx, cudaStream_t stream);
-  void pump_all(Context& ctx);
+  // Pumps the streams an enqueue or completion on `stream` can have made
+  // admissible, in the order the default-stream rule requires.
+  void pump_after(Context& ctx, cudaStream_t stream);
+  bool default_stream_busy(const Context& ctx) const;
   bool stream_may_submit(const Context& ctx, cudaStream_t stream) const;
   void op_finished(Context& ctx, cudaStream_t stream);
   cudaError_t fail(Process& p, cudaError_t err);

@@ -1,37 +1,32 @@
-// Calendar-queue event scheduler for the simulation kernel.
+// Event scheduler for the simulation kernel: a 4-ary min-heap of small keys
+// over a slab of closures.
 //
-// A calendar queue (Brown, CACM 1988) is the discrete-event analogue of a
-// desk calendar: an array of day buckets of fixed width cycling through a
-// year. enqueue hashes an event to the bucket its timestamp falls in
-// (amortized O(1)); dequeue walks from the current day forward, taking the
-// earliest event whose timestamp lies inside the bucket's current year.
-// Bucket count and width adapt to the queue's size and density, so both
-// operations stay O(1) amortized where a binary heap pays O(log n) and
-// shuffles cold memory on every op.
+// The heap orders 24-byte keys (time, seq, slot, weak); the closures live in
+// a slab and never move while queued. push constructs the caller's closure
+// straight into a free slab slot and sifts its key up; pop sifts the last
+// key down from the root and moves the closure out exactly once. Sifting
+// therefore shuffles keys, never ~90-byte SmallFn records, and the cost of a
+// push does not depend on how far ahead the event lies — simulations mix
+// zero-delay wakeups, 10 ms dispatcher epochs and seconds-ahead arrivals in
+// one queue, and a calendar queue's single bucket width cannot fit them all.
 //
-// Two implementation points keep the amortized bound honest:
-//  - Buckets are vectors with a consumed-prefix `head` index, so the common
-//    pop (front of a bucket) is an index bump, never an erase-and-memmove.
-//  - Width is re-picked not only when the queue's size crosses the resize
-//    thresholds but also when any single bucket grows disproportionately
-//    fat — the signature of a width tuned for a long-gone event horizon
-//    (e.g. a startup burst spanning seconds, then steady state in a
-//    microsecond window).
+// The slab grows by chunks of doubling size that stay where they were
+// allocated, so growing it relocates no queued closure; freed slots go on a
+// free list and are reused first.
 //
-// Ordering contract (the determinism pin): events pop in strictly
-// ascending (time, seq) — exactly the total order the old
-// std::priority_queue<QueuedEvent> gave. Equal-time events share a bucket
-// by construction, and each bucket is kept sorted by (time, seq), so FIFO
-// tie-breaking falls out structurally. All adaptation decisions depend only
-// on queue content, never on the wall clock, so runs stay bit-reproducible.
-// tests/event_queue_test.cpp checks all of this against a reference heap on
-// randomized schedules.
+// Ordering contract (the determinism pin): events pop in strictly ascending
+// (time, seq) — exactly the total order the seed's
+// std::priority_queue<QueuedEvent> gave. seq is unique, so the order is
+// total and FIFO tie-breaking falls out of it. tests/event_queue_test.cpp
+// checks this against a reference heap on randomized schedules.
 #pragma once
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -49,27 +44,27 @@ struct EventRecord {
   bool weak = false;
 };
 
-class CalendarQueue {
+class EventQueue {
  public:
-  /// Lifetime operation counters, for the sim/... telemetry stream. All
-  /// derived from queue content only — reading them never perturbs
-  /// behaviour, so instrumented and uninstrumented runs stay identical.
+  /// Lifetime operation counters, for the sim/... telemetry stream. Reading
+  /// them never perturbs behaviour.
   struct Stats {
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
-    /// Content-triggered width retunes considered (fat-bucket signature).
-    std::uint64_t retunes = 0;
-    /// Full rebuilds actually performed (resize or retune past hysteresis).
+    /// Always 0: a heap never rebuilds. Kept because perfbench reports it
+    /// as simcore.queue_rebuilds.
     std::uint64_t rebuilds = 0;
-    /// Worst calendar-scan length (buckets examined) of any locate_min.
-    std::uint64_t max_bucket_scan = 0;
   };
 
-  CalendarQueue() : buckets_(kMinBuckets) {}
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  ~EventQueue() {
+    for (const Key& k : heap_) std::destroy_at(&fn_at(k.slot));
+  }
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  std::size_t bucket_count() const { return buckets_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
   const Stats& stats() const { return stats_; }
 
   void push(EventRecord ev) {
@@ -77,220 +72,123 @@ class CalendarQueue {
   }
 
   /// Templated on the callable so the caller's closure is constructed
-  /// straight into bucket storage (no intermediate SmallFn move).
+  /// straight into its slab slot (no intermediate SmallFn move).
   template <typename F>
   void push(SimTime time, std::uint64_t seq, F&& fn, bool weak) {
     assert(time >= floor_ && "cannot schedule into the past");
-    Bucket& b = buckets_[bucket_index(time)];
-    // Keep each bucket's live range sorted ascending by (time, seq). Pushes
-    // usually carry the latest (time, seq) seen so far and land at the tail,
-    // so check for an append (in-place construction, no record move) before
-    // paying for the binary search.
-    if (b.items.empty() || !key_less(time, seq, b.items.back())) {
-      b.items.emplace_back(time, seq, std::forward<F>(fn), weak);
-    } else {
-      auto pos = std::upper_bound(
-          b.items.begin() + static_cast<std::ptrdiff_t>(b.head), b.items.end(),
-          std::pair{time, seq},
-          [](const std::pair<SimTime, std::uint64_t>& k,
-             const EventRecord& y) {
-            return k.first != y.time ? k.first < y.time : k.second < y.seq;
-          });
-      b.items.insert(pos, EventRecord{time, seq, std::forward<F>(fn), weak});
-    }
-    ++size_;
-    ++ops_since_rebuild_;
+    const std::uint32_t slot = acquire_slot();
+    // A free slot holds nothing or a moved-from (inert) SmallFn.
+    std::construct_at(static_cast<SmallFn*>(slot_storage(slot)),
+                      std::forward<F>(fn));
+    heap_.push_back(Key{time, seq, slot, weak});
+    sift_up(heap_.size() - 1);
     ++stats_.pushes;
-    const std::size_t live = b.items.size() - b.head;
-    if (size_ > buckets_.size() * 4 && buckets_.size() < kMaxBuckets) {
-      resize(buckets_.size() * 2);
-    } else if (live >= kFatBucket && (live & (live - 1)) == 0 &&
-               ops_since_rebuild_ >= size_) {
-      // One bucket holds a big share of the queue: the width may no longer
-      // match the event horizon. Gated on ops_since_rebuild_ so the O(n)
-      // retune amortizes to O(1) even when a workload keeps one bucket fat
-      // (legitimate for same-timestamp bursts).
-      retune();
-    }
   }
 
   /// The earliest event's timestamp. Queue must be non-empty.
-  SimTime min_time() { return locate_min()->front().time; }
+  SimTime min_time() const {
+    assert(!heap_.empty());
+    return heap_.front().time;
+  }
 
   /// Removes and returns the earliest event in (time, seq) order.
   EventRecord pop() {
-    Bucket* b = locate_min();
-    EventRecord ev = std::move(b->items[b->head]);
-    b->advance();
-    --size_;
+    assert(!heap_.empty());
+    const Key top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+    free_.push_back(top.slot);
     ++stats_.pops;
-    floor_ = ev.time;
-    if (size_ < buckets_.size() && buckets_.size() > kMinBuckets) {
-      resize(buckets_.size() / 2);
-    }
-    return ev;
+    floor_ = top.time;
+    return EventRecord{top.time, top.seq, std::move(fn_at(top.slot)),
+                       top.weak};
   }
 
  private:
-  // A day's events plus a consumed prefix: popping bumps `head` instead of
-  // erasing the front, so drain order costs no memmove. The storage is
-  // reclaimed when the bucket drains (and compacted wholesale on rebuilds).
-  struct Bucket {
-    std::vector<EventRecord> items;
-    std::size_t head = 0;
-
-    bool empty() const { return head == items.size(); }
-    const EventRecord& front() const { return items[head]; }
-    void advance() {
-      if (++head == items.size()) {
-        items.clear();
-        head = 0;
-      }
-    }
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    bool weak;
   };
 
-  static constexpr bool record_less(const EventRecord& x,
-                                    const EventRecord& y) {
-    return x.time != y.time ? x.time < y.time : x.seq < y.seq;
+  /// Uninitialized storage for one SmallFn. A slot holds a live closure
+  /// only while its event is queued.
+  struct alignas(SmallFn) Slot {
+    std::byte bytes[sizeof(SmallFn)];
+  };
+
+  static constexpr std::size_t kArity = 4;
+
+  // Branch-free: equal times are common (same-instant bursts), so a
+  // time-then-seq branch would mispredict.
+  static bool less(const Key& a, const Key& b) {
+    return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
   }
 
-  static constexpr bool key_less(SimTime t, std::uint64_t seq,
-                                 const EventRecord& y) {
-    return t != y.time ? t < y.time : seq < y.seq;
+  // Slot s lives in chunk k = floor(log2(s + 1)), which holds 2^k slots:
+  // chunk sizes double, so a slab of n slots takes O(log n) allocations.
+  void* slot_storage(std::uint32_t slot) {
+    const std::uint32_t v = slot + 1;
+    const int k = std::bit_width(v) - 1;
+    return chunks_[static_cast<std::size_t>(k)][v - (std::uint32_t{1} << k)]
+        .bytes;
   }
 
-  static constexpr std::size_t kMinBuckets = 8;
-  static constexpr std::size_t kMaxBuckets = 1u << 16;
-  /// Live entries in one bucket that trigger a content-based width retune.
-  static constexpr std::size_t kFatBucket = 32;
-
-  std::size_t bucket_index(SimTime t) const {
-    // Width is a power of two: shift to a day number, mask into the year.
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(t) >>
-                                    width_log2_) &
-           (buckets_.size() - 1);
+  SmallFn& fn_at(std::uint32_t slot) {
+    return *std::launder(static_cast<SmallFn*>(slot_storage(slot)));
   }
 
-  /// Finds the bucket holding the global (time, seq) minimum using the
-  /// calendar scan: from the current day forward, first event that falls
-  /// within its bucket's current year. One full lap without a hit means
-  /// every event lives in a future year — locate directly and jump there.
-  Bucket* locate_min() {
-    assert(size_ > 0);
-    const std::size_t nb = buckets_.size();
-    std::size_t idx = bucket_index(floor_);
-    // End of idx's current-year window, starting from the day of `floor_`.
-    SimTime day_end =
-        ((floor_ >> width_log2_) + 1) << width_log2_;  // exclusive
-    for (std::size_t scanned = 0; scanned < nb; ++scanned) {
-      Bucket& b = buckets_[idx];
-      if (!b.empty() && b.front().time < day_end) {
-        stats_.max_bucket_scan =
-            std::max(stats_.max_bucket_scan, std::uint64_t{scanned + 1});
-        return &b;
+  std::uint32_t acquire_slot() {
+    if (!free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    if (std::has_single_bit(slots_ + 1)) {  // the chunks so far are full
+      chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(slots_ + 1));
+    }
+    return slots_++;
+  }
+
+  // Both sifts move a hole instead of swapping: each level copies one key.
+  void sift_up(std::size_t i) {
+    const Key k = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!less(k, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = k;
+  }
+
+  /// Places `k` at the root hole and sifts it down to its level.
+  void sift_down(const Key& k) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= n) break;
+      const std::size_t end = first + kArity < n ? first + kArity : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        best = less(heap_[c], heap_[best]) ? c : best;
       }
-      idx = (idx + 1) & (nb - 1);
-      day_end += width();
+      if (!less(heap_[best], k)) break;
+      heap_[i] = heap_[best];
+      i = best;
     }
-    // A full lap plus the direct search below touches every bucket once.
-    stats_.max_bucket_scan =
-        std::max(stats_.max_bucket_scan, std::uint64_t{2 * nb});
-    // Direct search: earliest front across all buckets (each bucket's front
-    // is its minimum). Ties on time cannot span buckets, so comparing
-    // times of fronts is enough.
-    Bucket* best = nullptr;
-    for (auto& b : buckets_) {
-      if (b.empty()) continue;
-      if (best == nullptr || b.front().time < best->front().time) {
-        best = &b;
-      }
-    }
-    floor_ = best->front().time;
-    return best;
+    heap_[i] = k;
   }
 
-  SimTime width() const { return SimTime{1} << width_log2_; }
-
-  void resize(std::size_t new_buckets) { rebuild(new_buckets, pick_width()); }
-
-  void retune() {
-    ++stats_.retunes;
-    const SimTime w = pick_width();
-    std::int64_t log2 = 0;
-    while ((SimTime{1} << log2) < w) ++log2;
-    // Hysteresis: workloads that hover between two geometries must not
-    // thrash full rebuilds. Only a width off by >= 4x is worth fixing —
-    // same-timestamp bursts legitimately share one bucket.
-    const std::int64_t drift = log2 > width_log2_ ? log2 - width_log2_
-                                                  : width_log2_ - log2;
-    if (drift >= 2) rebuild(buckets_.size(), w);
-    ops_since_rebuild_ = 0;
-  }
-
-  /// Bucket width = smallest power of two >= the mean inter-event gap, so a
-  /// bucket holds ~1-2 events. Depends only on queue content, never on the
-  /// wall clock — runs stay bit-reproducible.
-  SimTime pick_width() const {
-    if (size_ < 2) return width();
-    SimTime lo = kNever, hi = 0;
-    for (const auto& b : buckets_) {
-      for (std::size_t i = b.head; i < b.items.size(); ++i) {
-        lo = std::min(lo, b.items[i].time);
-        hi = std::max(hi, b.items[i].time);
-      }
-    }
-    const SimTime span = hi - lo;
-    if (span <= 0) return 1;
-    const auto target = static_cast<SimTime>(
-        4 * (static_cast<std::uint64_t>(span) / static_cast<std::uint64_t>(size_)) +
-        1);
-    SimTime w = 1;
-    while (w < target && w < (SimTime{1} << 40)) w <<= 1;
-    return w;
-  }
-
-  void rebuild(std::size_t new_buckets, SimTime new_width) {
-    ++stats_.rebuilds;
-    std::vector<Bucket> old = std::move(buckets_);
-    buckets_.clear();
-    buckets_.resize(new_buckets);
-    std::int64_t log2 = 0;
-    while ((SimTime{1} << log2) < new_width) ++log2;
-    width_log2_ = log2;
-    const std::size_t moved = size_;
-    size_ = 0;
-    for (auto& b : old) {
-      for (std::size_t i = b.head; i < b.items.size(); ++i) {
-        push_plain(std::move(b.items[i]));
-      }
-    }
-    assert(size_ == moved);
-    (void)moved;
-    ops_since_rebuild_ = 0;
-  }
-
-  // push() without the adaptation checks, for use inside rebuild().
-  void push_plain(EventRecord ev) {
-    Bucket& b = buckets_[bucket_index(ev.time)];
-    if (b.items.empty() || !record_less(ev, b.items.back())) {
-      b.items.push_back(std::move(ev));
-    } else {
-      auto pos = std::upper_bound(
-          b.items.begin() + static_cast<std::ptrdiff_t>(b.head), b.items.end(),
-          ev, record_less);
-      b.items.insert(pos, std::move(ev));
-    }
-    ++size_;
-  }
-
-  std::vector<Bucket> buckets_;
-  std::int64_t width_log2_ = 0;
-  /// Pushes since the last rebuild; gates content-triggered retunes.
-  std::size_t ops_since_rebuild_ = 0;
-  /// Lower bound on every queued timestamp (time of the last pop). The
-  /// calendar scan starts from this day.
+  std::vector<Key> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::uint32_t> free_;
+  std::uint32_t slots_ = 0;  // slab slots ever handed out
+  /// Time of the last pop: no push may land before it.
   SimTime floor_ = 0;
-  std::size_t size_ = 0;
   Stats stats_;
 };
 

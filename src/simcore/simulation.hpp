@@ -1,6 +1,6 @@
 // Deterministic cooperative discrete-event simulation kernel.
 //
-// The kernel owns a calendar queue of timed events and a set of processes.
+// The kernel owns a heap-ordered queue of timed events and a set of processes.
 // A process is user code on its own stackful fiber (see fiber.hpp); the
 // kernel switches to at most one fiber at any instant and every fiber
 // switches straight back, so the whole simulation runs on a single OS
@@ -129,7 +129,7 @@ class Simulation {
   /// Schedules a kernel-context callback `delay` from now. The callback must
   /// not block; it may send to mailboxes, notify events, and spawn processes.
   /// Templated so the closure is constructed directly inside the event
-  /// queue's bucket storage — scheduling moves no bytes it doesn't have to.
+  /// queue's slab — scheduling moves no bytes it doesn't have to.
   template <typename F>
   void schedule(SimTime delay, F&& fn) {
     assert(delay >= 0 && "cannot schedule into the past");
@@ -180,12 +180,10 @@ class Simulation {
 
   /// Fiber-activity counters (spawns, parks, resumes).
   const KernelStats& kernel_stats() const { return kernel_stats_; }
-  /// The event queue's operation counters (pushes, pops, retunes, ...).
-  const CalendarQueue::Stats& queue_stats() const { return queue_.stats(); }
+  /// The event queue's operation counters (pushes, pops).
+  const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
   /// Events currently queued (weak and non-weak).
   std::size_t queue_size() const { return queue_.size(); }
-  /// Current calendar-queue bucket count (geometry adapts to load).
-  std::size_t queue_buckets() const { return queue_.bucket_count(); }
 
   /// True once terminate_processes() has started unwinding processes.
   /// Destructors check it to skip blocking work: there is no event loop
@@ -214,7 +212,7 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
   std::int64_t real_events_ = 0;  // queued non-weak events
-  CalendarQueue queue_;
+  EventQueue queue_;
   std::vector<std::unique_ptr<Process>> processes_;
   Process* current_ = nullptr;
   /// The kernel's own context; process fibers switch back into it.

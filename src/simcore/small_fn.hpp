@@ -5,8 +5,8 @@
 // capture in this codebase — a resume closure is [Simulation*, Process*]
 // plus padding, a channel delivery closure carries a whole rpc::Packet.
 // SmallFn keeps 80 bytes inline so the common closures, packets included,
-// live directly inside the event queue's bucket storage and scheduling an
-// event allocates nothing.
+// live directly inside the event queue's slab and scheduling an event
+// allocates nothing.
 //
 // Compared to std::function: move-only (captures need not be copyable,
 // which lets closures own Packets and other move-only state), no target

@@ -384,19 +384,10 @@ void Testbed::register_sim_metrics() {
   });
   registry_.gauge_fn("sim/queue/occupancy",
                      [sim] { return double(sim->queue_size()); });
-  registry_.gauge_fn("sim/queue/buckets",
-                     [sim] { return double(sim->queue_buckets()); });
   registry_.gauge_fn("sim/queue/pushes",
                      [sim] { return double(sim->queue_stats().pushes); });
   registry_.gauge_fn("sim/queue/pops",
                      [sim] { return double(sim->queue_stats().pops); });
-  registry_.gauge_fn("sim/queue/retunes",
-                     [sim] { return double(sim->queue_stats().retunes); });
-  registry_.gauge_fn("sim/queue/rebuilds",
-                     [sim] { return double(sim->queue_stats().rebuilds); });
-  registry_.gauge_fn("sim/queue/max_bucket_scan", [sim] {
-    return double(sim->queue_stats().max_bucket_scan);
-  });
   // Baseline-relative, so earlier deployments in the same process (the
   // SmallFn counter is process-global) don't bleed into this run's number.
   const std::uint64_t smallfn_base = sim::small_fn_heap_fallbacks();

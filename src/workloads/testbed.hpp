@@ -224,9 +224,9 @@ class Testbed final : public frontend::SchedulerDirectory {
   /// the weak stream tick. Called from the constructor when
   /// TestbedConfig::stream is set.
   void init_stream();
-  /// Registers the sim/... kernel self-metrics (fiber counters, calendar-
-  /// queue stats, SmallFn heap fallbacks) — only when streaming is on, so
-  /// the metrics CSV of a non-streaming run is untouched.
+  /// Registers the sim/... kernel self-metrics (fiber counters, event-queue
+  /// occupancy and traffic, SmallFn heap fallbacks) — only when streaming is
+  /// on, so the metrics CSV of a non-streaming run is untouched.
   void register_sim_metrics();
   /// One stream tick: close the current window, then weakly re-arm.
   void stream_tick();

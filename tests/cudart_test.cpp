@@ -215,6 +215,58 @@ TEST(CudaRuntime, DefaultStreamBarriersOtherStreams) {
   EXPECT_EQ(done, msec(30));
 }
 
+TEST(CudaRuntime, DefaultStreamReleasesPrivateStreamsInAscendingId) {
+  Fixture f;
+  auto pid = f.rt->create_process();
+  struct Done {
+    cudaStream_t stream;
+    SimTime submitted, completed;
+    std::uint64_t seq;
+  };
+  std::vector<Done> done;
+  f.rt->set_op_observer(
+      [&](ProcessId, cudaStream_t s, const gpu::GpuDevice::Op& op) {
+        done.push_back(Done{s, op.submitted, op.completed, op.seq});
+      });
+  cudaStream_t s[3] = {};
+  f.sim.spawn("app", [&] {
+    for (auto& st : s) {
+      ASSERT_EQ(f.rt->cudaStreamCreate(pid, &st), E::cudaSuccess);
+    }
+    // One op in flight on each private stream, then a second op pending
+    // behind it, enqueued in descending stream id.
+    for (auto st : s) {
+      ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(10), 0.2), st),
+                E::cudaSuccess);
+    }
+    for (int i = 2; i >= 0; --i) {
+      ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(10), 0.2), s[i]),
+                E::cudaSuccess);
+    }
+    ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(5), 0.2),
+                                     cudaStreamDefault),
+              E::cudaSuccess);
+    ASSERT_EQ(f.rt->cudaDeviceSynchronize(pid), E::cudaSuccess);
+  });
+  f.sim.run();
+  ASSERT_EQ(done.size(), 7u);
+  // The default-stream op waits for the first three ops to drain...
+  const Done& def = done[3];
+  ASSERT_EQ(def.stream, cudaStreamDefault);
+  EXPECT_EQ(def.submitted, msec(10));
+  EXPECT_EQ(def.completed, msec(15));
+  // ...and the pending private ops submit only once it has drained, in
+  // ascending stream id rather than in the order they were enqueued.
+  for (int i = 0; i < 3; ++i) {
+    const Done& d = done[4 + static_cast<std::size_t>(i)];
+    EXPECT_EQ(d.stream, s[i]);
+    EXPECT_EQ(d.submitted, def.completed);
+    if (i > 0) {
+      EXPECT_LT(done[3 + static_cast<std::size_t>(i)].seq, d.seq);
+    }
+  }
+}
+
 TEST(CudaRuntime, ConfigureCallRoutesLaunchToStream) {
   Fixture f;
   auto pid = f.rt->create_process();

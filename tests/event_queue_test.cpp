@@ -1,12 +1,11 @@
-// Determinism pins for the calendar-queue scheduler and the intrusive
-// Event wait cells.
+// Determinism pins for the event-queue scheduler and the intrusive Event
+// wait cells.
 //
-// The calendar queue replaced the seed's std::priority_queue<QueuedEvent>;
-// its contract is that events pop in exactly the same (time, seq) total
-// order the heap gave. A reference heap lives here (and only here) so
-// randomized schedules can be checked op-for-op against it — if the two
-// ever disagree, the simulator's bit-reproducibility is gone even when no
-// unit test of the kernel notices.
+// The EventQueue's contract is that events pop in exactly the (time, seq)
+// total order the seed's std::priority_queue<QueuedEvent> gave. A reference
+// heap lives here (and only here) so randomized schedules can be checked
+// op-for-op against it — if the two ever disagree, the simulator's
+// bit-reproducibility is gone even when no unit test of the kernel notices.
 #include "simcore/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -24,8 +23,8 @@ namespace strings::sim {
 namespace {
 
 /// The seed kernel's ordering, verbatim: a binary min-heap on (time, seq).
-/// Payload is the (time, seq, weak) triple — the CalendarQueue's SmallFn
-/// is irrelevant to ordering, so the reference carries none.
+/// Payload is the (time, seq, weak) triple — the EventQueue's SmallFn is
+/// irrelevant to ordering, so the reference carries none.
 struct RefKey {
   SimTime time;
   std::uint64_t seq;
@@ -37,14 +36,14 @@ struct RefKey {
 using RefHeap =
     std::priority_queue<RefKey, std::vector<RefKey>, std::greater<RefKey>>;
 
-void push_both(CalendarQueue& q, RefHeap& ref, SimTime time, std::uint64_t seq,
+void push_both(EventQueue& q, RefHeap& ref, SimTime time, std::uint64_t seq,
                bool weak = false) {
   q.push(time, seq, [] {}, weak);
   ref.push(RefKey{time, seq, weak});
 }
 
 /// Pops one event from each and asserts the full key matches.
-void pop_and_compare(CalendarQueue& q, RefHeap& ref) {
+void pop_and_compare(EventQueue& q, RefHeap& ref) {
   ASSERT_FALSE(q.empty());
   ASSERT_FALSE(ref.empty());
   EXPECT_EQ(q.min_time(), ref.top().time);
@@ -56,8 +55,8 @@ void pop_and_compare(CalendarQueue& q, RefHeap& ref) {
   ASSERT_EQ(got.weak, want.weak);
 }
 
-TEST(CalendarQueue, FifoTieBreakWithinEqualTimestamps) {
-  CalendarQueue q;
+TEST(EventQueue, FifoTieBreakWithinEqualTimestamps) {
+  EventQueue q;
   RefHeap ref;
   // A same-timestamp burst: FIFO order must fall out of seq alone.
   std::uint64_t seq = 0;
@@ -68,19 +67,19 @@ TEST(CalendarQueue, FifoTieBreakWithinEqualTimestamps) {
   EXPECT_TRUE(ref.empty());
 }
 
-TEST(CalendarQueue, RandomizedSchedulesMatchReferenceHeap) {
+TEST(EventQueue, RandomizedSchedulesMatchReferenceHeap) {
   // Several deterministic seeds x several time distributions. Pushes are
   // interleaved with pops (never below the popped floor, as in the real
   // kernel where schedule() uses now() + delay).
   for (std::uint32_t seed : {1u, 7u, 1234u, 987654u}) {
     std::mt19937 rng(seed);
-    CalendarQueue q;
+    EventQueue q;
     RefHeap ref;
     SimTime floor = 0;
     std::uint64_t seq = 0;
     std::uniform_int_distribution<int> op(0, 9);
     // Gap distributions: dense ties, microsecond steady state, and
-    // second-scale outliers (the startup-burst shape that forces retunes).
+    // second-scale outliers (a startup burst spanning seconds).
     std::uniform_int_distribution<SimTime> dense(0, 3);
     std::uniform_int_distribution<SimTime> steady(1, usec(5));
     std::uniform_int_distribution<SimTime> sparse(msec(1), SimTime{2} * sec(1));
@@ -90,7 +89,8 @@ TEST(CalendarQueue, RandomizedSchedulesMatchReferenceHeap) {
         const SimTime gap = mode < 5   ? dense(rng)
                             : mode < 9 ? steady(rng)
                                        : sparse(rng);
-        push_both(q, ref, floor + gap, seq++, /*weak=*/(seq % 7) == 0);
+        const bool weak = seq % 7 == 0;
+        push_both(q, ref, floor + gap, seq++, weak);
       } else {
         EXPECT_EQ(ref.top().time, q.min_time());
         floor = ref.top().time;
@@ -102,11 +102,10 @@ TEST(CalendarQueue, RandomizedSchedulesMatchReferenceHeap) {
   }
 }
 
-TEST(CalendarQueue, SurvivesHorizonShift) {
-  // Width tuned by a seconds-wide startup burst, then a microsecond-dense
-  // steady state lands in one fat bucket: the retune path must fire and the
-  // order must stay exact.
-  CalendarQueue q;
+TEST(EventQueue, SurvivesHorizonShift) {
+  // A seconds-wide startup burst, then a microsecond-dense steady state
+  // with many equal timestamps: the order must stay exact across the shift.
+  EventQueue q;
   RefHeap ref;
   std::uint64_t seq = 0;
   for (int i = 0; i < 64; ++i) push_both(q, ref, sec(1) * i, seq++);
@@ -114,6 +113,85 @@ TEST(CalendarQueue, SurvivesHorizonShift) {
   const SimTime base = sec(63);
   for (int i = 0; i < 512; ++i) push_both(q, ref, base + i % 17, seq++);
   while (!q.empty()) pop_and_compare(q, ref);
+}
+
+TEST(EventQueue, BimodalHorizonScheduleMatchesReferenceHeap) {
+  // The horizon mix the scale workloads schedule into one queue: zero-delay
+  // wakeups, microsecond-scale op churn, a 10 ms dispatcher epoch re-armed
+  // per device, and 0.1-10 s outliers (arrivals, detaches, stream ticks).
+  constexpr int kDevices = 32;
+  for (std::uint32_t seed : {5u, 99u, 31337u}) {
+    std::mt19937 rng(seed);
+    EventQueue q;
+    RefHeap ref;
+    std::uint64_t seq = 0;
+    std::vector<bool> is_epoch;  // by seq
+    auto push = [&](SimTime t, bool epoch, bool weak) {
+      is_epoch.push_back(epoch);
+      push_both(q, ref, t, seq++, weak);
+    };
+    // One epoch timer per device, staggered within the first epoch.
+    for (int d = 0; d < kDevices; ++d) push(usec(300) * d, true, false);
+    std::uniform_int_distribution<int> kind(0, 99);
+    std::uniform_int_distribution<SimTime> churn(1, usec(200));
+    std::uniform_int_distribution<SimTime> outlier(msec(100), sec(10));
+    std::uniform_int_distribution<int> fanout(0, 2);
+    for (int step = 0; step < 40000; ++step) {
+      const SimTime now = ref.top().time;
+      const bool epoch = is_epoch[ref.top().seq];
+      pop_and_compare(q, ref);
+      ASSERT_EQ(q.size(), ref.size());
+      if (epoch) push(now + msec(10), true, false);
+      for (int n = fanout(rng); n > 0; --n) {
+        const int k = kind(rng);
+        const SimTime delay = k < 40   ? 0
+                              : k < 95 ? churn(rng)
+                                       : outlier(rng);
+        push(now + delay, false, /*weak=*/k >= 97);
+      }
+    }
+    while (!q.empty()) pop_and_compare(q, ref);
+    EXPECT_TRUE(ref.empty());
+  }
+}
+
+/// A closure that counts its move constructions in a shared counter.
+struct MoveCounter {
+  int* moves;
+  bool* ran;
+  MoveCounter(int* m, bool* r) : moves(m), ran(r) {}
+  MoveCounter(const MoveCounter&) = default;
+  MoveCounter(MoveCounter&& o) noexcept : moves(o.moves), ran(o.ran) {
+    ++*moves;
+  }
+  void operator()() const { *ran = true; }
+};
+
+TEST(EventQueue, ClosureMovesAtMostOnceBeforeItRuns) {
+  // A queued closure stays where push constructed it, however far the slab
+  // grows around it; only pop moves it out. Counted closures are pushed
+  // first (the lowest slots), then 12k events grow the slab behind them.
+  constexpr int kCounted = 8;
+  int moves[kCounted] = {};
+  bool ran[kCounted] = {};
+  EventQueue q;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < kCounted; ++i) {
+    const MoveCounter c(&moves[i], &ran[i]);  // copied in, never moved in
+    q.push(msec(5) + i, seq++, c, /*weak=*/false);
+  }
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<SimTime> when(0, msec(10));
+  for (int i = 0; i < 12000; ++i) q.push(when(rng), seq++, [] {}, false);
+  for (int i = 0; i < kCounted; ++i) EXPECT_EQ(moves[i], 0) << "closure " << i;
+  while (!q.empty()) {
+    EventRecord ev = q.pop();
+    ev.fn();
+  }
+  for (int i = 0; i < kCounted; ++i) {
+    EXPECT_TRUE(ran[i]) << "closure " << i;
+    EXPECT_LE(moves[i], 1) << "closure " << i;
+  }
 }
 
 TEST(Simulation, SameTimestampCallbacksRunInScheduleOrder) {

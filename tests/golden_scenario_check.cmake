@@ -1,6 +1,6 @@
 # Drives run_scenario on one scenario and pins every artifact byte-for-byte
 # against the committed goldens in tests/data/golden/. This is the kernel
-# refactor's determinism gate: fibers, the calendar queue, and the flat
+# refactors' determinism gate: fibers, the event queue, and the flat
 # tables may change wall-clock speed, never virtual-time behaviour.
 #
 # Artifact-specific normalization, mirrored exactly by the regeneration
