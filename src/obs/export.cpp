@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/number.hpp"
+
 namespace strings::obs {
 
 namespace {
@@ -33,11 +35,11 @@ void write_args(std::ostream& os, const std::vector<TraceArg>& args) {
 
 void write_counter(std::ostream& os, const Tracer::Track& t,
                    const std::string& name, sim::SimTime ts, double value) {
-  char val[48];
-  std::snprintf(val, sizeof val, "%.17g", value);
+  char val[kG17Chars];
   os << "{\"ph\":\"C\",\"name\":\"" << json_escape(name)
      << "\",\"pid\":" << t.pid << ",\"tid\":" << t.tid
-     << ",\"ts\":" << fmt_us(ts) << ",\"args\":{\"value\":" << val << "}}";
+     << ",\"ts\":" << fmt_us(ts)
+     << ",\"args\":{\"value\":" << format_g17(value, val) << "}}";
 }
 
 }  // namespace

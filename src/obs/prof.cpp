@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/export.hpp"
+#include "obs/number.hpp"
 #include "simcore/flat_map.hpp"
 
 namespace strings::obs::prof {
@@ -657,11 +658,9 @@ void render(const Report& r, std::ostream& os) {
 }
 
 void write_exemplars_jsonl(const Report& r, std::ostream& os) {
-  char num[48];
-  const auto ms = [&](sim::SimTime ns) -> const char* {
-    std::snprintf(num, sizeof num, "%.17g",
-                  static_cast<double>(ns) / 1e6);
-    return num;
+  char num[kG17Chars];
+  const auto ms = [&](sim::SimTime ns) {
+    return format_g17(static_cast<double>(ns) / 1e6, num);
   };
   for (const auto& ex : r.exemplars) {
     os << "{\"schema\":\"strings.exemplar.v1\",\"id\":\""
@@ -705,19 +704,13 @@ void write_exemplars_jsonl(const Report& r, std::ostream& os) {
   }
 }
 
-std::vector<std::string> exemplar_ids_for_window(
-    const std::vector<std::pair<sim::SimTime, std::uint64_t>>& latency_by_app,
-    std::int64_t window, int k) {
-  // Exemplar ids are positional — "w{window}.{rank}" for the top
-  // min(k, completions) — so only the count matters here; which request
-  // lands behind each rank is decided by the shared (latency desc, app_id
-  // asc) order when profile() materializes the lines.
+std::vector<std::string> exemplar_ids_for_window(std::int64_t completions,
+                                                 std::int64_t window, int k) {
   std::vector<std::string> ids;
-  const std::size_t n =
-      std::min(latency_by_app.size(),
-               static_cast<std::size_t>(k > 0 ? k : 0));
-  ids.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) {
+  const std::int64_t n = std::max<std::int64_t>(
+      0, std::min<std::int64_t>(completions, k));
+  ids.reserve(static_cast<std::size_t>(n));
+  for (std::int64_t r = 0; r < n; ++r) {
     ids.push_back("w" + std::to_string(window) + "." +
                   std::to_string(r + 1));
   }

@@ -207,15 +207,15 @@ void render(const Report& r, std::ostream& os);
 /// single emitter both `run_scenario --exemplars` (online) and
 /// `tools/strings_prof --exemplars` (offline) call, so the two byte-match.
 void write_exemplars_jsonl(const Report& r, std::ostream& os);
-/// Selects per-window top-K exemplar ids for requests completing in
-/// `window` (= completed_at / window_ns): latency-descending, app_id
-/// ascending. Returned ids are "w{window}.{rank}". Shared by the live
-/// stream (Testbed window close) and profile()'s end-of-run derivation so
-/// the ids referenced from SLO alerts match the exemplar lines exactly.
-std::vector<std::string> exemplar_ids_for_window(
-    const std::vector<std::pair<sim::SimTime, std::uint64_t>>&
-        latency_by_app,  // (wall ns, app_id) of completions in the window
-    std::int64_t window, int k);
+/// Per-window top-K exemplar ids for `completions` requests completing in
+/// `window` (= completed_at / window_ns): "w{window}.{rank}" for ranks
+/// 1..min(k, completions). The ids are positional; which request sits
+/// behind each rank (latency descending, app_id ascending) is decided when
+/// profile() materializes the exemplar lines at run end, so the ids the
+/// live stream (Testbed window close) and SLO alerts reference match
+/// those lines exactly.
+std::vector<std::string> exemplar_ids_for_window(std::int64_t completions,
+                                                 std::int64_t window, int k);
 /// Mirrors the report into prof/... registry instruments so --metrics CSV
 /// carries the same attribution (only called when prof is enabled).
 void export_to_registry(const Report& r, Registry& reg);

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/number.hpp"
+
 namespace strings::obs {
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
@@ -64,7 +66,8 @@ std::size_t Registry::size() const {
 }
 
 void Registry::for_each(
-    const std::function<void(const std::string&, double)>& scalar,
+    const std::function<void(const std::string&, const Counter&)>& counter,
+    const std::function<void(const std::string&, const Gauge&)>& gauge,
     const std::function<void(const std::string&, const Histogram&)>& hist)
     const {
   // Merge the three name-sorted maps into one lexicographic stream.
@@ -84,10 +87,10 @@ void Registry::for_each(
   };
   while (const std::string* name = next_name()) {
     if (c != counters_.end() && &c->first == name) {
-      scalar(*name, static_cast<double>(c->second->value()));
+      counter(*name, *c->second);
       ++c;
     } else if (g != gauges_.end() && &g->first == name) {
-      scalar(*name, g->second->value());
+      gauge(*name, *g->second);
       ++g;
     } else {
       hist(*name, *h->second);
@@ -99,8 +102,11 @@ void Registry::for_each(
 std::vector<Registry::Sample> Registry::collect() const {
   std::vector<Sample> out;
   for_each(
-      [&](const std::string& name, double v) {
-        out.push_back({name, "value", v});
+      [&](const std::string& name, const Counter& c) {
+        out.push_back({name, "value", static_cast<double>(c.value())});
+      },
+      [&](const std::string& name, const Gauge& g) {
+        out.push_back({name, "value", g.value()});
       },
       [&](const std::string& name, const Histogram& hist) {
         out.push_back({name, "count", static_cast<double>(hist.count())});
@@ -122,10 +128,9 @@ std::string Registry::to_csv() const {
   std::ostringstream os;
   os << "metric,field,value\n";
   for (const auto& s : collect()) {
-    char buf[64];
-    // %.17g round-trips doubles; integers render without a trailing ".0".
-    std::snprintf(buf, sizeof buf, "%.17g", s.value);
-    os << s.metric << ',' << s.field << ',' << buf << '\n';
+    char buf[kG17Chars];
+    os << s.metric << ',' << s.field << ',' << format_g17(s.value, buf)
+       << '\n';
   }
   return os.str();
 }

@@ -95,11 +95,14 @@ class Registry {
   bool contains(const std::string& name) const;
   std::size_t size() const;
 
-  /// Visits every instrument, lexicographically by name: counters and
-  /// gauges through `scalar` with their current value, histograms through
-  /// `hist`. The one read path behind collect() and obs::TimeSeries.
+  /// Visits every instrument in one lexicographic walk by name, handing
+  /// each to the callback of its kind. Instruments are never removed and
+  /// live behind stable pointers, so a caller may keep the references as
+  /// handles for the registry's lifetime. The one read path behind
+  /// collect() and obs::TimeSeries.
   void for_each(
-      const std::function<void(const std::string&, double)>& scalar,
+      const std::function<void(const std::string&, const Counter&)>& counter,
+      const std::function<void(const std::string&, const Gauge&)>& gauge,
       const std::function<void(const std::string&, const Histogram&)>& hist)
       const;
 

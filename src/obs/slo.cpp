@@ -2,10 +2,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+
+#include "obs/number.hpp"
 
 namespace strings::obs {
 
@@ -236,9 +237,8 @@ void append_json_number(std::string* out, double v) {
     out->append("null");
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out->append(buf);
+  char buf[kG17Chars];
+  out->append(format_g17(v, buf));
 }
 
 void append_alert(std::string* out, const SloAlert& a) {

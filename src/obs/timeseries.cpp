@@ -1,8 +1,11 @@
 #include "obs/timeseries.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+
+#include "obs/number.hpp"
 
 namespace strings::obs {
 
@@ -30,52 +33,69 @@ double WindowHistogram::quantile(double q) const {
   return histogram_quantile(bounds, cum, q);
 }
 
-TimeSeries::TimeSeries(Config config) : config_(config) {
+TimeSeries::TimeSeries(const Registry& registry, Config config)
+    : registry_(registry), config_(config) {
   if (config_.window <= 0) {
     throw std::invalid_argument("TimeSeries window must be positive");
   }
-  if (config_.retain == 0) config_.retain = 1;
 }
 
-const Window& TimeSeries::close_window(const Registry& registry,
-                                       sim::SimTime end, bool partial) {
-  Window w;
+void TimeSeries::resolve() {
+  scalars_.clear();
+  hists_.clear();
+  // A name seen for the first time starts at 0, so its first window's delta
+  // is its whole cumulative value.
+  const auto point = [this](const std::string& name) {
+    return &window_.series.try_emplace(name).first->second;
+  };
+  registry_.for_each(
+      [&](const std::string& name, const Counter& c) {
+        scalars_.push_back({&c, nullptr, point(name)});
+      },
+      [&](const std::string& name, const Gauge& g) {
+        scalars_.push_back({nullptr, &g, point(name)});
+      },
+      [&](const std::string& name, const Histogram& h) {
+        hists_.push_back({&name, &h, &prev_hist_[name]});
+      });
+  resolved_size_ = registry_.size();
+}
+
+const Window& TimeSeries::close_window(sim::SimTime end, bool partial) {
+  if (registry_.size() != resolved_size_) resolve();
+  Window& w = window_;
   w.index = next_index_++;
   w.start = last_end_;
   w.end = end;
   w.partial = partial;
 
-  registry.for_each(
-      [&](const std::string& name, double value) {
-        double& prev = prev_scalar_[name];  // 0 before the first close
-        w.series.emplace_hint(w.series.end(), name,
-                              SeriesPoint{value, value - prev});
-        prev = value;
-      },
-      [&](const std::string& name, const Histogram& hist) {
-        HistState& prev = prev_hist_[name];  // empty before the first close
-        std::vector<std::int64_t> cum = hist.cumulative();
-        WindowHistogram h;
-        h.bounds = hist.bounds();
-        h.cum = cum;
-        // Cumulative-over-buckets of per-window bucket deltas equals the
-        // delta of the cumulative buckets, so the window histogram stays
-        // monotone.
-        for (std::size_t b = 0; b < prev.cum.size(); ++b) {
-          h.cum[b] -= prev.cum[b];
-        }
-        h.count = h.cum.back();
-        h.sum = hist.sum() - prev.sum;
-        prev = {std::move(cum), hist.sum()};
-        if (h.count > 0) {
-          w.hists.emplace_hint(w.hists.end(), name, std::move(h));
-        }
-      });
+  for (const ScalarHandle& s : scalars_) {
+    const double value = s.counter != nullptr
+                             ? static_cast<double>(s.counter->value())
+                             : s.gauge->value();
+    s.point->delta = value - s.point->value;
+    s.point->value = value;
+  }
+
+  w.hists.clear();
+  for (const HistHandle& h : hists_) {
+    HistState& prev = *h.prev;
+    if (h.hist->count() == prev.count) continue;  // idle: no entry
+    std::vector<std::int64_t> cum = h.hist->cumulative();
+    WindowHistogram wh;
+    wh.bounds = h.hist->bounds();
+    wh.cum = cum;
+    // Cumulative-over-buckets of per-window bucket deltas equals the delta
+    // of the cumulative buckets, so the window histogram stays monotone.
+    for (std::size_t b = 0; b < prev.cum.size(); ++b) wh.cum[b] -= prev.cum[b];
+    wh.count = wh.cum.back();
+    wh.sum = h.hist->sum() - prev.sum;
+    prev = {std::move(cum), h.hist->sum(), h.hist->count()};
+    w.hists.emplace_hint(w.hists.end(), *h.name, std::move(wh));
+  }
 
   last_end_ = end;
-  ring_.push_back(std::move(w));
-  while (ring_.size() > config_.retain) ring_.pop_front();
-  return ring_.back();
+  return w;
 }
 
 bool is_valid_reducer(const std::string& reducer) {
@@ -120,16 +140,23 @@ void append_double(std::string* out, double v) {
     out->append("null");
     return;
   }
-  char buf[64];
-  // %.17g round-trips doubles, matching the metrics CSV; integral values
-  // render without a trailing ".0" so the stream stays compact.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out->append(buf);
+  // %.17g, matching the metrics CSV; integral values render without a
+  // trailing ".0" so the stream stays compact.
+  char buf[kG17Chars];
+  out->append(format_g17(v, buf));
 }
 
 void append_json_string(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (const char ch : s) {
+  // Metric names almost never need escaping: append the plain prefix in
+  // one call and escape character by character only from the first
+  // special one on.
+  const auto plain_end = std::find_if(s.begin(), s.end(), [](char ch) {
+    return ch == '"' || ch == '\\' || static_cast<unsigned char>(ch) < 0x20;
+  });
+  out->append(s.begin(), plain_end);
+  for (auto it = plain_end; it != s.end(); ++it) {
+    const char ch = *it;
     switch (ch) {
       case '"':
         out->append("\\\"");

@@ -3,7 +3,8 @@
 //
 // The Registry is cumulative: counters only grow, histograms only fill.
 // TimeSeries turns that into fixed-width tumbling windows of *virtual* time:
-// at each window close it visits every instrument (Registry::for_each),
+// at each window close it reads every instrument through a handle resolved
+// from Registry::for_each (re-resolved only when the registry has grown),
 // diffs against the previous close, and derives per-window statistics —
 //
 //   scalar series (counters + gauges): value at close, delta over the window
@@ -12,11 +13,11 @@
 //     buckets is itself cumulative over buckets), from which interpolated
 //     window-local quantiles (p50/p95/p99) fall out.
 //
-// Windows are retained in a bounded ring (Config::retain) and handed to a
-// sink as they close, so a consumer can stream them out (JSONL, one line per
-// window) without waiting for run end. The sampling cadence rides on
-// Simulation::schedule_weak — the owner (workloads::Testbed) re-arms a weak
-// tick, so enabling the stream never extends a run.
+// One live Window is updated in place at each close and handed to a sink,
+// so a consumer can stream it out (JSONL, one line per window) without
+// waiting for run end; no closed window is kept. The sampling cadence rides
+// on Simulation::schedule_weak — the owner (workloads::Testbed) re-arms a
+// weak tick, so enabling the stream never extends a run.
 //
 // Everything here is a pure function of registry content and virtual time:
 // no wall clock, no randomness — a streamed .jsonl is byte-identical across
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -101,41 +101,61 @@ class TimeSeries {
   struct Config {
     /// Tumbling window width (virtual time).
     sim::SimTime window = sim::msec(10);
-    /// Closed windows kept in memory (windows() ring); the stream sink sees
-    /// every window regardless.
-    std::size_t retain = 256;
   };
 
-  explicit TimeSeries(Config config);
+  /// Windows over `registry`, which must outlive this TimeSeries.
+  TimeSeries(const Registry& registry, Config config);
+  TimeSeries(const TimeSeries&) = delete;
+  TimeSeries& operator=(const TimeSeries&) = delete;
 
   const Config& config() const { return config_; }
 
   /// Closes the window ending at `end` over the registry's current state
   /// and returns it. `end` must be strictly greater than the previous
   /// close. The returned reference is valid until the next close_window
-  /// call evicts it from the ring.
-  const Window& close_window(const Registry& registry, sim::SimTime end,
-                             bool partial = false);
+  /// call, which updates the same Window in place.
+  const Window& close_window(sim::SimTime end, bool partial = false);
 
   /// End of the last closed window (0 before the first close).
   sim::SimTime last_end() const { return last_end_; }
-  /// Total windows closed (monotonic; unaffected by ring eviction).
+  /// Total windows closed (monotonic).
   std::uint64_t windows_closed() const { return next_index_; }
-  /// The retained ring, oldest first.
-  const std::deque<Window>& windows() const { return ring_; }
 
  private:
+  struct HistState {
+    std::vector<std::int64_t> cum;  // empty until a close it moved in
+    double sum = 0.0;
+    std::int64_t count = 0;
+  };
+  /// A counter or a gauge (exactly one is set) and its series entry.
+  struct ScalarHandle {
+    const Counter* counter;
+    const Gauge* gauge;
+    SeriesPoint* point;
+  };
+  struct HistHandle {
+    const std::string* name;  // the registry's key
+    const Histogram* hist;
+    HistState* prev;
+  };
+  /// Rebuilds the handles in the registry's name order. Series entries and
+  /// histogram state persist across rebuilds, keyed by name.
+  void resolve();
+
+  const Registry& registry_;
   Config config_;
   std::uint64_t next_index_ = 0;
   sim::SimTime last_end_ = 0;
-  struct HistState {
-    std::vector<std::int64_t> cum;
-    double sum = 0.0;
-  };
-  /// Previous close's cumulative state, keyed by metric name.
-  std::map<std::string, double> prev_scalar_;
+  /// Registry::size() at the last resolve(). Instruments are never
+  /// removed, so an unchanged size means an unchanged instrument set.
+  std::size_t resolved_size_ = 0;
+  std::vector<ScalarHandle> scalars_;
+  std::vector<HistHandle> hists_;
+  /// Each histogram's cumulative state at the last close it moved in.
   std::map<std::string, HistState> prev_hist_;
-  std::deque<Window> ring_;
+  /// The live window: `series` holds each scalar's last close, so the next
+  /// close diffs against it in place.
+  Window window_;
 };
 
 /// Renders one window as a single line-delimited JSON object

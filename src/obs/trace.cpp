@@ -1,6 +1,6 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
+#include "obs/number.hpp"
 
 namespace strings::obs {
 
@@ -246,19 +246,32 @@ void Tracer::end_request(std::uint64_t app_id, sim::SimTime now) {
   r.completed_at = now;
   r.steps.push_back({ReqPhase::kComplete, now});
   if (r.issued_at >= 0) {
-    char weight[32];
-    std::snprintf(weight, sizeof(weight), "%.17g", r.tenant_weight);
+    if (completion_width_ > 0) {
+      const auto bucket = static_cast<std::size_t>(now / completion_width_);
+      if (bucket >= completions_.size()) completions_.resize(bucket + 1, 0);
+      ++completions_[bucket];
+    }
+    char weight[kG17Chars];
     complete(request_track(app_id), "request " + r.app_type, r.issued_at, now,
              {{"tenant", r.tenant},
               {"app_id", std::to_string(r.app_id)},
               {"origin", std::to_string(r.origin_node)},
               {"gid", std::to_string(r.bound_gid)},
               {"node", std::to_string(r.bound_node)},
-              {"weight", weight},
+              {"weight", std::string(format_g17(r.tenant_weight, weight))},
               {"issued", std::to_string(r.issued_at)},
               {"completed", std::to_string(r.completed_at)},
               {"steps", r.encode_steps()}});
   }
+}
+
+void Tracer::count_completions_per(sim::SimTime width) {
+  completion_width_ = width;
+}
+
+std::int64_t Tracer::completions_in(std::int64_t bucket) const {
+  const auto b = static_cast<std::size_t>(bucket);  // negative wraps high
+  return b < completions_.size() ? completions_[b] : 0;
 }
 
 void Tracer::set_meta(const std::string& key, const std::string& value) {

@@ -191,6 +191,13 @@ class Tracer {
   /// carry the full lifecycle (ids, binding, weight, encoded steps) so the
   /// exported JSON alone reproduces the profiler's input.
   void end_request(std::uint64_t app_id, sim::SimTime now);
+  /// Counts the completions of issued requests (issued_at >= 0) per
+  /// `width`-wide bucket of completion time (completed_at / width) as
+  /// end_request records them, so a per-window consumer reads a count
+  /// instead of rescanning requests(). Off until called; `width` > 0.
+  void count_completions_per(sim::SimTime width);
+  /// Completions counted in `bucket` so far (0 when not counting).
+  std::int64_t completions_in(std::int64_t bucket) const;
 
   // ---- interference flight recorder ----
   /// Turns the occupant flight recorder on. Off (the default), occupant()
@@ -233,6 +240,8 @@ class Tracer {
   std::map<std::pair<int, int>, int> link_tracks_;
   std::map<std::uint64_t, RequestTrace> requests_;
   std::map<std::string, std::string> meta_;
+  sim::SimTime completion_width_ = 0;  // 0: not counting
+  std::vector<std::int64_t> completions_;  // by completion bucket
   bool forensics_enabled_ = false;
   std::size_t forensics_capacity_ = kDefaultForensicsCapacity;
   std::deque<OccupantStamp> occupants_;

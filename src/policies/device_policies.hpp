@@ -140,6 +140,15 @@ class MqfqStickyPolicy final : public DeviceSchedPolicy {
   /// Current per-tenant virtual times (ns of per-unit-weight service),
   /// sorted by tenant name. For instruments and property tests.
   std::vector<std::pair<std::string, double>> vtimes() const;
+  /// vtimes() without the copies: calls fn(tenant_id, name, vt) for every
+  /// known tenant in name order, where tenant_id is the scheduler's dense
+  /// id (RcbSnapshot::tenant_id). For per-window instruments.
+  template <class Fn>
+  void for_each_vtime(Fn&& fn) const {
+    for (const std::uint32_t id : by_name_) {
+      fn(id, flows_[id].name, flows_[id].vt);
+    }
+  }
   /// Global virtual time: min over backlogged tenants at the last decision.
   double global_vtime() const { return global_vt_; }
   /// Tenants throttled (vt > global + T) at the last decision, sorted by

@@ -10,9 +10,6 @@ namespace strings::workloads {
 
 namespace {
 
-/// Closed stream windows retained in memory (the sink sees every window).
-constexpr std::size_t kStreamRetain = 256;
-
 /// Baseline-mode API wrapper: retires the pid -> tenant mapping when the
 /// app instance goes away. The exit flush runs first so the op observer
 /// attributes every last completion; without the erase the map grows by one
@@ -120,6 +117,9 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
         tracer_->set_meta("exemplar_k", std::to_string(config_.exemplars));
         tracer_->set_meta("window_ns",
                           std::to_string(config_.stream_window));
+        if (config_.stream_window > 0) {
+          tracer_->count_completions_per(config_.stream_window);
+        }
       }
     }
   }
@@ -361,11 +361,17 @@ void Testbed::register_metrics() {
 }
 
 void Testbed::init_stream() {
-  obs::TimeSeries::Config ts;
-  ts.window = config_.stream_window;
-  ts.retain = kStreamRetain;
-  timeseries_ = std::make_unique<obs::TimeSeries>(ts);
+  timeseries_ = std::make_unique<obs::TimeSeries>(
+      registry_, obs::TimeSeries::Config{config_.stream_window});
   register_sim_metrics();
+  for (const auto& daemon : daemons_) {
+    for (int dev = 0; dev < daemon->device_count(); ++dev) {
+      if (const auto* mqfq = dynamic_cast<const policies::MqfqStickyPolicy*>(
+              &daemon->scheduler(dev).policy())) {
+        mqfq_vtimes_.push_back({mqfq, {}});
+      }
+    }
+  }
   sim_.schedule_weak(config_.stream_window, [this] { stream_tick(); });
 }
 
@@ -396,7 +402,8 @@ void Testbed::register_sim_metrics() {
   });
   // Settable: updated by emit_window from the injected wall clock (bench
   // layer only); stays 0 — and therefore out of the stream — without one.
-  registry_.gauge("sim/wall_ms_per_window").set(0.0);
+  wall_ms_gauge_ = &registry_.gauge("sim/wall_ms_per_window");
+  wall_ms_gauge_->set(0.0);
 }
 
 void Testbed::attach_slo(std::vector<obs::SloRule> rules) {
@@ -433,27 +440,25 @@ void Testbed::emit_window(bool partial) {
   if (timeseries_ == nullptr) return;
   // MQFQ live instruments: per-tenant virtual time (ms of per-unit-weight
   // service, max across devices) so strings_top and the SLO watchdog see
-  // who is ahead/throttled under overload. Gauges register lazily and only
-  // on the streaming path, so non-MQFQ (and non-streaming) runs are
-  // byte-identical to before.
-  for (const auto& daemon : daemons_) {
-    for (int dev = 0; dev < daemon->device_count(); ++dev) {
-      const auto* mqfq = dynamic_cast<const policies::MqfqStickyPolicy*>(
-          &daemon->scheduler(dev).policy());
-      if (mqfq == nullptr) continue;
-      for (const auto& [tenant, vt] : mqfq->vtimes()) {
-        auto& g = registry_.gauge("mqfq/" + tenant + "/vtime");
-        if (vt / 1e6 > g.value()) g.set(vt / 1e6);
-      }
-    }
+  // who is ahead/throttled under overload. Each gauge registers at the
+  // first window close its tenant is known at, and only on the streaming
+  // path, so non-MQFQ (and non-streaming) runs are byte-identical to
+  // before.
+  for (MqfqVtimes& m : mqfq_vtimes_) {
+    m.policy->for_each_vtime(
+        [&](std::uint32_t id, const std::string& tenant, double vt) {
+          if (id >= m.gauges.size()) m.gauges.resize(id + 1, nullptr);
+          obs::Gauge*& g = m.gauges[id];
+          if (g == nullptr) g = &registry_.gauge("mqfq/" + tenant + "/vtime");
+          if (vt / 1e6 > g->value()) g->set(vt / 1e6);
+        });
   }
   if (wall_clock_ms_) {
     const double wall = wall_clock_ms_();
-    registry_.gauge("sim/wall_ms_per_window").set(wall - last_wall_ms_);
+    wall_ms_gauge_->set(wall - last_wall_ms_);
     last_wall_ms_ = wall;
   }
-  const obs::Window& w =
-      timeseries_->close_window(registry_, sim_.now(), partial);
+  const obs::Window& w = timeseries_->close_window(sim_.now(), partial);
   // Tail-exemplar ids of this window: positional ("w{index}.{rank}") over
   // the requests that completed in it, using the same completed_at /
   // window_ns convention the profiler derives the full exemplar lines
@@ -461,17 +466,9 @@ void Testbed::emit_window(bool partial) {
   std::vector<std::string> exemplar_ids;
   if (config_.exemplars > 0 && tracer_ != nullptr &&
       tracer_->forensics_enabled() && config_.stream_window > 0) {
-    std::vector<std::pair<sim::SimTime, std::uint64_t>> done;
-    for (const auto& [app_id, r] : tracer_->requests()) {
-      if (r.issued_at < 0 || r.completed_at < 0) continue;
-      if (r.completed_at / config_.stream_window !=
-          static_cast<sim::SimTime>(w.index)) {
-        continue;
-      }
-      done.push_back({r.completed_at - r.issued_at, app_id});
-    }
+    const auto index = static_cast<std::int64_t>(w.index);
     exemplar_ids = obs::prof::exemplar_ids_for_window(
-        done, static_cast<std::int64_t>(w.index), config_.exemplars);
+        tracer_->completions_in(index), index, config_.exemplars);
   }
   std::vector<obs::SloAlert> alerts;
   if (watchdog_ != nullptr) {

@@ -254,6 +254,16 @@ class Testbed final : public frontend::SchedulerDirectory {
   StreamSink stream_sink_;
   std::function<double()> wall_clock_ms_;
   double last_wall_ms_ = 0.0;
+  /// sim/wall_ms_per_window, cached at registration (streaming runs).
+  obs::Gauge* wall_ms_gauge_ = nullptr;
+  /// Each MQFQ device policy of a streaming run, found once at
+  /// init_stream, with its tenants' mqfq/<tenant>/vtime gauges indexed by
+  /// the scheduler's tenant id (nullptr until first registered).
+  struct MqfqVtimes {
+    const policies::MqfqStickyPolicy* policy;
+    std::vector<obs::Gauge*> gauges;
+  };
+  std::vector<MqfqVtimes> mqfq_vtimes_;
   /// Trace track for SLO alert instants, created on first alert.
   int slo_track_ = -1;
   std::vector<std::unique_ptr<backend::BackendDaemon>> daemons_;

@@ -10,6 +10,12 @@
 #  - analyze reports rewrite `.cpp:<line>` to `.cpp:LINE` (ANALYSIS_SITE
 #    embeds __LINE__, which moves on unrelated edits).
 #
+# A scenario with a committed <name>.stream.sha256 also gets a second,
+# streamed run (--trace --stream --exemplars 3): the telemetry JSONL, with
+# its 10 ms windows, per-window exemplar ids and trailing exemplar lines,
+# is pinned by SHA-256. It is a separate run because streaming registers
+# sim/... instruments that would change the plain run's metrics CSV.
+#
 # Arguments: -DCMD=<run_scenario> -DNAME=<scenario stem>
 #            -DSRC_DIR=<repo root> -DWORK_DIR=<scratch dir>
 foreach(arg CMD NAME SRC_DIR WORK_DIR)
@@ -69,6 +75,27 @@ string(REGEX REPLACE "\\.cpp:[0-9]+" ".cpp:LINE" got_an "${got_an}")
 file(READ "${golden_dir}/${NAME}.analyze.txt" want_an)
 if(NOT got_an STREQUAL want_an)
   message(FATAL_ERROR "${NAME}: analyze report diverged from golden")
+endif()
+
+if(EXISTS "${golden_dir}/${NAME}.stream.sha256")
+  set(stream "${WORK_DIR}/${NAME}.stream.jsonl")
+  execute_process(
+    COMMAND ${CMD} scenarios/${NAME}.scenario
+            --trace ${WORK_DIR}/${NAME}.stream.trace.json
+            --stream ${stream} --exemplars 3
+    WORKING_DIRECTORY ${SRC_DIR}
+    OUTPUT_QUIET
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "run_scenario ${NAME} --stream exited with ${rc}")
+  endif()
+  file(SHA256 "${stream}" got_sha)
+  file(READ "${golden_dir}/${NAME}.stream.sha256" want_sha)
+  string(STRIP "${want_sha}" want_sha)
+  if(NOT got_sha STREQUAL want_sha)
+    message(FATAL_ERROR
+      "${NAME}: stream.jsonl diverged\n  got  ${got_sha}\n  want ${want_sha}")
+  endif()
 endif()
 
 message(STATUS "${NAME}: all artifacts byte-identical to goldens")

@@ -1,11 +1,20 @@
 // Unit tests for the observability layer: the metrics registry, the tracer's
-// track/event model and request-lifecycle records, and the Chrome
-// trace-event export.
+// track/event model and request-lifecycle records, the Chrome trace-event
+// export, and the shared %.17g number formatter.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/export.hpp"
+#include "obs/number.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -214,6 +223,47 @@ TEST(Export, MetricsCsvRoundTrip) {
   std::ostringstream os;
   write_metrics_csv(reg, os);
   EXPECT_EQ(os.str(), reg.to_csv());
+}
+
+// ---- format_g17 ----
+
+std::string printf_g17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(FormatG17, MatchesPrintfOnSpecialValues) {
+  using lim = std::numeric_limits<double>;
+  const double neg_nan = -lim::quiet_NaN();
+  ASSERT_TRUE(std::signbit(neg_nan));
+  const std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.5, 100.0, 1e15, 1e16, 1e17,
+      123456789012345678.0, 9007199254740993.0, 1e-5, 1e-4, 0.0001234,
+      5e-324, -5e-324, lim::denorm_min(), lim::min(), -lim::min(),
+      lim::max(), lim::lowest(), lim::epsilon(), lim::infinity(),
+      -lim::infinity(), lim::quiet_NaN(), neg_nan, 6860.762308, 2.0e6};
+  for (const double v : values) {
+    char buf[kG17Chars];
+    EXPECT_EQ(std::string(format_g17(v, buf)), printf_g17(v)) << v;
+  }
+}
+
+TEST(FormatG17, MatchesPrintfOnRandomBitsAndValues) {
+  std::mt19937_64 rng(20261017);
+  std::uniform_int_distribution<std::int64_t> ints(-10'000'000, 10'000'000);
+  std::uniform_int_distribution<int> scale(0, 12);
+  char buf[kG17Chars];
+  for (int i = 0; i < 200'000; ++i) {
+    // Every bit pattern: subnormals, NaN payloads, huge exponents.
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    ASSERT_EQ(std::string(format_g17(v, buf)), printf_g17(v)) << bits;
+    // Values the obs artifacts actually carry: counts, ms and ratios.
+    const double d = double(ints(rng)) / std::pow(10.0, scale(rng));
+    ASSERT_EQ(std::string(format_g17(d, buf)), printf_g17(d)) << d;
+  }
 }
 
 }  // namespace

@@ -432,13 +432,13 @@ TEST(ProfForensics, OffByDefaultLeavesReportAndTracerClean) {
 }
 
 TEST(ProfForensics, ExemplarIdsArePositional) {
-  const std::vector<std::pair<sim::SimTime, std::uint64_t>> done = {
-      {5 * kMs, 1}, {9 * kMs, 2}, {7 * kMs, 3}};
-  const auto ids = obs::prof::exemplar_ids_for_window(done, 3, 2);
+  // Three completions in window 3, top-2 requested.
+  const auto ids = obs::prof::exemplar_ids_for_window(3, 3, 2);
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], "w3.1");
   EXPECT_EQ(ids[1], "w3.2");
-  EXPECT_TRUE(obs::prof::exemplar_ids_for_window({}, 3, 2).empty());
+  EXPECT_EQ(obs::prof::exemplar_ids_for_window(1, 3, 2).size(), 1u);
+  EXPECT_TRUE(obs::prof::exemplar_ids_for_window(0, 3, 2).empty());
 }
 
 TEST(ProfForensics, ExemplarsAreRankedAndSerializedDeterministically) {

@@ -200,8 +200,8 @@ TEST(SloWatchdog, HistogramReducerViaWindow) {
   Registry reg;
   auto& h = reg.histogram("tenant/a/queue_ms", default_latency_buckets_ms());
   for (int i = 0; i < 100; ++i) h.observe(80.0);
-  TimeSeries ts({});
-  const Window& w = ts.close_window(reg, sim::msec(10));
+  TimeSeries ts(reg, {});
+  const Window& w = ts.close_window(sim::msec(10));
 
   SloRule r;
   r.name = "queue";
