@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfenv>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -345,6 +348,84 @@ TEST(Simulation, ManyProcessesStress) {
   sim.run();
   EXPECT_EQ(done, 64);
   EXPECT_EQ(sim.live_processes(), 0);
+}
+
+
+// 1.0/3.0 computed at run time, so it rounds under the live MXCSR mode
+// (fegetround() reads the x87 control word instead).
+std::uint64_t runtime_third_bits() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return std::bit_cast<std::uint64_t>(one / three);
+}
+
+constexpr std::uint64_t kThirdNearest = std::bit_cast<std::uint64_t>(1.0 / 3.0);
+
+TEST(Fiber, FpControlStateIsPerFiber) {
+  // A process that switches to upward rounding keeps it across parks;
+  // the kernel, its callbacks and other processes keep round-to-nearest.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  ASSERT_EQ(runtime_third_bits(), kThirdNearest);
+  Simulation sim;
+  int upward_checks = 0;
+  int nearest_checks = 0;
+  auto expect_nearest = [&] {
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(runtime_third_bits(), kThirdNearest);
+    ++nearest_checks;
+  };
+  sim.spawn("upward", [&] {
+    std::fesetround(FE_UPWARD);
+    for (int i = 0; i < 4; ++i) {
+      sim.wait_for(usec(10));
+      EXPECT_EQ(std::fegetround(), FE_UPWARD);
+      EXPECT_EQ(runtime_third_bits(), kThirdNearest + 1);
+      ++upward_checks;
+    }
+  });
+  sim.spawn("nearest", [&] {
+    for (int i = 0; i < 4; ++i) {
+      sim.wait_for(i == 0 ? usec(5) : usec(10));
+      expect_nearest();
+    }
+  });
+  for (int i = 1; i <= 4; ++i) sim.schedule(usec(10 * i + 2), expect_nearest);
+  sim.run();
+  EXPECT_EQ(upward_checks, 4);
+  EXPECT_EQ(nearest_checks, 8);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(runtime_third_bits(), kThirdNearest);
+}
+
+[[gnu::noinline]] void park_then_throw(Simulation& sim) {
+  sim.wait_for(usec(1));
+  throw std::runtime_error("after park");
+}
+
+TEST(Fiber, FirstActivationIsAlignedAndExceptionsCrossParkedFrames) {
+  Simulation sim;
+  std::uintptr_t local_addr = 1;
+  std::string caught;
+  bool finished = false;
+  sim.spawn("body", [&] {
+    // Laundered through volatile so the compiler cannot assume the ABI's
+    // alignment and fold the check away.
+    alignas(16) char local[16] = {};
+    volatile std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(&local[0]);
+    local_addr = addr;
+    try {
+      park_then_throw(sim);
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    sim.wait_for(usec(1));
+    finished = true;
+  });
+  sim.run();
+  EXPECT_EQ(local_addr % 16, 0u);
+  EXPECT_EQ(caught, "after park");
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(sim.now(), usec(2));
 }
 
 }  // namespace
