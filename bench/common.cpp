@@ -13,6 +13,7 @@
 #include <unistd.h>
 #endif
 
+#include "obs/json.hpp"
 
 namespace strings::bench {
 
@@ -289,25 +290,26 @@ void flush_bench_report() {
   const char* path = bench_report_path();
   if (path == nullptr || report_entries().empty()) return;
   // The report file is shared by the whole bench sweep: merge with
-  // whatever an earlier binary wrote (same line-oriented schema
-  // tools/bench_gate parses), our entries winning on key collisions.
+  // whatever an earlier binary wrote, our entries winning on key
+  // collisions. Earlier entries keep their source text byte for byte.
   std::map<std::string, std::string> merged;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (in && std::getline(in, line)) {
-      const std::size_t q0 = line.find('"');
-      if (q0 == std::string::npos) continue;
-      const std::size_t q1 = line.find('"', q0 + 1);
-      if (q1 == std::string::npos) continue;
-      const std::size_t brace = line.find('{', q1);
-      const std::size_t close = line.rfind('}');
-      if (brace == std::string::npos || close == std::string::npos ||
-          close < brace) {
-        continue;
+  std::string text;
+  if (obs::json::read_file(path, &text)) {
+    obs::json::Reader reader(text);
+    obs::json::Value entry;
+    std::string key;
+    if (reader.begin_object()) {
+      while (reader.next_member(&key)) {
+        reader.peek();
+        const std::size_t start = reader.offset();
+        if (!reader.value(&entry)) break;
+        merged[key] = text.substr(start, reader.offset() - start);
       }
-      merged[line.substr(q0 + 1, q1 - q0 - 1)] =
-          line.substr(brace, close - brace + 1);
+    }
+    if (!reader.at_end()) {
+      std::fprintf(stderr, "warning: replacing unreadable %s: %s\n", path,
+                   reader.error().c_str());
+      merged.clear();
     }
   }
   for (const auto& [key, value] : report_entries()) merged[key] = value;
@@ -323,7 +325,7 @@ void flush_bench_report() {
   out << "{\n";
   std::size_t i = 0;
   for (const auto& [key, value] : merged) {
-    out << "  \"" << key << "\": " << value;
+    out << "  " << obs::json::quote(key) << ": " << value;
     if (++i < merged.size()) out << ",";
     out << "\n";
   }

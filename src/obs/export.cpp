@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/number.hpp"
+#include "obs/json.hpp"
 
 namespace strings::obs {
 
@@ -27,46 +27,21 @@ void write_args(std::ostream& os, const std::vector<TraceArg>& args) {
   os << "\"args\":{";
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i > 0) os << ',';
-    os << '"' << json_escape(args[i].key) << "\":\""
-       << json_escape(args[i].value) << '"';
+    os << json::quote(args[i].key) << ':' << json::quote(args[i].value);
   }
   os << '}';
 }
 
 void write_counter(std::ostream& os, const Tracer::Track& t,
                    const std::string& name, sim::SimTime ts, double value) {
-  char val[kG17Chars];
-  os << "{\"ph\":\"C\",\"name\":\"" << json_escape(name)
-     << "\",\"pid\":" << t.pid << ",\"tid\":" << t.tid
-     << ",\"ts\":" << fmt_us(ts)
-     << ",\"args\":{\"value\":" << format_g17(value, val) << "}}";
+  std::string val;
+  json::append_number(&val, value);
+  os << "{\"ph\":\"C\",\"name\":" << json::quote(name)
+     << ",\"pid\":" << t.pid << ",\"tid\":" << t.tid
+     << ",\"ts\":" << fmt_us(ts) << ",\"args\":{\"value\":" << val << "}}";
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -95,8 +70,8 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
   for (std::size_t pid = 0; pid < procs.size(); ++pid) {
     sep();
     os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(procs[pid].name)
-       << "\"}}";
+       << ",\"tid\":0,\"args\":{\"name\":" << json::quote(procs[pid].name)
+       << "}}";
     sep();
     os << "{\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":" << pid
        << ",\"tid\":0,\"args\":{\"sort_index\":" << procs[pid].sort_index
@@ -105,8 +80,8 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
   for (const auto& t : tracer.tracks()) {
     sep();
     os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << t.pid
-       << ",\"tid\":" << t.tid << ",\"args\":{\"name\":\""
-       << json_escape(t.name) << "\"}}";
+       << ",\"tid\":" << t.tid << ",\"args\":{\"name\":"
+       << json::quote(t.name) << "}}";
   }
 
   // Each GPU's KL/H2D/D2H spans (its compute and copy tracks), gathered by
@@ -127,16 +102,16 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
             d >= 0 && e.dur > 0) {
           busy[d].emplace_back(e.ts, e.ts + e.dur);
         }
-        os << "{\"ph\":\"X\",\"name\":\"" << json_escape(e.name)
-           << "\",\"pid\":" << t.pid << ",\"tid\":" << t.tid
+        os << "{\"ph\":\"X\",\"name\":" << json::quote(e.name)
+           << ",\"pid\":" << t.pid << ",\"tid\":" << t.tid
            << ",\"ts\":" << fmt_us(e.ts) << ",\"dur\":" << fmt_us(e.dur)
            << ',';
         write_args(os, e.args);
         os << '}';
         break;
       case Tracer::EventType::kInstant:
-        os << "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"" << json_escape(e.name)
-           << "\",\"pid\":" << t.pid << ",\"tid\":" << t.tid
+        os << "{\"ph\":\"i\",\"s\":\"t\",\"name\":" << json::quote(e.name)
+           << ",\"pid\":" << t.pid << ",\"tid\":" << t.tid
            << ",\"ts\":" << fmt_us(e.ts) << ',';
         write_args(os, e.args);
         os << '}';

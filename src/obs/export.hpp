@@ -34,7 +34,4 @@ void write_metrics_csv(const Registry& registry, std::ostream& os);
 /// Convenience: write_metrics_csv to `path`; false if unopenable.
 bool write_metrics_csv_file(const Registry& registry, const std::string& path);
 
-/// Escapes a string for embedding in a JSON string literal (no quotes).
-std::string json_escape(const std::string& s);
-
 }  // namespace strings::obs

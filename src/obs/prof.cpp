@@ -6,7 +6,7 @@
 #include <ostream>
 #include <utility>
 
-#include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/number.hpp"
 #include "simcore/flat_map.hpp"
 
@@ -663,11 +663,12 @@ void write_exemplars_jsonl(const Report& r, std::ostream& os) {
     return format_g17(static_cast<double>(ns) / 1e6, num);
   };
   for (const auto& ex : r.exemplars) {
-    os << "{\"schema\":\"strings.exemplar.v1\",\"id\":\""
-       << json_escape(ex.id) << "\",\"window\":" << ex.window
-       << ",\"rank\":" << ex.rank << ",\"app_id\":" << ex.req.app_id
-       << ",\"app\":\"" << json_escape(ex.req.app_type) << "\",\"tenant\":\""
-       << json_escape(ex.req.tenant) << "\",\"gid\":" << ex.req.gid
+    os << "{\"schema\":\"strings.exemplar.v1\",\"id\":" << json::quote(ex.id)
+       << ",\"window\":" << ex.window << ",\"rank\":" << ex.rank
+       << ",\"app_id\":" << ex.req.app_id
+       << ",\"app\":" << json::quote(ex.req.app_type)
+       << ",\"tenant\":" << json::quote(ex.req.tenant)
+       << ",\"gid\":" << ex.req.gid
        << ",\"node\":" << ex.req.node << ",\"wall_ms\":" << ms(ex.prof.wall)
        << ",\"issued_ms\":" << ms(ex.req.issued_at)
        << ",\"completed_ms\":" << ms(ex.req.completed_at) << ",\"buckets\":{";
@@ -688,7 +689,7 @@ void write_exemplars_jsonl(const Report& r, std::ostream& os) {
       for (const auto& [culprit, ns] : m) {
         if (!first_culprit) os << ',';
         first_culprit = false;
-        os << '"' << json_escape(culprit) << "\":" << ms(ns);
+        os << json::quote(culprit) << ':' << ms(ns);
       }
       os << '}';
     }

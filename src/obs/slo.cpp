@@ -1,12 +1,11 @@
 #include "obs/slo.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
-#include "obs/number.hpp"
+#include "obs/json.hpp"
 
 namespace strings::obs {
 
@@ -232,37 +231,26 @@ std::vector<SloAlert> SloWatchdog::evaluate(const Window& w) {
 
 namespace {
 
-void append_json_number(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
-  char buf[kG17Chars];
-  out->append(format_g17(v, buf));
-}
-
 void append_alert(std::string* out, const SloAlert& a) {
-  out->append("{\"rule\":\"");
-  out->append(a.rule);
-  out->append("\",\"series\":\"");
-  out->append(a.series);
-  out->append("\",\"severity\":\"");
-  out->append(a.severity);
-  out->append("\",\"window\":");
+  out->append("{\"rule\":");
+  json::append_string(out, a.rule);
+  out->append(",\"series\":");
+  json::append_string(out, a.series);
+  out->append(",\"severity\":");
+  json::append_string(out, a.severity);
+  out->append(",\"window\":");
   out->append(std::to_string(a.window));
   out->append(",\"at_ms\":");
-  append_json_number(out, sim::to_millis(a.at));
+  json::append_number(out, sim::to_millis(a.at));
   out->append(",\"value\":");
-  append_json_number(out, a.value);
+  json::append_number(out, a.value);
   out->append(",\"threshold\":");
-  append_json_number(out, a.threshold);
+  json::append_number(out, a.threshold);
   if (!a.exemplars.empty()) {
     out->append(",\"exemplars\":[");
     for (std::size_t i = 0; i < a.exemplars.size(); ++i) {
       if (i != 0) out->push_back(',');
-      out->push_back('"');
-      out->append(a.exemplars[i]);
-      out->push_back('"');
+      json::append_string(out, a.exemplars[i]);
     }
     out->push_back(']');
   }

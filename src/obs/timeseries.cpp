@@ -1,11 +1,9 @@
 #include "obs/timeseries.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
+#include <utility>
 
-#include "obs/number.hpp"
+#include "obs/json.hpp"
 
 namespace strings::obs {
 
@@ -131,60 +129,6 @@ std::optional<double> reduce_window(const Window& w, const std::string& series,
   return std::nullopt;  // "value" has no meaning for a window histogram
 }
 
-namespace {
-
-void append_double(std::string* out, double v) {
-  // JSON has no nan/inf literals; clamp to null (reducers never emit these,
-  // but a gauge callback could).
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
-  // %.17g, matching the metrics CSV; integral values render without a
-  // trailing ".0" so the stream stays compact.
-  char buf[kG17Chars];
-  out->append(format_g17(v, buf));
-}
-
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  // Metric names almost never need escaping: append the plain prefix in
-  // one call and escape character by character only from the first
-  // special one on.
-  const auto plain_end = std::find_if(s.begin(), s.end(), [](char ch) {
-    return ch == '"' || ch == '\\' || static_cast<unsigned char>(ch) < 0x20;
-  });
-  out->append(s.begin(), plain_end);
-  for (auto it = plain_end; it != s.end(); ++it) {
-    const char ch = *it;
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out->append(buf);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 void write_stream_line(std::ostream& os, const Window& w,
                        const std::string& alerts_json,
                        const std::vector<std::string>& exemplar_ids) {
@@ -193,9 +137,9 @@ void write_stream_line(std::ostream& os, const Window& w,
   line.append("{\"schema\":\"strings.stream.v1\",\"window\":");
   line.append(std::to_string(w.index));
   line.append(",\"start_ms\":");
-  append_double(&line, sim::to_millis(w.start));
+  json::append_number(&line, sim::to_millis(w.start));
   line.append(",\"end_ms\":");
-  append_double(&line, sim::to_millis(w.end));
+  json::append_number(&line, sim::to_millis(w.end));
   if (w.partial) line.append(",\"partial\":true");
   line.append(",\"series\":{");
   bool first = true;
@@ -203,11 +147,11 @@ void write_stream_line(std::ostream& os, const Window& w,
     if (p.delta == 0.0) continue;  // quiet series stay implicit
     if (!first) line.push_back(',');
     first = false;
-    append_json_string(&line, name);
+    json::append_string(&line, name);
     line.append(":{\"value\":");
-    append_double(&line, p.value);
+    json::append_number(&line, p.value);
     line.append(",\"delta\":");
-    append_double(&line, p.delta);
+    json::append_number(&line, p.delta);
     line.push_back('}');
   }
   line.append("},\"quantiles\":{");
@@ -215,17 +159,17 @@ void write_stream_line(std::ostream& os, const Window& w,
   for (const auto& [name, h] : w.hists) {
     if (!first) line.push_back(',');
     first = false;
-    append_json_string(&line, name);
+    json::append_string(&line, name);
     line.append(":{\"count\":");
     line.append(std::to_string(h.count));
     line.append(",\"sum\":");
-    append_double(&line, h.sum);
+    json::append_number(&line, h.sum);
     line.append(",\"p50\":");
-    append_double(&line, h.quantile(0.50));
+    json::append_number(&line, h.quantile(0.50));
     line.append(",\"p95\":");
-    append_double(&line, h.quantile(0.95));
+    json::append_number(&line, h.quantile(0.95));
     line.append(",\"p99\":");
-    append_double(&line, h.quantile(0.99));
+    json::append_number(&line, h.quantile(0.99));
     line.push_back('}');
   }
   line.push_back('}');
@@ -237,7 +181,7 @@ void write_stream_line(std::ostream& os, const Window& w,
     line.append(",\"exemplars\":[");
     for (std::size_t i = 0; i < exemplar_ids.size(); ++i) {
       if (i != 0) line.push_back(',');
-      append_json_string(&line, exemplar_ids[i]);
+      json::append_string(&line, exemplar_ids[i]);
     }
     line.push_back(']');
   }

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common.hpp"
+#include "obs/json.hpp"
 
 namespace strings {
 namespace {
@@ -78,8 +79,14 @@ TEST(BenchCommon, BenchReportRecordsSchemaAndMerges) {
   bench::flush_bench_report();
 
   const std::string report = slurp(path);
-  EXPECT_NE(report.find("\"other_bench/foo\""), std::string::npos)
-      << "merge dropped a foreign entry:\n" << report;
+  EXPECT_NE(report.find("\"other_bench/foo\": {\"makespan_s\":1.000000000,"
+                        "\"p50_s\":0.5,\"p99_s\":0.9,\"jain\":1.0}"),
+            std::string::npos)
+      << "merge dropped or rewrote a foreign entry:\n" << report;
+  obs::json::Value doc;
+  std::string error;
+  EXPECT_TRUE(obs::json::parse(report, &doc, &error)) << error << "\n"
+                                                      << report;
   const std::size_t entry = report.find("/bct-report\": {");
   ASSERT_NE(entry, std::string::npos) << report;
   for (const char* metric : {"makespan_s", "p50_s", "p99_s", "jain"}) {
@@ -91,6 +98,28 @@ TEST(BenchCommon, BenchReportRecordsSchemaAndMerges) {
   // Flushing again must be idempotent.
   bench::flush_bench_report();
   EXPECT_EQ(slurp(path), report);
+}
+
+TEST(BenchCommon, UnreadableReportIsReplaced) {
+  // A report that is not one JSON object (here a trailing comma, as a
+  // line-grepped subset leaves) is replaced by this binary's entries.
+  const std::string path =
+      ::testing::TempDir() + "/bct_report/BENCH_unreadable.json";
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path());
+  {
+    std::ofstream out(path);
+    out << "{\n  \"other_bench/foo\": {\"wall_s\":1},\n}\n";
+  }
+  ScopedEnv env("STRINGS_BENCH_REPORT", path);
+  bench::run("bct-unreadable", tiny_config());
+  bench::flush_bench_report();
+  const std::string report = slurp(path);
+  obs::json::Value doc;
+  std::string error;
+  ASSERT_TRUE(obs::json::parse(report, &doc, &error)) << error;
+  EXPECT_EQ(doc.find("other_bench/foo"), nullptr) << report;
+  EXPECT_NE(report.find("/bct-unreadable\": {"), std::string::npos) << report;
 }
 
 TEST(BenchCommon, RepeatedLabelsGetDistinctKeys) {

@@ -9,17 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
-#include <map>
-#include <memory>
 #include <string>
 #include <sys/wait.h>
 #include <tuple>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace {
 
@@ -75,170 +74,13 @@ std::vector<Finding> parse_findings(const std::string& out) {
   return v;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (same recursive-descent pattern as trace_check): just
-// enough to verify the SARIF report structurally.
-// ---------------------------------------------------------------------------
+using strings::obs::json::Value;
 
-struct Json {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
-
-  const Json& at(const std::string& key) const {
-    static const Json kMissing;
-    auto it = obj.find(key);
-    return it == obj.end() ? kMissing : it->second;
-  }
-};
-
-struct JsonParser {
-  const std::string& s;
-  std::size_t i = 0;
-  bool ok = true;
-
-  explicit JsonParser(const std::string& text) : s(text) {}
-
-  void ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool eat(char c) {
-    ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-
-  Json value() {
-    ws();
-    Json v;
-    if (!ok || i >= s.size()) {
-      ok = false;
-      return v;
-    }
-    const char c = s[i];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      v.kind = Json::kString;
-      v.str = string();
-      return v;
-    }
-    if (s.compare(i, 4, "true") == 0) {
-      v.kind = Json::kBool;
-      v.b = true;
-      i += 4;
-      return v;
-    }
-    if (s.compare(i, 5, "false") == 0) {
-      v.kind = Json::kBool;
-      i += 5;
-      return v;
-    }
-    if (s.compare(i, 4, "null") == 0) {
-      i += 4;
-      return v;
-    }
-    // number
-    std::size_t end = i;
-    while (end < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[end])) != 0 ||
-            s[end] == '-' || s[end] == '+' || s[end] == '.' ||
-            s[end] == 'e' || s[end] == 'E')) {
-      ++end;
-    }
-    if (end == i) {
-      ok = false;
-      return v;
-    }
-    v.kind = Json::kNumber;
-    v.num = std::atof(s.substr(i, end - i).c_str());
-    i = end;
-    return v;
-  }
-
-  std::string string() {
-    std::string out;
-    if (!eat('"')) return out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) {
-        const char e = s[i + 1];
-        i += 2;
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u': i += 4; out += '?'; break;
-          default: out += e;
-        }
-      } else {
-        out += s[i++];
-      }
-    }
-    if (!eat('"')) ok = false;
-    return out;
-  }
-
-  Json object() {
-    Json v;
-    v.kind = Json::kObject;
-    eat('{');
-    ws();
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      return v;
-    }
-    while (ok) {
-      const std::string key = string();
-      eat(':');
-      v.obj[key] = value();
-      ws();
-      if (i < s.size() && s[i] == ',') {
-        ++i;
-        continue;
-      }
-      break;
-    }
-    eat('}');
-    return v;
-  }
-
-  Json array() {
-    Json v;
-    v.kind = Json::kArray;
-    eat('[');
-    ws();
-    if (i < s.size() && s[i] == ']') {
-      ++i;
-      return v;
-    }
-    while (ok) {
-      v.arr.push_back(value());
-      ws();
-      if (i < s.size() && s[i] == ',') {
-        ++i;
-        continue;
-      }
-      break;
-    }
-    eat(']');
-    return v;
-  }
-};
-
-Json parse_json_file(const std::string& path, bool* ok) {
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  JsonParser p(text);
-  Json v = p.value();
-  p.ws();
-  *ok = p.ok && !text.empty() && p.i == text.size();
+Value parse_json_file(const std::string& path, bool* ok) {
+  std::string text;
+  Value v;
+  *ok = strings::obs::json::read_file(path, &text) &&
+        strings::obs::json::parse(text, &v, nullptr);
   return v;
 }
 
@@ -379,36 +221,36 @@ TEST(LintSarif, ReportIsWellFormedAndMirrorsTheFindings) {
   EXPECT_EQ(r.exit_code, 1) << r.output;
 
   bool ok = false;
-  const Json doc = parse_json_file(out, &ok);
+  const Value doc = parse_json_file(out, &ok);
   ASSERT_TRUE(ok) << "SARIF is not valid JSON";
-  EXPECT_EQ(doc.at("version").str, "2.1.0");
-  ASSERT_EQ(doc.at("runs").arr.size(), 1u);
-  const Json& run0 = doc.at("runs").arr[0];
-  const Json& driver = run0.at("tool").at("driver");
-  EXPECT_EQ(driver.at("name").str, "strings_lint");
-  ASSERT_EQ(driver.at("rules").arr.size(), 12u);  // DL001..DL012
+  EXPECT_EQ(doc["version"].text, "2.1.0");
+  ASSERT_EQ(doc["runs"].items.size(), 1u);
+  const Value& run0 = doc["runs"].items[0];
+  const Value& driver = run0["tool"]["driver"];
+  EXPECT_EQ(driver["name"].text, "strings_lint");
+  ASSERT_EQ(driver["rules"].items.size(), 12u);  // DL001..DL012
   for (int i = 0; i < 12; ++i) {
     char id[8];
     std::snprintf(id, sizeof(id), "DL%03d", i + 1);
-    EXPECT_EQ(driver.at("rules").arr[i].at("id").str, id);
+    EXPECT_EQ(driver["rules"].items[i]["id"].text, id);
   }
 
-  const std::vector<Json>& results = run0.at("results").arr;
+  const std::vector<Value>& results = run0["results"].items;
   ASSERT_EQ(results.size(), 16u);
   bool saw_dl009 = false;
-  for (const Json& res : results) {
-    EXPECT_FALSE(res.at("ruleId").str.empty());
-    EXPECT_EQ(res.at("level").str, "error");  // nothing baselined here
-    EXPECT_FALSE(res.at("message").at("text").str.empty());
-    ASSERT_EQ(res.at("locations").arr.size(), 1u);
-    const Json& loc = res.at("locations").arr[0].at("physicalLocation");
-    EXPECT_FALSE(loc.at("artifactLocation").at("uri").str.empty());
-    EXPECT_GT(loc.at("region").at("startLine").num, 0);
-    if (res.at("ruleId").str == "DL009") {
+  for (const Value& res : results) {
+    EXPECT_FALSE(res["ruleId"].text.empty());
+    EXPECT_EQ(res["level"].text, "error");  // nothing baselined here
+    EXPECT_FALSE(res["message"]["text"].text.empty());
+    ASSERT_EQ(res["locations"].items.size(), 1u);
+    const Value& loc = res["locations"].items[0]["physicalLocation"];
+    EXPECT_FALSE(loc["artifactLocation"]["uri"].text.empty());
+    EXPECT_GT(loc["region"]["startLine"].number(), 0);
+    if (res["ruleId"].text == "DL009") {
       saw_dl009 = true;
-      EXPECT_EQ(loc.at("artifactLocation").at("uri").str,
+      EXPECT_EQ(loc["artifactLocation"]["uri"].text,
                 "lint_corpus/dl009_pos.cpp");
-      EXPECT_EQ(loc.at("region").at("startLine").num, 14);
+      EXPECT_EQ(loc["region"]["startLine"].number(), 14);
     }
   }
   EXPECT_TRUE(saw_dl009);
@@ -426,14 +268,15 @@ TEST(LintSarif, BaselinedFindingsDowngradeToSuppressedNotes) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 
   bool ok = false;
-  const Json doc = parse_json_file(out, &ok);
+  const Value doc = parse_json_file(out, &ok);
   ASSERT_TRUE(ok);
-  const std::vector<Json>& results = doc.at("runs").arr[0].at("results").arr;
+  ASSERT_EQ(doc["runs"].items.size(), 1u);
+  const std::vector<Value>& results = doc["runs"].items[0]["results"].items;
   ASSERT_EQ(results.size(), 16u);
-  for (const Json& res : results) {
-    EXPECT_EQ(res.at("level").str, "note");
-    ASSERT_EQ(res.at("suppressions").arr.size(), 1u);
-    EXPECT_EQ(res.at("suppressions").arr[0].at("kind").str, "external");
+  for (const Value& res : results) {
+    EXPECT_EQ(res["level"].text, "note");
+    ASSERT_EQ(res["suppressions"].items.size(), 1u);
+    EXPECT_EQ(res["suppressions"].items[0]["kind"].text, "external");
   }
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/number.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -193,10 +194,15 @@ TEST(ReqPhaseNames, CoverLifecycle) {
 // ---- export ----
 
 TEST(Export, JsonEscapesControlAndQuote) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  const auto str = [](const std::string& s) {
+    std::string out;
+    json::append_string(&out, s);
+    return out;
+  };
+  EXPECT_EQ(str("plain"), "\"plain\"");
+  EXPECT_EQ(str("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(str("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
+  EXPECT_EQ(str(std::string(1, '\x01')), "\"\\u0001\"");
 }
 
 TEST(Export, ChromeTraceShapeAndTimestamps) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
@@ -238,6 +239,38 @@ TEST(SloAlerts, RenderingsAreDeterministic) {
   const std::string jsonl = os.str();
   EXPECT_NE(jsonl.find("\"schema\":\"strings.alert.v1\""), std::string::npos);
   EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
+}
+
+TEST(SloAlerts, NamesNeedingEscapesReadBackUnchanged) {
+  SloAlert a;
+  a.rule = "rule \"q\"";
+  a.series = "tenant/check\"out\\svc/queue_ms";
+  a.severity = "fail\n";
+  a.exemplars = {"w1.\"1\""};
+
+  std::ostringstream alerts;
+  write_alerts_jsonl(alerts, {a});
+  Registry reg;
+  TimeSeries ts(reg, {});
+  std::ostringstream stream;
+  write_stream_line(stream, ts.close_window(sim::msec(10), false),
+                    render_alerts_json({a}), a.exemplars);
+
+  json::Value line, window;
+  ASSERT_TRUE(json::parse(alerts.str(), &line, nullptr)) << alerts.str();
+  ASSERT_TRUE(json::parse(stream.str(), &window, nullptr)) << stream.str();
+  ASSERT_EQ(window["alerts"].items.size(), 1u);
+  const auto expect_alert = [&a](const json::Value& v) {
+    EXPECT_EQ(v["rule"].text, a.rule);
+    EXPECT_EQ(v["series"].text, a.series);
+    EXPECT_EQ(v["severity"].text, a.severity);
+    ASSERT_EQ(v["exemplars"].items.size(), 1u);
+    EXPECT_EQ(v["exemplars"].items[0].text, a.exemplars[0]);
+  };
+  expect_alert(line);
+  expect_alert(window["alerts"].items[0]);
+  ASSERT_EQ(window["exemplars"].items.size(), 1u);
+  EXPECT_EQ(window["exemplars"].items[0].text, a.exemplars[0]);
 }
 
 }  // namespace

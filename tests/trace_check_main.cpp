@@ -11,8 +11,8 @@
 //   $ trace_check --exemplars out.jsonl  # strings.exemplar.v1 tail lines
 //
 // Checks, in order:
-//   1. the file is syntactically valid JSON (full recursive-descent parse —
-//      no dependency on an external JSON library);
+//   1. the file is syntactically valid JSON (a full strict parse through
+//      obs/json, walking traceEvents one event at a time);
 //   2. the top level is an object with a "traceEvents" array of objects;
 //   3. the expected observability tracks and events are present: per-device
 //      compute/copy/dispatch thread names, KL / H2D / D2H op spans,
@@ -20,315 +20,145 @@
 //
 // Exits 0 when all checks pass; prints the first failure and exits 1
 // otherwise.
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
+#include <vector>
+
+#include "obs/json.hpp"
 
 namespace {
 
-// ---- minimal JSON recursive-descent parser -------------------------------
-// Validates syntax and calls out to a sink for every string value so the
-// content checks don't need a DOM.
+namespace json = strings::obs::json;
 
-struct Parser {
-  const std::string& text;
-  std::size_t pos = 0;
-  std::string error;
-  int depth = 0;
-  // Every parsed string, plus (key, value) pairs for object members whose
-  // values are strings — enough to find names and track titles.
-  std::set<std::string>* strings;
+/// Adds every object key and string value under `v` to `strings`.
+void collect(const json::Value& v, std::set<std::string>* strings) {
+  if (v.kind == json::Value::Kind::kString) strings->insert(v.text);
+  for (const auto& item : v.items) collect(item, strings);
+  for (const auto& [key, member] : v.members) {
+    strings->insert(key);
+    collect(member, strings);
+  }
+}
 
-  bool fail(const std::string& what) {
-    if (error.empty()) {
-      error = what + " at byte " + std::to_string(pos);
+/// Walks a trace document, collecting every key and string value into
+/// `strings`. The top-level object's traceEvents array is read one event
+/// at a time, so the trace is never held as a tree. Returns the first way
+/// the document misses check 2 ("" when it has the shape); syntax errors
+/// are left in `r`.
+std::string walk_trace(json::Reader& r, std::set<std::string>* strings) {
+  json::Value v;
+  if (r.peek() != '{') {
+    r.value(&v);
+    return "top level is not an object";
+  }
+  std::string shape = "missing traceEvents";
+  std::string key;
+  r.begin_object();
+  while (r.next_member(&key)) {
+    strings->insert(key);
+    if (key != "traceEvents" || r.peek() != '[') {
+      if (key == "traceEvents") shape = "traceEvents is not an array";
+      if (!r.value(&v)) break;
+      collect(v, strings);
+      continue;
     }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-
-  bool parse_value() {
-    if (++depth > 256) return fail("nesting too deep");
-    skip_ws();
-    if (pos >= text.size()) return fail("unexpected end of input");
-    bool ok = false;
-    const char c = text[pos];
-    if (c == '{') {
-      ok = parse_object();
-    } else if (c == '[') {
-      ok = parse_array();
-    } else if (c == '"') {
-      std::string out;
-      ok = parse_string(out);
-      if (ok) strings->insert(out);
-    } else if (c == 't') {
-      ok = parse_literal("true");
-    } else if (c == 'f') {
-      ok = parse_literal("false");
-    } else if (c == 'n') {
-      ok = parse_literal("null");
-    } else {
-      ok = parse_number();
-    }
-    --depth;
-    return ok;
-  }
-
-  bool parse_literal(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (text.compare(pos, n, lit) != 0) return fail("bad literal");
-    pos += n;
-    return true;
-  }
-
-  bool parse_number() {
-    const std::size_t start = pos;
-    if (pos < text.size() && text[pos] == '-') ++pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '+' || text[pos] == '-')) {
-      ++pos;
-    }
-    if (pos == start) return fail("expected a value");
-    return true;
-  }
-
-  bool parse_string(std::string& out) {
-    if (text[pos] != '"') return fail("expected string");
-    ++pos;
-    while (pos < text.size()) {
-      const char c = text[pos];
-      if (c == '"') {
-        ++pos;
-        return true;
+    if (shape == "missing traceEvents") shape.clear();
+    r.begin_array();
+    for (std::size_t i = 0; r.next_item(); ++i) {
+      if (r.peek() != '{' && shape.empty()) {
+        shape = "traceEvents[" + std::to_string(i) + "] is not an object";
       }
-      if (c == '\\') {
-        ++pos;
-        if (pos >= text.size()) return fail("bad escape");
-        const char e = text[pos];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u':
-            if (pos + 4 >= text.size()) return fail("bad \\u escape");
-            pos += 4;  // validated lexically only; content irrelevant here
-            break;
-          default: return fail("unknown escape");
-        }
-        ++pos;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("raw control character in string");
-      } else {
-        out += c;
-        ++pos;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_object() {
-    ++pos;  // '{'
-    skip_ws();
-    if (pos < text.size() && text[pos] == '}') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos >= text.size() || !parse_string(key)) {
-        return fail("expected object key");
-      }
-      strings->insert(key);
-      skip_ws();
-      if (pos >= text.size() || text[pos] != ':') return fail("expected ':'");
-      ++pos;
-      if (!parse_value()) return false;
-      skip_ws();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      return fail("expected ',' or '}'");
+      if (!r.value(&v)) break;
+      collect(v, strings);
     }
   }
-
-  bool parse_array() {
-    ++pos;  // '['
-    skip_ws();
-    if (pos < text.size() && text[pos] == ']') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      if (!parse_value()) return false;
-      skip_ws();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-};
+  return shape;
+}
 
 int check_failed(const std::string& path, const std::string& what) {
   std::fprintf(stderr, "trace_check: %s: %s\n", path.c_str(), what.c_str());
   return 1;
 }
 
-/// One JSONL line: must be a standalone JSON object carrying `schema` and
-/// every name in `required`. `strings` collects across lines.
-bool check_jsonl_line(const std::string& line, const char* schema,
-                      const char* const* required, std::size_t n_required,
-                      std::string* why) {
-  std::set<std::string> strings;
-  Parser p{line, 0, "", 0, &strings};
-  if (!p.parse_value()) {
-    *why = "invalid JSON: " + p.error;
-    return false;
-  }
-  p.skip_ws();
-  if (p.pos != line.size()) {
-    *why = "trailing garbage after JSON object";
-    return false;
-  }
-  if (line.empty() || line.front() != '{') {
-    *why = "line is not a JSON object";
-    return false;
-  }
-  if (strings.count(schema) == 0) {
-    *why = std::string("missing schema marker '") + schema + "'";
-    return false;
-  }
-  for (std::size_t i = 0; i < n_required; ++i) {
-    if (strings.count(required[i]) == 0) {
-      *why = std::string("missing required field '") + required[i] + "'";
-      return false;
-    }
-  }
-  return true;
-}
+/// A JSONL line schema and the members each of its lines must carry.
+struct Schema {
+  const char* name;
+  std::vector<std::string> required;
+};
 
-/// Validates a line-delimited JSON artifact. Streams must carry at least
-/// one window; an alerts file may legitimately be empty (healthy run).
-int check_jsonl(const std::string& path, const char* schema,
-                const char* const* required, std::size_t n_required,
+const Schema kStream = {"strings.stream.v1",
+                        {"window", "start_ms", "end_ms", "series",
+                         "quantiles"}};
+const Schema kAlert = {"strings.alert.v1",
+                       {"rule", "series", "severity", "window", "value",
+                        "threshold"}};
+const Schema kExemplar = {"strings.exemplar.v1",
+                          {"id", "window", "rank", "tenant", "wall_ms",
+                           "buckets", "culprits", "steps"}};
+
+/// Validates a line-delimited artifact: every line is a JSON object whose
+/// `schema` member names one of `schemas` and which carries that schema's
+/// required members. The first schema is the artifact's own and needs at
+/// least one line unless `allow_empty`; the others may trail it (a stream
+/// recorded with --exemplars appends strings.exemplar.v1 lines).
+int check_jsonl(const std::string& path, const std::vector<Schema>& schemas,
                 bool allow_empty) {
   std::ifstream in(path);
   if (!in) return check_failed(path, "cannot open file");
-  std::string line;
+  std::vector<long long> counts(schemas.size(), 0);
+  std::string line, error;
+  json::Value v;
   long long lines = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    ++lines;
-    std::string why;
-    if (!check_jsonl_line(line, schema, required, n_required, &why)) {
-      return check_failed(path,
-                          "line " + std::to_string(lines) + ": " + why);
+    const std::string where = "line " + std::to_string(++lines) + ": ";
+    if (!json::parse(line, &v, &error)) {
+      return check_failed(path, where + "invalid JSON: " + error);
     }
+    if (v.kind != json::Value::Kind::kObject) {
+      return check_failed(path, where + "line is not a JSON object");
+    }
+    std::size_t s = 0;
+    while (s < schemas.size() && v["schema"].text != schemas[s].name) ++s;
+    if (s == schemas.size()) {
+      return check_failed(path, where + "missing schema marker '" +
+                                    schemas[0].name + "'");
+    }
+    for (const std::string& field : schemas[s].required) {
+      if (v.find(field) == nullptr) {
+        return check_failed(path,
+                            where + "missing required field '" + field + "'");
+      }
+    }
+    ++counts[s];
   }
-  if (lines == 0 && !allow_empty) {
+  if (counts[0] == 0 && !allow_empty) {
     return check_failed(path, "no JSON lines found");
   }
-  std::printf("trace_check: %s OK (%lld %s lines)\n", path.c_str(), lines,
-              schema);
-  return 0;
-}
-
-const char* kExemplarRequired[] = {"id",      "window",   "rank",
-                                   "tenant",  "wall_ms",  "buckets",
-                                   "culprits", "steps"};
-
-/// Validates a telemetry stream file. A run recorded with --exemplars
-/// appends strings.exemplar.v1 lines after the final window; each line is
-/// validated against its own schema, and at least one window must exist.
-int check_stream(const std::string& path) {
-  const char* win_required[] = {"window", "start_ms", "end_ms", "series",
-                                "quantiles"};
-  std::ifstream in(path);
-  if (!in) return check_failed(path, "cannot open file");
-  std::string line;
-  long long lines = 0;
-  long long windows = 0;
-  long long exemplars = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    std::string why;
-    const bool is_exemplar =
-        line.find("\"strings.exemplar.v1\"") != std::string::npos;
-    const bool ok =
-        is_exemplar
-            ? check_jsonl_line(line, "strings.exemplar.v1", kExemplarRequired,
-                               8, &why)
-            : check_jsonl_line(line, "strings.stream.v1", win_required, 5,
-                               &why);
-    if (!ok) {
-      return check_failed(path, "line " + std::to_string(lines) + ": " + why);
-    }
-    if (is_exemplar) {
-      ++exemplars;
-    } else {
-      ++windows;
-    }
+  std::string summary =
+      std::to_string(counts[0]) + " " + schemas[0].name + " lines";
+  for (std::size_t s = 1; s < schemas.size(); ++s) {
+    if (counts[s] == 0) continue;
+    summary += ", " + std::to_string(counts[s]) + " " + schemas[s].name +
+               " lines";
   }
-  if (windows == 0) {
-    return check_failed(path, "no JSON lines found");
-  }
-  if (exemplars == 0) {
-    std::printf("trace_check: %s OK (%lld strings.stream.v1 lines)\n",
-                path.c_str(), windows);
-  } else {
-    std::printf("trace_check: %s OK (%lld strings.stream.v1 lines, "
-                "%lld strings.exemplar.v1 lines)\n",
-                path.c_str(), windows, exemplars);
-  }
+  std::printf("trace_check: %s OK (%s)\n", path.c_str(), summary.c_str());
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::string(argv[1]) == "--stream") {
-    return check_stream(argv[2]);
+  // An alerts file of a healthy run is empty, and so is the exemplars
+  // sidecar of a run whose windows saw no completions: both still valid.
+  const std::string flag = argc == 3 ? argv[1] : "";
+  if (flag == "--stream") {
+    return check_jsonl(argv[2], {kStream, kExemplar}, false);
   }
-  if (argc == 3 && std::string(argv[1]) == "--alerts") {
-    const char* required[] = {"rule", "series", "severity", "window",
-                              "value", "threshold"};
-    return check_jsonl(argv[2], "strings.alert.v1", required, 6,
-                       /*allow_empty=*/true);
-  }
-  if (argc == 3 && std::string(argv[1]) == "--exemplars") {
-    // A run whose windows saw no completions derives no exemplars; an
-    // empty sidecar is still a valid artifact.
-    return check_jsonl(argv[2], "strings.exemplar.v1", kExemplarRequired, 8,
-                       /*allow_empty=*/true);
-  }
+  if (flag == "--alerts") return check_jsonl(argv[2], {kAlert}, true);
+  if (flag == "--exemplars") return check_jsonl(argv[2], {kExemplar}, true);
   if (argc != 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: trace_check <trace.json>\n"
@@ -338,28 +168,24 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string path = argv[1];
-  std::ifstream in(path);
-  if (!in) return check_failed(path, "cannot open file");
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  std::string text;
+  if (!json::read_file(path, &text)) {
+    return check_failed(path, "cannot open file");
+  }
   if (text.empty()) return check_failed(path, "file is empty");
 
   std::set<std::string> strings;
-  Parser p{text, 0, "", 0, &strings};
-  if (!p.parse_value()) return check_failed(path, "invalid JSON: " + p.error);
-  p.skip_ws();
-  if (p.pos != text.size()) {
-    return check_failed(path, "trailing garbage after JSON document");
+  json::Reader r(text);
+  const std::string shape = walk_trace(r, &strings);
+  if (!r.ok() || !r.at_end()) {
+    return check_failed(path, "invalid JSON: " + r.error());
   }
 
   // Structural expectations of the object form.
   if (text.rfind("{\"displayTimeUnit\"", 0) != 0) {
     return check_failed(path, "not the object-form Chrome trace");
   }
-  if (strings.count("traceEvents") == 0) {
-    return check_failed(path, "missing traceEvents");
-  }
+  if (!shape.empty()) return check_failed(path, shape);
 
   // Content expectations: every name the observability layer promises.
   const char* required[] = {

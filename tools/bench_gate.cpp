@@ -30,55 +30,39 @@
 // (possibly with warnings), 1 regression beyond the fail tolerance,
 // 2 usage/IO error.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace {
+
+namespace json = strings::obs::json;
 
 using Entry = std::map<std::string, double>;
 using Table = std::map<std::string, Entry>;
 
-/// Parses the line-oriented JSON bench/common writes: one
-///   "label": {"metric":value,...},
-/// entry per line. Returns false on unreadable file.
-bool load_table(const char* path, Table& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t kq0 = line.find('"');
-    if (kq0 == std::string::npos) continue;
-    const std::size_t kq1 = line.find('"', kq0 + 1);
-    if (kq1 == std::string::npos) continue;
-    const std::size_t brace = line.find('{', kq1);
-    if (brace == std::string::npos) continue;
-    const std::string key = line.substr(kq0 + 1, kq1 - kq0 - 1);
+/// Reads a report: an object of label -> {metric: number, ...}. Members
+/// that are not numbers are ignored. False (with the reason in `*error`)
+/// when the file cannot be read or is not valid JSON.
+bool load_table(const char* path, Table& out, std::string* error) {
+  std::string text;
+  json::Value doc;
+  if (!json::read_file(path, &text)) {
+    *error = "cannot open file";
+    return false;
+  }
+  if (!json::parse(text, &doc, error)) return false;
+  for (const auto& [label, metrics] : doc.members) {
     Entry entry;
-    std::size_t pos = brace + 1;
-    while (true) {
-      const std::size_t mq0 = line.find('"', pos);
-      if (mq0 == std::string::npos) break;
-      const std::size_t mq1 = line.find('"', mq0 + 1);
-      if (mq1 == std::string::npos) break;
-      const std::size_t colon = line.find(':', mq1);
-      if (colon == std::string::npos) break;
-      const std::string metric = line.substr(mq0 + 1, mq1 - mq0 - 1);
-      entry[metric] = std::strtod(line.c_str() + colon + 1, nullptr);
-      const std::size_t comma = line.find(',', colon);
-      const std::size_t close = line.find('}', colon);
-      if (comma == std::string::npos || (close != std::string::npos &&
-                                         close < comma)) {
-        break;
-      }
-      pos = comma + 1;
+    for (const auto& [metric, v] : metrics.members) {
+      if (v.kind == json::Value::Kind::kNumber) entry[metric] = v.number();
     }
-    if (!entry.empty()) out[key] = entry;
+    if (!entry.empty()) out[label] = entry;
   }
   return true;
 }
@@ -110,12 +94,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   Table baseline, report;
-  if (!load_table(paths[0], baseline)) {
-    std::fprintf(stderr, "bench_gate: cannot read baseline %s\n", paths[0]);
+  std::string error;
+  if (!load_table(paths[0], baseline, &error)) {
+    std::fprintf(stderr, "bench_gate: cannot read baseline %s: %s\n",
+                 paths[0], error.c_str());
     return 2;
   }
-  if (!load_table(paths[1], report)) {
-    std::fprintf(stderr, "bench_gate: cannot read report %s\n", paths[1]);
+  if (!load_table(paths[1], report, &error)) {
+    std::fprintf(stderr, "bench_gate: cannot read report %s: %s\n",
+                 paths[1], error.c_str());
     return 2;
   }
 

@@ -11,238 +11,31 @@
 // the same obs::prof engine, so the two reports are byte-for-byte identical
 // (pinned by the prof_online_offline_identical ctest fixture).
 //
-// Dependency-free: hand-rolled recursive-descent JSON scan, no third-party
-// libraries. Timestamps are re-read textually ("%lld.%03lld" microseconds)
-// so exact integer nanoseconds round-trip with no floating-point error.
+// The trace is read once and walked an event at a time with obs/json's
+// Reader. Timestamps are re-read textually from each number's source token
+// ("%lld.%03lld" microseconds), so exact integer nanoseconds round-trip
+// with no floating-point error.
 //
 // Exit codes: 0 ok, 1 bad input (unreadable/invalid JSON), 2 usage error.
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/prof.hpp"
 
 namespace {
 
+namespace json = strings::obs::json;
+using json::Value;
 using strings::obs::RequestTrace;
 using strings::obs::prof::ProfInput;
 using strings::obs::prof::ProfRequest;
-
-/// One trace event flattened to strings: ph/name plus raw numeric tokens
-/// for ts/dur and the args map.
-struct FlatEvent {
-  std::string ph;
-  std::string name;
-  std::string ts_raw;
-  std::string dur_raw;
-  std::map<std::string, std::string> args;
-};
-
-struct Parser {
-  const std::string& text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool fail(const std::string& what) {
-    if (error.empty()) error = what + " at byte " + std::to_string(pos);
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != '"') return fail("expected string");
-    ++pos;
-    out.clear();
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) return fail("bad escape");
-        const char e = text[pos++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) return fail("bad \\u escape");
-            const std::string hex = text.substr(pos, 4);
-            pos += 4;
-            const long cp = std::strtol(hex.c_str(), nullptr, 16);
-            out += static_cast<char>(cp & 0x7f);  // exports only escape ASCII
-            break;
-          }
-          default:
-            return fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos >= text.size()) return fail("unterminated string");
-    ++pos;  // closing quote
-    return true;
-  }
-
-  bool parse_number_raw(std::string& out) {
-    skip_ws();
-    const std::size_t start = pos;
-    if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) ++pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '-' || text[pos] == '+')) {
-      ++pos;
-    }
-    if (pos == start) return fail("expected number");
-    out = text.substr(start, pos - start);
-    return true;
-  }
-
-  bool parse_literal(const char* lit) {
-    skip_ws();
-    const std::size_t n = std::string(lit).size();
-    if (text.compare(pos, n, lit) != 0) return fail("bad literal");
-    pos += n;
-    return true;
-  }
-
-  /// Skips any value (used for nested structures we don't care about).
-  bool skip_value() {
-    skip_ws();
-    if (pos >= text.size()) return fail("unexpected end");
-    const char c = text[pos];
-    if (c == '"') {
-      std::string s;
-      return parse_string(s);
-    }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++pos;
-      skip_ws();
-      if (pos < text.size() && text[pos] == close) {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        if (c == '{') {
-          std::string key;
-          if (!parse_string(key)) return false;
-          skip_ws();
-          if (pos >= text.size() || text[pos] != ':') return fail("expected :");
-          ++pos;
-        }
-        if (!skip_value()) return false;
-        skip_ws();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (pos < text.size() && text[pos] == close) {
-          ++pos;
-          return true;
-        }
-        return fail("expected , or close");
-      }
-    }
-    if (c == 't') return parse_literal("true");
-    if (c == 'f') return parse_literal("false");
-    if (c == 'n') return parse_literal("null");
-    std::string num;
-    return parse_number_raw(num);
-  }
-
-  /// Parses one event object into a FlatEvent.
-  bool parse_event(FlatEvent& ev) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != '{') return fail("expected event");
-    ++pos;
-    skip_ws();
-    if (pos < text.size() && text[pos] == '}') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (pos >= text.size() || text[pos] != ':') return fail("expected :");
-      ++pos;
-      skip_ws();
-      if (key == "ph" || key == "name") {
-        std::string v;
-        if (!parse_string(v)) return false;
-        (key == "ph" ? ev.ph : ev.name) = v;
-      } else if (key == "ts" || key == "dur") {
-        std::string v;
-        if (!parse_number_raw(v)) return false;
-        (key == "ts" ? ev.ts_raw : ev.dur_raw) = v;
-      } else if (key == "args") {
-        skip_ws();
-        if (pos >= text.size() || text[pos] != '{') return fail("expected {");
-        ++pos;
-        skip_ws();
-        if (pos < text.size() && text[pos] == '}') {
-          ++pos;
-        } else {
-          while (true) {
-            std::string k;
-            if (!parse_string(k)) return false;
-            skip_ws();
-            if (pos >= text.size() || text[pos] != ':')
-              return fail("expected :");
-            ++pos;
-            skip_ws();
-            std::string v;
-            if (pos < text.size() && text[pos] == '"') {
-              if (!parse_string(v)) return false;
-            } else {
-              if (!parse_number_raw(v)) return false;
-            }
-            ev.args[k] = v;
-            skip_ws();
-            if (pos < text.size() && text[pos] == ',') {
-              ++pos;
-              continue;
-            }
-            break;
-          }
-          if (pos >= text.size() || text[pos] != '}')
-            return fail("expected } after args");
-          ++pos;
-        }
-      } else {
-        if (!skip_value()) return false;
-      }
-      skip_ws();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      return fail("expected , or } in event");
-    }
-  }
-};
 
 /// Exact integer nanoseconds from the export's "%lld.%03lld" microsecond
 /// token (textual split — no floating-point round trip).
@@ -265,21 +58,69 @@ bool ns_from_us_token(const std::string& tok, long long* out) {
   }
 }
 
-long long to_ll(const std::map<std::string, std::string>& args,
-                const std::string& key, long long fallback) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
+long long to_ll(const Value& args, std::string_view key, long long fallback) {
+  const Value* v = args.find(key);
+  if (v == nullptr) return fallback;
   try {
-    return std::stoll(it->second);
+    return std::stoll(v->text);
   } catch (...) {
     return fallback;
   }
 }
 
-std::string get(const std::map<std::string, std::string>& args,
-                const std::string& key) {
-  auto it = args.find(key);
-  return it == args.end() ? std::string() : it->second;
+/// Folds one trace event into the profiler's input.
+void fold_event(const Value& ev, ProfInput* input,
+                std::vector<ProfRequest>* requests) {
+  const std::string& ph = ev["ph"].text;
+  const std::string& name = ev["name"].text;
+  const Value& args = ev["args"];
+  if (ph == "M" && name == "strings_run_config") {
+    input->meta.clear();
+    for (const auto& [k, v] : args.members) input->meta.emplace(k, v.text);
+  } else if (ph == "X" && (name == "KL" || name == "H2D" || name == "D2H")) {
+    const std::string& tenant = args["tenant"].text;
+    long long dur = 0;
+    if (!tenant.empty() && ns_from_us_token(ev["dur"].text, &dur)) {
+      input->attained_ns[tenant] += dur;
+    }
+  } else if (ph == "X" && name.rfind("request ", 0) == 0) {
+    ProfRequest r;
+    r.app_id = static_cast<std::uint64_t>(to_ll(args, "app_id", 0));
+    r.app_type = name.substr(8);
+    r.tenant = args["tenant"].text;
+    const std::string& w = args["weight"].text;
+    r.weight = w.empty() ? 1.0 : std::strtod(w.c_str(), nullptr);
+    r.origin = static_cast<int>(to_ll(args, "origin", 0));
+    r.gid = static_cast<int>(to_ll(args, "gid", -1));
+    r.node = static_cast<int>(to_ll(args, "node", -1));
+    r.issued_at = to_ll(args, "issued", -1);
+    r.completed_at = to_ll(args, "completed", -1);
+    r.steps = RequestTrace::decode_steps(args["steps"].text);
+    requests->push_back(std::move(r));
+  } else if (ph == "X" && name == "occ") {
+    // Forensics flight-recorder stamps, exported in ring order under the
+    // synthetic "forensics" process. The profiler indexes (and sorts) them
+    // per resource, so byte-parity with the online path needs only the
+    // exact ns round-trip, not the order.
+    long long ts = 0, dur = 0;
+    if (ns_from_us_token(ev["ts"].text, &ts) &&
+        ns_from_us_token(ev["dur"].text, &dur)) {
+      strings::obs::OccupantStamp s;
+      s.resource = args["res"].text;
+      s.tenant = args["tenant"].text;
+      s.begin = ts;
+      s.end = ts + dur;
+      input->occupants.push_back(std::move(s));
+    }
+  } else if (ph == "i" && name == "request.incomplete") {
+    ProfRequest r;
+    r.app_id = static_cast<std::uint64_t>(to_ll(args, "app_id", 0));
+    r.app_type = args["app"].text;
+    r.tenant = args["tenant"].text;
+    r.issued_at = to_ll(args, "issued", -1);
+    r.completed_at = -1;
+    requests->push_back(std::move(r));
+  }
 }
 
 }  // namespace
@@ -324,94 +165,40 @@ int main(int argc, char** argv) {
         "exit codes: 0 ok, 1 bad input, 2 usage error\n");
     return 2;
   }
-  std::ifstream in(trace_path.c_str());
-  if (!in) {
+  std::string text;
+  if (!json::read_file(trace_path, &text)) {
     std::fprintf(stderr, "strings_prof: cannot open %s\n", trace_path.c_str());
     return 1;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
 
-  // Find the traceEvents array and walk its event objects.
-  Parser p{text, 0, {}};
-  const std::size_t arr = text.find("\"traceEvents\"");
-  if (arr == std::string::npos) {
+  // Walk the top-level object and fold traceEvents one event at a time;
+  // the trace is never held as a tree.
+  ProfInput input;
+  std::vector<ProfRequest> requests;
+  json::Reader r(text);
+  json::Value v;
+  std::string key;
+  bool has_events = false;
+  if (r.begin_object()) {
+    while (r.next_member(&key)) {
+      if (key != "traceEvents" || r.peek() != '[') {
+        r.value(&v);
+        continue;
+      }
+      has_events = true;
+      r.begin_array();
+      while (r.next_item() && r.value(&v)) fold_event(v, &input, &requests);
+    }
+  }
+  if (!r.ok() || !r.at_end()) {
+    std::fprintf(stderr, "strings_prof: %s: %s\n", trace_path.c_str(),
+                 r.error().c_str());
+    return 1;
+  }
+  if (!has_events) {
     std::fprintf(stderr, "strings_prof: no traceEvents array in %s\n",
                  trace_path.c_str());
     return 1;
-  }
-  p.pos = text.find('[', arr);
-  if (p.pos == std::string::npos) {
-    std::fprintf(stderr, "strings_prof: malformed traceEvents\n");
-    return 1;
-  }
-  ++p.pos;
-
-  ProfInput input;
-  std::vector<ProfRequest> requests;
-  p.skip_ws();
-  if (p.pos < text.size() && text[p.pos] != ']') {
-    while (true) {
-      FlatEvent ev;
-      if (!p.parse_event(ev)) {
-        std::fprintf(stderr, "strings_prof: %s\n", p.error.c_str());
-        return 1;
-      }
-      if (ev.ph == "M" && ev.name == "strings_run_config") {
-        input.meta = ev.args;
-      } else if (ev.ph == "X" &&
-                 (ev.name == "KL" || ev.name == "H2D" || ev.name == "D2H")) {
-        const std::string tenant = get(ev.args, "tenant");
-        long long dur = 0;
-        if (!tenant.empty() && ns_from_us_token(ev.dur_raw, &dur)) {
-          input.attained_ns[tenant] += dur;
-        }
-      } else if (ev.ph == "X" && ev.name.rfind("request ", 0) == 0) {
-        ProfRequest r;
-        r.app_id = static_cast<std::uint64_t>(to_ll(ev.args, "app_id", 0));
-        r.app_type = ev.name.substr(8);
-        r.tenant = get(ev.args, "tenant");
-        const std::string w = get(ev.args, "weight");
-        r.weight = w.empty() ? 1.0 : std::strtod(w.c_str(), nullptr);
-        r.origin = static_cast<int>(to_ll(ev.args, "origin", 0));
-        r.gid = static_cast<int>(to_ll(ev.args, "gid", -1));
-        r.node = static_cast<int>(to_ll(ev.args, "node", -1));
-        r.issued_at = to_ll(ev.args, "issued", -1);
-        r.completed_at = to_ll(ev.args, "completed", -1);
-        r.steps = RequestTrace::decode_steps(get(ev.args, "steps"));
-        requests.push_back(std::move(r));
-      } else if (ev.ph == "X" && ev.name == "occ") {
-        // Forensics flight-recorder stamps, exported in ring order under
-        // the synthetic "forensics" process. The profiler indexes (and
-        // sorts) them per resource, so byte-parity with the online path
-        // needs only the exact ns round-trip, not the order.
-        long long ts = 0, dur = 0;
-        if (ns_from_us_token(ev.ts_raw, &ts) &&
-            ns_from_us_token(ev.dur_raw, &dur)) {
-          strings::obs::OccupantStamp s;
-          s.resource = get(ev.args, "res");
-          s.tenant = get(ev.args, "tenant");
-          s.begin = ts;
-          s.end = ts + dur;
-          input.occupants.push_back(std::move(s));
-        }
-      } else if (ev.ph == "i" && ev.name == "request.incomplete") {
-        ProfRequest r;
-        r.app_id = static_cast<std::uint64_t>(to_ll(ev.args, "app_id", 0));
-        r.app_type = get(ev.args, "app");
-        r.tenant = get(ev.args, "tenant");
-        r.issued_at = to_ll(ev.args, "issued", -1);
-        r.completed_at = -1;
-        requests.push_back(std::move(r));
-      }
-      p.skip_ws();
-      if (p.pos < text.size() && text[p.pos] == ',') {
-        ++p.pos;
-        continue;
-      }
-      break;
-    }
   }
 
   // The online profiler iterates the tracer's request map (ascending

@@ -1,4 +1,4 @@
-// strings_top — dependency-free terminal dashboard over a telemetry stream.
+// strings_top — terminal dashboard over a telemetry stream.
 //
 // Consumes the line-delimited JSON written by `run_scenario --stream`
 // ("strings.stream.v1", one object per tumbling window; schema in
@@ -15,190 +15,28 @@
 //   strings_top --follow run.stream.jsonl     # tail a live run (ANSI redraw)
 //
 // The stream only carries series whose value changed in a window, so the
-// dashboard folds lines into a latest-value map and renders from that.
+// dashboard folds lines (parsed by obs/json) into a latest-value map and
+// renders from that.
 // Replay mode is deterministic (pure function of the file) and is what the
 // ctest smoke runs against the committed fixture; --follow polls the file
 // for appended lines (tools/ may sleep and read the wall clock — the
 // determinism lint governs src/ only).
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace {
 
-// ----------------------------------------------------------- JSON parsing --
-// Minimal recursive-descent parser that flattens one stream line into
-// path -> number and path -> string maps ("series/node0/gpu1/dev/
-// compute_busy_ms/delta" -> 1.25). Array elements get numeric path
-// segments. Anything malformed fails the line, not the process.
-
-struct Flat {
-  std::map<std::string, double> nums;
-  std::map<std::string, std::string> strs;
-};
-
-class Parser {
- public:
-  Parser(const std::string& text, Flat& out) : text_(text), out_(out) {}
-
-  bool parse() {
-    skip_ws();
-    if (!parse_value("")) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool parse_value(const std::string& path) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(path);
-    if (c == '[') return parse_array(path);
-    if (c == '"') {
-      std::string s;
-      if (!parse_string(&s)) return false;
-      out_.strs[path] = s;
-      return true;
-    }
-    if (c == 't') return literal("true", path, 1.0);
-    if (c == 'f') return literal("false", path, 0.0);
-    if (c == 'n') return literal("null", path, 0.0);
-    char* end = nullptr;
-    const double v = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) return false;
-    pos_ = static_cast<std::size_t>(end - text_.c_str());
-    out_.nums[path] = v;
-    return true;
-  }
-
-  bool literal(const char* word, const std::string& path, double value) {
-    const std::size_t n = std::strlen(word);
-    if (text_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    out_.nums[path] = value;
-    return true;
-  }
-
-  bool parse_object(const std::string& path) {
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      if (!parse_value(path.empty() ? key : path + "\x1f" + key)) {
-        return false;
-      }
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool parse_array(const std::string& path) {
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    int index = 0;
-    while (true) {
-      if (!parse_value(path + "\x1f" + std::to_string(index++))) return false;
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool parse_string(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u':
-            if (pos_ + 4 > text_.size()) return false;
-            pos_ += 4;  // dashboard doesn't need non-ASCII fidelity
-            out->push_back('?');
-            break;
-          default: out->push_back(esc);
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  Flat& out_;
-};
+namespace json = strings::obs::json;
 
 // -------------------------------------------------------------- dashboard --
-
-/// Splits a '\x1f'-joined flattened path back into segments. Metric names
-/// contain '/', which is why the flattener joins with a control byte.
-std::vector<std::string> split_path(const std::string& path) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t sep = path.find('\x1f', start);
-    if (sep == std::string::npos) {
-      out.push_back(path.substr(start));
-      return out;
-    }
-    out.push_back(path.substr(start, sep - start));
-    start = sep + 1;
-  }
-}
 
 struct GpuRow {
   double busy_delta_ms = 0.0;  // compute+h2d+d2h busy over the last window
@@ -227,7 +65,7 @@ struct ExemplarRow {
   std::string id;       // "w<window>.<rank>"
   std::string request;  // "<app>#<app_id> (<tenant>)"
   double wall_ms = 0.0;
-  std::string top_culprit;  // largest single culprit charge, "-" when none
+  std::string top_culprit = "-";  // largest single culprit charge
 };
 
 /// What a folded line turned out to be.
@@ -249,124 +87,103 @@ struct Dash {
   std::vector<ExemplarRow> exemplars;  // in file (window, rank) order
 
   Fold fold_line(const std::string& line) {
-    Flat flat;
-    if (!Parser(line, flat).parse()) return Fold::kBad;
-    const auto schema = flat.strs.find("schema");
-    if (schema == flat.strs.end()) return Fold::kBad;
-    if (schema->second == "strings.exemplar.v1") {
-      fold_exemplar(flat);
+    json::Value v;
+    if (!json::parse(line, &v, nullptr)) return Fold::kBad;
+    const json::Value* schema = v.find("schema");
+    if (schema == nullptr || schema->kind != json::Value::Kind::kString) {
+      return Fold::kBad;
+    }
+    if (schema->text == "strings.exemplar.v1") {
+      fold_exemplar(v);
       return Fold::kExemplar;
     }
-    if (schema->second != "strings.stream.v1") return Fold::kBad;
-    window = flat.nums.count("window") != 0 ? flat.nums["window"] : window;
-    start_ms = flat.nums.count("start_ms") != 0 ? flat.nums["start_ms"] : 0;
-    end_ms = flat.nums.count("end_ms") != 0 ? flat.nums["end_ms"] : 0;
+    if (schema->text != "strings.stream.v1") return Fold::kBad;
+    if (const json::Value* w = v.find("window")) window = w->number();
+    start_ms = v["start_ms"].number();
+    end_ms = v["end_ms"].number();
     window_delta.clear();
     alerts.clear();
     window_exemplars.clear();
-    std::map<int, AlertLine> alert_by_index;
-    std::map<int, std::map<int, std::string>> alert_exemplars;
-    std::map<int, std::string> window_ids;
-    for (const auto& [path, v] : flat.nums) {
-      const auto seg = split_path(path);
-      if (seg.size() == 3 && seg[0] == "series") {
-        if (seg[2] == "value") latest[seg[1]] = v;
-        if (seg[2] == "delta") window_delta[seg[1]] = v;
-      } else if (seg.size() == 3 && seg[0] == "quantiles") {
-        // quantiles/<metric>/<stat>; per-tenant stats picked up below.
-        latest["q\x1f" + seg[1] + "\x1f" + seg[2]] = v;
-      } else if (seg.size() == 3 && seg[0] == "alerts") {
-        auto& a = alert_by_index[std::stoi(seg[1])];
-        if (seg[2] == "value") a.value = v;
-        if (seg[2] == "threshold") a.threshold = v;
+    std::string leaf;
+    for (const auto& [name, point] : v["series"].members) {
+      if (const json::Value* x = point.find("delta")) {
+        window_delta[name] = x->number();
+      }
+      const json::Value* x = point.find("value");
+      if (x == nullptr) continue;
+      latest[name] = x->number();
+      if (TenantRow* row = tenant_row(name, &leaf)) {
+        if (leaf == "completed") row->completed = x->number();
+        if (leaf == "errors") row->errors = x->number();
       }
     }
-    for (const auto& [path, s] : flat.strs) {
-      const auto seg = split_path(path);
-      if (seg.size() == 3 && seg[0] == "alerts") {
-        auto& a = alert_by_index[std::stoi(seg[1])];
-        if (seg[2] == "severity") a.severity = s;
-        if (seg[2] == "rule") a.rule = s;
-        if (seg[2] == "series") a.series = s;
-      } else if (seg.size() == 4 && seg[0] == "alerts" &&
-                 seg[2] == "exemplars") {
-        alert_exemplars[std::stoi(seg[1])][std::stoi(seg[3])] = s;
-      } else if (seg.size() == 2 && seg[0] == "exemplars") {
-        window_ids[std::stoi(seg[1])] = s;
+    // Window p99s of the tenant histograms.
+    for (const auto& [name, stats] : v["quantiles"].members) {
+      const json::Value* p99 = stats.find("p99");
+      TenantRow* row = p99 != nullptr ? tenant_row(name, &leaf) : nullptr;
+      if (row == nullptr) continue;
+      if (leaf == "response_ms") {
+        row->p99_response_ms = p99->number();
+        row->has_latency = true;
+      } else if (leaf == "slowdown") {
+        row->p99_slowdown = p99->number();
       }
     }
-    for (auto& [idx, ids] : alert_exemplars) {
-      auto& a = alert_by_index[idx];
-      for (auto& [j, id] : ids) a.exemplars.push_back(std::move(id));
+    for (const json::Value& a : v["alerts"].items) {
+      AlertLine line{a["severity"].text, a["rule"].text, a["series"].text,
+                     a["value"].number(), a["threshold"].number(), {}};
+      for (const json::Value& id : a["exemplars"].items) {
+        line.exemplars.push_back(id.text);
+      }
+      if (line.severity == "hard") ++hard_total;
+      alerts.push_back(std::move(line));
     }
-    for (auto& [j, id] : window_ids) window_exemplars.push_back(std::move(id));
-    for (auto& [idx, a] : alert_by_index) {
-      if (a.severity == "hard") ++hard_total;
-      alerts.push_back(std::move(a));
+    for (const json::Value& id : v["exemplars"].items) {
+      window_exemplars.push_back(id.text);
     }
-    rebuild_tenants();
     return Fold::kWindow;
   }
 
   /// Folds one strings.exemplar.v1 line: accumulates the victim x culprit
   /// blocked-ms matrix and keeps a display row per exemplar.
-  void fold_exemplar(Flat& flat) {
+  void fold_exemplar(const json::Value& v) {
+    const auto str = [&v](const char* key) {
+      const json::Value* x = v.find(key);
+      return x != nullptr && x->kind == json::Value::Kind::kString ? x->text
+                                                                   : "?";
+    };
     ExemplarRow row;
-    row.id = flat.strs.count("id") != 0 ? flat.strs["id"] : "?";
-    const std::string tenant =
-        flat.strs.count("tenant") != 0 ? flat.strs["tenant"] : "?";
-    const std::string app =
-        flat.strs.count("app") != 0 ? flat.strs["app"] : "?";
-    const double app_id =
-        flat.nums.count("app_id") != 0 ? flat.nums["app_id"] : 0;
-    row.request = app + "#" + std::to_string(
-                              static_cast<unsigned long long>(app_id)) +
+    row.id = str("id");
+    const std::string tenant = str("tenant");
+    row.request = str("app") + "#" +
+                  std::to_string(static_cast<unsigned long long>(
+                      v["app_id"].number())) +
                   " (" + tenant + ")";
-    row.wall_ms = flat.nums.count("wall_ms") != 0 ? flat.nums["wall_ms"] : 0;
-    // culprits/<wait-bucket>/<culprit-tenant> -> blocked ms.
+    row.wall_ms = v["wall_ms"].number();
+    // culprits: wait bucket -> culprit tenant -> blocked ms.
     double top_ms = 0.0;
-    row.top_culprit = "-";
-    for (const auto& [path, blocked_ms] : flat.nums) {
-      const auto seg = split_path(path);
-      if (seg.size() != 3 || seg[0] != "culprits") continue;
-      interference[tenant][seg[2]] += blocked_ms;
-      if (blocked_ms > top_ms) {
-        top_ms = blocked_ms;
-        row.top_culprit = seg[2];
+    for (const auto& [bucket, culprits] : v["culprits"].members) {
+      for (const auto& [culprit, ms] : culprits.members) {
+        const double blocked_ms = ms.number();
+        interference[tenant][culprit] += blocked_ms;
+        if (blocked_ms > top_ms) {
+          top_ms = blocked_ms;
+          row.top_culprit = culprit;
+        }
       }
     }
     exemplars.push_back(std::move(row));
   }
 
-  void rebuild_tenants() {
-    tenants.clear();
-    for (const auto& [key, v] : latest) {
-      const auto seg = split_path(key);
-      if (seg.size() == 3 && seg[0] == "q") {
-        // Window quantiles of tenant histograms: tenant/<t>/<hist>.
-        const std::string& metric = seg[1];
-        if (metric.compare(0, 7, "tenant/") != 0) continue;
-        const std::size_t slash = metric.find('/', 7);
-        if (slash == std::string::npos) continue;
-        TenantRow& row = tenants[metric.substr(7, slash - 7)];
-        const std::string hist = metric.substr(slash + 1);
-        if (hist == "response_ms" && seg[2] == "p99") {
-          row.p99_response_ms = v;
-          row.has_latency = true;
-        } else if (hist == "slowdown" && seg[2] == "p99") {
-          row.p99_slowdown = v;
-        }
-      } else if (seg.size() == 1 &&
-                 seg[0].compare(0, 7, "tenant/") == 0) {
-        const std::string& metric = seg[0];
-        const std::size_t slash = metric.find('/', 7);
-        if (slash == std::string::npos) continue;
-        TenantRow& row = tenants[metric.substr(7, slash - 7)];
-        const std::string leaf = metric.substr(slash + 1);
-        if (leaf == "completed") row.completed = v;
-        if (leaf == "errors") row.errors = v;
-      }
+  /// The row of a "tenant/<t>/<leaf>" metric, with `*leaf` set; nullptr
+  /// for any other metric.
+  TenantRow* tenant_row(const std::string& metric, std::string* leaf) {
+    const std::size_t slash = metric.find('/', 7);
+    if (metric.compare(0, 7, "tenant/") != 0 || slash == std::string::npos) {
+      return nullptr;
     }
+    *leaf = metric.substr(slash + 1);
+    return &tenants[metric.substr(7, slash - 7)];
   }
 
   std::map<std::string, GpuRow> gpus() const {
