@@ -36,11 +36,12 @@ int main(int argc, char** argv) {
        {sim::msec(1), sim::msec(5), sim::msec(10), sim::msec(50),
         sim::msec(200)}) {
     cfg.testbed.sched_epoch = epoch;
-    const auto out = workloads::run(cfg);
+    const std::string ms = metrics::Table::fmt(sim::to_millis(epoch), 0);
+    const auto out = bench::run("epoch-" + ms + "ms", cfg);
     const double j =
         metrics::jain_fairness({out.tenant_service_s.at("tenantA"),
                                 out.tenant_service_s.at("tenantB")});
-    table.add_row({metrics::Table::fmt(sim::to_millis(epoch), 0) + "ms",
+    table.add_row({ms + "ms",
                    metrics::Table::fmt(out.streams.at(0).mean_response_s()),
                    metrics::Table::fmt(out.streams.at(1).mean_response_s()),
                    metrics::Table::fmt(100 * j, 1) + "%"});

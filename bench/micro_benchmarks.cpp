@@ -162,7 +162,7 @@ void BM_SimScheduleAndRun(benchmark::State& state) {
 BENCHMARK(BM_SimScheduleAndRun)->Arg(1000)->Arg(10000);
 
 void BM_SimProcessSwitch(benchmark::State& state) {
-  // Cost of one process suspend/resume round trip (two condvar handoffs).
+  // Cost of one process suspend/resume round trip (two fiber switches).
   const int waits = 1000;
   for (auto _ : state) {
     sim::Simulation sim;
@@ -325,45 +325,68 @@ BENCHMARK_CAPTURE(BM_DevicePolicyPickAwake, PS, "PS")->Arg(8)->Arg(64);
 BENCHMARK_CAPTURE(BM_DevicePolicyPickAwake, LAS, "LAS")->Arg(8)->Arg(64);
 BENCHMARK_CAPTURE(BM_DevicePolicyPickAwake, MQFQ, "MQFQ")->Arg(8)->Arg(64);
 
-// One dispatcher epoch per iteration: a GpuScheduler under MQFQ with 32
-// acked entries over 8 tenants, each tick updating CGS/entitlement, probing
-// every entry's backlog once, running the policy and toggling gates. A few
-// op completions per epoch keep the tenants' service moving.
-void BM_DispatcherEpoch(benchmark::State& state) {
-  constexpr int kEntries = 32;
-  sim::Simulation sim;
-  core::GpuScheduler::Config cfg;
-  cfg.epoch = sim::msec(1);
-  core::GpuScheduler sched(sim, 0, policies::make_device_policy("mqfq"), cfg);
-  std::vector<std::unique_ptr<core::WakeGate>> gates;
-  std::vector<int> ids;
-  for (int i = 0; i < kEntries; ++i) {
-    gates.push_back(std::make_unique<core::WakeGate>(sim));
-    core::GpuScheduler::RcbInit init;
-    init.app_type = "MM";
-    init.tenant = "tenant" + std::to_string(i % 8);
-    init.gate = gates.back().get();
-    init.backlog_probe = [i] { return i % 5 != 4 ? 1 : 0; };
-    ids.push_back(sched.register_app(init));
-    sched.ack(ids.back());
-  }
-  gpu::GpuDevice::Op op;
-  op.kind = gpu::GpuDevice::OpKind::kKernel;
-  int next = 0;
-  for (auto _ : state) {
-    for (int k = 0; k < 4; ++k) {
-      op.started = sim.now();
-      op.submitted = op.started;
-      op.completed = op.started + sim::usec(200 + 50 * k);
-      sched.on_op_complete(ids[static_cast<std::size_t>(next)], op);
-      next = (next + 7) % kEntries;
+// A GpuScheduler with `entries` acked entries over up to 8 tenants, four
+// in five of them backlogged (their backlog counters never move). Each
+// step() completes four ops, keeping the tenants' service moving, then
+// runs one dispatcher epoch: CGS/entitlement bookkeeping, one backlog read
+// per entry, the policy's decision and the gate toggles.
+class EpochRig {
+ public:
+  EpochRig(const char* policy, int entries)
+      : sched_(sim_, 0, policies::make_device_policy(policy), config()),
+        backlog_(static_cast<std::size_t>(entries)) {
+    op_.kind = gpu::GpuDevice::OpKind::kKernel;
+    for (int i = 0; i < entries; ++i) {
+      gates_.push_back(std::make_unique<core::WakeGate>(sim_));
+      backlog_[static_cast<std::size_t>(i)] = i % 5 != 4 ? 1 : 0;
+      core::GpuScheduler::RcbInit init;
+      init.app_type = "MM";
+      init.tenant = "tenant" + std::to_string(i % 8);
+      init.gate = gates_.back().get();
+      init.backlog = &backlog_[static_cast<std::size_t>(i)];
+      ids_.push_back(sched_.register_app(init));
+      sched_.ack(ids_.back());
     }
-    sim.run_until(sim.now() + cfg.epoch);
   }
-  state.SetItemsProcessed(sched.epochs_run());
-  state.counters["rcb_entries"] = kEntries;
+
+  void step() {
+    for (int k = 0; k < 4; ++k) {
+      op_.started = sim_.now();
+      op_.submitted = op_.started;
+      op_.completed = op_.started + sim::usec(200 + 50 * k);
+      sched_.on_op_complete(ids_[next_], op_);
+      next_ = (next_ + 7) % ids_.size();
+    }
+    sim_.run_until(sim_.now() + sched_.config().epoch);
+  }
+
+  std::int64_t epochs() const { return sched_.epochs_run(); }
+
+ private:
+  static core::GpuScheduler::Config config() {
+    core::GpuScheduler::Config cfg;
+    cfg.epoch = sim::msec(1);
+    return cfg;
+  }
+  sim::Simulation sim_;
+  core::GpuScheduler sched_;
+  std::vector<int> backlog_;
+  std::vector<std::unique_ptr<core::WakeGate>> gates_;
+  std::vector<int> ids_;
+  gpu::GpuDevice::Op op_;
+  std::size_t next_ = 0;
+};
+
+// One dispatcher epoch per iteration. 9 entries is the mean RCB size a
+// decision sees on the 8x4 MQFQ scale scenario; 32 is a crowded device.
+void BM_DispatcherEpoch(benchmark::State& state, const char* policy) {
+  EpochRig rig(policy, static_cast<int>(state.range(0)));
+  for (auto _ : state) rig.step();
+  state.SetItemsProcessed(rig.epochs());
 }
-BENCHMARK(BM_DispatcherEpoch);
+BENCHMARK_CAPTURE(BM_DispatcherEpoch, MQFQ, "MQFQ")->Arg(9)->Arg(32);
+BENCHMARK_CAPTURE(BM_DispatcherEpoch, LAS, "LAS")->Arg(9)->Arg(32);
+BENCHMARK_CAPTURE(BM_DispatcherEpoch, AllAwake, "AllAwake")->Arg(9)->Arg(32);
 
 void BM_FluidModelContention(benchmark::State& state) {
   // Many concurrent kernels forcing frequent rate recomputation.
@@ -417,6 +440,12 @@ void record_event_loop_report() {
                           [] { return run_park_resume(256, 2'000); });
   record_throughput_entry("mailbox_pingpong",
                           [] { return run_mailbox_pingpong(200'000); });
+  // events_per_sec here is dispatcher epochs per second.
+  record_throughput_entry("dispatcher_epoch", [] {
+    EpochRig rig("MQFQ", 9);
+    for (int i = 0; i < 200'000; ++i) rig.step();
+    return static_cast<long>(rig.epochs());
+  });
 }
 
 // SmallFn inline-storage assertion: the packet-delivery hot path (channel

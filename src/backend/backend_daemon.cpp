@@ -105,18 +105,6 @@ void BackendDaemon::route_op(cuda::ProcessId pid, cuda::cudaStream_t stream,
   it->second.first->on_op_complete(it->second.second, op);
 }
 
-int BackendDaemon::backlog_of(const Conn& conn, cuda::ProcessId pid,
-                              cuda::cudaStream_t stream) const {
-  // The dispatcher only asks whether the backlog is positive, and every
-  // term is non-negative: stop at the first positive one, cheapest first.
-  if (conn.processing) return 1;
-  if (const std::size_t queued = conn.channel->request.pending_count();
-      queued > 0) {
-    return static_cast<int>(queued);
-  }
-  return rt_.outstanding_ops_on_stream(pid, conn.local_dev, stream);
-}
-
 rpc::DuplexChannel& BackendDaemon::connect(
     const AppDescriptor& app, int local_dev, rpc::LinkModel link,
     std::shared_ptr<rpc::SharedLink> tx,
@@ -128,6 +116,7 @@ rpc::DuplexChannel& BackendDaemon::connect(
   conn->local_dev = local_dev;
   conn->channel = std::make_unique<rpc::DuplexChannel>(
       sim_, link, std::move(tx), std::move(rx));
+  conn->channel->request.count_pending(&conn->backlog);
   conn->gate = std::make_unique<core::WakeGate>(sim_);
   if (tracer_ != nullptr) {
     // Frontend->backend traffic renders on the directed network tracks.
@@ -196,9 +185,8 @@ rpc::DuplexChannel& BackendDaemon::connect(
     init.tenant_weight = app.tenant_weight;
     init.stream_id = stream;
     init.gate = nullptr;
-    init.backlog_probe = [this, &c, pid, stream] {
-      return backlog_of(c, pid, stream);
-    };
+    init.backlog = &c.backlog;
+    rt_.count_stream_ops(pid, local_dev, stream, &c.backlog);
     c.signal_id = sched.register_app(init);
     sched.ack(c.signal_id);
     routes_[{pid, stream}] = {&sched, c.signal_id};
@@ -233,9 +221,8 @@ void BackendDaemon::worker_loop(Conn& conn) {
   init.tenant_weight = conn.app.tenant_weight;
   init.stream_id = stream;
   init.gate = conn.gate.get();
-  init.backlog_probe = [this, &conn, pid, stream] {
-    return backlog_of(conn, pid, stream);
-  };
+  init.backlog = &conn.backlog;
+  rt_.count_stream_ops(pid, conn.local_dev, stream, &conn.backlog);
   const int signal_id = sched.register_app(init);
   sched.ack(signal_id);
   routes_[{pid, stream}] = {&sched, signal_id};
@@ -244,9 +231,9 @@ void BackendDaemon::worker_loop(Conn& conn) {
   bool exit = false;
   while (!exit) {
     rpc::Packet req = conn.channel->request.receive();
-    conn.processing = true;
+    ++conn.backlog;  // the request being handled
     exit = handle_request(conn, pid, signal_id, req);
-    conn.processing = false;
+    --conn.backlog;
   }
 
   routes_.erase({pid, stream});

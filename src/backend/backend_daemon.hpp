@@ -112,7 +112,11 @@ class BackendDaemon {
     int local_dev = 0;
     std::unique_ptr<rpc::DuplexChannel> channel;
     std::unique_ptr<core::WakeGate> gate;
-    bool processing = false;
+    /// The RCB entry's backlog: requests delivered but not yet received
+    /// (counted by the request channel), plus one while the worker handles
+    /// a request (Designs I and III), plus the ops outstanding on the app's
+    /// stream (counted by cudart).
+    int backlog = 0;
     bool done = false;
     int signal_id = -1;
     cuda::cudaStream_t exit_stream = 0;
@@ -127,10 +131,6 @@ class BackendDaemon {
                       const rpc::Packet& req);
   void route_op(cuda::ProcessId pid, cuda::cudaStream_t stream,
                 const gpu::GpuDevice::Op& op);
-  /// The RCB backlog probe: positive iff the app has a request queued or
-  /// being handled, or GPU ops outstanding on its stream.
-  int backlog_of(const Conn& conn, cuda::ProcessId pid,
-                 cuda::cudaStream_t stream) const;
 
   sim::Simulation& sim_;
   core::NodeId node_;

@@ -33,10 +33,19 @@ int GpuScheduler::register_app(const RcbInit& init) {
   }
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   RcbEntry e;
-  e.init = init;
-  e.tenant_id = intern_tenant(init.tenant);
+  e.backlog = init.backlog;
+  e.gate = init.gate;
+  e.awake = init.gate == nullptr || init.gate->awake();
+  e.app_type = init.app_type;
   e.registered_at = sim_.now();
-  rcb_.emplace(signal_id, std::move(e));
+  policies::RcbSnapshot s;
+  s.key = static_cast<std::uint64_t>(signal_id);
+  s.tenant_id = intern_tenant(init.tenant);
+  s.tenant = tenants_[s.tenant_id].name;
+  s.tenant_weight = init.tenant_weight;
+  const auto it = rcb_.emplace(signal_id, std::move(e)).first;
+  view_.insert(view_.begin() + (it - rcb_.begin()), s);
+  ++unacked_;
   if (tracer_ != nullptr) {
     tracer_->gpu_counter(gid_, "queue_depth", sim_.now(), registered_count());
   }
@@ -51,6 +60,7 @@ void GpuScheduler::ack(int signal_id) {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   auto it = rcb_.find(signal_id);
   assert(it != rcb_.end() && "ack for unknown signal id");
+  if (!it->second.acked) --unacked_;
   it->second.acked = true;
   run_dispatcher();  // let the new thread take effect immediately
   // The admit decision is the thread's first wake: gates are born open, so
@@ -58,11 +68,11 @@ void GpuScheduler::ack(int signal_id) {
   // newcomer running. Count it (and render the instant) here instead;
   // policies that put the newcomer to sleep already logged the sleep.
   const RcbEntry& e = it->second;
-  if (e.init.gate != nullptr && e.init.gate->awake()) {
+  if (e.gate != nullptr && e.gate->awake()) {
     ++wakes_;
     if (tracer_ != nullptr) {
       tracer_->dispatcher_event(gid_, /*wake=*/true, sim_.now(),
-                                {{"app", e.init.app_type},
+                                {{"app", e.app_type},
                                  {"signal", std::to_string(signal_id)},
                                  {"admit", "1"}});
     }
@@ -74,19 +84,23 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
     analysis::inv_rcb_unregister(gid_, signal_id, ANALYSIS_SITE);
   }
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
-  auto it = rcb_.find(signal_id);
-  assert(it != rcb_.end() && "unregister for unknown signal id");
+  const std::size_t at = index_of(signal_id);
+  assert(at != rcb_.size() && "unregister for unknown signal id");
+  const auto offset = static_cast<std::ptrdiff_t>(at);
   // Take the entry out before erasing: the RCB is flat storage, so erase
   // slides later entries into this slot and a reference would silently
   // alias a different app.
-  const RcbEntry e = std::move(it->second);
-  rcb_.erase(it);
+  const RcbEntry e = std::move((rcb_.begin() + offset)->second);
+  const std::uint32_t tenant_id = view_[at].tenant_id;
+  rcb_.erase(rcb_.begin() + offset);
+  view_.erase(view_.begin() + offset);
+  if (!e.acked) --unacked_;
   if (tracer_ != nullptr) {
     tracer_->gpu_counter(gid_, "queue_depth", sim_.now(), registered_count());
   }
 
   FeedbackRecord rec;
-  rec.app_type = e.init.app_type;
+  rec.app_type = e.app_type;
   rec.gid = gid_;
   rec.exec_time_s = sim::to_seconds(sim_.now() - e.registered_at);
   rec.gpu_time_s = sim::to_seconds(e.gpu_time);
@@ -99,16 +113,16 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
                                    : 0.0;  // bytes/ns == GB/s
 
   // Leave the thread awake on the way out so teardown never blocks.
-  if (e.init.gate != nullptr) e.init.gate->set(true);
+  if (e.gate != nullptr) e.gate->set(true);
   if (tracer_ != nullptr) {
     // Attained-service hook for the profiler: snapshot the tenant's engine
     // residency (the quantity the LAS CGS math accumulates) at departure.
     char fmt[32];
     std::snprintf(fmt, sizeof fmt, "%.6f",
-                  sim::to_seconds(tenants_[e.tenant_id].service));
+                  sim::to_seconds(tenants_[tenant_id].service));
     tracer_->gpu_instant(gid_, "fe.departure", sim_.now(),
                          {{"app", rec.app_type},
-                          {"tenant", e.init.tenant},
+                          {"tenant", tenants_[tenant_id].name},
                           {"tenant_attained_s", fmt}});
   }
   if (feedback_sink_) feedback_sink_(rec);
@@ -125,9 +139,10 @@ void GpuScheduler::notify_dispatch(int signal_id) {
 void GpuScheduler::on_op_complete(int signal_id,
                                   const gpu::GpuDevice::Op& op) {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
-  auto it = rcb_.find(signal_id);
-  if (it == rcb_.end()) return;  // late completion after unregister
-  RcbEntry& e = it->second;
+  const std::size_t at = index_of(signal_id);
+  if (at == rcb_.size()) return;  // late completion after unregister
+  RcbEntry& e = (rcb_.begin() + static_cast<std::ptrdiff_t>(at))->second;
+  policies::RcbSnapshot& s = view_[at];
   const sim::SimTime begin =
       config_.measure_includes_wait ? op.submitted : op.started;
   const sim::SimTime duration = op.completed - begin;
@@ -135,7 +150,9 @@ void GpuScheduler::on_op_complete(int signal_id,
   // fields below use the (possibly wait-inflated) measurement the scheduler
   // actually acts on — the distinction is the paper's explanation for
   // TFS-Rain's fairness error.
-  tenants_[e.tenant_id].service += op.completed - op.started;
+  Tenant& tenant = tenants_[s.tenant_id];
+  tenant.service += op.completed - op.started;
+  s.total_service += duration;
   if (op.kind == gpu::GpuDevice::OpKind::kKernel) {
     e.gpu_time += duration;
     // Approximate data accesses: the kernel's bandwidth demand over its
@@ -152,21 +169,20 @@ void GpuScheduler::on_op_complete(int signal_id,
                        : op.kind == gpu::GpuDevice::OpKind::kH2D ? "H2D"
                                                                  : "D2H";
     tracer_->gpu_op(gid_, kind, op.started, op.completed,
-                    {{"app", e.init.app_type},
-                     {"tenant", e.init.tenant},
+                    {{"app", e.app_type},
+                     {"tenant", tenant.name},
                      {"signal", std::to_string(signal_id)}});
     // Forensics: engine residency is the occupant timeline both execute
     // contention and WakeGate (dispatch_wait) blame resolve against.
-    tracer_->occupant(engines_track_, e.init.tenant, op.started,
+    tracer_->occupant(engines_track_, tenant.name, op.started,
                       op.completed);
   }
 }
 
 void GpuScheduler::set_phase(int signal_id, policies::Phase phase) {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
-  auto it = rcb_.find(signal_id);
-  if (it == rcb_.end()) return;
-  it->second.phase = phase;
+  const std::size_t at = index_of(signal_id);
+  if (at != view_.size()) view_[at].phase = phase;
 }
 
 void GpuScheduler::set_tracer(obs::Tracer* tracer) {
@@ -189,37 +205,29 @@ sim::SimTime GpuScheduler::tenant_service(const std::string& tenant) const {
   return it == tenant_ids_.end() ? 0 : tenants_[it->second].service;
 }
 
-void GpuScheduler::fill_snapshot(std::vector<policies::RcbSnapshot>& out,
-                                 bool probe) const {
-  ANALYSIS_READ(&rcb_, rcb_name(gid_));
-  for (const auto& [id, e] : rcb_) {
-    if (!e.acked) continue;
-    policies::RcbSnapshot& s = out.emplace_back();
-    s.key = static_cast<std::uint64_t>(id);
-    const Tenant& t = tenants_[e.tenant_id];
-    s.tenant_id = e.tenant_id;
-    s.tenant = t.name;
-    s.tenant_weight = e.init.tenant_weight;
-    s.total_service = total_service(e);
-    s.epoch_service = e.epoch_service;
-    s.cgs = e.cgs;
-    s.entitled = e.entitled;
-    s.phase = e.phase;
-    s.backlogged = probe ? probe_backlog(e) : e.backlogged;
-    s.tenant_attained = t.service;
-  }
+std::size_t GpuScheduler::index_of(int signal_id) const {
+  const auto it = rcb_.find(signal_id);
+  return static_cast<std::size_t>(it - rcb_.begin());
 }
 
 std::vector<policies::RcbSnapshot> GpuScheduler::snapshot() const {
+  ANALYSIS_READ(&rcb_, rcb_name(gid_));
   std::vector<policies::RcbSnapshot> out;
   out.reserve(rcb_.size());
-  fill_snapshot(out, /*probe=*/true);
+  auto e = rcb_.begin();
+  for (const policies::RcbSnapshot& s : view_) {
+    const RcbEntry& entry = (e++)->second;
+    if (!entry.acked) continue;
+    policies::RcbSnapshot& o = out.emplace_back(s);
+    o.backlogged = backlogged(entry);
+    o.tenant_attained = tenants_[s.tenant_id].service;
+  }
   return out;
 }
 
 sim::SimTime GpuScheduler::service_attained(int signal_id) const {
-  auto it = rcb_.find(signal_id);
-  return it == rcb_.end() ? 0 : total_service(it->second);
+  const std::size_t at = index_of(signal_id);
+  return at == view_.size() ? 0 : view_[at].total_service;
 }
 
 void GpuScheduler::arm_epoch() {
@@ -238,21 +246,23 @@ void GpuScheduler::epoch_tick() {
   // entitlement accrual for TFS (backlogged threads share the epoch by
   // tenant weight — work conservation).
   double backlogged_weight = 0.0;
-  for (auto& [id, e] : rcb_) {
-    const sim::SimTime total = total_service(e);
-    e.epoch_service = total - e.service_at_last_epoch;
-    e.service_at_last_epoch = total;
-    e.cgs = config_.las_k * static_cast<double>(e.epoch_service) +
-            (1.0 - config_.las_k) * e.cgs;
-    // The tick's one probe of this entry; dispatch() reuses it.
-    e.backlogged = probe_backlog(e);
-    if (e.backlogged) backlogged_weight += e.init.tenant_weight;
+  auto e = rcb_.begin();
+  for (policies::RcbSnapshot& s : view_) {
+    RcbEntry& entry = (e++)->second;
+    s.epoch_service = s.total_service - entry.service_at_last_epoch;
+    entry.service_at_last_epoch = s.total_service;
+    s.cgs = config_.las_k * static_cast<double>(s.epoch_service) +
+            (1.0 - config_.las_k) * s.cgs;
+    // The tick's one backlog reading of this entry; dispatch() reuses it.
+    s.backlogged = backlogged(entry);
+    if (s.backlogged) backlogged_weight += s.tenant_weight;
+    s.tenant_attained = tenants_[s.tenant_id].service;
   }
   if (backlogged_weight > 0) {
-    for (auto& [id, e] : rcb_) {
-      if (!e.backlogged) continue;
-      e.entitled += static_cast<sim::SimTime>(
-          static_cast<double>(config_.epoch) * e.init.tenant_weight /
+    for (policies::RcbSnapshot& s : view_) {
+      if (!s.backlogged) continue;
+      s.entitled += static_cast<sim::SimTime>(
+          static_cast<double>(config_.epoch) * s.tenant_weight /
           backlogged_weight);
     }
   }
@@ -262,40 +272,57 @@ void GpuScheduler::epoch_tick() {
 }
 
 void GpuScheduler::run_dispatcher() {
-  for (auto& [id, e] : rcb_) {
-    if (e.acked) e.backlogged = probe_backlog(e);
+  auto e = rcb_.begin();
+  for (policies::RcbSnapshot& s : view_) {
+    const RcbEntry& entry = (e++)->second;
+    if (entry.acked) s.backlogged = backlogged(entry);
+    s.tenant_attained = tenants_[s.tenant_id].service;
   }
   dispatch();
 }
 
 void GpuScheduler::dispatch() {
-  snaps_.clear();
-  fill_snapshot(snaps_, /*probe=*/false);
-  for (const std::uint64_t key : policy_->pick_awake(snaps_, sim_.now())) {
-    if (key > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-      continue;
+  ANALYSIS_READ(&rcb_, rcb_name(gid_));
+  const std::vector<policies::RcbSnapshot>* rcb = &view_;
+  if (unacked_ > 0) {
+    acked_view_.clear();
+    auto e = rcb_.begin();
+    for (const policies::RcbSnapshot& s : view_) {
+      if ((e++)->second.acked) acked_view_.push_back(s);
     }
-    if (auto it = rcb_.find(static_cast<int>(key)); it != rcb_.end()) {
-      it->second.picked = true;
+    rcb = &acked_view_;
+  }
+  // Keys come back in any order, but often ascending (AllAwake returns the
+  // view's own order), so try the slot after the last match first.
+  std::size_t next = 0;
+  for (const std::uint64_t key : policy_->pick_awake(*rcb, sim_.now())) {
+    std::size_t at = next;
+    if (at >= view_.size() || view_[at].key != key) {
+      if (key > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        continue;
+      }
+      at = index_of(static_cast<int>(key));
+      if (at == view_.size()) continue;
     }
+    (rcb_.begin() + static_cast<std::ptrdiff_t>(at))->second.picked = true;
+    next = at + 1;
   }
   for (auto& [id, e] : rcb_) {
     const bool keep_awake = e.picked;
     e.picked = false;
-    if (e.init.gate == nullptr || !e.acked) continue;
-    if (e.init.gate->awake() != keep_awake) {
-      if (keep_awake) {
-        ++wakes_;
-      } else {
-        ++sleeps_;
-      }
-      if (tracer_ != nullptr) {
-        tracer_->dispatcher_event(gid_, keep_awake, sim_.now(),
-                                  {{"app", e.init.app_type},
-                                   {"signal", std::to_string(id)}});
-      }
+    if (e.gate == nullptr || !e.acked || e.awake == keep_awake) continue;
+    e.awake = keep_awake;
+    if (keep_awake) {
+      ++wakes_;
+    } else {
+      ++sleeps_;
     }
-    e.init.gate->set(keep_awake);
+    if (tracer_ != nullptr) {
+      tracer_->dispatcher_event(gid_, keep_awake, sim_.now(),
+                                {{"app", e.app_type},
+                                 {"signal", std::to_string(id)}});
+    }
+    e.gate->set(keep_awake);
   }
 }
 

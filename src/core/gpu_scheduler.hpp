@@ -74,9 +74,12 @@ class GpuScheduler {
     double tenant_weight = 1.0;
     std::uint64_t stream_id = 0;
     WakeGate* gate = nullptr;
-    /// Positive iff the thread has queued or in-flight requests (backlog).
-    /// Each dispatcher decision calls it once per entry.
-    std::function<int()> backlog_probe;
+    /// The thread's backlog, kept by its owner: requests delivered but not
+    /// yet received, plus one while a request is being handled, plus the
+    /// ops outstanding on its stream. The thread is backlogged iff it is
+    /// positive; each decision reads it once per entry. Null means always
+    /// backlogged.
+    const int* backlog = nullptr;
   };
 
   GpuScheduler(sim::Simulation& sim, Gid gid,
@@ -115,7 +118,7 @@ class GpuScheduler {
   void set_tracer(obs::Tracer* tracer);
 
   // ---- introspection ----
-  /// The acked RCB entries as the policy sees them, with backlog probed now.
+  /// The acked RCB entries as the policy sees them, with backlog read now.
   std::vector<policies::RcbSnapshot> snapshot() const;
   sim::SimTime service_attained(int signal_id) const;
   /// Cumulative GPU service of `tenant` across all (including exited) apps —
@@ -132,45 +135,42 @@ class GpuScheduler {
   const Config& config() const { return config_; }
 
  private:
+  // The RCB is kept in two halves, in key order and position for position:
+  // `rcb_` holds each entry's Request Manager / Monitor state, `view_` its
+  // policy input. The dispatcher refreshes `view_` in place where fields
+  // change, and hands it to the policy without a copy.
   struct RcbEntry {
-    RcbInit init;
-    std::uint32_t tenant_id = 0;
-    sim::SimTime registered_at = 0;
+    // Dispatcher state, read every tick.
+    const int* backlog = nullptr;  // RcbInit::backlog
+    WakeGate* gate = nullptr;      // RcbInit::gate
+    sim::SimTime service_at_last_epoch = 0;
     bool acked = false;
-    policies::Phase phase = policies::Phase::kDefault;
-    // Request Monitor accumulators.
+    bool awake = true;    // the gate's state; only the dispatcher moves it
+    bool picked = false;  // in the policy's awake set (during dispatch)
+    // Request Manager and Request Monitor state.
+    std::string app_type;
+    sim::SimTime registered_at = 0;
     sim::SimTime gpu_time = 0;
     sim::SimTime transfer_time = 0;
     std::int64_t bytes_accessed = 0;
-    // Dispatcher bookkeeping.
-    sim::SimTime service_at_last_epoch = 0;
-    sim::SimTime epoch_service = 0;
-    double cgs = 0.0;
-    sim::SimTime entitled = 0;
-    bool backlogged = false;  // probed once per decision
-    bool picked = false;      // in the policy's awake set (during dispatch)
   };
   struct Tenant {
     std::string name;
     sim::SimTime service = 0;  // engine residency, all apps ever
   };
 
-  sim::SimTime total_service(const RcbEntry& e) const {
-    return e.gpu_time + e.transfer_time;
+  static bool backlogged(const RcbEntry& e) {
+    return e.backlog == nullptr || *e.backlog > 0;
   }
-  static bool probe_backlog(const RcbEntry& e) {
-    return e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
-  }
+  /// Position of `signal_id` in both halves, or rcb_.size().
+  std::size_t index_of(int signal_id) const;
   std::uint32_t intern_tenant(const std::string& tenant);
-  /// Appends the acked entries to `out`; backlog is probed afresh when
-  /// `probe` is set, else taken from the entry's last probe.
-  void fill_snapshot(std::vector<policies::RcbSnapshot>& out,
-                     bool probe) const;
   void arm_epoch();
   void epoch_tick();
-  /// ack/unregister: probes the acked entries once each, then dispatches.
+  /// ack/unregister: reads the acked entries' backlog, then dispatches.
   void run_dispatcher();
-  /// Runs the policy over the entries' last probe and toggles the gates.
+  /// Runs the policy over the view as its callers refreshed it (backlog,
+  /// tenant service) and toggles the gates.
   void dispatch();
 
   sim::Simulation& sim_;
@@ -178,11 +178,15 @@ class GpuScheduler {
   std::unique_ptr<policies::DeviceSchedPolicy> policy_;
   Config config_;
   sim::FlatMap<int, RcbEntry> rcb_;
+  std::vector<policies::RcbSnapshot> view_;  // parallel to rcb_
+  int unacked_ = 0;  // entries registered but not yet acked
   // Tenants by id, interned at register_app. A deque keeps each name's
   // address stable, so snapshots can view it.
   std::deque<Tenant> tenants_;
   sim::FlatMap<std::string, std::uint32_t> tenant_ids_;
-  std::vector<policies::RcbSnapshot> snaps_;  // the dispatcher's, reused
+  // The acked part of view_, for decisions made while some entry is not
+  // yet acked (between register_app and ack).
+  std::vector<policies::RcbSnapshot> acked_view_;
   int next_signal_ = 1;
   bool epoch_armed_ = false;
   std::int64_t epochs_ = 0;

@@ -266,7 +266,10 @@ cudaError_t CudaRuntime::cudaStreamDestroy(ProcessId pid,
   // CUDA semantics: outstanding work completes, then the stream goes away.
   // Our ops reference the stream only through completion callbacks that
   // tolerate a missing entry, so erasing immediately is equivalent.
+  it->second.count(-static_cast<int>(it->second.pending.size()) -
+                   it->second.in_flight);
   ctx.streams.erase(it);
+  p->stream_counters.erase({p->current_device, stream});
   return cudaError_t::cudaSuccess;
 }
 
@@ -420,15 +423,18 @@ cudaError_t CudaRuntime::cudaGetLastError(ProcessId pid) {
   return err;
 }
 
-int CudaRuntime::outstanding_ops_on_stream(ProcessId pid, int device,
-                                           cudaStream_t stream) const {
-  auto pit = processes_.find(pid);
-  if (pit == processes_.end()) return 0;
-  auto cit = pit->second->contexts.find(device);
-  if (cit == pit->second->contexts.end()) return 0;
+void CudaRuntime::count_stream_ops(ProcessId pid, int device,
+                                   cudaStream_t stream, int* counter) {
+  Process* p = find_process(pid);
+  if (p == nullptr) return;
+  p->stream_counters.insert_or_assign({device, stream}, counter);
+  auto cit = p->contexts.find(device);
+  if (cit == p->contexts.end()) return;
   auto sit = cit->second->streams.find(stream);
-  if (sit == cit->second->streams.end()) return 0;
-  return static_cast<int>(sit->second.pending.size()) + sit->second.in_flight;
+  if (sit == cit->second->streams.end()) return;
+  sit->second.counter = counter;
+  sit->second.count(static_cast<int>(sit->second.pending.size()) +
+                    sit->second.in_flight);
 }
 
 int CudaRuntime::outstanding_ops(ProcessId pid, int device) const {
@@ -466,7 +472,14 @@ cudaError_t CudaRuntime::enqueue(ProcessId pid, cudaStream_t stream,
   if (stream != cudaStreamDefault && !ctx.streams.contains(stream)) {
     return fail(*p, cudaError_t::cudaErrorInvalidResourceHandle);
   }
-  ctx.streams[stream].pending.push_back(std::move(op));
+  auto [sit, created] = ctx.streams.emplace(stream);
+  StreamState& st = sit->second;
+  if (created) {
+    auto counter = p->stream_counters.find({p->current_device, stream});
+    if (counter != p->stream_counters.end()) st.counter = counter->second;
+  }
+  st.pending.push_back(std::move(op));
+  st.count(1);
   pump_after(ctx, stream);
   return cudaError_t::cudaSuccess;
 }
@@ -504,6 +517,7 @@ void CudaRuntime::pump_stream(Context& ctx, cudaStream_t stream) {
     PendingOp op = std::move(st.pending.front());
     st.pending.pop_front();
     if (op.kind == PendingOp::Kind::kEventRecord) {
+      st.count(-1);
       // All prior work in this stream has completed (FIFO + in_flight == 0),
       // so the event completes immediately.
       if (Process* owner = find_process(ctx.owner)) {
@@ -539,7 +553,10 @@ void CudaRuntime::pump_stream(Context& ctx, cudaStream_t stream) {
 
 void CudaRuntime::op_finished(Context& ctx, cudaStream_t stream) {
   auto sit = ctx.streams.find(stream);
-  if (sit != ctx.streams.end()) sit->second.in_flight = 0;
+  if (sit != ctx.streams.end()) {
+    sit->second.count(-sit->second.in_flight);
+    sit->second.in_flight = 0;
+  }
   --ctx.total_in_flight;
   if (ctx.total_in_flight == 0) ctx.drained->notify_all();
   pump_after(ctx, stream);

@@ -107,10 +107,15 @@ class CudaRuntime {
   /// given process (used by schedulers to observe progress).
   int outstanding_ops(ProcessId pid, int device) const;
 
-  /// Like outstanding_ops but for a single stream of the process's context
-  /// on `device` (Strings workers share a process; backlog is per stream).
-  int outstanding_ops_on_stream(ProcessId pid, int device,
-                                cudaStream_t stream) const;
+  /// Keeps `*counter` counting the ops queued or in flight on one stream of
+  /// the process's context on `device` (Strings workers share a process;
+  /// backlog is per stream): adds the stream's current count, then +1 per
+  /// op enqueued and -1 per op leaving it — a device op at completion, an
+  /// event record when it fires, every op when the stream is destroyed. A
+  /// stream created later under that id (a default stream is created by
+  /// its first op) is counted too. One counter per stream.
+  void count_stream_ops(ProcessId pid, int device, cudaStream_t stream,
+                        int* counter);
 
   /// Observer invoked on every device-op completion with the owning process,
   /// the stream it ran on, and the op's timing — the Request Monitor's food.
@@ -130,6 +135,10 @@ class CudaRuntime {
   struct StreamState {
     std::deque<PendingOp> pending;
     int in_flight = 0;  // 0 or 1: stream order is FIFO
+    int* counter = nullptr;  // count_stream_ops(), if any
+    void count(int delta) {
+      if (counter != nullptr) *counter += delta;
+    }
   };
   struct EventState {
     bool recorded = false;   // recorded into some stream
@@ -161,6 +170,9 @@ class CudaRuntime {
     // (see cudaEventSynchronize) instead of holding iterators.
     sim::FlatMap<cudaEvent_t, EventState> events;
     cudaError_t last_error = cudaError_t::cudaSuccess;
+    /// count_stream_ops() counters by (device, stream), for streams that
+    /// do not exist yet.
+    sim::FlatMap<std::pair<int, cudaStream_t>, int*> stream_counters;
   };
 
   Process* find_process(ProcessId pid);

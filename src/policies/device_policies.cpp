@@ -1,6 +1,7 @@
 #include "policies/device_policies.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <stdexcept>
 
@@ -45,6 +46,31 @@ std::vector<std::uint64_t> TfsPolicy::pick_awake(
   return {best->key};
 }
 
+namespace {
+
+/// The first three entries of a stable sort by `key`: inserts `r` behind
+/// every kept entry whose key is not greater, dropping what falls past the
+/// third. Equal keys therefore keep snapshot order, as std::stable_sort
+/// would, without allocating.
+struct Top3 {
+  std::array<const RcbSnapshot*, 3> at{};
+  std::size_t size = 0;
+
+  template <class Key>
+  void offer(const RcbSnapshot* r, Key key) {
+    std::size_t i = size;
+    while (i > 0 && key(*r) < key(*at[i - 1])) {
+      if (i < at.size()) at[i] = at[i - 1];
+      --i;
+    }
+    if (i == at.size()) return;
+    at[i] = r;
+    if (size < at.size()) ++size;
+  }
+};
+
+}  // namespace
+
 std::vector<std::uint64_t> LasPolicy::pick_awake(
     const std::vector<RcbSnapshot>& rcb) {
   // Greedy: raise the priority of threads with the least decayed cumulative
@@ -52,18 +78,16 @@ std::vector<std::uint64_t> LasPolicy::pick_awake(
   // three engine slots, so LAS forgoes no overlap). Short-episode jobs
   // finish sooner, minimizing total CPU stall time — at the cost of starving
   // long-episode jobs outside the window (the paper calls LAS "extremely
-  // greedy" and unfair).
-  std::vector<const RcbSnapshot*> backlogged;
+  // greedy" and unfair). Ties keep snapshot (key) order.
+  Top3 least;
   for (const auto& r : rcb) {
-    if (r.backlogged) backlogged.push_back(&r);
+    if (!r.backlogged) continue;
+    least.offer(&r, [](const RcbSnapshot& s) { return s.cgs; });
   }
-  std::stable_sort(backlogged.begin(), backlogged.end(),
-                   [](const RcbSnapshot* a, const RcbSnapshot* b) {
-                     return a->cgs < b->cgs;
-                   });
   std::vector<std::uint64_t> awake;
-  for (std::size_t i = 0; i < backlogged.size() && i < 3; ++i) {
-    awake.push_back(backlogged[i]->key);
+  awake.reserve(least.size);
+  for (std::size_t i = 0; i < least.size; ++i) {
+    awake.push_back(least.at[i]->key);
   }
   return awake;
 }
@@ -72,29 +96,23 @@ std::vector<std::uint64_t> PsPolicy::pick_awake(
     const std::vector<RcbSnapshot>& rcb) {
   // One thread per GPU phase so kernel + H2D + D2H engines run concurrently.
   // Within a phase, prefer least attained service (fairness inside the
-  // relaxed TFS invariant). If a phase has no candidate, fill remaining
-  // slots by phase priority KL > H2D = D2H > DFL.
-  std::vector<const RcbSnapshot*> backlogged;
+  // relaxed TFS invariant; ties keep snapshot order). If a phase has no
+  // candidate, fill remaining slots by phase priority KL > H2D = D2H > DFL.
+  // At most three threads wake, so each phase's three least-served
+  // candidates are all a decision can reach.
+  std::array<Top3, 4> by_phase;  // indexed by Phase
   for (const auto& r : rcb) {
-    if (r.backlogged) backlogged.push_back(&r);
+    if (!r.backlogged) continue;
+    by_phase[static_cast<std::size_t>(r.phase)].offer(
+        &r, [](const RcbSnapshot& s) { return s.total_service; });
   }
-  if (backlogged.empty()) return {};
-  std::stable_sort(backlogged.begin(), backlogged.end(),
-                   [](const RcbSnapshot* a, const RcbSnapshot* b) {
-                     return a->total_service < b->total_service;
-                   });
-
+  std::array<std::size_t, 4> taken{};
   std::vector<std::uint64_t> awake;
   auto take_phase = [&](Phase p) -> bool {
-    for (const auto* r : backlogged) {
-      if (r->phase != p) continue;
-      if (std::find(awake.begin(), awake.end(), r->key) != awake.end()) {
-        continue;
-      }
-      awake.push_back(r->key);
-      return true;
-    }
-    return false;
+    const auto i = static_cast<std::size_t>(p);
+    if (taken[i] == by_phase[i].size) return false;
+    awake.push_back(by_phase[i].at[taken[i]++]->key);
+    return true;
   };
   int slots = 3;
   if (take_phase(Phase::kKernelLaunch)) --slots;
@@ -215,27 +233,27 @@ std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
     if (!f.backlogged) continue;
     (f.vt > throttle_at ? throttled_ : runnable_).push_back(id);
   }
-  const auto by_rank = [this](std::uint32_t a, std::uint32_t b) {
-    return flows_[a].rank < flows_[b].rank;
-  };
-  std::sort(throttled_.begin(), throttled_.end(), by_rank);
 
   // Stickiness: tenants still inside their window keep their slots first;
   // remaining slots go to the lowest virtual times. Ties break on tenant
-  // name (rank).
-  std::sort(runnable_.begin(), runnable_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const Flow& fa = flows_[a];
-              const Flow& fb = flows_[b];
-              const bool sa = fa.sticky_until > now;
-              const bool sb = fb.sticky_until > now;
-              if (sa != sb) return sa;
-              if (fa.vt != fb.vt) return fa.vt < fb.vt;
-              return fa.rank < fb.rank;
-            });
+  // name (rank), which is unique, so the order is total and selecting the
+  // first `slots` gives exactly the prefix of a full sort.
+  const auto before = [&](std::uint32_t a, std::uint32_t b) {
+    const Flow& fa = flows_[a];
+    const Flow& fb = flows_[b];
+    const bool sa = fa.sticky_until > now;
+    const bool sb = fb.sticky_until > now;
+    if (sa != sb) return sa;
+    if (fa.vt != fb.vt) return fa.vt < fb.vt;
+    return fa.rank < fb.rank;
+  };
   if (cfg_.slots > 0 &&
       runnable_.size() > static_cast<std::size_t>(cfg_.slots)) {
-    runnable_.resize(static_cast<std::size_t>(cfg_.slots));
+    const auto keep = runnable_.begin() + cfg_.slots;
+    std::partial_sort(runnable_.begin(), keep, runnable_.end(), before);
+    runnable_.erase(keep, runnable_.end());
+  } else {
+    std::sort(runnable_.begin(), runnable_.end(), before);
   }
 
   // Each flow is a FIFO: only its head-of-line thread dispatches (lowest
@@ -261,9 +279,16 @@ std::vector<std::pair<std::string, double>> MqfqStickyPolicy::vtimes() const {
 }
 
 std::vector<std::string> MqfqStickyPolicy::last_throttled() const {
+  // Kept unsorted by the decision; name order is only needed here. Ranks
+  // only shift as new tenants slot in, which preserves the relative order
+  // of the flows recorded at that decision.
+  std::vector<std::uint32_t> ids = throttled_;
+  std::sort(ids.begin(), ids.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return flows_[a].rank < flows_[b].rank;
+  });
   std::vector<std::string> out;
-  out.reserve(throttled_.size());
-  for (const std::uint32_t id : throttled_) out.push_back(flows_[id].name);
+  out.reserve(ids.size());
+  for (const std::uint32_t id : ids) out.push_back(flows_[id].name);
   return out;
 }
 

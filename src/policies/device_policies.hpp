@@ -181,7 +181,7 @@ class MqfqStickyPolicy final : public DeviceSchedPolicy {
   std::vector<std::uint32_t> present_;   // tenant ids in this snapshot
   std::vector<std::uint32_t> prev_present_;
   std::vector<std::uint32_t> runnable_;
-  std::vector<std::uint32_t> throttled_;  // at the last decision, by rank
+  std::vector<std::uint32_t> throttled_;  // at the last decision, unsorted
   std::uint64_t decision_ = 0;
   double global_vt_ = 0.0;
   sim::SimTime last_now_ = 0;

@@ -98,9 +98,15 @@ class Channel {
     // The packet rides inside the event closure: SmallFn's inline buffer is
     // sized so a channel delivery never heap-allocates a control block.
     sim_.schedule(deliver_at - sim_.now(), [this, p = std::move(p)]() mutable {
+      if (pending_counter_ != nullptr) ++*pending_counter_;
       inbox_.send(std::move(p));
     });
   }
+
+  /// Keeps `*counter` counting the packets delivered into this channel's
+  /// inbox but not yet received: +1 at each delivery, -1 at each receive.
+  /// Set it before the first delivery; nullptr stops the counting.
+  void count_pending(int* counter) { pending_counter_ = counter; }
 
   /// Attaches a tracer: every send emits a transmission span (wire grab to
   /// delivery) on `track`. Pass nullptr to detach.
@@ -120,9 +126,17 @@ class Channel {
   }
 
   /// Blocking receive (process context).
-  Packet receive() { return inbox_.receive(); }
+  Packet receive() {
+    Packet p = inbox_.receive();
+    if (pending_counter_ != nullptr) --*pending_counter_;
+    return p;
+  }
 
-  std::optional<Packet> try_receive() { return inbox_.try_receive(); }
+  std::optional<Packet> try_receive() {
+    std::optional<Packet> p = inbox_.try_receive();
+    if (p && pending_counter_ != nullptr) --*pending_counter_;
+    return p;
+  }
   bool has_pending() const { return !inbox_.empty(); }
   std::size_t pending_count() const { return inbox_.size(); }
 
@@ -141,6 +155,7 @@ class Channel {
   int trace_track_ = -1;
   std::string occ_resource_;
   std::string occ_tenant_;
+  int* pending_counter_ = nullptr;
 };
 
 /// A request/response pair of channels (one per frontend/backend binding).

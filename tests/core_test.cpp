@@ -16,6 +16,9 @@ using policies::Phase;
 using sim::msec;
 using sim::sec;
 
+// Backlog counter of an entry that always has work.
+const int kBacklogged = 1;
+
 TEST(GMap, AssignsSequentialGids) {
   GMap m;
   auto a = m.add_node(0, {gpu::quadro2000(), gpu::tesla_c2050()});
@@ -271,10 +274,10 @@ TEST(GpuScheduler, TfsDispatcherKeepsOneAwake) {
   GpuScheduler::RcbInit i1, i2;
   i1.tenant = "A";
   i1.gate = &g1;
-  i1.backlog_probe = [] { return 1; };
+  i1.backlog = &kBacklogged;
   i2.tenant = "B";
   i2.gate = &g2;
-  i2.backlog_probe = [] { return 1; };
+  i2.backlog = &kBacklogged;
   const int id1 = f.sched.register_app(i1);
   const int id2 = f.sched.register_app(i2);
   f.sched.ack(id1);
@@ -294,10 +297,10 @@ TEST(GpuScheduler, TfsAlternatesWithEqualWeights) {
   GpuScheduler::RcbInit i1, i2;
   i1.tenant = "A";
   i1.gate = &g1;
-  i1.backlog_probe = [] { return 1; };
+  i1.backlog = &kBacklogged;
   i2.tenant = "B";
   i2.gate = &g2;
-  i2.backlog_probe = [] { return 1; };
+  i2.backlog = &kBacklogged;
   const int id1 = f.sched.register_app(i1);
   const int id2 = f.sched.register_app(i2);
   f.sched.ack(id1);
@@ -324,10 +327,10 @@ TEST(GpuScheduler, UnregisterLeavesGateOpen) {
   WakeGate g1(f.sim), g2(f.sim);
   GpuScheduler::RcbInit i1, i2;
   i1.gate = &g1;
-  i1.backlog_probe = [] { return 1; };
+  i1.backlog = &kBacklogged;
   i1.tenant = "A";
   i2.gate = &g2;
-  i2.backlog_probe = [] { return 1; };
+  i2.backlog = &kBacklogged;
   i2.tenant = "B";
   const int id1 = f.sched.register_app(i1);
   const int id2 = f.sched.register_app(i2);
@@ -340,53 +343,89 @@ TEST(GpuScheduler, UnregisterLeavesGateOpen) {
   EXPECT_TRUE(g2.awake());
 }
 
-TEST(GpuScheduler, ProbesEachEntryOncePerDecision) {
+/// Records the backlogged bit of every entry of every decision it makes,
+/// in snapshot order, keyed by the entry's signal id.
+struct BacklogLog {
+  std::vector<std::vector<std::pair<std::uint64_t, bool>>> decisions;
+};
+BacklogLog* g_backlog_log = nullptr;
+
+class BacklogRecorder final : public policies::DeviceSchedPolicy {
+ public:
+  const char* name() const override { return "BacklogRecorder"; }
+  std::vector<std::uint64_t> pick_awake(
+      const std::vector<policies::RcbSnapshot>& rcb) override {
+    auto& d = g_backlog_log->decisions.emplace_back();
+    for (const auto& r : rcb) d.emplace_back(r.key, r.backlogged);
+    return inner_.pick_awake(rcb);
+  }
+
+ private:
+  policies::MqfqStickyPolicy inner_;
+};
+
+TEST(GpuScheduler, BackloggedBitsFollowTheCounterAtEachDecision) {
+  BacklogLog log;
+  g_backlog_log = &log;
+  policies::register_device_policy(
+      "core_test.backlog", [] { return std::make_unique<BacklogRecorder>(); });
   GpuScheduler::Config cfg;
   cfg.epoch = msec(10);
-  SchedFixture f("MQFQ", cfg);
-  std::vector<int> calls(3, 0);
+  SchedFixture f("core_test.backlog", cfg);
   std::vector<int> backlog = {1, 0, 2};
   std::vector<std::unique_ptr<WakeGate>> gates;
-  std::vector<int> ids;
+  std::vector<std::uint64_t> ids;
   const char* tenants[] = {"B", "A", "B"};
   for (std::size_t i = 0; i < 3; ++i) {
     gates.push_back(std::make_unique<WakeGate>(f.sim));
     GpuScheduler::RcbInit init;
     init.tenant = tenants[i];
     init.gate = gates.back().get();
-    init.backlog_probe = [&calls, &backlog, i] {
-      ++calls[i];
-      return backlog[i];
-    };
-    ids.push_back(f.sched.register_app(init));
+    init.backlog = &backlog[i];
+    ids.push_back(static_cast<std::uint64_t>(f.sched.register_app(init)));
   }
-  // ack: one probe of each acked entry; unacked entries are not probed.
-  f.sched.ack(ids[0]);
-  EXPECT_EQ(calls, (std::vector<int>{1, 0, 0}));
-  f.sched.ack(ids[1]);
-  f.sched.ack(ids[2]);
-  EXPECT_EQ(calls, (std::vector<int>{3, 2, 1}));
+  using Bits = std::vector<std::pair<std::uint64_t, bool>>;
+  // ack: one decision over the acked entries only, read at that instant.
+  f.sched.ack(static_cast<int>(ids[0]));
+  ASSERT_EQ(log.decisions.size(), 1u);
+  EXPECT_EQ(log.decisions[0], (Bits{{ids[0], true}}));
+  backlog[0] = 0;
+  f.sched.ack(static_cast<int>(ids[1]));
+  backlog[2] = 1;
+  f.sched.ack(static_cast<int>(ids[2]));
+  ASSERT_EQ(log.decisions.size(), 3u);
+  EXPECT_EQ(log.decisions[1], (Bits{{ids[0], false}, {ids[1], false}}));
+  EXPECT_EQ(log.decisions[2],
+            (Bits{{ids[0], false}, {ids[1], false}, {ids[2], true}}));
 
-  // Epoch ticks: exactly one probe per entry per tick.
-  calls.assign(3, 0);
+  // Epoch ticks: each decision sees the counters as they stand at its tick.
+  f.sim.schedule(msec(5), [&] { backlog = {3, 1, 0}; });
+  f.sim.schedule(msec(15), [&] { backlog = {0, 0, 0}; });
+  f.sim.schedule(msec(25), [&] { backlog = {0, 2, 5}; });
   f.sim.run_until(msec(35));
   ASSERT_EQ(f.sched.epochs_run(), 3);
-  EXPECT_EQ(calls, (std::vector<int>{3, 3, 3}));
+  ASSERT_EQ(log.decisions.size(), 6u);
+  EXPECT_EQ(log.decisions[3],
+            (Bits{{ids[0], true}, {ids[1], true}, {ids[2], false}}));
+  EXPECT_EQ(log.decisions[4],
+            (Bits{{ids[0], false}, {ids[1], false}, {ids[2], false}}));
+  EXPECT_EQ(log.decisions[5],
+            (Bits{{ids[0], false}, {ids[1], true}, {ids[2], true}}));
 
-  // The public snapshot probes afresh, once per entry.
-  calls.assign(3, 0);
-  backlog[0] = 0;
+  // The public snapshot reads the counters afresh.
+  backlog = {1, 0, 0};
   const auto snaps = f.sched.snapshot();
   ASSERT_EQ(snaps.size(), 3u);
-  EXPECT_FALSE(snaps[0].backlogged);
+  EXPECT_TRUE(snaps[0].backlogged);
   EXPECT_FALSE(snaps[1].backlogged);
-  EXPECT_TRUE(snaps[2].backlogged);
-  EXPECT_EQ(calls, (std::vector<int>{1, 1, 1}));
+  EXPECT_FALSE(snaps[2].backlogged);
 
-  // unregister: one probe of each remaining entry.
-  calls.assign(3, 0);
-  f.sched.unregister_app(ids[1]);
-  EXPECT_EQ(calls, (std::vector<int>{1, 0, 1}));
+  // unregister: one decision over the remaining entries, read afresh.
+  backlog = {0, 7, 4};
+  f.sched.unregister_app(static_cast<int>(ids[1]));
+  ASSERT_EQ(log.decisions.size(), 7u);
+  EXPECT_EQ(log.decisions[6], (Bits{{ids[0], false}, {ids[2], true}}));
+  g_backlog_log = nullptr;
 }
 
 TEST(GpuScheduler, TenantIdsAreDenseAndServiceAnswersByName) {

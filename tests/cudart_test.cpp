@@ -391,6 +391,50 @@ TEST(CudaRuntime, OutstandingOpsTracksQueueDepth) {
   f.sim.run();
 }
 
+TEST(CudaRuntime, CountStreamOpsFollowsOpsInAndOut) {
+  Fixture f;
+  auto pid = f.rt->create_process();
+  int count = 0;
+  // Watched before the context or its default stream exist: the stream
+  // created by the first op picks the counter up.
+  f.rt->count_stream_ops(pid, 0, cudaStreamDefault, &count);
+  EXPECT_EQ(count, 0);
+  f.sim.spawn("app", [&] {
+    cudaEvent_t ev = 0;
+    ASSERT_EQ(f.rt->cudaEventCreate(pid, &ev), E::cudaSuccess);
+    ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(10)), cudaStreamDefault),
+              E::cudaSuccess);
+    ASSERT_EQ(f.rt->cudaEventRecord(pid, ev, cudaStreamDefault),
+              E::cudaSuccess);
+    ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(10)), cudaStreamDefault),
+              E::cudaSuccess);
+    EXPECT_EQ(count, 3);  // one in flight, a record and a kernel queued
+    f.sim.wait_for(msec(15));
+    // The first kernel completed and the record fired with no device op.
+    EXPECT_EQ(count, 1);
+    ASSERT_EQ(f.rt->cudaEventSynchronize(pid, ev), E::cudaSuccess);
+    ASSERT_EQ(f.rt->cudaDeviceSynchronize(pid), E::cudaSuccess);
+    EXPECT_EQ(count, 0);
+
+    // A stream with work already queued adds it when first watched, and
+    // gives every op back when destroyed with work outstanding.
+    cudaStream_t s = 0;
+    ASSERT_EQ(f.rt->cudaStreamCreate(pid, &s), E::cudaSuccess);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(10)), s),
+                E::cudaSuccess);
+    }
+    int on_s = 0;
+    f.rt->count_stream_ops(pid, 0, s, &on_s);
+    EXPECT_EQ(on_s, 2);
+    ASSERT_EQ(f.rt->cudaStreamDestroy(pid, s), E::cudaSuccess);
+    EXPECT_EQ(on_s, 0);
+    EXPECT_EQ(count, 0);
+  });
+  f.sim.run();
+  EXPECT_EQ(count, 0);
+}
+
 TEST(CudaRuntime, MultiDeviceContextsIndependent) {
   Fixture f(2);
   auto pid = f.rt->create_process();

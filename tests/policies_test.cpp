@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "core/dst_snapshot.hpp"
 #include "core/gpool.hpp"
 #include "core/tables.hpp"
+#include "device_policy_oracles.hpp"
 
 namespace strings::policies {
 namespace {
@@ -314,6 +318,33 @@ TEST(PsPolicy, OnlyDefaultPhaseStillWakesUpToThree) {
                              snap(3, 0, 0, Phase::kDefault),
                              snap(4, 0, 0, Phase::kDefault)});
   EXPECT_EQ(awake.size(), 3u);
+}
+
+// The top-3 selections must pick exactly what a stable sort of every
+// backlogged entry picked, including among equal keys. Snapshots of 0-40
+// entries draw cgs / total_service from a handful of values so ties are
+// the norm; keys are unique and ascending, as the dispatcher's are.
+TEST(DevicePolicyOracles, LasAndPsMatchStableSortOnEveryDecision) {
+  std::mt19937 rng(20240611);
+  LasPolicy las;
+  PsPolicy ps;
+  for (int round = 0; round < 5000; ++round) {
+    const int n = static_cast<int>(rng() % 41);
+    const int distinct = 1 + static_cast<int>(rng() % 4);
+    std::vector<RcbSnapshot> rcb;
+    std::uint64_t key = rng() % 5;
+    for (int i = 0; i < n; ++i) {
+      key += 1 + rng() % 3;
+      rcb.push_back(snap(key, msec(static_cast<int>(rng() % distinct)),
+                         0.5 * static_cast<double>(rng() % distinct),
+                         static_cast<Phase>(rng() % 4),
+                         /*backlogged=*/rng() % 4 != 0));
+    }
+    ASSERT_EQ(las.pick_awake(rcb), testing_oracle::stable_sort_las(rcb))
+        << "round " << round;
+    ASSERT_EQ(ps.pick_awake(rcb), testing_oracle::stable_sort_ps(rcb))
+        << "round " << round;
+  }
 }
 
 TEST(DevicePolicyFactory, MakesAllAndRejectsUnknown) {

@@ -146,6 +146,29 @@ TEST(Channel, DeliversInOrderWithLatency) {
   EXPECT_EQ(got[2], std::make_pair(std::uint64_t{2}, usec(250)));
 }
 
+TEST(Channel, CountPendingSpansDeliveryToReceive) {
+  sim::Simulation sim;
+  Channel ch(sim, LinkModel{usec(5), 0.0});
+  int pending = 0;
+  ch.count_pending(&pending);
+  std::vector<int> seen;
+  sim.spawn("client", [&] {
+    ch.send(Packet{});
+    ch.send(Packet{});
+    seen.push_back(pending);  // sent, still on the wire
+    sim.wait_for(usec(6));
+    seen.push_back(pending);  // both delivered
+    ch.receive();
+    seen.push_back(pending);
+    ASSERT_TRUE(ch.try_receive().has_value());
+    seen.push_back(pending);
+    EXPECT_FALSE(ch.try_receive().has_value());
+    seen.push_back(pending);
+  });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<int>{0, 2, 1, 0, 0}));
+}
+
 TEST(Channel, BandwidthSerializesLargePackets) {
   sim::Simulation sim;
   // 0.117 GB/s GigE; 117000-byte body takes ~1ms on the wire.

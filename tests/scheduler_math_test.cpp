@@ -3,6 +3,8 @@
 // and TFS entitlement accrual / work conservation.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "core/gpu_scheduler.hpp"
 
 namespace strings::core {
@@ -35,13 +37,14 @@ struct Fixture {
     init.app_type = "X";
     init.tenant = tenant;
     init.tenant_weight = weight;
-    init.backlog_probe = [backlog] { return backlog; };
+    init.backlog = &backlogs.emplace_back(backlog);
     const int id = sched->register_app(init);
     sched->ack(id);
     return id;
   }
   sim::Simulation sim;
   std::unique_ptr<GpuScheduler> sched;
+  std::deque<int> backlogs;  // the entries' counters, address-stable
 };
 
 TEST(SchedulerMath, CgsFollowsEquationOne) {
@@ -109,7 +112,8 @@ TEST(SchedulerMath, IdleTenantAccruesNoEntitlement) {
   idle.app_type = "X";
   idle.tenant = "idle";
   idle.tenant_weight = 1.0;
-  idle.backlog_probe = [] { return 0; };
+  const int no_backlog = 0;
+  idle.backlog = &no_backlog;
   const int idle_id = f.sched->register_app(idle);
   f.sched->ack(idle_id);
   const int busy_id = f.add_app("busy", 1.0, /*backlog=*/1);
