@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     s.seed = 3;
     cfg.streams = {s};
     const auto out = bench::run("run", cfg);
-    const workloads::DeviceUtilSummary& u = out.device_util.at(0);
+    const gpu::DeviceUtilSummary& u = out.device_util.at(0);
     // Bandwidth utilization classes compare the app's demand to what it
     // could demand; normalize against the busy (non-idle) window.
     const double busy = 1.0 - u.idle_frac;

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     cfg.testbed.trace = true;
     cfg.streams = {s};
     const auto out = bench::run("run", cfg);
-    const workloads::DeviceUtilSummary& u = out.device_util.at(0);
+    const gpu::DeviceUtilSummary& u = out.device_util.at(0);
     const auto& c = out.device_counters.at(0);
     cov[idx++] = u.util_cov;
     table.add_row(

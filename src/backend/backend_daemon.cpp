@@ -183,7 +183,6 @@ rpc::DuplexChannel& BackendDaemon::connect(
     init.app_type = app.app_type;
     init.tenant = app.tenant;
     init.tenant_weight = app.tenant_weight;
-    init.stream_id = stream;
     init.gate = nullptr;
     init.backlog = &c.backlog;
     rt_.count_stream_ops(pid, local_dev, stream, &c.backlog);
@@ -219,7 +218,6 @@ void BackendDaemon::worker_loop(Conn& conn) {
   init.app_type = conn.app.app_type;
   init.tenant = conn.app.tenant;
   init.tenant_weight = conn.app.tenant_weight;
-  init.stream_id = stream;
   init.gate = conn.gate.get();
   init.backlog = &conn.backlog;
   rt_.count_stream_ops(pid, conn.local_dev, stream, &conn.backlog);

@@ -72,7 +72,6 @@ class GpuScheduler {
     std::string app_type;
     std::string tenant;
     double tenant_weight = 1.0;
-    std::uint64_t stream_id = 0;
     WakeGate* gate = nullptr;
     /// The thread's backlog, kept by its owner: requests delivered but not
     /// yet received, plus one while a request is being handled, plus the

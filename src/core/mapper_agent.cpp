@@ -290,19 +290,29 @@ void MapperAgent::flush_feedback() {
 
 ControlPlaneStats MapperAgent::stats() const {
   ControlPlaneStats s = stats_;
-  if (channel_ != nullptr) {
-    s.bytes_sent =
-        channel_->request.bytes_sent() + channel_->response.bytes_sent();
-    s.packets_sent =
-        channel_->request.packets_sent() + channel_->response.packets_sent();
-  }
-  if (push_channel_ != nullptr) {
-    // Delta fan-out traffic lands on this agent's link, so push is not
-    // free — it just scales with change rate instead of decision rate.
-    s.bytes_sent += push_channel_->bytes_sent();
-    s.packets_sent += push_channel_->packets_sent();
-  }
+  s.bytes_sent = bytes_sent();
+  s.packets_sent = packets_sent();
   return s;
+}
+
+// Delta fan-out traffic lands on this agent's link, so push is not free —
+// it just scales with change rate instead of decision rate.
+std::uint64_t MapperAgent::bytes_sent() const {
+  std::uint64_t b = 0;
+  if (channel_ != nullptr) {
+    b = channel_->request.bytes_sent() + channel_->response.bytes_sent();
+  }
+  if (push_channel_ != nullptr) b += push_channel_->bytes_sent();
+  return b;
+}
+
+std::uint64_t MapperAgent::packets_sent() const {
+  std::uint64_t p = 0;
+  if (channel_ != nullptr) {
+    p = channel_->request.packets_sent() + channel_->response.packets_sent();
+  }
+  if (push_channel_ != nullptr) p += push_channel_->packets_sent();
+  return p;
 }
 
 }  // namespace strings::core

@@ -75,6 +75,13 @@ class MapperAgent {
   bool subscribed() const { return subscribed_; }
   /// Counters including this agent's channel byte/packet totals.
   ControlPlaneStats stats() const;
+  /// The counters of stats() by reference, without its copies of the
+  /// latency and placement vectors; bytes_sent and packets_sent read 0
+  /// here (use the accessors below). Registry gauges read single fields.
+  const ControlPlaneStats& counters() const { return stats_; }
+  /// This agent's channel traffic: request, response and delta push.
+  std::uint64_t bytes_sent() const;
+  std::uint64_t packets_sent() const;
 
   /// Optional registry histogram: every placement decision's latency is
   /// additionally observed into it (milliseconds).

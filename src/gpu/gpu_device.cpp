@@ -1,5 +1,6 @@
 #include "gpu/gpu_device.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -18,11 +19,11 @@ sim::SimTime ceil_positive(double ns) {
 }  // namespace
 
 GpuDevice::GpuDevice(sim::Simulation& sim, int id, DeviceProps props, bool trace)
-    : sim_(sim), id_(id), props_(std::move(props)), tracer_(trace) {
+    : sim_(sim), id_(id), props_(std::move(props)), util_(trace) {
   assert(props_.compute_score > 0);
   assert(props_.pcie_gbps > 0);
   assert(props_.mem_bandwidth_gbps > 0);
-  record_sample();  // initial all-idle sample so reducers cover t=0 onward
+  record_sample();  // initial all-idle state so the statistics cover t=0 on
 }
 
 sim::SimTime GpuDevice::kernel_duration(const KernelDesc& desc) const {
@@ -306,21 +307,18 @@ void GpuDevice::reschedule() {
 }
 
 void GpuDevice::record_sample() {
-  if (!tracer_.enabled()) return;
-  UtilizationSample s;
-  s.time = sim_.now();
+  if (!util_.enabled()) return;
   double occ_sum = 0.0, bw_sum = 0.0;
   for (const auto& rk : resident_) {
     occ_sum += rk.op->kernel.occupancy;
     bw_sum += rk.op->kernel.bw_demand_gbps;
   }
+  UtilizationState s;
   s.compute_util = std::min(1.0, occ_sum);
   s.bw_util = std::min(1.0, bw_sum / props_.mem_bandwidth_gbps);
-  s.h2d_busy = h2d_.current != nullptr;
-  s.d2h_busy = d2h_.current != nullptr;
+  s.idle = resident_.empty();
   s.switching = switching_;
-  s.resident_kernels = static_cast<int>(resident_.size());
-  tracer_.record(s);
+  util_.record(sim_.now(), s);
 }
 
 }  // namespace strings::gpu

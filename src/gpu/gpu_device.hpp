@@ -107,7 +107,8 @@ class GpuDevice {
   int ops_in_flight() const;
 
   const DeviceCounters& counters() const { return counters_; }
-  const UtilizationTracer& tracer() const { return tracer_; }
+  /// Fig. 1/2 utilization statistics; records only when built with trace.
+  const UtilizationAccumulator& utilization() const { return util_; }
 
   /// Effective standalone duration of `desc` on this device.
   sim::SimTime kernel_duration(const KernelDesc& desc) const;
@@ -165,7 +166,7 @@ class GpuDevice {
   sim::SimTime h2d_busy_since_ = -1;
   sim::SimTime d2h_busy_since_ = -1;
 
-  UtilizationTracer tracer_;
+  UtilizationAccumulator util_;
 };
 
 }  // namespace strings::gpu

@@ -1,96 +1,81 @@
-// Utilization tracing for simulated GPU devices.
+// Utilization statistics for simulated GPU devices (the paper's Fig. 1 and
+// Fig. 2): mean compute/bandwidth utilization, idle and context-switching
+// fractions, the "glitch" count (idle gaps caused by context switching) and
+// how uniform compute utilization is over time.
 //
-// The tracer records a sample at every device state change; reducers turn the
-// piecewise-constant series into the statistics the paper plots (Fig. 1 and
-// Fig. 2): mean compute/bandwidth utilization, idle fractions, and the
-// "glitch" count (idle gaps caused by context switching).
+// The device reports its state at every change. The accumulator folds each
+// constant segment into running sums when the next change closes it, so a
+// run keeps no sample series and summary() costs one pass over the grid
+// cells.
 #pragma once
 
-#include <algorithm>
 #include <vector>
 
 #include "simcore/sim_time.hpp"
 
 namespace strings::gpu {
 
-struct UtilizationSample {
-  sim::SimTime time = 0;
+/// What the statistics read of the device between two state changes.
+struct UtilizationState {
   double compute_util = 0.0;  // sum of resident occupancy, clipped to [0,1]
   double bw_util = 0.0;       // demanded bandwidth / device bandwidth, clipped
-  bool h2d_busy = false;
-  bool d2h_busy = false;
+  bool idle = true;           // no kernel resident
   bool switching = false;     // device is paying a context switch
-  int resident_kernels = 0;
 };
 
-class UtilizationTracer {
+/// Per-device utilization over [0, end).
+struct DeviceUtilSummary {
+  double mean_compute_util = 0.0;
+  double mean_bw_util = 0.0;
+  double idle_frac = 0.0;
+  double switching_frac = 0.0;
+  double util_cov = 0.0;  // coefficient of variation on a 100ms grid
+  int idle_gaps = 0;      // idle intervals >= 5ms (Fig. 2 "glitches")
+};
+
+class UtilizationAccumulator {
  public:
-  explicit UtilizationTracer(bool enabled) : enabled_(enabled) {}
+  /// Cell width of the grid the compute-utilization CoV is taken over.
+  static constexpr sim::SimTime kCovGrid = sim::msec(100);
+  /// Shortest maximal idle interval that counts as a gap.
+  static constexpr sim::SimTime kMinIdleGap = sim::msec(5);
+
+  explicit UtilizationAccumulator(bool enabled) : enabled_(enabled) {}
 
   bool enabled() const { return enabled_; }
 
-  void record(const UtilizationSample& s) {
-    if (!enabled_) return;
-    // Collapse consecutive samples at the same timestamp: the last wins.
-    if (!samples_.empty() && samples_.back().time == s.time) {
-      samples_.back() = s;
-      return;
-    }
-    samples_.push_back(s);
-  }
+  /// The device is in `state` from `time` on. Times never decrease; a
+  /// change at the same time as the previous one replaces it.
+  void record(sim::SimTime time, const UtilizationState& state);
 
-  const std::vector<UtilizationSample>& samples() const { return samples_; }
-
-  /// Time-weighted mean of compute utilization over [t0, t1).
-  double mean_compute_util(sim::SimTime t0, sim::SimTime t1) const {
-    return mean_of(t0, t1, [](const UtilizationSample& s) { return s.compute_util; });
-  }
-
-  /// Time-weighted mean of bandwidth utilization over [t0, t1).
-  double mean_bw_util(sim::SimTime t0, sim::SimTime t1) const {
-    return mean_of(t0, t1, [](const UtilizationSample& s) { return s.bw_util; });
-  }
-
-  /// Fraction of [t0, t1) during which no kernel was resident.
-  double compute_idle_fraction(sim::SimTime t0, sim::SimTime t1) const {
-    return mean_of(t0, t1, [](const UtilizationSample& s) {
-      return s.resident_kernels == 0 ? 1.0 : 0.0;
-    });
-  }
-
-  /// Fraction of [t0, t1) spent context switching (the Fig. 2 "glitches").
-  double switching_fraction(sim::SimTime t0, sim::SimTime t1) const {
-    return mean_of(t0, t1,
-                   [](const UtilizationSample& s) { return s.switching ? 1.0 : 0.0; });
-  }
-
-  /// Number of maximal intervals in [t0, t1) where compute is idle for at
-  /// least `min_len` — the visible utilization gaps of Fig. 2.
-  int idle_gap_count(sim::SimTime t0, sim::SimTime t1, sim::SimTime min_len) const;
-
-  /// Coefficient of variation of compute utilization sampled on a fixed grid;
-  /// lower means "more uniform" usage (the Fig. 2 claim).
-  double compute_util_cov(sim::SimTime t0, sim::SimTime t1,
-                          sim::SimTime grid) const;
+  /// Time-weighted statistics over [0, end); all zero when nothing was
+  /// recorded. Throws std::logic_error if `end` is before the last recorded
+  /// change: folded segments cannot be clipped back.
+  DeviceUtilSummary summary(sim::SimTime end) const;
 
  private:
-  template <typename F>
-  double mean_of(sim::SimTime t0, sim::SimTime t1, F&& value) const {
-    if (samples_.empty() || t1 <= t0) return 0.0;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-      const sim::SimTime seg_start = std::max(samples_[i].time, t0);
-      const sim::SimTime seg_end =
-          std::min(i + 1 < samples_.size() ? samples_[i + 1].time : t1, t1);
-      if (seg_end > seg_start) {
-        acc += value(samples_[i]) * static_cast<double>(seg_end - seg_start);
-      }
-    }
-    return acc / static_cast<double>(t1 - t0);
-  }
+  /// Sums of value × duration over the closed segments, and the gap scan.
+  struct Totals {
+    double compute = 0.0;
+    double bw = 0.0;
+    double idle = 0.0;
+    double switching = 0.0;
+    sim::SimTime gap_start = -1;  // start of the idle run in progress
+    int gaps = 0;
+  };
+  static void fold(Totals& t, sim::SimTime from, sim::SimTime to,
+                   const UtilizationState& s);
+  static void close_gap(Totals& t, sim::SimTime at);
+  double util_cov(sim::SimTime end) const;
 
   bool enabled_;
-  std::vector<UtilizationSample> samples_;
+  bool started_ = false;
+  // The open segment: the last recorded state, from its time on.
+  sim::SimTime open_time_ = 0;
+  UtilizationState open_state_;
+  Totals totals_;
+  /// Compute utilization × duration of the closed segments, per grid cell.
+  std::vector<double> cells_;
 };
 
 }  // namespace strings::gpu

@@ -406,16 +406,8 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
   for (core::Gid g = 0; g < bed.gpu_count(); ++g) {
     result.device_counters.push_back(bed.device(g).counters());
     if (run_cfg.testbed.trace && result.makespan > 0) {
-      const auto& tr = bed.device(g).tracer();
-      const sim::SimTime end = result.makespan;
-      DeviceUtilSummary u;
-      u.mean_compute_util = tr.mean_compute_util(0, end);
-      u.mean_bw_util = tr.mean_bw_util(0, end);
-      u.idle_frac = tr.compute_idle_fraction(0, end);
-      u.switching_frac = tr.switching_fraction(0, end);
-      u.util_cov = tr.compute_util_cov(0, end, sim::msec(100));
-      u.idle_gaps = tr.idle_gap_count(0, end, sim::msec(5));
-      result.device_util.push_back(u);
+      result.device_util.push_back(
+          bed.device(g).utilization().summary(result.makespan));
     }
   }
   // Close the trailing window (the weak tick dies with the last real

@@ -123,16 +123,6 @@ struct RunArtifacts {
   std::function<double()> wall_clock_ms;
 };
 
-/// Per-device utilization over [0, makespan] (traced runs only).
-struct DeviceUtilSummary {
-  double mean_compute_util = 0.0;
-  double mean_bw_util = 0.0;
-  double idle_frac = 0.0;
-  double switching_frac = 0.0;
-  double util_cov = 0.0;  // coefficient of variation on a 100ms grid
-  int idle_gaps = 0;      // idle intervals >= 5ms (Fig. 2 "glitches")
-};
-
 /// Everything one run produced.
 struct RunResult {
   /// One row per [stream], then one per [tenant], in config order.
@@ -141,8 +131,9 @@ struct RunResult {
   std::map<std::string, double> tenant_service_s;
   /// Per-GID device counters after the run.
   std::vector<gpu::DeviceCounters> device_counters;
-  /// Filled when TestbedConfig::trace is set.
-  std::vector<DeviceUtilSummary> device_util;
+  /// Per-device utilization over [0, makespan); filled when
+  /// TestbedConfig::trace is set.
+  std::vector<gpu::DeviceUtilSummary> device_util;
   /// Aggregated control-plane counters (RPCs, bytes, staleness, per-select
   /// latency) plus the authoritative placement log.
   core::ControlPlaneStats control_plane;

@@ -284,23 +284,23 @@ void Testbed::register_metrics() {
     const std::string pre = "control_plane/agent" + std::to_string(n) + "/";
     core::MapperAgent* a = agents_[n].get();
     registry_.gauge_fn(pre + "select_rpcs",
-                       [a] { return double(a->stats().select_rpcs); });
+                       [a] { return double(a->counters().select_rpcs); });
     registry_.gauge_fn(pre + "sync_rpcs",
-                       [a] { return double(a->stats().sync_rpcs); });
+                       [a] { return double(a->counters().sync_rpcs); });
     registry_.gauge_fn(pre + "stale_hits",
-                       [a] { return double(a->stats().stale_hits); });
+                       [a] { return double(a->counters().stale_hits); });
     registry_.gauge_fn(pre + "deltas_applied",
-                       [a] { return double(a->stats().deltas_applied); });
+                       [a] { return double(a->counters().deltas_applied); });
     registry_.gauge_fn(pre + "delta_gap_syncs",
-                       [a] { return double(a->stats().delta_gap_syncs); });
+                       [a] { return double(a->counters().delta_gap_syncs); });
     registry_.gauge_fn(pre + "direct_calls",
-                       [a] { return double(a->stats().direct_calls); });
+                       [a] { return double(a->counters().direct_calls); });
     registry_.gauge_fn(pre + "oneway_msgs",
-                       [a] { return double(a->stats().oneway_msgs); });
+                       [a] { return double(a->counters().oneway_msgs); });
     registry_.gauge_fn(pre + "bytes_sent",
-                       [a] { return double(a->stats().bytes_sent); });
+                       [a] { return double(a->bytes_sent()); });
     registry_.gauge_fn(pre + "packets_sent",
-                       [a] { return double(a->stats().packets_sent); });
+                       [a] { return double(a->packets_sent()); });
     a->set_latency_histogram(&registry_.histogram(
         pre + "placement_latency_ms", obs::default_latency_buckets_ms()));
   }

@@ -57,7 +57,7 @@ struct TestbedConfig {
   /// Unified observability: request-lifecycle spans and per-device tracks
   /// (Testbed::tracer; the exported `util` counter is derived from the op
   /// spans, `queue_depth` is written at each RCB change), plus each
-  /// device's change-driven utilization series (GpuDevice::tracer, read by
+  /// device's running utilization sums (GpuDevice::utilization, read by
   /// the Fig. 1/2 statistics). Off by default — a disabled run is
   /// bit-for-bit identical to one without instrumentation.
   bool trace = false;

@@ -356,7 +356,7 @@ TEST(GpuDevice, SwitchingFractionTracksContextChurn) {
   });
   sim.run();
   // Timeline: 10ms ctx1, 5ms switch, 10ms ctx2 => switching 5/25.
-  EXPECT_NEAR(dev.tracer().switching_fraction(0, msec(25)), 0.2, 1e-9);
+  EXPECT_NEAR(dev.utilization().summary(msec(25)).switching_frac, 0.2, 1e-9);
   EXPECT_EQ(sim.now(), msec(25));
 }
 
@@ -400,17 +400,23 @@ TEST(GpuDevice, SameContextCopyOverlapsForeignWait) {
 TEST(GpuDevice, TracerRecordsBusyAndIdle) {
   sim::Simulation sim;
   GpuDevice dev(sim, 0, test_props(), /*trace=*/true);
+  DeviceUtilSummary at10, at20;
   sim.spawn("a", [&] {
     sim.wait_for(msec(10));
+    at10 = dev.utilization().summary(sim.now());
     auto op = dev.submit_kernel(1, make_kernel(msec(10)));
     dev.wait(op);
+    at20 = dev.utilization().summary(sim.now());
     sim.wait_for(msec(10));
   });
   sim.run();
-  const auto& tr = dev.tracer();
-  EXPECT_NEAR(tr.mean_compute_util(0, msec(30)), 1.0 / 3.0, 1e-9);
-  EXPECT_NEAR(tr.compute_idle_fraction(0, msec(30)), 2.0 / 3.0, 1e-9);
-  EXPECT_NEAR(tr.mean_compute_util(msec(10), msec(20)), 1.0, 1e-9);
+  const DeviceUtilSummary u = dev.utilization().summary(msec(30));
+  EXPECT_NEAR(u.mean_compute_util, 1.0 / 3.0, 1e-9);
+  EXPECT_NEAR(u.idle_frac, 2.0 / 3.0, 1e-9);
+  // Busy for all of [10, 20) ms: the compute integral grows by 10 ms there.
+  EXPECT_NEAR(at10.mean_compute_util, 0.0, 1e-9);
+  EXPECT_NEAR(at20.mean_compute_util * 20.0 - at10.mean_compute_util * 10.0,
+              10.0, 1e-9);
 }
 
 TEST(GpuDevice, BusyCountersAccumulate) {
