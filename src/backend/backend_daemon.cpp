@@ -63,33 +63,12 @@ void BackendDaemon::set_feedback_sink(
   feedback_sink_ = std::move(s);
 }
 
-std::uint64_t BackendDaemon::wire_bytes() const {
-  std::uint64_t total = retired_wire_bytes_;
-  for (const auto& c : conns_) {
-    total += c->channel->request.bytes_sent() +
-             c->channel->response.bytes_sent();
-  }
-  return total;
-}
-
-std::uint64_t BackendDaemon::wire_packets() const {
-  std::uint64_t total = retired_wire_packets_;
-  for (const auto& c : conns_) {
-    total += c->channel->request.packets_sent() +
-             c->channel->response.packets_sent();
-  }
-  return total;
-}
-
 void BackendDaemon::release_binding(const rpc::DuplexChannel& ch) {
   for (std::size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i]->channel.get() != &ch) continue;
     // Only a drained connection may be reclaimed; a live one still has a
     // worker fiber parked on the channel.
     if (!conns_[i]->done) return;
-    retired_wire_bytes_ += ch.request.bytes_sent() + ch.response.bytes_sent();
-    retired_wire_packets_ +=
-        ch.request.packets_sent() + ch.response.packets_sent();
     // Take the entry by value before mutating the vector (DL009 spirit:
     // destruction must not run mid-reshuffle).
     std::unique_ptr<Conn> victim = std::move(conns_[i]);
@@ -117,6 +96,8 @@ rpc::DuplexChannel& BackendDaemon::connect(
   conn->channel = std::make_unique<rpc::DuplexChannel>(
       sim_, link, std::move(tx), std::move(rx));
   conn->channel->request.count_pending(&conn->backlog);
+  conn->channel->request.count_wire(&wire_);
+  conn->channel->response.count_wire(&wire_);
   conn->gate = std::make_unique<core::WakeGate>(sim_);
   if (tracer_ != nullptr) {
     // Frontend->backend traffic renders on the directed network tracks.

@@ -90,17 +90,17 @@ class BackendDaemon {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Total bytes / packets this daemon's connections have put on the wire
-  /// (both directions), for the metrics registry. Includes released
-  /// (retired) bindings, so the totals are whole-run sums.
-  std::uint64_t wire_bytes() const;
-  std::uint64_t wire_packets() const;
+  /// (both directions), for the metrics registry. Every connection's
+  /// channels add into one daemon-level total as they send, so a released
+  /// binding stays counted and a read walks nothing.
+  std::uint64_t wire_bytes() const { return wire_.bytes; }
+  std::uint64_t wire_packets() const { return wire_.packets; }
 
   /// Reclaims a finished binding once the frontend has consumed its
   /// cudaThreadExit response: at that point the Conn is quiescent (worker
   /// fiber ended, routes erased, every channel delivery event fired), so
   /// keeping it would only leak — under open-loop churn, one Conn per
-  /// short-lived request for the lifetime of the run. The connection's wire
-  /// totals are folded into the retired counters first. No-op if no done
+  /// short-lived request for the lifetime of the run. No-op if no done
   /// connection owns `ch`.
   void release_binding(const rpc::DuplexChannel& ch);
   /// Bindings currently held (accepted minus released), for churn tests.
@@ -149,9 +149,8 @@ class BackendDaemon {
   std::function<void(const core::FeedbackRecord&)> feedback_sink_;
   obs::Tracer* tracer_ = nullptr;
   std::int64_t connections_ = 0;
-  /// Wire totals of released bindings (see release_binding()).
-  std::uint64_t retired_wire_bytes_ = 0;
-  std::uint64_t retired_wire_packets_ = 0;
+  /// What every connection's channels have sent (see wire_bytes()).
+  rpc::WireTotals wire_;
   /// Design II: per-device master inbox of (conn index, packet).
   std::vector<std::unique_ptr<sim::Mailbox<std::pair<Conn*, rpc::Packet>>>>
       master_inbox_;

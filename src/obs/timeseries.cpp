@@ -43,15 +43,15 @@ void TimeSeries::resolve() {
   hists_.clear();
   // A name seen for the first time starts at 0, so its first window's delta
   // is its whole cumulative value.
-  const auto point = [this](const std::string& name) {
-    return &window_.series.try_emplace(name).first->second;
+  const auto entry = [this](const std::string& name) {
+    return &*window_.series.try_emplace(name).first;
   };
   registry_.for_each(
       [&](const std::string& name, const Counter& c) {
-        scalars_.push_back({&c, nullptr, point(name)});
+        scalars_.push_back({&c, nullptr, entry(name)});
       },
       [&](const std::string& name, const Gauge& g) {
-        scalars_.push_back({nullptr, &g, point(name)});
+        scalars_.push_back({nullptr, &g, entry(name)});
       },
       [&](const std::string& name, const Histogram& h) {
         hists_.push_back({&name, &h, &prev_hist_[name]});
@@ -67,12 +67,16 @@ const Window& TimeSeries::close_window(sim::SimTime end, bool partial) {
   w.end = end;
   w.partial = partial;
 
+  // The handles are in name order, so the moved list is too.
+  w.moved.clear();
   for (const ScalarHandle& s : scalars_) {
+    SeriesPoint& p = s.entry->second;
     const double value = s.counter != nullptr
                              ? static_cast<double>(s.counter->value())
                              : s.gauge->value();
-    s.point->delta = value - s.point->value;
-    s.point->value = value;
+    p.delta = value - p.value;
+    p.value = value;
+    if (p.delta != 0.0) w.moved.push_back(s.entry);
   }
 
   w.hists.clear();
@@ -143,15 +147,14 @@ void write_stream_line(std::ostream& os, const Window& w,
   if (w.partial) line.append(",\"partial\":true");
   line.append(",\"series\":{");
   bool first = true;
-  for (const auto& [name, p] : w.series) {
-    if (p.delta == 0.0) continue;  // quiet series stay implicit
+  for (const auto* moved : w.moved) {  // quiet series stay implicit
     if (!first) line.push_back(',');
     first = false;
-    json::append_string(&line, name);
+    json::append_string(&line, moved->first);
     line.append(":{\"value\":");
-    json::append_number(&line, p.value);
+    json::append_number(&line, moved->second.value);
     line.append(",\"delta\":");
-    json::append_number(&line, p.delta);
+    json::append_number(&line, moved->second.delta);
     line.push_back('}');
   }
   line.append("},\"quantiles\":{");
@@ -186,7 +189,7 @@ void write_stream_line(std::ostream& os, const Window& w,
     line.push_back(']');
   }
   line.append("}\n");
-  os << line;
+  os.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 }  // namespace strings::obs

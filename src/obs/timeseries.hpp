@@ -74,10 +74,14 @@ struct Window {
   /// before the next full-width tick).
   bool partial = false;
   /// Every scalar instrument (counters and gauges), keyed by metric name.
-  /// The JSONL writer emits only entries whose value changed this window;
-  /// the in-memory map stays complete so rule evaluation can read values
+  /// The in-memory map stays complete so rule evaluation can read values
   /// that happen to be flat.
   std::map<std::string, SeriesPoint> series;
+  /// The `series` entries whose delta is non-zero this window, in name
+  /// order: the ones the JSONL writer emits, so a line costs what moved,
+  /// not what exists. Filled by TimeSeries::close_window and pointing into
+  /// the `series` of the window it returns; a hand-built Window has none.
+  std::vector<const std::map<std::string, SeriesPoint>::value_type*> moved;
   /// Histograms that recorded at least one observation this window.
   std::map<std::string, WindowHistogram> hists;
 
@@ -131,7 +135,7 @@ class TimeSeries {
   struct ScalarHandle {
     const Counter* counter;
     const Gauge* gauge;
-    SeriesPoint* point;
+    std::map<std::string, SeriesPoint>::value_type* entry;
   };
   struct HistHandle {
     const std::string* name;  // the registry's key
@@ -159,14 +163,14 @@ class TimeSeries {
 };
 
 /// Renders one window as a single line-delimited JSON object
-/// ("strings.stream.v1"): changed scalar series (value + delta), window
+/// ("strings.stream.v1"): the moved scalar series (value + delta), window
 /// histogram quantiles, and — when `alerts_json` is a non-empty JSON array
 /// (see render_alerts_json) — the window's SLO alerts. When `exemplar_ids`
 /// is non-empty the window's tail-exemplar ids ("w{window}.{rank}", see
 /// obs::prof) ride along as an "exemplars" array — the full exemplar lines
 /// (strings.exemplar.v1) are appended at run end once the forensics ring is
-/// complete. Terminated with '\n'; deterministic field order (std::map
-/// iteration + fixed printf formats).
+/// complete. Terminated with '\n' and written with one os.write;
+/// deterministic field order (name order + the %.17g format_g17 renders).
 void write_stream_line(std::ostream& os, const Window& w,
                        const std::string& alerts_json = std::string(),
                        const std::vector<std::string>& exemplar_ids = {});

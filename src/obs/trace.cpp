@@ -1,5 +1,9 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <stdexcept>
+
 #include "obs/number.hpp"
 
 namespace strings::obs {
@@ -20,7 +24,7 @@ const char* req_phase_name(ReqPhase p) {
   return "?";
 }
 
-bool req_phase_from_name(const std::string& name, ReqPhase* out) {
+bool req_phase_from_name(std::string_view name, ReqPhase* out) {
   static const ReqPhase kAll[] = {
       ReqPhase::kIssue,        ReqPhase::kBind,         ReqPhase::kMarshal,
       ReqPhase::kTransit,      ReqPhase::kBackendQueue, ReqPhase::kBackendStart,
@@ -45,30 +49,37 @@ int RequestTrace::count(ReqPhase p) const {
 }
 
 std::string RequestTrace::encode_steps() const {
+  // No worst-case reserve: the string moves into the umbrella span's args
+  // and keeps whatever capacity it has.
   std::string out;
+  char at[24];  // any int64 in decimal
   for (const auto& s : steps) {
     if (!out.empty()) out += ';';
     out += req_phase_name(s.phase);
     out += '@';
-    out += std::to_string(s.at);
+    out.append(at, std::to_chars(at, at + sizeof at, s.at).ptr);
   }
   return out;
 }
 
 std::vector<RequestTrace::Step> RequestTrace::decode_steps(
-    const std::string& encoded) {
+    std::string_view encoded) {
   std::vector<Step> steps;
-  std::size_t pos = 0;
-  while (pos < encoded.size()) {
-    std::size_t end = encoded.find(';', pos);
-    if (end == std::string::npos) end = encoded.size();
-    const std::string item = encoded.substr(pos, end - pos);
-    pos = end + 1;
+  while (!encoded.empty()) {
+    const std::size_t end = std::min(encoded.find(';'), encoded.size());
+    const std::string_view item = encoded.substr(0, end);
+    encoded.remove_prefix(std::min(end + 1, encoded.size()));
     const std::size_t at = item.find('@');
-    if (at == std::string::npos) continue;
+    if (at == std::string_view::npos) continue;
     ReqPhase phase;
     if (!req_phase_from_name(item.substr(0, at), &phase)) continue;
-    steps.push_back({phase, std::stoll(item.substr(at + 1))});
+    const std::string_view digits = item.substr(at + 1);
+    sim::SimTime t = 0;
+    if (std::from_chars(digits.data(), digits.data() + digits.size(), t).ec !=
+        std::errc()) {
+      throw std::invalid_argument("bad step time: " + std::string(item));
+    }
+    steps.push_back({phase, t});
   }
   return steps;
 }

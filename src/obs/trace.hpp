@@ -29,6 +29,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,7 +61,7 @@ enum class ReqPhase {
 
 const char* req_phase_name(ReqPhase p);
 /// Inverse of req_phase_name; returns false when `name` is unknown.
-bool req_phase_from_name(const std::string& name, ReqPhase* out);
+bool req_phase_from_name(std::string_view name, ReqPhase* out);
 
 /// Per-request lifecycle record: every phase transition, timestamped in
 /// virtual time. Kept by the Tracer, keyed by AppDescriptor::app_id.
@@ -88,8 +89,9 @@ struct RequestTrace {
   /// Carried on the exported umbrella span so offline tools (strings_prof)
   /// re-derive exactly the record the online profiler saw.
   std::string encode_steps() const;
-  /// Inverse of encode_steps; unknown phases are skipped.
-  static std::vector<Step> decode_steps(const std::string& encoded);
+  /// Inverse of encode_steps; unknown phases are skipped, and a step time
+  /// that is not a decimal integer throws std::invalid_argument.
+  static std::vector<Step> decode_steps(std::string_view encoded);
 };
 
 /// One entry of the interference flight recorder: tenant `tenant` held

@@ -43,6 +43,13 @@ struct SharedLink {
   sim::SimTime busy_until = 0;
 };
 
+/// Whole-run wire totals that several channels add into (see
+/// Channel::count_wire).
+struct WireTotals {
+  std::uint64_t bytes = 0;
+  std::uint64_t packets = 0;
+};
+
 struct Packet {
   CallId call = CallId::kResponse;
   std::uint64_t seq = 0;
@@ -95,6 +102,10 @@ class Channel {
     }
     bytes_sent_ += p.wire_size();
     ++packets_sent_;
+    if (wire_totals_ != nullptr) {
+      wire_totals_->bytes += p.wire_size();
+      ++wire_totals_->packets;
+    }
     // The packet rides inside the event closure: SmallFn's inline buffer is
     // sized so a channel delivery never heap-allocates a control block.
     sim_.schedule(deliver_at - sim_.now(), [this, p = std::move(p)]() mutable {
@@ -107,6 +118,11 @@ class Channel {
   /// inbox but not yet received: +1 at each delivery, -1 at each receive.
   /// Set it before the first delivery; nullptr stops the counting.
   void count_pending(int* counter) { pending_counter_ = counter; }
+
+  /// Makes every send also add its wire size and one packet to `*totals`,
+  /// so the owner of many channels reads sums without walking them. Set it
+  /// before the first send; nullptr stops the counting.
+  void count_wire(WireTotals* totals) { wire_totals_ = totals; }
 
   /// Attaches a tracer: every send emits a transmission span (wire grab to
   /// delivery) on `track`. Pass nullptr to detach.
@@ -156,6 +172,7 @@ class Channel {
   std::string occ_resource_;
   std::string occ_tenant_;
   int* pending_counter_ = nullptr;
+  WireTotals* wire_totals_ = nullptr;
 };
 
 /// A request/response pair of channels (one per frontend/backend binding).

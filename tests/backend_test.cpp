@@ -326,6 +326,41 @@ TEST(BackendDaemon, WorkersReportPhasesToTheScheduler) {
   f.sim.run();
 }
 
+TEST(BackendDaemon, WireTotalsEqualChannelSumsAcrossRelease) {
+  // The wire gauges read daemon-level totals the channels add into as they
+  // send: they equal the per-channel sums, and a released binding stays
+  // counted after its channels are gone.
+  DaemonFixture f(Design::kThreadPerApp);
+  std::uint64_t bytes = 0;
+  std::uint64_t packets = 0;
+  f.sim.spawn("apps", [&] {
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      AppDescriptor app;
+      app.app_id = id;
+      app.app_type = "X";
+      rpc::DuplexChannel& ch =
+          f.daemon->connect(app, 0, rpc::LinkModel::shared_memory());
+      {
+        rpc::RpcClient client(ch);
+        client.call(CallId::kMalloc, encode_malloc(kMB));
+        client.call(CallId::kThreadExit, rpc::Marshal{});
+      }
+      bytes += ch.request.bytes_sent() + ch.response.bytes_sent();
+      packets += ch.request.packets_sent() + ch.response.packets_sent();
+      EXPECT_EQ(f.daemon->wire_bytes(), bytes);
+      EXPECT_EQ(f.daemon->wire_packets(), packets);
+      if (id != 2) f.daemon->release_binding(ch);  // app 2 stays bound
+      EXPECT_EQ(f.daemon->wire_bytes(), bytes);
+      EXPECT_EQ(f.daemon->wire_packets(), packets);
+    }
+  });
+  f.sim.run();
+  EXPECT_EQ(f.daemon->live_connections(), 1u);
+  EXPECT_EQ(packets, 12u);  // 2 calls and 2 responses per app
+  EXPECT_EQ(f.daemon->wire_bytes(), bytes);
+  EXPECT_EQ(f.daemon->wire_packets(), packets);
+}
+
 TEST(BackendDaemon, UnknownCallRepliesError) {
   DaemonFixture f(Design::kThreadPerApp);
   f.sim.spawn("app", [&] {

@@ -10,6 +10,7 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,38 @@ TEST(Tracer, UnknownAppIdCreatesRecordLazily) {
   EXPECT_EQ(t.requests().at(7).count(ReqPhase::kBackendQueue), 1);
 }
 
+TEST(RequestTrace, StepEncodingRoundTripsThousandsOfSteps) {
+  std::mt19937_64 rng(20261018);
+  RequestTrace r;
+  std::string want;  // the std::to_string encoding, built independently
+  sim::SimTime at = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const auto phase = static_cast<ReqPhase>(rng() % 10);
+    // Steps of every width, including 0 and times near INT64_MAX.
+    at = i == 4999 ? std::numeric_limits<sim::SimTime>::max()
+                   : at + static_cast<sim::SimTime>(rng() % (1ull << (i % 40)));
+    r.steps.push_back({phase, at});
+    if (!want.empty()) want += ';';
+    want += std::string(req_phase_name(phase)) + '@' + std::to_string(at);
+  }
+  const std::string encoded = r.encode_steps();
+  EXPECT_EQ(encoded, want);
+  const std::vector<RequestTrace::Step> back =
+      RequestTrace::decode_steps(encoded);
+  ASSERT_EQ(back.size(), r.steps.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    ASSERT_EQ(back[i].phase, r.steps[i].phase) << i;
+    ASSERT_EQ(back[i].at, r.steps[i].at) << i;
+  }
+  EXPECT_TRUE(RequestTrace::decode_steps("").empty());
+  // Unknown phases and items without '@' are skipped; a bad time throws.
+  const auto kept = RequestTrace::decode_steps("bogus@1;bind;execute@-7");
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].phase, ReqPhase::kExecute);
+  EXPECT_EQ(kept[0].at, -7);
+  EXPECT_THROW(RequestTrace::decode_steps("bind@x"), std::invalid_argument);
+}
+
 TEST(ReqPhaseNames, CoverLifecycle) {
   EXPECT_STREQ(req_phase_name(ReqPhase::kIssue), "issue");
   EXPECT_STREQ(req_phase_name(ReqPhase::kDispatchWait), "dispatch_wait");
@@ -248,17 +281,28 @@ TEST(FormatG17, MatchesPrintfOnSpecialValues) {
       123456789012345678.0, 9007199254740993.0, 1e-5, 1e-4, 0.0001234,
       5e-324, -5e-324, lim::denorm_min(), lim::min(), -lim::min(),
       lim::max(), lim::lowest(), lim::epsilon(), lim::infinity(),
-      -lim::infinity(), lim::quiet_NaN(), neg_nan, 6860.762308, 2.0e6};
+      -lim::infinity(), lim::quiet_NaN(), neg_nan, 6860.762308, 2.0e6,
+      // The edges of the integer path, each also negated below: the largest
+      // double under 1e17, 2^53 +- 1 (where doubles stop holding every
+      // integer), 2^63 and 1e19 (past long long).
+      1e17 - 16, 9007199254740991.0, 9007199254740992.0,
+      9223372036854775808.0, 1e19};
+  char buf[kG17Chars];
   for (const double v : values) {
-    char buf[kG17Chars];
     EXPECT_EQ(std::string(format_g17(v, buf)), printf_g17(v)) << v;
+    EXPECT_EQ(std::string(format_g17(-v, buf)), printf_g17(-v)) << -v;
   }
+  EXPECT_EQ(std::string(format_g17(-0.0, buf)), "-0");
+  EXPECT_EQ(std::string(format_g17(1e17 - 16, buf)), "99999999999999984");
+  EXPECT_EQ(std::string(format_g17(1e17, buf)), "1e+17");
 }
 
 TEST(FormatG17, MatchesPrintfOnRandomBitsAndValues) {
   std::mt19937_64 rng(20261017);
   std::uniform_int_distribution<std::int64_t> ints(-10'000'000, 10'000'000);
   std::uniform_int_distribution<int> scale(0, 12);
+  std::uniform_int_distribution<int> magnitude(0, 20);
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
   char buf[kG17Chars];
   for (int i = 0; i < 200'000; ++i) {
     // Every bit pattern: subnormals, NaN payloads, huge exponents.
@@ -269,6 +313,11 @@ TEST(FormatG17, MatchesPrintfOnRandomBitsAndValues) {
     // Values the obs artifacts actually carry: counts, ms and ratios.
     const double d = double(ints(rng)) / std::pow(10.0, scale(rng));
     ASSERT_EQ(std::string(format_g17(d, buf)), printf_g17(d)) << d;
+    // A signed integer of every magnitude from 10^0 to 10^20, on both
+    // sides of the integer path's 1e17 edge.
+    const double n = (i % 2 == 0 ? 1.0 : -1.0) *
+                     std::floor(mantissa(rng) * std::pow(10.0, magnitude(rng)));
+    ASSERT_EQ(std::string(format_g17(n, buf)), printf_g17(n)) << n;
   }
 }
 

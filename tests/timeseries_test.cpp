@@ -2,7 +2,8 @@
 // over the cumulative Registry, delta/rate reducers, window-local
 // histogram quantiles that agree with the whole-run Registry math, an
 // in-place window that matches a map-keyed reference close on random
-// schedules, and a deterministic JSONL rendering.
+// schedules, and a deterministic JSONL rendering that matches the full-map
+// renderer it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,8 +14,11 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
+#include "obs/prof.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
 #include "simcore/sim_time.hpp"
@@ -75,6 +79,34 @@ TEST(TimeSeries, FlatSeriesStaysVisibleWithZeroDelta) {
   ASSERT_EQ(w2.series.count("flat"), 1u);
   EXPECT_DOUBLE_EQ(w2.series.at("flat").value, 7.0);
   EXPECT_DOUBLE_EQ(w2.series.at("flat").delta, 0.0);
+}
+
+TEST(TimeSeries, MovedListTracksWhatMovedThisWindow) {
+  Registry reg;
+  reg.counter("a/steady");
+  reg.counter("b/flat").inc(7);
+  TimeSeries ts(reg, cfg(sim::msec(10)));
+  const auto moved_names = [](const Window& w) {
+    std::vector<std::string> names;
+    for (const auto* e : w.moved) names.push_back(e->first);
+    return names;
+  };
+  reg.counter("a/steady").inc();
+  EXPECT_EQ(moved_names(ts.close_window(sim::msec(10))),
+            (std::vector<std::string>{"a/steady", "b/flat"}));
+  reg.counter("a/steady").inc();  // b/flat is flat
+  EXPECT_EQ(moved_names(ts.close_window(sim::msec(20))),
+            (std::vector<std::string>{"a/steady"}));
+  reg.counter("a/steady").inc();
+  reg.counter("b/flat").inc();  // moves, and stays in name order
+  EXPECT_EQ(moved_names(ts.close_window(sim::msec(30))),
+            (std::vector<std::string>{"a/steady", "b/flat"}));
+  reg.counter("a/steady").inc();  // flat again: b/flat leaves the list
+  const Window& w = ts.close_window(sim::msec(40));
+  EXPECT_EQ(moved_names(w), (std::vector<std::string>{"a/steady"}));
+  // The series map still holds the flat entry for rule evaluation.
+  EXPECT_DOUBLE_EQ(w.series.at("b/flat").value, 8.0);
+  EXPECT_TRUE(moved_names(ts.close_window(sim::msec(50))).empty());
 }
 
 TEST(TimeSeries, PartialWindowAtRunEnd) {
@@ -275,6 +307,60 @@ std::string diff_windows(const Window& got, const Window& want) {
   return {};
 }
 
+/// The full-map line renderer write_stream_line replaced, kept as the
+/// reference: it walks every series and skips the flat ones.
+std::string reference_stream_line(const Window& w,
+                                  const std::string& alerts_json,
+                                  const std::vector<std::string>& exemplars) {
+  std::string line = "{\"schema\":\"strings.stream.v1\",\"window\":";
+  line += std::to_string(w.index);
+  line += ",\"start_ms\":";
+  json::append_number(&line, sim::to_millis(w.start));
+  line += ",\"end_ms\":";
+  json::append_number(&line, sim::to_millis(w.end));
+  if (w.partial) line += ",\"partial\":true";
+  line += ",\"series\":{";
+  bool first = true;
+  for (const auto& [name, p] : w.series) {
+    if (p.delta == 0.0) continue;
+    if (!first) line += ',';
+    first = false;
+    json::append_string(&line, name);
+    line += ":{\"value\":";
+    json::append_number(&line, p.value);
+    line += ",\"delta\":";
+    json::append_number(&line, p.delta);
+    line += '}';
+  }
+  line += "},\"quantiles\":{";
+  first = true;
+  for (const auto& [name, h] : w.hists) {
+    if (!first) line += ',';
+    first = false;
+    json::append_string(&line, name);
+    line += ":{\"count\":" + std::to_string(h.count) + ",\"sum\":";
+    json::append_number(&line, h.sum);
+    for (const auto& [key, q] : {std::pair{",\"p50\":", 0.50},
+                                 std::pair{",\"p95\":", 0.95},
+                                 std::pair{",\"p99\":", 0.99}}) {
+      line += key;
+      json::append_number(&line, h.quantile(q));
+    }
+    line += '}';
+  }
+  line += '}';
+  if (!alerts_json.empty()) line += ",\"alerts\":" + alerts_json;
+  if (!exemplars.empty()) {
+    line += ",\"exemplars\":[";
+    for (std::size_t i = 0; i < exemplars.size(); ++i) {
+      if (i != 0) line += ',';
+      json::append_string(&line, exemplars[i]);
+    }
+    line += ']';
+  }
+  return line + "}\n";
+}
+
 TEST(TimeSeries, InPlaceWindowsMatchMapKeyedReference) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     std::mt19937_64 rng(seed);
@@ -365,6 +451,16 @@ TEST(TimeSeries, InPlaceWindowsMatchMapKeyedReference) {
       const std::string diff = diff_windows(got, want);
       ASSERT_TRUE(diff.empty())
           << "seed " << seed << " window " << window << ": " << diff;
+      // The moved-list line matches the full-map walk over the reference
+      // window, byte for byte.
+      const std::string alerts = chance(10) ? "[{\"rule\":\"r\"}]" : "";
+      const std::vector<std::string> exemplars =
+          chance(10) ? prof::exemplar_ids_for_window(1 + pick(3), window, 3)
+                     : std::vector<std::string>{};
+      std::ostringstream line;
+      write_stream_line(line, got, alerts, exemplars);
+      ASSERT_EQ(line.str(), reference_stream_line(want, alerts, exemplars))
+          << "seed " << seed << " window " << window;
     }
     EXPECT_EQ(ts.windows_closed(), 400u);
   }
