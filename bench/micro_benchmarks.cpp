@@ -386,7 +386,6 @@ void BM_DispatcherEpoch(benchmark::State& state, const char* policy) {
 }
 BENCHMARK_CAPTURE(BM_DispatcherEpoch, MQFQ, "MQFQ")->Arg(9)->Arg(32);
 BENCHMARK_CAPTURE(BM_DispatcherEpoch, LAS, "LAS")->Arg(9)->Arg(32);
-BENCHMARK_CAPTURE(BM_DispatcherEpoch, AllAwake, "AllAwake")->Arg(9)->Arg(32);
 
 void BM_FluidModelContention(benchmark::State& state) {
   // Many concurrent kernels forcing frequent rate recomputation.

@@ -18,7 +18,14 @@ std::string rcb_name(Gid gid) {
 GpuScheduler::GpuScheduler(sim::Simulation& sim, Gid gid,
                            std::unique_ptr<policies::DeviceSchedPolicy> policy,
                            Config config)
-    : sim_(sim), gid_(gid), policy_(std::move(policy)), config_(config) {
+    : sim_(sim),
+      gid_(gid),
+      policy_(std::move(policy)),
+      config_(config),
+      // AllAwake keeps every gate open whatever the RCB holds, so no
+      // decision could move one: run no Dispatcher at all.
+      dispatches_(dynamic_cast<const policies::AllAwakePolicy*>(
+                      policy_.get()) == nullptr) {
   assert(policy_ != nullptr);
 }
 
@@ -62,11 +69,13 @@ void GpuScheduler::ack(int signal_id) {
   assert(it != rcb_.end() && "ack for unknown signal id");
   if (!it->second.acked) --unacked_;
   it->second.acked = true;
-  run_dispatcher();  // let the new thread take effect immediately
+  // Let the new thread take effect immediately.
+  if (dispatches_) run_dispatcher();
   // The admit decision is the thread's first wake: gates are born open, so
   // run_dispatcher above records no transition when the policy keeps the
-  // newcomer running. Count it (and render the instant) here instead;
-  // policies that put the newcomer to sleep already logged the sleep.
+  // newcomer running (and under AllAwake none runs). Count it (and render
+  // the instant) here instead; policies that put the newcomer to sleep
+  // already logged the sleep.
   const RcbEntry& e = it->second;
   if (e.gate != nullptr && e.gate->awake()) {
     ++wakes_;
@@ -126,7 +135,7 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
                           {"tenant_attained_s", fmt}});
   }
   if (feedback_sink_) feedback_sink_(rec);
-  run_dispatcher();
+  if (dispatches_) run_dispatcher();
   return rec;
 }
 
@@ -231,7 +240,7 @@ sim::SimTime GpuScheduler::service_attained(int signal_id) const {
 }
 
 void GpuScheduler::arm_epoch() {
-  if (epoch_armed_) return;
+  if (!dispatches_ || epoch_armed_) return;
   epoch_armed_ = true;
   sim_.schedule(config_.epoch, [this] { epoch_tick(); });
 }

@@ -5,8 +5,11 @@
 //     handshake (register -> signal id -> ack) and maintains the Request
 //     Control Block (RCB).
 //   Dispatcher             — every scheduling epoch, runs the configured
-//     device policy (TFS / LAS / PS / AllAwake) over RCB snapshots and
+//     device policy (TFS / LAS / PS / MQFQ) over RCB snapshots and
 //     toggles each backend thread's WakeGate (the RT-signal analog).
+//     AllAwake (plain sharing, §IV-B) has no Dispatcher: that policy never
+//     puts a thread to sleep, so the scheduler arms no epoch and makes no
+//     decision, and epochs_run() stays 0.
 //   Request Monitor (RMO)  — accumulates per-application GPU time, transfer
 //     time, bytes accessed, and phase from device op completions.
 //   Feedback Engine (FE)   — on unregister (cudaThreadExit), summarizes the
@@ -118,6 +121,8 @@ class GpuScheduler {
 
   // ---- introspection ----
   /// The acked RCB entries as the policy sees them, with backlog read now.
+  /// Under AllAwake no epoch runs, so `cgs`, `epoch_service` and `entitled`
+  /// stay 0.
   std::vector<policies::RcbSnapshot> snapshot() const;
   sim::SimTime service_attained(int signal_id) const;
   /// Cumulative GPU service of `tenant` across all (including exited) apps —
@@ -176,6 +181,8 @@ class GpuScheduler {
   Gid gid_;
   std::unique_ptr<policies::DeviceSchedPolicy> policy_;
   Config config_;
+  // False under AllAwake: no epoch timer, no decision on ack/unregister.
+  const bool dispatches_;
   sim::FlatMap<int, RcbEntry> rcb_;
   std::vector<policies::RcbSnapshot> view_;  // parallel to rcb_
   int unacked_ = 0;  // entries registered but not yet acked

@@ -266,6 +266,44 @@ TEST(GpuScheduler, FeedbackSinkInvokedOnUnregister) {
   EXPECT_EQ(got[0].gid, 0);
 }
 
+TEST(GpuScheduler, AllAwakeRunsNoDispatcher) {
+  SchedFixture f("AllAwake");
+  std::vector<FeedbackRecord> got;
+  f.sched.set_feedback_sink([&](const FeedbackRecord& r) { got.push_back(r); });
+  std::vector<int> backlog = {1, 0, 2};
+  std::vector<std::unique_ptr<WakeGate>> gates;
+  std::vector<int> ids;
+  for (std::size_t i = 0; i < 3; ++i) {
+    gates.push_back(std::make_unique<WakeGate>(f.sim));
+    GpuScheduler::RcbInit init;
+    init.app_type = "MM";
+    init.tenant = i == 1 ? "A" : "B";
+    init.gate = gates.back().get();
+    init.backlog = &backlog[i];
+    ids.push_back(f.sched.register_app(init));
+    f.sched.ack(ids.back());
+  }
+  // No epoch timer was armed. (A bounded run: an armed timer would re-arm
+  // itself for as long as the RCB is non-empty.)
+  f.sim.run_until(msec(100));
+  EXPECT_EQ(f.sim.events_executed(), 0u);
+  EXPECT_EQ(f.sched.epochs_run(), 0);
+  for (const auto& g : gates) EXPECT_TRUE(g->awake());
+  EXPECT_EQ(f.sched.dispatcher_wakes(), 3);  // the admits
+  EXPECT_EQ(f.sched.dispatcher_sleeps(), 0);
+  f.sched.on_op_complete(
+      ids[1], make_op(gpu::GpuDevice::OpKind::kKernel, 0, msec(4)));
+  const FeedbackRecord rec = f.sched.unregister_app(ids[1]);
+  EXPECT_EQ(rec.app_type, "MM");
+  EXPECT_DOUBLE_EQ(rec.gpu_time_s, 0.004);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].app_type, "MM");
+  EXPECT_EQ(f.sched.registered_count(), 2);
+  EXPECT_EQ(f.sched.tenant_service("A"), msec(4));
+  for (const auto& g : gates) EXPECT_TRUE(g->awake());
+  EXPECT_EQ(f.sched.epochs_run(), 0);
+}
+
 TEST(GpuScheduler, TfsDispatcherKeepsOneAwake) {
   GpuScheduler::Config cfg;
   cfg.epoch = msec(10);

@@ -10,6 +10,12 @@
 // epoch ticks land while packets are in flight, and apps that record CUDA
 // events, so a backlog that counted a packet at send time, or missed a
 // stream's event records, changes the digest.
+//
+// AllAwake runs no dispatcher: the scheduler recognises the policy by type
+// and arms no epoch. The decorator is not AllAwakePolicy, so the AllAwake
+// rows pin the decorated, periodic path, and a second test checks that the
+// plain, tick-free path leaves every outcome of the same scenarios as the
+// periodic path does.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -17,6 +23,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/device_props.hpp"
@@ -146,14 +153,28 @@ void event_app(sim::Simulation& sim, frontend::GpuApi& api, int iters,
   api.cudaThreadExit();
 }
 
-Digest run_scenario(Mode mode, const std::string& policy) {
+/// What a run did that a device policy could change.
+struct Outcome {
+  /// Each stream's response times, in stream order.
+  std::vector<std::vector<sim::SimTime>> responses;
+  /// When each event app finished.
+  std::vector<sim::SimTime> finished;
+  std::vector<std::pair<std::string, core::Gid>> placements;
+  std::int64_t wakes = 0;
+  std::int64_t sleeps = 0;
+  std::uint64_t events = 0;
+};
+
+/// Runs the scenario under the registered policy `device_policy`.
+Digest run_scenario(Mode mode, const std::string& device_policy,
+                    Outcome* outcome = nullptr) {
   Digest digest;
   g_digest = &digest;
   sim::Simulation sim;
   workloads::TestbedConfig tb;
   tb.mode = mode;
   tb.nodes = workloads::small_server();
-  tb.device_policy = recorded_name(policy);
+  tb.device_policy = device_policy;
   tb.sched_epoch = msec(1);
   // Slow enough that epoch ticks see packets on the wire.
   tb.local_link = rpc::LinkModel{usec(300), 1.0};
@@ -176,6 +197,7 @@ Digest run_scenario(Mode mode, const std::string& policy) {
   const auto stats = workloads::start_streams(bed, streams);
 
   std::vector<std::unique_ptr<frontend::GpuApi>> apis;
+  std::vector<sim::SimTime> finished(4, -1);
   for (int i = 0; i < 4; ++i) {
     backend::AppDescriptor app;
     app.app_type = "EV";
@@ -183,14 +205,28 @@ Digest run_scenario(Mode mode, const std::string& policy) {
     app.tenant_weight = i % 2 == 0 ? 2.0 : 1.0;
     apis.push_back(bed.make_api(app));
     frontend::GpuApi* api = apis.back().get();
-    sim.spawn("ev" + std::to_string(i), [&sim, api, i] {
+    sim.spawn("ev" + std::to_string(i), [&sim, &finished, api, i] {
       sim.wait_for(msec(3 * i));
       event_app(sim, *api, 5 + i, msec(2 + i), usec(700 * (i + 1)));
+      finished[static_cast<std::size_t>(i)] = sim.now();
     });
   }
   sim.run();
   for (const auto& s : *stats) EXPECT_EQ(s.errors, 0) << s.app;
   g_digest = nullptr;
+  if (outcome != nullptr) {
+    for (const auto& s : *stats) outcome->responses.push_back(s.response_times);
+    outcome->finished = finished;
+    outcome->placements = bed.control_plane_stats().placements;
+    for (int node = 0; node < bed.node_count(); ++node) {
+      backend::BackendDaemon& daemon = bed.daemon(node);
+      for (int dev = 0; dev < daemon.device_count(); ++dev) {
+        outcome->wakes += daemon.scheduler(dev).dispatcher_wakes();
+        outcome->sleeps += daemon.scheduler(dev).dispatcher_sleeps();
+      }
+    }
+    outcome->events = sim.events_executed();
+  }
   return digest;
 }
 
@@ -228,7 +264,7 @@ TEST(PolicyStream, EveryDecisionMatchesThePin) {
   std::size_t pin = 0;
   for (const Mode mode : modes) {
     for (const char* policy : policies) {
-      const Digest d = run_scenario(mode, policy);
+      const Digest d = run_scenario(mode, recorded_name(policy));
       char line[160];
       std::snprintf(line, sizeof line,
                     "    {Mode::k%s, \"%s\", %" PRIu64 ", 0x%016" PRIx64
@@ -250,6 +286,27 @@ TEST(PolicyStream, EveryDecisionMatchesThePin) {
       EXPECT_EQ(p.digest, d.h) << line;
     }
   }
+}
+
+TEST(PolicyStream, PlainAllAwakeMatchesThePeriodicPath) {
+  std::int64_t admits = 0;  // Design II's master loop has no gates
+  for (const Mode mode : {Mode::kRain, Mode::kDesign2, Mode::kStrings}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Outcome periodic, plain;
+    EXPECT_GT(run_scenario(mode, recorded_name("AllAwake"), &periodic)
+                  .decisions,
+              100u);
+    EXPECT_EQ(run_scenario(mode, "AllAwake", &plain).decisions, 0u);
+    ASSERT_EQ(plain.responses.size(), 3u);
+    EXPECT_EQ(plain.responses, periodic.responses);
+    EXPECT_EQ(plain.finished, periodic.finished);
+    EXPECT_EQ(plain.placements, periodic.placements);
+    EXPECT_EQ(plain.wakes, periodic.wakes);
+    EXPECT_EQ(plain.sleeps, periodic.sleeps);
+    EXPECT_LT(plain.events, periodic.events);
+    admits += plain.wakes;
+  }
+  EXPECT_GT(admits, 0);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST(SchedulerMath, CgsFollowsEquationOne) {
 }
 
 TEST(SchedulerMath, EpochServiceIsPerEpochDelta) {
-  Fixture f;
+  Fixture f("LAS");
   const int id = f.add_app("A");
   f.sched->on_op_complete(id, kernel_op(0, msec(3)));
   f.sim.run_until(msec(10));
@@ -131,7 +131,7 @@ TEST(SchedulerMath, IdleTenantAccruesNoEntitlement) {
 }
 
 TEST(SchedulerMath, EpochTimerStopsWhenEmptyAndRearms) {
-  Fixture f;
+  Fixture f("LAS");
   const int id = f.add_app("A");
   f.sim.run_until(msec(25));
   const auto epochs_before = f.sched->epochs_run();
