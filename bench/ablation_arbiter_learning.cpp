@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
     ev.tenant = "tenantB";
 
     cfg.streams = {hi, ev};
-    const auto out = bench::run("run", cfg);
+    const auto out =
+        bench::run(with_feedback ? "GWtMin-MBF" : "GWtMin-static", cfg);
     // Interleave both streams' responses in arrival order approximation:
     // report HI's (the bandwidth-sensitive one).
     const auto t = thirds(out.streams[0].response_times);

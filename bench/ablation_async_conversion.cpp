@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
 
   struct Variant {
     const char* label;
+    const char* key;
     bool mot;
     bool sst;
     bool oneway;
@@ -42,12 +43,12 @@ int main(int argc, char** argv) {
   // one alone keeps the application from waiting on uploads, so the cost
   // only appears when both are removed.
   const Variant variants[] = {
-      {"full Strings", true, true, true},
-      {"no MOT (sync H2D)", false, true, true},
-      {"no SST (device sync)", true, false, true},
-      {"blocking RPC", true, true, false},
-      {"no MOT + blocking RPC", false, true, false},
-      {"no conversions at all", false, false, false},
+      {"full Strings", "full", true, true, true},
+      {"no MOT (sync H2D)", "no-MOT", false, true, true},
+      {"no SST (device sync)", "no-SST", true, false, true},
+      {"blocking RPC", "blocking-RPC", true, true, false},
+      {"no MOT + blocking RPC", "no-MOT-blocking-RPC", false, true, false},
+      {"no conversions at all", "no-conversions", false, false, false},
   };
 
   metrics::Table table({"Variant", "MC resp(s)", "DC resp(s)", "slowdown"});
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
     cfg.testbed.convert_device_sync = v.sst;
     cfg.testbed.nonblocking_rpc = v.oneway;
     cfg.streams = {a, b};
-    const auto out = bench::run("run", cfg);
+    const auto out = bench::run(v.key, cfg);
     const double mc = out.streams.at(0).mean_response_s();
     const double dc = out.streams.at(1).mean_response_s();
     const double mean = (mc + dc) / 2.0;

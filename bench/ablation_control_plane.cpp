@@ -87,12 +87,6 @@ std::vector<workloads::ArrivalConfig> make_streams(int nodes, int requests) {
   return streams;
 }
 
-std::vector<double> mean_responses(const workloads::RunResult& out) {
-  std::vector<double> times;
-  for (const auto& st : out.streams) times.push_back(st.mean_response_s());
-  return times;
-}
-
 void run_topology(const char* name,
                   const std::vector<std::vector<gpu::DeviceProps>>& nodes,
                   const Options& opt) {
@@ -105,7 +99,7 @@ void run_topology(const char* name,
   // app's programmed device (the denominator of eq. 2).
   cfg.testbed.mode = workloads::Mode::kCudaBaseline;
   const std::vector<double> base_times =
-      mean_responses(bench::run("CUDA", cfg));
+      mean_responses(bench::run(std::string("CUDA.") + name, cfg));
 
   metrics::Table speedup_table({"Deployment", "weighted speedup"});
   std::vector<std::pair<std::string, core::ControlPlaneStats>> rows;
@@ -117,7 +111,7 @@ void run_topology(const char* name,
     // The stale row pays for its control traffic on the shared wires.
     cfg.testbed.shared_network =
         d.cp.transport == core::ControlTransport::kDataPlane;
-    const auto out = bench::run(d.label, cfg);
+    const auto out = bench::run(std::string(d.label) + "." + name, cfg);
     speedup_table.add_row(
         {d.label, metrics::Table::fmt(metrics::weighted_speedup(
                       base_times, mean_responses(out))) +

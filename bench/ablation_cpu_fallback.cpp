@@ -33,29 +33,37 @@ int main(int argc, char** argv) {
   };
   for (const Load& load : loads) {
     for (const bool fallback : {false, true}) {
-      sim::Simulation sim;
-      workloads::TestbedConfig cfg;
-      cfg.mode = workloads::Mode::kStrings;
-      cfg.nodes = workloads::small_server();
-      cfg.balancing_policy = "GWtMin";
-      cfg.feedback_policy = "RTF";  // runtime-aware: knows the CPU is slow
-      cfg.cpu_fallback_devices = fallback;
-      workloads::Testbed bed(sim, cfg);
-
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = workloads::Mode::kStrings;
+      cfg.testbed.nodes = workloads::small_server();
+      cfg.testbed.balancing_policy = "GWtMin";
+      // Runtime-aware: knows the CPU is slow.
+      cfg.testbed.feedback_policy = "RTF";
+      cfg.testbed.cpu_fallback_devices = fallback;
       workloads::ArrivalConfig a;
       a.app = "BS";
       a.requests = opt.quick ? load.requests / 2 : load.requests;
       a.lambda_scale = load.lambda;
       a.server_threads = load.servers;
       a.seed = 9;
-      const auto stats = workloads::run_streams(bed, {a});
+      cfg.streams = {a};
+      const auto out = bench::run(
+          std::string(load.label) + (fallback ? ".cpu-fallback" : ".gpus-only"),
+          cfg);
 
-      std::int64_t gpu_kernels = 0, cpu_kernels = 0;
-      for (core::Gid g = 0; g < bed.gpu_count(); ++g) {
-        const auto& e = bed.mapper().gmap().entry(g);
-        (e.props.name == "CPU executor" ? cpu_kernels : gpu_kernels) +=
-            bed.device(g).counters().kernels_completed;
+      // Device kinds by GID: the testbed numbers devices node by node and
+      // appends each node's CPU executor after its GPUs.
+      std::vector<bool> is_cpu;
+      for (const auto& node : cfg.testbed.nodes) {
+        is_cpu.insert(is_cpu.end(), node.size(), false);
+        if (fallback) is_cpu.push_back(true);
       }
+      std::int64_t gpu_kernels = 0, cpu_kernels = 0;
+      for (std::size_t g = 0; g < out.device_counters.size(); ++g) {
+        (is_cpu.at(g) ? cpu_kernels : gpu_kernels) +=
+            out.device_counters[g].kernels_completed;
+      }
+      const auto& stats = out.streams;
       std::vector<double> resp;
       for (const auto t : stats[0].response_times) {
         resp.push_back(sim::to_seconds(t));

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     cfg.testbed.nodes = workloads::small_server();
     cfg.testbed.balancing_policy = "GMin";
     cfg.streams = {a, b};
-    const auto out = bench::run("run", cfg);
+    const auto out = bench::run(workloads::mode_name(v.mode), cfg);
     std::int64_t switches = 0;
     for (const auto& c : out.device_counters) switches += c.context_switches;
     table.add_row({v.label,

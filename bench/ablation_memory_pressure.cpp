@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
     const int servers = 12;
     int completed = 0, errors = 0;
     sim::SimTime total_resp = 0;
+    std::vector<double> responses;
     // Hand-rolled service loop so we can use the custom profile.
     auto queue = std::make_shared<sim::Mailbox<sim::SimTime>>(sim);
     sim.spawn("gen", [&sim, queue, requests, servers, lambda, &fat] {
@@ -73,10 +74,18 @@ int main(int argc, char** argv) {
           ++completed;
           errors += r.errors;
           total_resp += r.finished - arrived;
+          responses.push_back(sim::to_seconds(r.finished - arrived));
         }
       });
     }
     sim.run();
+    char value[160];
+    std::snprintf(value, sizeof(value),
+                  "{\"p50_s\":%.9f,\"p99_s\":%.9f,\"completed\":%d,"
+                  "\"alloc_errors\":%d}",
+                  metrics::percentile(responses, 50.0),
+                  metrics::percentile(responses, 99.0), completed, errors);
+    record_bench_entry("lambda-" + metrics::Table::fmt(lambda, 2), value);
 
     table.add_row({metrics::Table::fmt(lambda, 2),
                    std::to_string((1024 / 160)) + " requests",

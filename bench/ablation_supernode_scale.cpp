@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
 
     cfg.testbed.shared_network = wire.shared;
     cfg.streams = {mc, dc};
-    const auto out = bench::run("run", cfg);
+    const auto out = bench::run(
+        std::to_string(nodes) + "x2." + wire.label, cfg);
     std::int64_t local_kernels = 0, remote_kernels = 0;
     for (std::size_t g = 0; g < out.device_counters.size(); ++g) {
       (g < 2 ? local_kernels : remote_kernels) +=

@@ -17,14 +17,15 @@ int main(int argc, char** argv) {
 
   struct Link {
     const char* label;
+    const char* key;
     rpc::LinkModel model;
   };
   const Link links[] = {
-      {"ideal (0, inf)", rpc::LinkModel{0, 0.0}},
-      {"shared memory", rpc::LinkModel::shared_memory()},
-      {"10GbE-ish", rpc::LinkModel{sim::usec(20), 1.17}},
-      {"GigE", rpc::LinkModel::gigabit_ethernet()},
-      {"WAN-ish", rpc::LinkModel{sim::msec(2), 0.05}},
+      {"ideal (0, inf)", "ideal", rpc::LinkModel{0, 0.0}},
+      {"shared memory", "shared-memory", rpc::LinkModel::shared_memory()},
+      {"10GbE-ish", "10GbE", rpc::LinkModel{sim::usec(20), 1.17}},
+      {"GigE", "GigE", rpc::LinkModel::gigabit_ethernet()},
+      {"WAN-ish", "WAN", rpc::LinkModel{sim::msec(2), 0.05}},
   };
 
   workloads::ScenarioConfig cfg;
@@ -45,7 +46,9 @@ int main(int argc, char** argv) {
     for (const bool oneway : {true, false}) {
       cfg.testbed.nonblocking_rpc = oneway;
       cfg.testbed.local_link = link.model;
-      resp[i++] = workloads::run(cfg).streams.at(0).mean_response_s();
+      const std::string label =
+          std::string(oneway ? "oneway." : "blocking.") + link.key;
+      resp[i++] = bench::run(label, cfg).streams.at(0).mean_response_s();
     }
     if (ideal_oneway == 0.0) ideal_oneway = resp[0];
     table.add_row({link.label, metrics::Table::fmt(resp[0]),

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 
 #ifdef __linux__
 #include <unistd.h>
@@ -57,10 +58,9 @@ const char* bench_report_path() {
   return (p != nullptr && p[0] != '\0') ? p : nullptr;
 }
 
-// Entries recorded by this process, keyed "<binary>/<label>[#k]". The
-// binary prefix keeps labels that several benches share (e.g. the
-// balancing_matrix configs) distinct once every bench merges into one
-// file; #k disambiguates repeated labels within one binary.
+// Entries recorded by this process, keyed "<binary>/<label>". The binary
+// prefix keeps labels that several benches share (e.g. the
+// balancing_matrix cells) distinct once every bench merges into one file.
 std::map<std::string, std::string>& report_entries() {
   static std::map<std::string, std::string> entries;
   return entries;
@@ -82,13 +82,25 @@ std::string report_binary_name() {
   return name;
 }
 
-// Keys an entry "<binary>/<label>[#k]", stores it, and arms the at-exit
-// flush. Shared by bench::run and record_bench_entry.
-void store_report_entry(const std::string& label, const std::string& value) {
-  static std::map<std::string, int> key_counts;
+// Returns the key "<binary>/<label>" of a run or raw entry. A key names
+// one cell: a second use would overwrite the first one's report entry and
+// STRINGS_TRACE_DIR artifacts, so it stops the bench instead.
+std::string claim_key(const std::string& label) {
+  static std::set<std::string> claimed;
   std::string key = report_binary_name() + "/" + sanitize_label(label);
-  const int n = ++key_counts[key];
-  if (n > 1) key += "#" + std::to_string(n);
+  if (!claimed.insert(key).second) {
+    std::fprintf(stderr,
+                 "error: bench key %s is used by two runs; give each cell "
+                 "its own label\n",
+                 key.c_str());
+    std::exit(1);
+  }
+  return key;
+}
+
+// Stores an entry under `key` and arms the at-exit flush. Shared by
+// bench::run and record_bench_entry.
+void store_report_entry(const std::string& key, const std::string& value) {
   report_entries()[key] = value;
   static const bool registered = [] {
     std::atexit(flush_bench_report);
@@ -97,7 +109,7 @@ void store_report_entry(const std::string& label, const std::string& value) {
   (void)registered;
 }
 
-void record_bench_report(const std::string& label,
+void record_bench_report(const std::string& key,
                          const workloads::ScenarioConfig& cfg,
                          const workloads::RunResult& out, double wall_s) {
   std::vector<double> responses;
@@ -126,20 +138,22 @@ void record_bench_report(const std::string& label,
                 metrics::percentile(responses, 50.0),
                 metrics::percentile(responses, 99.0),
                 metrics::jain_fairness(attained, shares), wall_s);
-  store_report_entry(label, value);
+  store_report_entry(key, value);
 }
 }  // namespace
 
 workloads::RunResult run(const std::string& label,
                          const workloads::ScenarioConfig& cfg,
                          sim::SimTime horizon) {
+  const std::string key = claim_key(label);
   workloads::RunArtifacts artifacts;
   if (const char* dir = trace_dir()) {
     // Pointing STRINGS_TRACE_DIR at a fresh path is the common case in CI;
     // create it instead of failing once per run.
+    const std::string base = std::string(dir) + "/" + key;
     std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string base = std::string(dir) + "/" + sanitize_label(label);
+    std::filesystem::create_directories(
+        std::filesystem::path(base).parent_path(), ec);
     artifacts.trace_path = base + ".trace.json";
     artifacts.metrics_path = base + ".metrics.csv";
   }
@@ -148,14 +162,68 @@ workloads::RunResult run(const std::string& label,
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;
   if (bench_report_path() != nullptr) {
-    record_bench_report(label, cfg, out, wall.count());
+    record_bench_report(key, cfg, out, wall.count());
   }
   return out;
 }
 
 void record_bench_entry(const std::string& label, const std::string& value) {
-  if (bench_report_path() == nullptr) return;
-  store_report_entry(label, value);
+  const std::string key = claim_key(label);
+  if (bench_report_path() != nullptr) store_report_entry(key, value);
+}
+
+std::vector<double> mean_responses(const workloads::RunResult& out) {
+  std::vector<double> times;
+  for (const auto& st : out.streams) times.push_back(st.mean_response_s());
+  return times;
+}
+
+metrics::Table Sweep::table(const std::string& row_header,
+                            const std::vector<Column>& lead,
+                            const std::vector<Column>& tail) const {
+  std::vector<Column> columns = lead;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    Column& col = columns.emplace_back(Column{configs[c], {}});
+    std::vector<double> speedups;
+    for (const auto& row : speedup) {
+      speedups.push_back(row[c]);
+      col.cells.push_back(metrics::Table::fmt(row[c]) + "x");
+    }
+    col.avg = metrics::Table::fmt(metrics::mean(speedups)) + "x";
+  }
+  columns.insert(columns.end(), tail.begin(), tail.end());
+  std::vector<std::string> headers{row_header};
+  for (const Column& c : columns) headers.push_back(c.header);
+  metrics::Table t(headers);
+  for (std::size_t r = 0; r <= rows.size(); ++r) {
+    const bool avg = r == rows.size();
+    std::vector<std::string> cells{avg ? "avg" : rows[r].name};
+    for (const Column& c : columns) {
+      cells.push_back(avg ? c.avg : c.cells.at(r));
+    }
+    t.add_row(std::move(cells));
+  }
+  return t;
+}
+
+Sweep run_sweep(std::vector<SweepRow> rows,
+                const std::vector<SweepConfig>& configs,
+                const Baseline& baseline) {
+  Sweep sweep;
+  for (const SweepConfig& c : configs) sweep.configs.push_back(c.label);
+  for (const SweepRow& row : rows) {
+    sweep.baseline.push_back(baseline(row));
+    auto& results = sweep.results.emplace_back();
+    auto& speedup = sweep.speedup.emplace_back();
+    for (const SweepConfig& c : configs) {
+      results.push_back(run(c.label + "." + row.name,
+                            {c.testbed, row.streams, {}}));
+      speedup.push_back(metrics::weighted_speedup(
+          sweep.baseline.back(), mean_responses(results.back())));
+    }
+  }
+  sweep.rows = std::move(rows);
+  return sweep;
 }
 
 double stale_hit_rate(const core::ControlPlaneStats& s) {
@@ -194,82 +262,77 @@ metrics::Table control_plane_table(
   return t;
 }
 
-std::vector<std::pair<std::string, workloads::TestbedConfig>>
-balancing_matrix(const std::vector<std::vector<gpu::DeviceProps>>& nodes) {
-  std::vector<std::pair<std::string, workloads::TestbedConfig>> configs;
+std::vector<SweepConfig> balancing_matrix(
+    const std::vector<std::vector<gpu::DeviceProps>>& nodes) {
+  std::vector<SweepConfig> configs;
   for (const auto* policy : {"GRR", "GMin", "GWtMin"}) {
     for (const auto mode : {workloads::Mode::kRain, workloads::Mode::kStrings}) {
       workloads::TestbedConfig tb;
       tb.mode = mode;
       tb.nodes = nodes;
       tb.balancing_policy = policy;
-      configs.emplace_back(
-          std::string(policy) + "-" + workloads::mode_name(mode), tb);
+      configs.push_back(
+          {std::string(policy) + "-" + workloads::mode_name(mode), tb});
     }
   }
   return configs;
 }
 
-std::vector<double> single_node_grr_baseline(
-    const std::vector<workloads::ArrivalConfig>& streams,
-    workloads::Mode mode) {
-  // Each stream gets its own 2-GPU node under GRR, independently — the
-  // "single node GRR" the paper measures the supernode figures against.
-  std::vector<double> result;
-  for (const auto& s : streams) {
-    workloads::ScenarioConfig cfg;
-    cfg.testbed.mode = mode;
-    cfg.testbed.nodes = workloads::small_server();
-    cfg.testbed.balancing_policy = "GRR";
-    cfg.streams = {s};
-    cfg.streams[0].origin = 0;
-    result.push_back(
-        run("single-node-GRR", cfg).streams.at(0).mean_response_s());
-  }
-  return result;
-}
-
-std::vector<workloads::ArrivalConfig> pair_streams(
-    const workloads::WorkloadPair& pair, const Options& opt) {
-  workloads::ArrivalConfig a;
-  a.app = pair.long_app;
-  a.origin = 0;
-  a.requests = opt.quick ? 6 : 10;
-  a.lambda_scale = 0.22;  // overloaded node: bursts spill to the pool
-  a.server_threads = 8;
-  a.seed = 11;
-  a.tenant = "tenantA";
-  workloads::ArrivalConfig b = a;
-  b.app = pair.short_app;
-  b.origin = 1;
-  b.requests = opt.quick ? 12 : 20;
-  b.seed = 23;
-  b.tenant = "tenantB";
-  return {a, b};
-}
-
-std::map<std::string, double> pair_baselines(
+std::vector<SweepRow> pair_rows(
     const std::vector<workloads::WorkloadPair>& pairs, const Options& opt) {
-  // The single-node-GRR baseline depends only on the app, not on the pair:
-  // compute once per app.
-  std::map<std::string, double> baseline;
+  std::vector<SweepRow> rows;
   for (const auto& pair : pairs) {
-    for (const auto& s : pair_streams(pair, opt)) {
-      if (!baseline.contains(s.app)) {
-        baseline[s.app] = single_node_grr_baseline({s})[0];
-      }
+    workloads::ArrivalConfig a;
+    a.app = pair.long_app;
+    a.origin = 0;
+    a.requests = opt.quick ? 6 : 10;
+    a.lambda_scale = 0.22;  // overloaded node: bursts spill to the pool
+    a.server_threads = 8;
+    a.seed = 11;
+    a.tenant = "tenantA";
+    workloads::ArrivalConfig b = a;
+    b.app = pair.short_app;
+    b.origin = 1;
+    b.requests = opt.quick ? 12 : 20;
+    b.seed = 23;
+    b.tenant = "tenantB";
+    rows.push_back({std::string(1, pair.label), {a, b}});
+  }
+  return rows;
+}
+
+Column mix_column(const std::vector<workloads::WorkloadPair>& pairs) {
+  Column mix{"Mix", {}};
+  for (const auto& pair : pairs) {
+    mix.cells.push_back(pair.long_app + "-" + pair.short_app);
+  }
+  return mix;
+}
+
+Baseline single_node_grr(const std::vector<workloads::WorkloadPair>& pairs,
+                         const Options& opt) {
+  // The baseline depends only on the app, not on the pair: run each app
+  // once, in its first pair_rows role, on its own 2-GPU node.
+  std::map<std::string, double> by_app;
+  for (const SweepRow& row : pair_rows(pairs, opt)) {
+    for (const auto& s : row.streams) {
+      if (by_app.contains(s.app)) continue;
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = workloads::Mode::kRain;
+      cfg.testbed.nodes = workloads::small_server();
+      cfg.testbed.balancing_policy = "GRR";
+      cfg.streams = {s};
+      cfg.streams[0].origin = 0;
+      by_app[s.app] = run("single-node-GRR." + s.app, cfg)
+                          .streams.at(0)
+                          .mean_response_s();
     }
   }
-  return baseline;
-}
-
-double pair_speedup(const std::map<std::string, double>& baseline,
-                    const workloads::WorkloadPair& pair,
-                    const workloads::RunResult& out) {
-  return metrics::weighted_speedup(
-      {baseline.at(pair.long_app), baseline.at(pair.short_app)},
-      {out.streams.at(0).mean_response_s(),
-       out.streams.at(1).mean_response_s()});
+  return [by_app](const SweepRow& row) {
+    std::vector<double> times;
+    for (const auto& s : row.streams) times.push_back(by_app.at(s.app));
+    return times;
+  };
 }
 
 void report_table(const std::string& name, const metrics::Table& table) {

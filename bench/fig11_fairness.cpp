@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     cfg.testbed.mode = workloads::Mode::kStrings;
     cfg.testbed.nodes = {{gpu::tesla_c2050()}};
     cfg.streams = {s};
-    const auto out = bench::run("run", cfg, horizon);
+    const auto out = bench::run("solo." + s.app, cfg, horizon);
     return solo[s.app] = out.tenant_service_s.at(s.tenant);
   };
 
@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
       cfg.testbed.nodes = {{gpu::tesla_c2050()}};  // one shared GPU
       cfg.testbed.device_policy = configs[c].device_policy;
       cfg.streams = {a, b};
-      const auto out = bench::run(configs[c].label, cfg, horizon);
+      const auto out = bench::run(
+          std::string(configs[c].label) + "." + pair.label, cfg, horizon);
       const double attained_a = out.tenant_service_s.at("tenantA");
       const double attained_b = out.tenant_service_s.at("tenantB");
       fairness_raw[c].push_back(

@@ -22,63 +22,40 @@ int main(int argc, char** argv) {
   std::vector<workloads::WorkloadPair> pairs = workloads::workload_pairs();
   if (opt.quick) pairs = {pairs[1], pairs[9], pairs[13], pairs[20]};
 
-  struct Config {
-    const char* label;
-    workloads::Mode mode;
-    const char* device_policy;
+  const auto config = [](const char* label, workloads::Mode mode,
+                         const char* device_policy) {
+    SweepConfig c{label, {}};
+    c.testbed.mode = mode;
+    c.testbed.nodes = workloads::supernode();
+    c.testbed.balancing_policy = "GWtMin";
+    c.testbed.device_policy = device_policy;
+    return c;
   };
-  const std::vector<Config> configs = {
-      {"GWtMinLAS-Rain", workloads::Mode::kRain, "LAS"},
-      {"GWtMinLAS-Strings", workloads::Mode::kStrings, "LAS"},
-      {"GWtMinPS-Strings", workloads::Mode::kStrings, "PS"},
-  };
+  const Sweep sweep = run_sweep(
+      pair_rows(pairs, opt),
+      {config("GWtMinLAS-Rain", workloads::Mode::kRain, "LAS"),
+       config("GWtMinLAS-Strings", workloads::Mode::kStrings, "LAS"),
+       config("GWtMinPS-Strings", workloads::Mode::kStrings, "PS")},
+      single_node_grr(pairs, opt));
 
-  const auto baseline = pair_baselines(pairs, opt);
-
-  std::vector<std::string> headers{"Pair", "Mix"};
-  for (const auto& c : configs) headers.push_back(c.label);
-  headers.push_back("Jain(LAS-S)");
-  headers.push_back("Jain(PS-S)");
-  metrics::Table table(headers);
-  std::vector<std::vector<double>> speedups(configs.size());
-  std::vector<double> jain_las, jain_ps;
-
-  for (const auto& pair : pairs) {
-    std::vector<std::string> row{std::string(1, pair.label),
-                                 pair.long_app + "-" + pair.short_app};
-    double las_jain = 0.0, ps_jain = 0.0;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      workloads::ScenarioConfig cfg;
-      cfg.testbed.mode = configs[c].mode;
-      cfg.testbed.nodes = workloads::supernode();
-      cfg.testbed.balancing_policy = "GWtMin";
-      cfg.testbed.device_policy = configs[c].device_policy;
-      cfg.streams = pair_streams(pair, opt);
-      const auto out = bench::run(configs[c].label, cfg);
-      const double ws = pair_speedup(baseline, pair, out);
-      speedups[c].push_back(ws);
-      row.push_back(metrics::Table::fmt(ws) + "x");
-      const double j = metrics::jain_fairness(
-          {out.tenant_service_s.at("tenantA"),
-           out.tenant_service_s.at("tenantB")});
-      if (std::string(configs[c].label) == "GWtMinLAS-Strings") las_jain = j;
-      if (std::string(configs[c].label) == "GWtMinPS-Strings") ps_jain = j;
+  // Jain's index over the two tenants' attained service, per pair, of the
+  // sweep's config `c`.
+  const auto jain_column = [&sweep](const char* header, std::size_t c) {
+    Column col{header, {}};
+    std::vector<double> jain;
+    for (const auto& results : sweep.results) {
+      const auto& service = results[c].tenant_service_s;
+      jain.push_back(metrics::jain_fairness(
+          {service.at("tenantA"), service.at("tenantB")}));
+      col.cells.push_back(metrics::Table::fmt(100 * jain.back(), 1) + "%");
     }
-    jain_las.push_back(las_jain);
-    jain_ps.push_back(ps_jain);
-    row.push_back(metrics::Table::fmt(100 * las_jain, 1) + "%");
-    row.push_back(metrics::Table::fmt(100 * ps_jain, 1) + "%");
-    table.add_row(std::move(row));
-  }
-
-  std::vector<std::string> avg{"avg", "-"};
-  for (const auto& s : speedups) {
-    avg.push_back(metrics::Table::fmt(metrics::mean(s)) + "x");
-  }
-  avg.push_back(metrics::Table::fmt(100 * metrics::mean(jain_las), 1) + "%");
-  avg.push_back(metrics::Table::fmt(100 * metrics::mean(jain_ps), 1) + "%");
-  table.add_row(std::move(avg));
-  report_table("fig12_gpu_scheduling", table);
+    col.avg = metrics::Table::fmt(100 * metrics::mean(jain), 1) + "%";
+    return col;
+  };
+  report_table("fig12_gpu_scheduling",
+               sweep.table("Pair", {mix_column(pairs)},
+                           {jain_column("Jain(LAS-S)", 1),
+                            jain_column("Jain(PS-S)", 2)}));
 
   std::printf("\npaper: GWtMinLAS-Rain 2.18x  GWtMinLAS-Strings 3.10x  "
               "GWtMinPS-Strings 2.97x; PS matches LAS throughput without "

@@ -24,36 +24,19 @@ int main(int argc, char** argv) {
   std::vector<workloads::WorkloadPair> pairs = workloads::workload_pairs();
   if (opt.quick) pairs = {pairs[1], pairs[3], pairs[17], pairs[21]};
 
-  const auto baseline = pair_baselines(pairs, opt);
-
-  const std::vector<std::string> policies = {"DTF", "MBF"};
-  metrics::Table table({"Pair", "Mix", "DTF-Strings", "MBF-Strings"});
-  std::vector<std::vector<double>> speedups(policies.size());
-
-  for (const auto& pair : pairs) {
-    std::vector<std::string> row{std::string(1, pair.label),
-                                 pair.long_app + "-" + pair.short_app};
-    for (std::size_t c = 0; c < policies.size(); ++c) {
-      workloads::ScenarioConfig cfg;
-      cfg.testbed.mode = workloads::Mode::kStrings;
-      cfg.testbed.nodes = workloads::supernode();
-      cfg.testbed.balancing_policy = "GWtMin";
-      cfg.testbed.feedback_policy = policies[c];
-      cfg.streams = pair_streams(pair, opt);
-      const double ws = pair_speedup(
-          baseline, pair, bench::run(policies[c] + "-Strings", cfg));
-      speedups[c].push_back(ws);
-      row.push_back(metrics::Table::fmt(ws) + "x");
-    }
-    table.add_row(std::move(row));
+  std::vector<SweepConfig> configs;
+  for (const char* policy : {"DTF", "MBF"}) {
+    SweepConfig c{std::string(policy) + "-Strings", {}};
+    c.testbed.mode = workloads::Mode::kStrings;
+    c.testbed.nodes = workloads::supernode();
+    c.testbed.balancing_policy = "GWtMin";
+    c.testbed.feedback_policy = policy;
+    configs.push_back(std::move(c));
   }
-
-  std::vector<std::string> avg{"avg", "-"};
-  for (const auto& s : speedups) {
-    avg.push_back(metrics::Table::fmt(metrics::mean(s)) + "x");
-  }
-  table.add_row(std::move(avg));
-  report_table("fig15_strings_feedback", table);
+  const Sweep sweep =
+      run_sweep(pair_rows(pairs, opt), configs, single_node_grr(pairs, opt));
+  report_table("fig15_strings_feedback",
+               sweep.table("Pair", {mix_column(pairs)}));
 
   std::printf("\npaper: DTF 3.73x  MBF 4.02x (vs single-node GRR); MBF is "
               "the best feedback policy overall\n");

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     s.lambda_scale = 0.9;  // exponential arrivals, moderate load
     s.seed = 3;
     cfg.streams = {s};
-    const auto out = bench::run("run", cfg);
+    const auto out = bench::run(app, cfg);
     const gpu::DeviceUtilSummary& u = out.device_util.at(0);
     // Bandwidth utilization classes compare the app's demand to what it
     // could demand; normalize against the busy (non-idle) window.

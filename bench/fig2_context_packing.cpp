@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     cfg.testbed.nodes = {{gpu::tesla_c2050()}};  // one GPU, as in Fig. 2
     cfg.testbed.trace = true;
     cfg.streams = {s};
-    const auto out = bench::run("run", cfg);
+    const auto out = bench::run(workloads::mode_name(v.mode), cfg);
     const gpu::DeviceUtilSummary& u = out.device_util.at(0);
     const auto& c = out.device_counters.at(0);
     cov[idx++] = u.util_cov;

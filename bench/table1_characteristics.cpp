@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     s.lambda_scale = 0.01;
     s.seed = 1;
     cfg.streams = {s};
-    const auto out = bench::run("run", cfg);
+    const auto out = bench::run(paper.app, cfg);
 
     // The solo run's Feedback Engine record carries the measured shape; we
     // recompute it here from the stream stats + device counters.

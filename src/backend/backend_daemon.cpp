@@ -9,15 +9,6 @@ using cuda::cudaMemcpyKind;
 using policies::Phase;
 using rpc::CallId;
 
-const char* design_name(Design d) {
-  switch (d) {
-    case Design::kProcessPerApp: return "Design I (process per app, Rain)";
-    case Design::kSingleMaster: return "Design II (single master thread)";
-    case Design::kThreadPerApp: return "Design III (thread per app, Strings)";
-  }
-  return "?";
-}
-
 BackendDaemon::BackendDaemon(sim::Simulation& sim, core::NodeId node,
                              cuda::CudaRuntime& rt,
                              std::vector<core::Gid> gids,
@@ -37,9 +28,6 @@ BackendDaemon::BackendDaemon(sim::Simulation& sim, core::NodeId node,
     schedulers_.push_back(std::make_unique<core::GpuScheduler>(
         sim_, gids_[static_cast<std::size_t>(dev)], std::move(policy),
         config_.sched));
-    schedulers_.back()->set_feedback_sink([this](const core::FeedbackRecord& r) {
-      if (feedback_sink_) feedback_sink_(r);
-    });
     // The per-GPU backend process hosting the shared GPU context
     // (Designs II and III).
     device_pids_.push_back(rt_.create_process());
@@ -57,11 +45,6 @@ BackendDaemon::BackendDaemon(sim::Simulation& sim, core::NodeId node,
 }
 
 BackendDaemon::~BackendDaemon() = default;
-
-void BackendDaemon::set_feedback_sink(
-    std::function<void(const core::FeedbackRecord&)> s) {
-  feedback_sink_ = std::move(s);
-}
 
 void BackendDaemon::release_binding(const rpc::DuplexChannel& ch) {
   for (std::size_t i = 0; i < conns_.size(); ++i) {

@@ -40,8 +40,6 @@ enum class Design {
   kThreadPerApp,   // Design III: Strings
 };
 
-const char* design_name(Design d);
-
 struct BackendConfig {
   Design design = Design::kThreadPerApp;
   /// Device-level dispatcher policy: "AllAwake", "TFS", "LAS", "PS", "MQFQ".
@@ -59,10 +57,6 @@ class BackendDaemon {
                 cuda::CudaRuntime& rt, std::vector<core::Gid> gids,
                 BackendConfig config);
   ~BackendDaemon();
-
-  /// Where Feedback Engine records go (the Affinity Mapper's Policy
-  /// Arbiter); also piggybacked on the cudaThreadExit response.
-  void set_feedback_sink(std::function<void(const core::FeedbackRecord&)> s);
 
   /// Accepts a frontend binding to local device `local_dev` over a link of
   /// the given model; spawns the worker and returns the app's channel.
@@ -146,7 +140,6 @@ class BackendDaemon {
   sim::FlatMap<std::pair<cuda::ProcessId, cuda::cudaStream_t>,
                std::pair<core::GpuScheduler*, int>>
       routes_;
-  std::function<void(const core::FeedbackRecord&)> feedback_sink_;
   obs::Tracer* tracer_ = nullptr;
   std::int64_t connections_ = 0;
   /// What every connection's channels have sent (see wire_bytes()).

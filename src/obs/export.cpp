@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/number.hpp"
 
 namespace strings::obs {
 
@@ -187,9 +188,13 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
           "\"pid\":"
        << pid << ",\"tid\":" << tid << ",\"ts\":" << fmt_us(r.issued_at)
        << ',';
+    // The profiler takes a tenant's weight from its requests, complete or
+    // not, so a straggler carries it too.
+    char w[kG17Chars];
     write_args(os, {{"tenant", r.tenant},
                     {"app_id", std::to_string(app_id)},
                     {"app", r.app_type},
+                    {"weight", std::string(format_g17(r.tenant_weight, w))},
                     {"issued", std::to_string(r.issued_at)}});
     os << '}';
   }

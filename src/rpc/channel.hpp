@@ -153,7 +153,6 @@ class Channel {
     if (p && pending_counter_ != nullptr) --*pending_counter_;
     return p;
   }
-  bool has_pending() const { return !inbox_.empty(); }
   std::size_t pending_count() const { return inbox_.size(); }
 
   std::uint64_t packets_sent() const { return packets_sent_; }

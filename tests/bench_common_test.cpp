@@ -1,8 +1,9 @@
 // Tests for the shared bench machinery (bench/common): bench::run must
-// create STRINGS_TRACE_DIR on demand, the perf-gate recorder must write the
-// BENCH_report.json schema tools/bench_gate consumes, merging with entries
-// other bench binaries already wrote, and the control-plane table must
-// report the stale-hit rate without dividing by zero.
+// create STRINGS_TRACE_DIR on demand and name its artifacts by the run's
+// report key, a key may name only one run, the perf-gate recorder must
+// write the BENCH_report.json schema tools/bench_gate consumes, merging
+// with entries other bench binaries already wrote, and the control-plane
+// table must report the stale-hit rate without dividing by zero.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -55,8 +56,10 @@ TEST(BenchCommon, TraceDirIsCreatedOnDemand) {
   ASSERT_FALSE(std::filesystem::exists(dir));
   ScopedEnv env("STRINGS_TRACE_DIR", dir);
   bench::run("bct-mkdir", tiny_config());
-  EXPECT_TRUE(std::filesystem::exists(dir + "/bct-mkdir.trace.json"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/bct-mkdir.metrics.csv"));
+  // The artifacts' base name is the report key, "<binary>/<label>".
+  const std::string base = dir + "/bench_common_test/bct-mkdir";
+  EXPECT_TRUE(std::filesystem::exists(base + ".trace.json"));
+  EXPECT_TRUE(std::filesystem::exists(base + ".metrics.csv"));
 }
 
 TEST(BenchCommon, BenchReportRecordsSchemaAndMerges) {
@@ -122,17 +125,24 @@ TEST(BenchCommon, UnreadableReportIsReplaced) {
   EXPECT_NE(report.find("/bct-unreadable\": {"), std::string::npos) << report;
 }
 
-TEST(BenchCommon, RepeatedLabelsGetDistinctKeys) {
-  const std::string path =
-      ::testing::TempDir() + "/bct_report/BENCH_repeat.json";
-  std::filesystem::remove(path);
-  ScopedEnv env("STRINGS_BENCH_REPORT", path);
-  bench::run("bct-twice", tiny_config());
-  bench::run("bct-twice", tiny_config());
-  bench::flush_bench_report();
-  const std::string report = slurp(path);
-  EXPECT_NE(report.find("/bct-twice\": {"), std::string::npos) << report;
-  EXPECT_NE(report.find("/bct-twice#2\": {"), std::string::npos) << report;
+TEST(BenchCommon, RepeatedKeyStopsTheBench) {
+  // Two runs under one key would share a report entry and artifacts, so
+  // the second one stops the bench, with or without a report.
+  EXPECT_EXIT(
+      {
+        bench::run("bct-twice", tiny_config());
+        bench::run("bct-twice", tiny_config());
+      },
+      ::testing::ExitedWithCode(1),
+      "bench key bench_common_test/bct-twice is used by two runs");
+  // A raw entry claims its key the same way.
+  EXPECT_EXIT(
+      {
+        bench::run("bct-entry", tiny_config());
+        bench::record_bench_entry("bct-entry", "{}");
+      },
+      ::testing::ExitedWithCode(1),
+      "bench key bench_common_test/bct-entry is used by two runs");
 }
 
 TEST(BenchCommon, NoReportWithoutEnvToggle) {

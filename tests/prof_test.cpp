@@ -4,12 +4,15 @@
 // wall-clock, including under pipelined overlap), the latency digest, the
 // fairness accounting (Jain's index must equal metrics::jain_fairness;
 // attained service must equal the testbed's LAS accumulator), the
-// zero-overhead contract (--prof leaves the trace byte-identical), and the
+// zero-overhead contract (--prof leaves the trace byte-identical), offline
+// re-derivation of a report with requests still in flight, and the
 // RequestTrace ordering contract the sweep is built around: timestamps are
 // monotone only within one side of the stack once the non-blocking RPC
 // path pipelines calls.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -297,6 +300,38 @@ TEST(ProfZeroOverhead, TraceIsByteIdenticalWithAndWithoutProf) {
   const std::string prof = slurp(profiled.prof_path);
   EXPECT_NE(prof.find("== strings profiler =="), std::string::npos);
   EXPECT_EQ(on.prof_incomplete_requests, 0);
+}
+
+// --- requests in flight at a horizon --------------------------------------
+
+// A run cut at a horizon leaves requests in flight. The trace marks each
+// with a request.incomplete instant, and tools/strings_prof must re-derive
+// the online report, incomplete count included, byte for byte from it.
+TEST(ProfOffline, HorizonRunWithIncompleteRequestsRederivesExactly) {
+  const std::string dir = ::testing::TempDir();
+  const auto cfg = workloads::parse_scenario(std::string(kTwoTenantScenario));
+  workloads::RunArtifacts online;
+  online.trace_path = dir + "/prof_horizon.trace.json";
+  online.prof_path = dir + "/prof_horizon.online.txt";
+  const auto out = workloads::run(cfg, online, sim::sec(6));
+  int completed = 0;
+  for (const auto& st : out.streams) completed += st.completed;
+  ASSERT_GT(completed, 0);
+  ASSERT_GT(out.prof_incomplete_requests, 0);
+
+  const std::string offline_path = dir + "/prof_horizon.offline.txt";
+  const std::string cmd = std::string(STRINGS_PROF_BIN) + " " +
+                          online.trace_path + " " + offline_path;
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  const std::string report = slurp(online.prof_path);
+  EXPECT_EQ(slurp(offline_path), report);
+  EXPECT_NE(report.find("requests: " + std::to_string(completed) +
+                        " complete, " +
+                        std::to_string(out.prof_incomplete_requests) +
+                        " incomplete\n"),
+            std::string::npos)
+      << report;
+  std::remove(online.trace_path.c_str());
 }
 
 // --- interference forensics ----------------------------------------------

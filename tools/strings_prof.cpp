@@ -68,6 +68,12 @@ long long to_ll(const Value& args, std::string_view key, long long fallback) {
   }
 }
 
+/// A request's tenant weight (1 when the event carries none).
+double weight_of(const Value& args) {
+  const std::string& w = args["weight"].text;
+  return w.empty() ? 1.0 : std::strtod(w.c_str(), nullptr);
+}
+
 /// Folds one trace event into the profiler's input.
 void fold_event(const Value& ev, ProfInput* input,
                 std::vector<ProfRequest>* requests) {
@@ -88,8 +94,7 @@ void fold_event(const Value& ev, ProfInput* input,
     r.app_id = static_cast<std::uint64_t>(to_ll(args, "app_id", 0));
     r.app_type = name.substr(8);
     r.tenant = args["tenant"].text;
-    const std::string& w = args["weight"].text;
-    r.weight = w.empty() ? 1.0 : std::strtod(w.c_str(), nullptr);
+    r.weight = weight_of(args);
     r.origin = static_cast<int>(to_ll(args, "origin", 0));
     r.gid = static_cast<int>(to_ll(args, "gid", -1));
     r.node = static_cast<int>(to_ll(args, "node", -1));
@@ -117,6 +122,7 @@ void fold_event(const Value& ev, ProfInput* input,
     r.app_id = static_cast<std::uint64_t>(to_ll(args, "app_id", 0));
     r.app_type = args["app"].text;
     r.tenant = args["tenant"].text;
+    r.weight = weight_of(args);
     r.issued_at = to_ll(args, "issued", -1);
     r.completed_at = -1;
     requests->push_back(std::move(r));
