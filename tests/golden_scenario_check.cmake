@@ -13,11 +13,15 @@
 # A scenario with a committed <name>.stream.sha256 also gets a second,
 # streamed run (--trace --stream --exemplars 3): the telemetry JSONL, with
 # its 10 ms windows, per-window exemplar ids and trailing exemplar lines,
-# is pinned by SHA-256. It is a separate run because streaming registers
-# sim/... instruments that would change the plain run's metrics CSV.
+# is pinned by SHA-256 after strip_sim_series (stream_normalize.cmake)
+# drops the kernel's own sim/... series. It is a separate run because
+# streaming registers sim/... instruments that would change the plain
+# run's metrics CSV.
 #
 # Arguments: -DCMD=<run_scenario> -DNAME=<scenario stem>
 #            -DSRC_DIR=<repo root> -DWORK_DIR=<scratch dir>
+include(${CMAKE_CURRENT_LIST_DIR}/stream_normalize.cmake)
+
 foreach(arg CMD NAME SRC_DIR WORK_DIR)
   if(NOT DEFINED ${arg})
     message(FATAL_ERROR "golden_scenario_check: missing -D${arg}")
@@ -89,7 +93,9 @@ if(EXISTS "${golden_dir}/${NAME}.stream.sha256")
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "run_scenario ${NAME} --stream exited with ${rc}")
   endif()
-  file(SHA256 "${stream}" got_sha)
+  file(READ "${stream}" got_stream)
+  strip_sim_series(got_stream)
+  string(SHA256 got_sha "${got_stream}")
   file(READ "${golden_dir}/${NAME}.stream.sha256" want_sha)
   string(STRIP "${want_sha}" want_sha)
   if(NOT got_sha STREQUAL want_sha)
