@@ -242,7 +242,8 @@ sim::SimTime GpuScheduler::service_attained(int signal_id) const {
 void GpuScheduler::arm_epoch() {
   if (!dispatches_ || epoch_armed_) return;
   epoch_armed_ = true;
-  sim_.schedule(config_.epoch, [this] { epoch_tick(); });
+  sim_.schedule_first(config_.epoch, static_cast<std::uint32_t>(gid_),
+                      [this] { epoch_tick(); });
 }
 
 void GpuScheduler::epoch_tick() {

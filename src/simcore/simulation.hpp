@@ -138,6 +138,21 @@ class Simulation {
     if (auto* h = sim_hooks()) h->on_event_scheduled(*this, seq);
   }
 
+  /// Like schedule(), but the event leads its instant: it runs before every
+  /// event schedule() or schedule_weak() queues for the same time, and
+  /// events schedule_first() queues for one time run in ascending `rank`,
+  /// whenever each was queued. `rank` is the event's seq, so a rank may
+  /// have at most one event queued at a time. The Dispatcher keys its epoch
+  /// ticks this way, by GPU id: when a tick runs then does not depend on
+  /// when it was armed.
+  template <typename F>
+  void schedule_first(SimTime delay, std::uint32_t rank, F&& fn) {
+    assert(delay >= 0 && "cannot schedule into the past");
+    queue_.push(now_ + delay, rank, std::forward<F>(fn), /*weak=*/false);
+    ++real_events_;
+    if (auto* h = sim_hooks()) h->on_event_scheduled(*this, rank);
+  }
+
   /// Like schedule(), but the event is *weak*: it runs if simulation time
   /// reaches it, yet does not by itself keep run() alive (analogous to
   /// daemon processes). Used by periodic observers — the telemetry stream's
@@ -208,7 +223,9 @@ class Simulation {
   void block_current();
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
+  // Seqs below 2^32 are schedule_first()'s ranks; ordinary events take
+  // seqs above them, so at one instant every ranked event runs first.
+  std::uint64_t next_seq_ = std::uint64_t{1} << 32;
   std::uint64_t events_executed_ = 0;
   std::int64_t real_events_ = 0;  // queued non-weak events
   EventQueue queue_;

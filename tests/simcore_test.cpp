@@ -48,6 +48,22 @@ TEST(Simulation, TiesBreakInScheduleOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(Simulation, ScheduleFirstLeadsItsInstantInRankOrder) {
+  Simulation sim;
+  std::vector<int> order;
+  // Queued long before the ranked events, yet runs after them.
+  sim.schedule(msec(2), [&] { order.push_back(0); });
+  sim.schedule(msec(1), [&] {
+    sim.schedule(msec(1), [&] { order.push_back(1); });
+    sim.schedule_first(msec(1), 7, [&] { order.push_back(17); });
+    sim.schedule_first(msec(1), 3, [&] { order.push_back(13); });
+  });
+  // Leads the ordinary event queued before it for the same instant.
+  sim.schedule_first(msec(1), 0, [&] { order.push_back(10); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{10, 13, 17, 0, 1}));
+}
+
 TEST(Simulation, ProcessWaitForAdvancesClock) {
   Simulation sim;
   SimTime seen = -1;
