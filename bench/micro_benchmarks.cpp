@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -338,7 +339,7 @@ class EpochRig {
     op_.kind = gpu::GpuDevice::OpKind::kKernel;
     for (int i = 0; i < entries; ++i) {
       gates_.push_back(std::make_unique<core::WakeGate>(sim_));
-      backlog_[static_cast<std::size_t>(i)] = i % 5 != 4 ? 1 : 0;
+      backlog_[static_cast<std::size_t>(i)].add(i % 5 != 4 ? 1 : 0);
       core::GpuScheduler::RcbInit init;
       init.app_type = "MM";
       init.tenant = "tenant" + std::to_string(i % 8);
@@ -370,7 +371,7 @@ class EpochRig {
   }
   sim::Simulation sim_;
   core::GpuScheduler sched_;
-  std::vector<int> backlog_;
+  std::deque<sim::Backlog> backlog_;
   std::vector<std::unique_ptr<core::WakeGate>> gates_;
   std::vector<int> ids_;
   gpu::GpuDevice::Op op_;

@@ -193,9 +193,9 @@ void BackendDaemon::worker_loop(Conn& conn) {
   bool exit = false;
   while (!exit) {
     rpc::Packet req = conn.channel->request.receive();
-    ++conn.backlog;  // the request being handled
+    conn.backlog.add(1);  // the request being handled
     exit = handle_request(conn, pid, signal_id, req);
-    --conn.backlog;
+    conn.backlog.add(-1);
   }
 
   routes_.erase({pid, stream});

@@ -29,6 +29,7 @@
 #include "core/gpu_scheduler.hpp"
 #include "cudart/cuda_runtime.hpp"
 #include "rpc/channel.hpp"
+#include "simcore/backlog.hpp"
 #include "simcore/flat_map.hpp"
 #include "simcore/simulation.hpp"
 
@@ -110,7 +111,7 @@ class BackendDaemon {
     /// (counted by the request channel), plus one while the worker handles
     /// a request (Designs I and III), plus the ops outstanding on the app's
     /// stream (counted by cudart).
-    int backlog = 0;
+    sim::Backlog backlog;
     bool done = false;
     int signal_id = -1;
     cuda::cudaStream_t exit_stream = 0;

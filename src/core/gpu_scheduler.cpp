@@ -39,8 +39,12 @@ int GpuScheduler::register_app(const RcbInit& init) {
     analysis::inv_rcb_register(gid_, signal_id, ANALYSIS_SITE);
   }
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
+  resume_ticks();
   RcbEntry e;
   e.backlog = init.backlog;
+  if (dispatches_ && e.backlog != nullptr) {
+    e.backlog->on_edge([this] { resume_ticks(); });
+  }
   e.gate = init.gate;
   e.awake = init.gate == nullptr || init.gate->awake();
   e.app_type = init.app_type;
@@ -56,7 +60,7 @@ int GpuScheduler::register_app(const RcbInit& init) {
   if (tracer_ != nullptr) {
     tracer_->gpu_counter(gid_, "queue_depth", sim_.now(), registered_count());
   }
-  arm_epoch();
+  arm_epoch(config_.epoch);
   return signal_id;
 }
 
@@ -65,6 +69,7 @@ void GpuScheduler::ack(int signal_id) {
     analysis::inv_rcb_ack(gid_, signal_id, ANALYSIS_SITE);
   }
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
+  resume_ticks();
   auto it = rcb_.find(signal_id);
   assert(it != rcb_.end() && "ack for unknown signal id");
   if (!it->second.acked) --unacked_;
@@ -95,6 +100,7 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   const std::size_t at = index_of(signal_id);
   assert(at != rcb_.size() && "unregister for unknown signal id");
+  resume_ticks();
   const auto offset = static_cast<std::ptrdiff_t>(at);
   // Take the entry out before erasing: the RCB is flat storage, so erase
   // slides later entries into this slot and a reference would silently
@@ -104,6 +110,7 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
   rcb_.erase(rcb_.begin() + offset);
   view_.erase(view_.begin() + offset);
   if (!e.acked) --unacked_;
+  if (e.backlog != nullptr) e.backlog->on_edge(nullptr);
   if (tracer_ != nullptr) {
     tracer_->gpu_counter(gid_, "queue_depth", sim_.now(), registered_count());
   }
@@ -150,6 +157,7 @@ void GpuScheduler::on_op_complete(int signal_id,
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   const std::size_t at = index_of(signal_id);
   if (at == rcb_.size()) return;  // late completion after unregister
+  resume_ticks();
   RcbEntry& e = (rcb_.begin() + static_cast<std::ptrdiff_t>(at))->second;
   policies::RcbSnapshot& s = view_[at];
   const sim::SimTime begin =
@@ -191,7 +199,9 @@ void GpuScheduler::on_op_complete(int signal_id,
 void GpuScheduler::set_phase(int signal_id, policies::Phase phase) {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   const std::size_t at = index_of(signal_id);
-  if (at != view_.size()) view_[at].phase = phase;
+  if (at == view_.size() || view_[at].phase == phase) return;
+  resume_ticks();
+  view_[at].phase = phase;
 }
 
 void GpuScheduler::set_tracer(obs::Tracer* tracer) {
@@ -221,10 +231,19 @@ std::size_t GpuScheduler::index_of(int signal_id) const {
 
 std::vector<policies::RcbSnapshot> GpuScheduler::snapshot() const {
   ANALYSIS_READ(&rcb_, rcb_name(gid_));
+  // Show the skipped grid points as run, as their ticks would have.
+  const std::vector<policies::RcbSnapshot>* view = &view_;
+  std::vector<policies::RcbSnapshot> caught_up;
+  if (const std::int64_t n = skipped_points(); n > 0) {
+    caught_up = view_;
+    for (policies::RcbSnapshot& s : caught_up) s.epoch_service = 0;
+    for (std::int64_t i = 0; i < n; ++i) close_epoch(caught_up);
+    view = &caught_up;
+  }
   std::vector<policies::RcbSnapshot> out;
   out.reserve(rcb_.size());
   auto e = rcb_.begin();
-  for (const policies::RcbSnapshot& s : view_) {
+  for (const policies::RcbSnapshot& s : *view) {
     const RcbEntry& entry = (e++)->second;
     if (!entry.acked) continue;
     policies::RcbSnapshot& o = out.emplace_back(s);
@@ -239,10 +258,10 @@ sim::SimTime GpuScheduler::service_attained(int signal_id) const {
   return at == view_.size() ? 0 : view_[at].total_service;
 }
 
-void GpuScheduler::arm_epoch() {
+void GpuScheduler::arm_epoch(sim::SimTime delay) {
   if (!dispatches_ || epoch_armed_) return;
   epoch_armed_ = true;
-  sim_.schedule_first(config_.epoch, static_cast<std::uint32_t>(gid_),
+  sim_.schedule_first(delay, static_cast<std::uint32_t>(gid_),
                       [this] { epoch_tick(); });
 }
 
@@ -252,33 +271,88 @@ void GpuScheduler::epoch_tick() {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   ++epochs_;
 
-  // Dispatcher bookkeeping: per-epoch service (GSn), decayed CGS, and
-  // entitlement accrual for TFS (backlogged threads share the epoch by
-  // tenant weight — work conservation).
-  double backlogged_weight = 0.0;
+  // Dispatcher bookkeeping: the per-epoch service (GSn) and the tick's one
+  // backlog reading of each entry, which close_epoch() and dispatch() use.
   auto e = rcb_.begin();
   for (policies::RcbSnapshot& s : view_) {
     RcbEntry& entry = (e++)->second;
     s.epoch_service = s.total_service - entry.service_at_last_epoch;
     entry.service_at_last_epoch = s.total_service;
-    s.cgs = config_.las_k * static_cast<double>(s.epoch_service) +
-            (1.0 - config_.las_k) * s.cgs;
-    // The tick's one backlog reading of this entry; dispatch() reuses it.
     s.backlogged = backlogged(entry);
-    if (s.backlogged) backlogged_weight += s.tenant_weight;
     s.tenant_attained = tenants_[s.tenant_id].service;
   }
+  close_epoch(view_);
+
+  const sim::SimTime now = sim_.now();
+  dispatch(now);
+  // Until an input changes, every later tick would see no service, the
+  // same backlog, and CGS scaled by 1 - las_k: a settled decision would
+  // come back unchanged, so arm nothing (resume_ticks() catches up). The
+  // analyzer observes every tick's RCB access, so it keeps them all.
+  if (policy_->settled(now + config_.epoch) && 1.0 - config_.las_k >= 0.0 &&
+      !analysis::enabled()) {
+    ticks_skipped_ = true;
+    next_point_ = now + config_.epoch;
+  } else {
+    arm_epoch(config_.epoch);
+  }
+}
+
+std::int64_t GpuScheduler::skipped_points() const {
+  if (!ticks_skipped_ || sim_.now() < next_point_) return 0;
+  return (sim_.now() - next_point_) / config_.epoch + 1;
+}
+
+void GpuScheduler::resume_ticks() {
+  if (!ticks_skipped_) return;
+  const std::int64_t n = skipped_points();
+  ticks_skipped_ = false;
+  // Each skipped tick would have found no new service and the backlog the
+  // last tick read (the change that called us lands after them: a tick
+  // leads its instant), closed its epoch, and decided the same awake set.
+  // Run their bookkeeping, then the last one's decision, at its own time,
+  // so the policy's state (MQFQ's sticky slots) is what the ticks would
+  // have left. Debug builds re-run every skipped decision and check it.
+#ifdef NDEBUG
+  constexpr bool kShadowCheck = false;
+#else
+  constexpr bool kShadowCheck = true;
+#endif
+  if (n > 0) {
+    for (policies::RcbSnapshot& s : view_) s.epoch_service = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      close_epoch(view_);
+      if (kShadowCheck || i + 1 == n) {
+        [[maybe_unused]] const int moved =
+            dispatch(next_point_ + i * config_.epoch);
+        assert(moved == 0 && "a settled decision changed at a skipped tick");
+      }
+    }
+    epochs_ += n;
+    next_point_ += n * config_.epoch;
+  }
+  arm_epoch(next_point_ - sim_.now());
+}
+
+void GpuScheduler::close_epoch(
+    std::vector<policies::RcbSnapshot>& view) const {
+  // Decayed CGS (paper eq. 1), and entitlement accrual for TFS
+  // (backlogged threads share the epoch by tenant weight — work
+  // conservation).
+  double backlogged_weight = 0.0;
+  for (policies::RcbSnapshot& s : view) {
+    s.cgs = config_.las_k * static_cast<double>(s.epoch_service) +
+            (1.0 - config_.las_k) * s.cgs;
+    if (s.backlogged) backlogged_weight += s.tenant_weight;
+  }
   if (backlogged_weight > 0) {
-    for (policies::RcbSnapshot& s : view_) {
+    for (policies::RcbSnapshot& s : view) {
       if (!s.backlogged) continue;
       s.entitled += static_cast<sim::SimTime>(
           static_cast<double>(config_.epoch) * s.tenant_weight /
           backlogged_weight);
     }
   }
-
-  dispatch();
-  arm_epoch();
 }
 
 void GpuScheduler::run_dispatcher() {
@@ -288,10 +362,10 @@ void GpuScheduler::run_dispatcher() {
     if (entry.acked) s.backlogged = backlogged(entry);
     s.tenant_attained = tenants_[s.tenant_id].service;
   }
-  dispatch();
+  dispatch(sim_.now());
 }
 
-void GpuScheduler::dispatch() {
+int GpuScheduler::dispatch(sim::SimTime now) {
   ANALYSIS_READ(&rcb_, rcb_name(gid_));
   const std::vector<policies::RcbSnapshot>* rcb = &view_;
   if (unacked_ > 0) {
@@ -305,7 +379,7 @@ void GpuScheduler::dispatch() {
   // Keys come back in any order, but often ascending (AllAwake returns the
   // view's own order), so try the slot after the last match first.
   std::size_t next = 0;
-  for (const std::uint64_t key : policy_->pick_awake(*rcb, sim_.now())) {
+  for (const std::uint64_t key : policy_->pick_awake(*rcb, now)) {
     std::size_t at = next;
     if (at >= view_.size() || view_[at].key != key) {
       if (key > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
@@ -317,23 +391,27 @@ void GpuScheduler::dispatch() {
     (rcb_.begin() + static_cast<std::ptrdiff_t>(at))->second.picked = true;
     next = at + 1;
   }
+  int moved = 0;
   for (auto& [id, e] : rcb_) {
     const bool keep_awake = e.picked;
     e.picked = false;
-    if (e.gate == nullptr || !e.acked || e.awake == keep_awake) continue;
+    if (!e.acked || e.awake == keep_awake) continue;
     e.awake = keep_awake;
+    ++moved;
+    if (e.gate == nullptr) continue;
     if (keep_awake) {
       ++wakes_;
     } else {
       ++sleeps_;
     }
     if (tracer_ != nullptr) {
-      tracer_->dispatcher_event(gid_, keep_awake, sim_.now(),
+      tracer_->dispatcher_event(gid_, keep_awake, now,
                                 {{"app", e.app_type},
                                  {"signal", std::to_string(id)}});
     }
     e.gate->set(keep_awake);
   }
+  return moved;
 }
 
 }  // namespace strings::core

@@ -10,6 +10,17 @@
 //     AllAwake (plain sharing, §IV-B) has no Dispatcher: that policy never
 //     puts a thread to sleep, so the scheduler arms no epoch and makes no
 //     decision, and epochs_run() stays 0.
+//     The Dispatcher is change-driven. A tick at time T runs before every
+//     other event at T (Simulation::schedule_first, ranked by gid). When
+//     the policy declares its decision settled for the next grid point
+//     (DeviceSchedPolicy::settled), no tick is armed: quiet epochs would
+//     only decay CGS, accrue entitlement and return the same awake set.
+//     The next input change (register, ack, unregister, op completion,
+//     phase change, backlog zero crossing) first replays the skipped grid
+//     points up to now exactly, with the inputs they would have seen, then
+//     arms the next one. epochs_run() and snapshot() count and show the
+//     skipped points as run. Under the analyzer every tick runs, so it
+//     observes each one's RCB access.
 //   Request Monitor (RMO)  — accumulates per-application GPU time, transfer
 //     time, bytes accessed, and phase from device op completions.
 //   Feedback Engine (FE)   — on unregister (cudaThreadExit), summarizes the
@@ -29,6 +40,7 @@
 #include "gpu/gpu_device.hpp"
 #include "obs/trace.hpp"
 #include "policies/device_policies.hpp"
+#include "simcore/backlog.hpp"
 #include "simcore/simulation.hpp"
 
 namespace strings::core {
@@ -79,9 +91,11 @@ class GpuScheduler {
     /// The thread's backlog, kept by its owner: requests delivered but not
     /// yet received, plus one while a request is being handled, plus the
     /// ops outstanding on its stream. The thread is backlogged iff it is
-    /// positive; each decision reads it once per entry. Null means always
-    /// backlogged.
-    const int* backlog = nullptr;
+    /// positive; each decision reads it once per entry, and each zero
+    /// crossing counts as an input change (the scheduler listens from
+    /// register_app to unregister_app, so one backlog serves one entry).
+    /// Null means always backlogged.
+    sim::Backlog* backlog = nullptr;
   };
 
   GpuScheduler(sim::Simulation& sim, Gid gid,
@@ -120,9 +134,9 @@ class GpuScheduler {
   void set_tracer(obs::Tracer* tracer);
 
   // ---- introspection ----
-  /// The acked RCB entries as the policy sees them, with backlog read now.
-  /// Under AllAwake no epoch runs, so `cgs`, `epoch_service` and `entitled`
-  /// stay 0.
+  /// The acked RCB entries as the policy sees them, with backlog read now
+  /// and every grid point up to now run. Under AllAwake no epoch runs, so
+  /// `cgs`, `epoch_service` and `entitled` stay 0.
   std::vector<policies::RcbSnapshot> snapshot() const;
   sim::SimTime service_attained(int signal_id) const;
   /// Cumulative GPU service of `tenant` across all (including exited) apps —
@@ -130,7 +144,8 @@ class GpuScheduler {
   /// engine residency, independent of measure_includes_wait.
   sim::SimTime tenant_service(const std::string& tenant) const;
   int registered_count() const { return static_cast<int>(rcb_.size()); }
-  std::int64_t epochs_run() const { return epochs_; }
+  /// Epochs up to now, the grid points whose tick was skipped included.
+  std::int64_t epochs_run() const { return epochs_ + skipped_points(); }
   /// Dispatcher gate transitions since construction (sleep->awake and back).
   std::int64_t dispatcher_wakes() const { return wakes_; }
   std::int64_t dispatcher_sleeps() const { return sleeps_; }
@@ -145,11 +160,13 @@ class GpuScheduler {
   // change, and hands it to the policy without a copy.
   struct RcbEntry {
     // Dispatcher state, read every tick.
-    const int* backlog = nullptr;  // RcbInit::backlog
-    WakeGate* gate = nullptr;      // RcbInit::gate
+    sim::Backlog* backlog = nullptr;  // RcbInit::backlog
+    WakeGate* gate = nullptr;         // RcbInit::gate
     sim::SimTime service_at_last_epoch = 0;
     bool acked = false;
-    bool awake = true;    // the gate's state; only the dispatcher moves it
+    // In the last decision's awake set (gated entries: the gate's state;
+    // only the dispatcher moves it).
+    bool awake = true;
     bool picked = false;  // in the policy's awake set (during dispatch)
     // Request Manager and Request Monitor state.
     std::string app_type;
@@ -164,18 +181,28 @@ class GpuScheduler {
   };
 
   static bool backlogged(const RcbEntry& e) {
-    return e.backlog == nullptr || *e.backlog > 0;
+    return e.backlog == nullptr || e.backlog->positive();
   }
   /// Position of `signal_id` in both halves, or rcb_.size().
   std::size_t index_of(int signal_id) const;
   std::uint32_t intern_tenant(const std::string& tenant);
-  void arm_epoch();
+  /// Arms the epoch tick `delay` from now, unless one is armed.
+  void arm_epoch(sim::SimTime delay);
   void epoch_tick();
+  /// Grid points at or before now whose tick was skipped.
+  std::int64_t skipped_points() const;
+  /// An input change is about to land: runs the skipped grid points up to
+  /// now, then arms the next one.
+  void resume_ticks();
+  /// One epoch's CGS decay and entitlement accrual over `view`, from the
+  /// epoch service and backlog its entries hold.
+  void close_epoch(std::vector<policies::RcbSnapshot>& view) const;
   /// ack/unregister: reads the acked entries' backlog, then dispatches.
   void run_dispatcher();
-  /// Runs the policy over the view as its callers refreshed it (backlog,
-  /// tenant service) and toggles the gates.
-  void dispatch();
+  /// Runs the policy at `now` over the view as its callers refreshed it
+  /// (backlog, tenant service) and toggles the gates. Returns how many
+  /// entries' awake state the decision moved.
+  int dispatch(sim::SimTime now);
 
   sim::Simulation& sim_;
   Gid gid_;
@@ -195,6 +222,10 @@ class GpuScheduler {
   std::vector<policies::RcbSnapshot> acked_view_;
   int next_signal_ = 1;
   bool epoch_armed_ = false;
+  // No tick armed while the last decision is settled; next_point_ is then
+  // the first grid point not yet run.
+  bool ticks_skipped_ = false;
+  sim::SimTime next_point_ = 0;
   std::int64_t epochs_ = 0;
   std::function<void(const FeedbackRecord&)> feedback_sink_;
   obs::Tracer* tracer_ = nullptr;

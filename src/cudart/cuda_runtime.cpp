@@ -424,7 +424,8 @@ cudaError_t CudaRuntime::cudaGetLastError(ProcessId pid) {
 }
 
 void CudaRuntime::count_stream_ops(ProcessId pid, int device,
-                                   cudaStream_t stream, int* counter) {
+                                   cudaStream_t stream,
+                                   sim::Backlog* counter) {
   Process* p = find_process(pid);
   if (p == nullptr) return;
   p->stream_counters.insert_or_assign({device, stream}, counter);

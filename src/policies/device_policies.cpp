@@ -33,8 +33,10 @@ std::vector<std::uint64_t> TfsPolicy::pick_awake(
   // of idle tenants flow to backlogged ones (work conservation).
   const RcbSnapshot* best = nullptr;
   double best_deficit = 0.0;
+  int backlogged = 0;
   for (const auto& r : rcb) {
     if (!r.backlogged) continue;
+    ++backlogged;
     const double deficit =
         static_cast<double>(r.entitled) - static_cast<double>(r.total_service);
     if (best == nullptr || deficit > best_deficit) {
@@ -42,6 +44,7 @@ std::vector<std::uint64_t> TfsPolicy::pick_awake(
       best_deficit = deficit;
     }
   }
+  settled_ = backlogged <= 1;
   if (best == nullptr) return {};
   return {best->key};
 }
@@ -80,14 +83,28 @@ std::vector<std::uint64_t> LasPolicy::pick_awake(
   // long-episode jobs outside the window (the paper calls LAS "extremely
   // greedy" and unfair). Ties keep snapshot (key) order.
   Top3 least;
+  std::size_t backlogged = 0;
   for (const auto& r : rcb) {
     if (!r.backlogged) continue;
+    ++backlogged;
     least.offer(&r, [](const RcbSnapshot& s) { return s.cgs; });
   }
   std::vector<std::uint64_t> awake;
   awake.reserve(least.size);
+  std::uint64_t top_picked = 0;
   for (std::size_t i = 0; i < least.size; ++i) {
     awake.push_back(least.at[i]->key);
+    top_picked = std::max(top_picked, least.at[i]->key);
+  }
+  settled_ = true;
+  if (backlogged > least.size) {
+    for (const auto& r : rcb) {
+      if (r.backlogged && r.key < top_picked &&
+          std::find(awake.begin(), awake.end(), r.key) == awake.end()) {
+        settled_ = false;
+        break;
+      }
+    }
   }
   return awake;
 }
@@ -217,6 +234,7 @@ std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
   // queue is backlogged at least one tenant is runnable (work conservation).
   throttled_.clear();
   runnable_.clear();
+  sticky_ranked_ = false;
   bool any_backlogged = false;
   double min_vt = 0.0;
   for (const std::uint32_t id : present_) {
@@ -231,7 +249,12 @@ std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
   for (const std::uint32_t id : present_) {
     const Flow& f = flows_[id];
     if (!f.backlogged) continue;
-    (f.vt > throttle_at ? throttled_ : runnable_).push_back(id);
+    if (f.vt > throttle_at) {
+      throttled_.push_back(id);
+    } else {
+      runnable_.push_back(id);
+      sticky_ranked_ = sticky_ranked_ || f.sticky_until > now;
+    }
   }
 
   // Stickiness: tenants still inside their window keep their slots first;

@@ -75,6 +75,15 @@ class DeviceSchedPolicy {
       const std::vector<RcbSnapshot>& rcb, sim::SimTime /*now*/) {
     return pick_awake(rcb);
   }
+  /// The declared quiescence of the last decision: true iff every decision
+  /// at `next` or later returns the awake set the last one returned, as
+  /// long as its inputs move only as quiet epochs move them — every `cgs`
+  /// scaled by one nonnegative factor per epoch (epoch_service 0) and every
+  /// backlogged entry's `entitled` grown by one fixed share per epoch. The
+  /// Dispatcher then arms no tick until an input changes (GpuScheduler).
+  /// The default keeps every tick, so a decorator that does not forward
+  /// this keeps the policy it wraps on the periodic path.
+  virtual bool settled(sim::SimTime /*next*/) const { return false; }
 };
 
 /// Everything awake — the behaviour of plain GPU sharing with no
@@ -91,6 +100,12 @@ class TfsPolicy final : public DeviceSchedPolicy {
   const char* name() const override { return "TFS"; }
   std::vector<std::uint64_t> pick_awake(
       const std::vector<RcbSnapshot>& rcb) override;
+  /// With at most one backlogged entry the pick cannot depend on deficits;
+  /// with two, entitlements that grow by weight can reorder them.
+  bool settled(sim::SimTime /*next*/) const override { return settled_; }
+
+ private:
+  bool settled_ = false;
 };
 
 class LasPolicy final : public DeviceSchedPolicy {
@@ -98,6 +113,14 @@ class LasPolicy final : public DeviceSchedPolicy {
   const char* name() const override { return "LAS"; }
   std::vector<std::uint64_t> pick_awake(
       const std::vector<RcbSnapshot>& rcb) override;
+  /// A common nonnegative decay keeps `a <= b` between CGS values, but
+  /// rounding and underflow can make two of them equal, and a tie goes to
+  /// the lower key. So the pick stands iff every picked key is below every
+  /// unpicked backlogged key.
+  bool settled(sim::SimTime /*next*/) const override { return settled_; }
+
+ private:
+  bool settled_ = false;
 };
 
 class PsPolicy final : public DeviceSchedPolicy {
@@ -105,6 +128,8 @@ class PsPolicy final : public DeviceSchedPolicy {
   const char* name() const override { return "PS"; }
   std::vector<std::uint64_t> pick_awake(
       const std::vector<RcbSnapshot>& rcb) override;
+  /// Phases, backlog and attained service move only with inputs.
+  bool settled(sim::SimTime /*next*/) const override { return true; }
 };
 
 struct MqfqConfig {
@@ -135,6 +160,13 @@ class MqfqStickyPolicy final : public DeviceSchedPolicy {
       const std::vector<RcbSnapshot>& rcb) override;
   std::vector<std::uint64_t> pick_awake(const std::vector<RcbSnapshot>& rcb,
                                         sim::SimTime now) override;
+  /// Virtual times and throttles move only with attained service and
+  /// backlog, so the (vt, name) order stands; stickiness can reorder it.
+  /// Settled iff no runnable flow was sticky at the last decision and the
+  /// slots it handed out have expired by `next`.
+  bool settled(sim::SimTime next) const override {
+    return !sticky_ranked_ && last_now_ + cfg_.sticky_window <= next;
+  }
 
   const MqfqConfig& config() const { return cfg_; }
   /// Current per-tenant virtual times (ns of per-unit-weight service),
@@ -185,6 +217,7 @@ class MqfqStickyPolicy final : public DeviceSchedPolicy {
   std::uint64_t decision_ = 0;
   double global_vt_ = 0.0;
   sim::SimTime last_now_ = 0;
+  bool sticky_ranked_ = false;  // a runnable flow was sticky at last_now_
 };
 
 /// Factory by name ("AllAwake", "TFS", "LAS", "PS", "MQFQ" with default

@@ -16,6 +16,7 @@
 #include "obs/trace.hpp"
 #include "rpc/call_ids.hpp"
 #include "rpc/marshal.hpp"
+#include "simcore/backlog.hpp"
 #include "simcore/simulation.hpp"
 
 namespace strings::rpc {
@@ -109,15 +110,15 @@ class Channel {
     // The packet rides inside the event closure: SmallFn's inline buffer is
     // sized so a channel delivery never heap-allocates a control block.
     sim_.schedule(deliver_at - sim_.now(), [this, p = std::move(p)]() mutable {
-      if (pending_counter_ != nullptr) ++*pending_counter_;
+      if (pending_ != nullptr) pending_->add(1);
       inbox_.send(std::move(p));
     });
   }
 
-  /// Keeps `*counter` counting the packets delivered into this channel's
+  /// Keeps `*backlog` counting the packets delivered into this channel's
   /// inbox but not yet received: +1 at each delivery, -1 at each receive.
   /// Set it before the first delivery; nullptr stops the counting.
-  void count_pending(int* counter) { pending_counter_ = counter; }
+  void count_pending(sim::Backlog* backlog) { pending_ = backlog; }
 
   /// Makes every send also add its wire size and one packet to `*totals`,
   /// so the owner of many channels reads sums without walking them. Set it
@@ -144,13 +145,13 @@ class Channel {
   /// Blocking receive (process context).
   Packet receive() {
     Packet p = inbox_.receive();
-    if (pending_counter_ != nullptr) --*pending_counter_;
+    if (pending_ != nullptr) pending_->add(-1);
     return p;
   }
 
   std::optional<Packet> try_receive() {
     std::optional<Packet> p = inbox_.try_receive();
-    if (p && pending_counter_ != nullptr) --*pending_counter_;
+    if (p && pending_ != nullptr) pending_->add(-1);
     return p;
   }
   std::size_t pending_count() const { return inbox_.size(); }
@@ -170,7 +171,7 @@ class Channel {
   int trace_track_ = -1;
   std::string occ_resource_;
   std::string occ_tenant_;
-  int* pending_counter_ = nullptr;
+  sim::Backlog* pending_ = nullptr;
   WireTotals* wire_totals_ = nullptr;
 };
 

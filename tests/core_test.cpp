@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <initializer_list>
+
 namespace strings::core {
 namespace {
 
@@ -16,8 +19,15 @@ using policies::Phase;
 using sim::msec;
 using sim::sec;
 
-// Backlog counter of an entry that always has work.
-const int kBacklogged = 1;
+/// Sets `b` to `count`, as its owners' adds would.
+void set_backlog(sim::Backlog& b, int count) { b.add(count - b.count()); }
+
+/// Sets each backlog of `bs` to its count in `counts`.
+void set_backlogs(std::deque<sim::Backlog>& bs,
+                  std::initializer_list<int> counts) {
+  auto b = bs.begin();
+  for (const int c : counts) set_backlog(*b++, c);
+}
 
 TEST(GMap, AssignsSequentialGids) {
   GMap m;
@@ -270,7 +280,8 @@ TEST(GpuScheduler, AllAwakeRunsNoDispatcher) {
   SchedFixture f("AllAwake");
   std::vector<FeedbackRecord> got;
   f.sched.set_feedback_sink([&](const FeedbackRecord& r) { got.push_back(r); });
-  std::vector<int> backlog = {1, 0, 2};
+  std::deque<sim::Backlog> backlog(3);
+  set_backlogs(backlog, {1, 0, 2});
   std::vector<std::unique_ptr<WakeGate>> gates;
   std::vector<int> ids;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -309,13 +320,14 @@ TEST(GpuScheduler, TfsDispatcherKeepsOneAwake) {
   cfg.epoch = msec(10);
   SchedFixture f("TFS", cfg);
   WakeGate g1(f.sim), g2(f.sim);
+  sim::Backlog busy1(1), busy2(1);
   GpuScheduler::RcbInit i1, i2;
   i1.tenant = "A";
   i1.gate = &g1;
-  i1.backlog = &kBacklogged;
+  i1.backlog = &busy1;
   i2.tenant = "B";
   i2.gate = &g2;
-  i2.backlog = &kBacklogged;
+  i2.backlog = &busy2;
   const int id1 = f.sched.register_app(i1);
   const int id2 = f.sched.register_app(i2);
   f.sched.ack(id1);
@@ -331,14 +343,15 @@ TEST(GpuScheduler, TfsAlternatesWithEqualWeights) {
   cfg.epoch = msec(10);
   SchedFixture f("TFS", cfg);
   WakeGate g1(f.sim), g2(f.sim);
+  sim::Backlog busy1(1), busy2(1);
   sim::SimTime g1_awake_time = 0, g2_awake_time = 0;
   GpuScheduler::RcbInit i1, i2;
   i1.tenant = "A";
   i1.gate = &g1;
-  i1.backlog = &kBacklogged;
+  i1.backlog = &busy1;
   i2.tenant = "B";
   i2.gate = &g2;
-  i2.backlog = &kBacklogged;
+  i2.backlog = &busy2;
   const int id1 = f.sched.register_app(i1);
   const int id2 = f.sched.register_app(i2);
   f.sched.ack(id1);
@@ -363,12 +376,13 @@ TEST(GpuScheduler, UnregisterLeavesGateOpen) {
   cfg.epoch = msec(10);
   SchedFixture f("TFS", cfg);
   WakeGate g1(f.sim), g2(f.sim);
+  sim::Backlog busy1(1), busy2(1);
   GpuScheduler::RcbInit i1, i2;
   i1.gate = &g1;
-  i1.backlog = &kBacklogged;
+  i1.backlog = &busy1;
   i1.tenant = "A";
   i2.gate = &g2;
-  i2.backlog = &kBacklogged;
+  i2.backlog = &busy2;
   i2.tenant = "B";
   const int id1 = f.sched.register_app(i1);
   const int id2 = f.sched.register_app(i2);
@@ -410,7 +424,8 @@ TEST(GpuScheduler, BackloggedBitsFollowTheCounterAtEachDecision) {
   GpuScheduler::Config cfg;
   cfg.epoch = msec(10);
   SchedFixture f("core_test.backlog", cfg);
-  std::vector<int> backlog = {1, 0, 2};
+  std::deque<sim::Backlog> backlog(3);
+  set_backlogs(backlog, {1, 0, 2});
   std::vector<std::unique_ptr<WakeGate>> gates;
   std::vector<std::uint64_t> ids;
   const char* tenants[] = {"B", "A", "B"};
@@ -427,9 +442,9 @@ TEST(GpuScheduler, BackloggedBitsFollowTheCounterAtEachDecision) {
   f.sched.ack(static_cast<int>(ids[0]));
   ASSERT_EQ(log.decisions.size(), 1u);
   EXPECT_EQ(log.decisions[0], (Bits{{ids[0], true}}));
-  backlog[0] = 0;
+  set_backlog(backlog[0], 0);
   f.sched.ack(static_cast<int>(ids[1]));
-  backlog[2] = 1;
+  set_backlog(backlog[2], 1);
   f.sched.ack(static_cast<int>(ids[2]));
   ASSERT_EQ(log.decisions.size(), 3u);
   EXPECT_EQ(log.decisions[1], (Bits{{ids[0], false}, {ids[1], false}}));
@@ -437,9 +452,9 @@ TEST(GpuScheduler, BackloggedBitsFollowTheCounterAtEachDecision) {
             (Bits{{ids[0], false}, {ids[1], false}, {ids[2], true}}));
 
   // Epoch ticks: each decision sees the counters as they stand at its tick.
-  f.sim.schedule(msec(5), [&] { backlog = {3, 1, 0}; });
-  f.sim.schedule(msec(15), [&] { backlog = {0, 0, 0}; });
-  f.sim.schedule(msec(25), [&] { backlog = {0, 2, 5}; });
+  f.sim.schedule(msec(5), [&] { set_backlogs(backlog, {3, 1, 0}); });
+  f.sim.schedule(msec(15), [&] { set_backlogs(backlog, {0, 0, 0}); });
+  f.sim.schedule(msec(25), [&] { set_backlogs(backlog, {0, 2, 5}); });
   f.sim.run_until(msec(35));
   ASSERT_EQ(f.sched.epochs_run(), 3);
   ASSERT_EQ(log.decisions.size(), 6u);
@@ -451,7 +466,7 @@ TEST(GpuScheduler, BackloggedBitsFollowTheCounterAtEachDecision) {
             (Bits{{ids[0], false}, {ids[1], true}, {ids[2], true}}));
 
   // The public snapshot reads the counters afresh.
-  backlog = {1, 0, 0};
+  set_backlogs(backlog, {1, 0, 0});
   const auto snaps = f.sched.snapshot();
   ASSERT_EQ(snaps.size(), 3u);
   EXPECT_TRUE(snaps[0].backlogged);
@@ -459,11 +474,114 @@ TEST(GpuScheduler, BackloggedBitsFollowTheCounterAtEachDecision) {
   EXPECT_FALSE(snaps[2].backlogged);
 
   // unregister: one decision over the remaining entries, read afresh.
-  backlog = {0, 7, 4};
+  set_backlogs(backlog, {0, 7, 4});
   f.sched.unregister_app(static_cast<int>(ids[1]));
   ASSERT_EQ(log.decisions.size(), 7u);
   EXPECT_EQ(log.decisions[6], (Bits{{ids[0], false}, {ids[2], true}}));
   g_backlog_log = nullptr;
+}
+
+/// Forwards every decision but not settled(): the periodic Dispatcher.
+class PeriodicPolicy final : public policies::DeviceSchedPolicy {
+ public:
+  explicit PeriodicPolicy(std::unique_ptr<policies::DeviceSchedPolicy> inner)
+      : inner_(std::move(inner)) {}
+  const char* name() const override { return inner_->name(); }
+  std::vector<std::uint64_t> pick_awake(
+      const std::vector<policies::RcbSnapshot>& rcb) override {
+    return inner_->pick_awake(rcb);
+  }
+  std::vector<std::uint64_t> pick_awake(
+      const std::vector<policies::RcbSnapshot>& rcb,
+      sim::SimTime now) override {
+    return inner_->pick_awake(rcb, now);
+  }
+
+ private:
+  std::unique_ptr<policies::DeviceSchedPolicy> inner_;
+};
+
+/// What one scheduler showed at each read of SkippedTicksReadAsRun.
+struct Reads {
+  std::vector<std::int64_t> epochs;
+  std::vector<std::vector<policies::RcbSnapshot>> snaps;
+  std::uint64_t events = 0;
+};
+
+/// Three PS threads (PS settles after every decision) take service, change
+/// phase and backlog, and leave, with some changes landing exactly on a
+/// grid point; epochs_run() and snapshot() are read in between.
+Reads run_settling_rcb(std::unique_ptr<policies::DeviceSchedPolicy> policy) {
+  GpuScheduler::Config cfg;
+  cfg.epoch = msec(10);
+  sim::Simulation sim;
+  GpuScheduler sched(sim, 0, std::move(policy), cfg);
+  std::deque<WakeGate> gates;
+  std::deque<sim::Backlog> backlog(3);
+  set_backlogs(backlog, {1, 1, 0});
+  std::vector<int> ids;
+  for (std::size_t i = 0; i < 3; ++i) {
+    GpuScheduler::RcbInit init;
+    init.tenant = i == 1 ? "B" : "A";
+    init.tenant_weight = 1.0 + static_cast<double>(i);
+    init.gate = &gates.emplace_back(sim);
+    init.backlog = &backlog[i];
+    ids.push_back(sched.register_app(init));
+    sched.ack(ids.back());
+  }
+  const auto kernel = [&](std::size_t i, sim::SimTime length) {
+    sched.on_op_complete(
+        ids[i], make_op(gpu::GpuDevice::OpKind::kKernel, sim.now() - length,
+                        sim.now()));
+  };
+  sim.schedule(msec(3), [&] { kernel(0, msec(3)); });
+  sim.schedule(msec(20), [&] { kernel(1, msec(4)); });  // on a grid point
+  sim.schedule(msec(47), [&] { set_backlog(backlog[2], 2); });
+  sim.schedule(msec(60), [&] { set_backlog(backlog[0], 0); });
+  sim.schedule(msec(88), [&] { sched.set_phase(ids[2], Phase::kH2D); });
+  sim.schedule(msec(130), [&] { kernel(2, msec(9)); });
+  sim.schedule(msec(210), [&] { sched.unregister_app(ids[1]); });
+  Reads out;
+  for (const int t : {5, 10, 15, 20, 35, 50, 60, 77, 90, 100, 129, 150, 200,
+                      205, 230, 300}) {
+    sim.schedule(msec(t), [&] {
+      out.epochs.push_back(sched.epochs_run());
+      out.snaps.push_back(sched.snapshot());
+    });
+  }
+  sim.schedule(msec(301), [&] {
+    sched.unregister_app(ids[0]);
+    sched.unregister_app(ids[2]);
+  });
+  sim.run();
+  out.events = sim.events_executed();
+  return out;
+}
+
+TEST(GpuScheduler, SkippedTicksReadAsRun) {
+  const Reads skipping = run_settling_rcb(policies::make_device_policy("PS"));
+  const Reads periodic = run_settling_rcb(
+      std::make_unique<PeriodicPolicy>(policies::make_device_policy("PS")));
+  EXPECT_EQ(skipping.epochs, periodic.epochs);
+  EXPECT_EQ(periodic.epochs.back(), 30);
+  ASSERT_EQ(skipping.snaps.size(), periodic.snaps.size());
+  for (std::size_t r = 0; r < periodic.snaps.size(); ++r) {
+    SCOPED_TRACE(r);
+    ASSERT_EQ(skipping.snaps[r].size(), periodic.snaps[r].size());
+    for (std::size_t i = 0; i < periodic.snaps[r].size(); ++i) {
+      const policies::RcbSnapshot& a = skipping.snaps[r][i];
+      const policies::RcbSnapshot& b = periodic.snaps[r][i];
+      EXPECT_EQ(a.key, b.key);
+      EXPECT_EQ(a.total_service, b.total_service);
+      EXPECT_EQ(a.epoch_service, b.epoch_service);
+      EXPECT_EQ(a.cgs, b.cgs);
+      EXPECT_EQ(a.entitled, b.entitled);
+      EXPECT_EQ(a.phase, b.phase);
+      EXPECT_EQ(a.backlogged, b.backlogged);
+      EXPECT_EQ(a.tenant_attained, b.tenant_attained);
+    }
+  }
+  EXPECT_LT(skipping.events, periodic.events);
 }
 
 TEST(GpuScheduler, TenantIdsAreDenseAndServiceAnswersByName) {

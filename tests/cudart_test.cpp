@@ -394,11 +394,13 @@ TEST(CudaRuntime, OutstandingOpsTracksQueueDepth) {
 TEST(CudaRuntime, CountStreamOpsFollowsOpsInAndOut) {
   Fixture f;
   auto pid = f.rt->create_process();
-  int count = 0;
+  sim::Backlog count;
+  int edges = 0;  // zero crossings
+  count.on_edge([&] { ++edges; });
   // Watched before the context or its default stream exist: the stream
   // created by the first op picks the counter up.
   f.rt->count_stream_ops(pid, 0, cudaStreamDefault, &count);
-  EXPECT_EQ(count, 0);
+  EXPECT_EQ(count.count(), 0);
   f.sim.spawn("app", [&] {
     cudaEvent_t ev = 0;
     ASSERT_EQ(f.rt->cudaEventCreate(pid, &ev), E::cudaSuccess);
@@ -408,13 +410,14 @@ TEST(CudaRuntime, CountStreamOpsFollowsOpsInAndOut) {
               E::cudaSuccess);
     ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(10)), cudaStreamDefault),
               E::cudaSuccess);
-    EXPECT_EQ(count, 3);  // one in flight, a record and a kernel queued
+    EXPECT_EQ(count.count(), 3);  // one in flight, a record and a kernel queued
     f.sim.wait_for(msec(15));
     // The first kernel completed and the record fired with no device op.
-    EXPECT_EQ(count, 1);
+    EXPECT_EQ(count.count(), 1);
     ASSERT_EQ(f.rt->cudaEventSynchronize(pid, ev), E::cudaSuccess);
     ASSERT_EQ(f.rt->cudaDeviceSynchronize(pid), E::cudaSuccess);
-    EXPECT_EQ(count, 0);
+    EXPECT_EQ(count.count(), 0);
+    EXPECT_EQ(edges, 2);  // one up, one down
 
     // A stream with work already queued adds it when first watched, and
     // gives every op back when destroyed with work outstanding.
@@ -424,15 +427,15 @@ TEST(CudaRuntime, CountStreamOpsFollowsOpsInAndOut) {
       ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(10)), s),
                 E::cudaSuccess);
     }
-    int on_s = 0;
+    sim::Backlog on_s;
     f.rt->count_stream_ops(pid, 0, s, &on_s);
-    EXPECT_EQ(on_s, 2);
+    EXPECT_EQ(on_s.count(), 2);
     ASSERT_EQ(f.rt->cudaStreamDestroy(pid, s), E::cudaSuccess);
-    EXPECT_EQ(on_s, 0);
-    EXPECT_EQ(count, 0);
+    EXPECT_EQ(on_s.count(), 0);
+    EXPECT_EQ(count.count(), 0);
   });
   f.sim.run();
-  EXPECT_EQ(count, 0);
+  EXPECT_EQ(count.count(), 0);
 }
 
 TEST(CudaRuntime, MultiDeviceContextsIndependent) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "core/dst_snapshot.hpp"
@@ -19,6 +21,7 @@ namespace {
 using core::FeedbackRecord;
 using core::Gid;
 using sim::msec;
+using sim::usec;
 
 // Two-node, four-GPU supernode mirroring the paper's testbed.
 struct MapperFixture {
@@ -344,6 +347,92 @@ TEST(DevicePolicyOracles, LasAndPsMatchStableSortOnEveryDecision) {
         << "round " << round;
     ASSERT_EQ(ps.pick_awake(rcb), testing_oracle::stable_sort_ps(rcb))
         << "round " << round;
+  }
+}
+
+// settled(): whether every later decision over inputs that move only as
+// quiet epochs move them (CGS decays, entitlement accrues) returns the
+// last decision's awake set.
+
+TEST(DevicePolicySettled, PsAlwaysTfsWithAtMostOneBackloggedEntry) {
+  PsPolicy ps;
+  ps.pick_awake({snap(1, msec(2), 0, Phase::kKernelLaunch),
+                 snap(2, 0, 0, Phase::kH2D), snap(3, 0, 0), snap(4, 0, 0)});
+  EXPECT_TRUE(ps.settled(msec(10)));
+
+  TfsPolicy tfs;
+  tfs.pick_awake({snap(1, 0, 0), snap(2, 0, 0, Phase::kDefault, false)});
+  EXPECT_TRUE(tfs.settled(msec(10)));
+  // Two backlogged tenants of weights 3 and 1: their entitlements grow
+  // 7.5 and 2.5 ms an epoch, so the larger deficit changes hands.
+  std::vector<RcbSnapshot> two = {
+      snap(1, msec(8), 0, Phase::kDefault, true, msec(10), 3.0),
+      snap(2, msec(2), 0, Phase::kDefault, true, msec(10), 1.0)};
+  EXPECT_EQ(tfs.pick_awake(two), (std::vector<std::uint64_t>{2}));
+  EXPECT_FALSE(tfs.settled(msec(10)));
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    two[0].entitled += usec(7500);
+    two[1].entitled += usec(2500);
+  }
+  EXPECT_EQ(tfs.pick_awake(two), (std::vector<std::uint64_t>{1}));
+}
+
+TEST(DevicePolicySettled, LasTiesAfterDecayGoToTheLowerKey) {
+  // Key 4's CGS is the double just below key 1's, so LAS picks 2, 3, 4 and
+  // leaves key 1 out: a picked key above an unpicked one.
+  LasPolicy las;
+  std::vector<RcbSnapshot> rcb = {snap(1, 0, 1.0), snap(2, 0, 0.0),
+                                  snap(3, 0, 0.0),
+                                  snap(4, 0, std::nextafter(1.0, 0.0))};
+  EXPECT_EQ(las.pick_awake(rcb), (std::vector<std::uint64_t>{2, 3, 4}));
+  EXPECT_FALSE(las.settled(msec(10)));
+  // Quiet epochs decay every CGS by the same factor, with the Dispatcher's
+  // expression. Rounding makes the two values meet, and the tie goes to
+  // key 1.
+  const double k = 0.8;
+  int epochs = 0;
+  while (rcb[0].cgs != rcb[3].cgs && epochs < 2000) {
+    for (RcbSnapshot& s : rcb) s.cgs = k * 0.0 + (1.0 - k) * s.cgs;
+    ++epochs;
+  }
+  ASSERT_EQ(rcb[0].cgs, rcb[3].cgs);
+  EXPECT_EQ(las.pick_awake(rcb), (std::vector<std::uint64_t>{2, 3, 1}));
+
+  // Every picked key below every unpicked backlogged one: ties keep them.
+  las.pick_awake({snap(1, 0, 0.0), snap(2, 0, 0.5),
+                  snap(3, 0, std::nextafter(1.0, 0.0)), snap(4, 0, 1.0),
+                  snap(5, 0, 0.0, Phase::kDefault, false)});
+  EXPECT_TRUE(las.settled(msec(10)));
+}
+
+RcbSnapshot flow_snap(std::uint64_t key, std::uint32_t tenant_id,
+                      std::string_view tenant) {
+  RcbSnapshot s = snap(key, 0, 0);
+  s.tenant_id = tenant_id;
+  s.tenant = tenant;
+  return s;
+}
+
+TEST(DevicePolicySettled, MqfqOnceItsStickySlotsHaveExpired) {
+  const std::vector<RcbSnapshot> rcb = {flow_snap(1, 0, "a"),
+                                        flow_snap(2, 1, "b")};
+  MqfqConfig cfg;
+  cfg.slots = 1;
+  cfg.sticky_window = msec(2);
+  MqfqStickyPolicy mqfq(cfg);
+  mqfq.pick_awake(rcb, msec(10));  // no flow holds a slot yet
+  EXPECT_TRUE(mqfq.settled(msec(20)));
+  EXPECT_FALSE(mqfq.settled(msec(11)));  // the slot holds until 12 ms
+  // Decided inside the slot: the sticky flow ranked first.
+  mqfq.pick_awake(rcb, msec(11));
+  EXPECT_FALSE(mqfq.settled(msec(21)));
+
+  // Slots that outlast the epoch: never settled.
+  cfg.sticky_window = msec(20);
+  MqfqStickyPolicy sticky(cfg);
+  for (sim::SimTime t = msec(10); t <= msec(100); t += msec(10)) {
+    sticky.pick_awake(rcb, t);
+    EXPECT_FALSE(sticky.settled(t + msec(10)));
   }
 }
 

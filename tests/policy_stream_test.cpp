@@ -15,7 +15,10 @@
 // and arms no epoch. The decorator is not AllAwakePolicy, so the AllAwake
 // rows pin the decorated, periodic path, and a second test checks that the
 // plain, tick-free path leaves every outcome of the same scenarios as the
-// periodic path does.
+// periodic path does. Nor does the decorator forward settled(), so every
+// row ticks every epoch; a third test checks that the plain policies,
+// whose Dispatcher skips the ticks a settled decision makes redundant,
+// leave every outcome as the periodic path does.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -105,19 +108,32 @@ class RecordingPolicy final : public policies::DeviceSchedPolicy {
   std::unique_ptr<policies::DeviceSchedPolicy> inner_;
 };
 
+/// "MQFQ-short" is MQFQ with sticky slots shorter than the 1 ms epoch.
+std::unique_ptr<policies::DeviceSchedPolicy> make_policy(
+    const std::string& policy) {
+  if (policy.rfind("MQFQ", 0) != 0) {
+    return policies::make_device_policy(policy);
+  }
+  policies::MqfqConfig cfg;
+  cfg.throttle_T = msec(4);  // tight, so throttling shows up
+  if (policy == "MQFQ-short") cfg.sticky_window = usec(500);
+  return std::make_unique<policies::MqfqStickyPolicy>(cfg);
+}
+
 std::string recorded_name(const std::string& policy) {
   const std::string name = "policy_stream." + policy;
   policies::register_device_policy(name, [policy] {
-    std::unique_ptr<policies::DeviceSchedPolicy> inner;
-    if (policy == "MQFQ") {
-      policies::MqfqConfig cfg;
-      cfg.throttle_T = msec(4);  // tight, so throttling shows up
-      inner = std::make_unique<policies::MqfqStickyPolicy>(cfg);
-    } else {
-      inner = policies::make_device_policy(policy);
-    }
-    return std::make_unique<RecordingPolicy>(std::move(inner));
+    return std::make_unique<RecordingPolicy>(make_policy(policy));
   });
+  return name;
+}
+
+/// The same policy, unwrapped: it declares its own settledness, so the
+/// Dispatcher skips the ticks a settled decision makes redundant.
+std::string plain_name(const std::string& policy) {
+  const std::string name = "policy_stream.plain." + policy;
+  policies::register_device_policy(name,
+                                   [policy] { return make_policy(policy); });
   return name;
 }
 
@@ -309,6 +325,34 @@ TEST(PolicyStream, PlainAllAwakeMatchesThePeriodicPath) {
     admits += plain.wakes;
   }
   EXPECT_GT(admits, 0);
+}
+
+TEST(PolicyStream, ChangeDrivenMatchesThePeriodicPath) {
+  // The recorder does not forward settled(), so it pins the periodic path.
+  // MQFQ's default 2 ms sticky slots outlast the 1 ms epoch, so it never
+  // settles; MQFQ-short's do not.
+  for (const Mode mode : {Mode::kRain, Mode::kDesign2, Mode::kStrings}) {
+    for (const std::string policy :
+         {"TFS", "LAS", "PS", "MQFQ", "MQFQ-short"}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(mode)) + " " + policy);
+      Outcome periodic, plain;
+      EXPECT_GT(run_scenario(mode, recorded_name(policy), &periodic)
+                    .decisions,
+                100u);
+      EXPECT_EQ(run_scenario(mode, plain_name(policy), &plain).decisions, 0u);
+      ASSERT_EQ(plain.responses.size(), 3u);
+      EXPECT_EQ(plain.responses, periodic.responses);
+      EXPECT_EQ(plain.finished, periodic.finished);
+      EXPECT_EQ(plain.placements, periodic.placements);
+      EXPECT_EQ(plain.wakes, periodic.wakes);
+      EXPECT_EQ(plain.sleeps, periodic.sleeps);
+      if (policy == "MQFQ") {
+        EXPECT_EQ(plain.events, periodic.events);
+      } else {
+        EXPECT_LT(plain.events, periodic.events);
+      }
+    }
+  }
 }
 
 }  // namespace

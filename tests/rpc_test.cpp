@@ -149,24 +149,27 @@ TEST(Channel, DeliversInOrderWithLatency) {
 TEST(Channel, CountPendingSpansDeliveryToReceive) {
   sim::Simulation sim;
   Channel ch(sim, LinkModel{usec(5), 0.0});
-  int pending = 0;
+  sim::Backlog pending;
+  int edges = 0;  // zero crossings
+  pending.on_edge([&] { ++edges; });
   ch.count_pending(&pending);
   std::vector<int> seen;
   sim.spawn("client", [&] {
     ch.send(Packet{});
     ch.send(Packet{});
-    seen.push_back(pending);  // sent, still on the wire
+    seen.push_back(pending.count());  // sent, still on the wire
     sim.wait_for(usec(6));
-    seen.push_back(pending);  // both delivered
+    seen.push_back(pending.count());  // both delivered
     ch.receive();
-    seen.push_back(pending);
+    seen.push_back(pending.count());
     ASSERT_TRUE(ch.try_receive().has_value());
-    seen.push_back(pending);
+    seen.push_back(pending.count());
     EXPECT_FALSE(ch.try_receive().has_value());
-    seen.push_back(pending);
+    seen.push_back(pending.count());
   });
   sim.run();
   EXPECT_EQ(seen, (std::vector<int>{0, 2, 1, 0, 0}));
+  EXPECT_EQ(edges, 2);
 }
 
 TEST(Channel, BandwidthSerializesLargePackets) {

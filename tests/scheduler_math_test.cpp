@@ -44,7 +44,7 @@ struct Fixture {
   }
   sim::Simulation sim;
   std::unique_ptr<GpuScheduler> sched;
-  std::deque<int> backlogs;  // the entries' counters, address-stable
+  std::deque<sim::Backlog> backlogs;  // the entries' counts, address-stable
 };
 
 TEST(SchedulerMath, CgsFollowsEquationOne) {
@@ -112,7 +112,7 @@ TEST(SchedulerMath, IdleTenantAccruesNoEntitlement) {
   idle.app_type = "X";
   idle.tenant = "idle";
   idle.tenant_weight = 1.0;
-  const int no_backlog = 0;
+  sim::Backlog no_backlog;
   idle.backlog = &no_backlog;
   const int idle_id = f.sched->register_app(idle);
   f.sched->ack(idle_id);
