@@ -17,6 +17,11 @@
 //   ratio > warn tolerance (default 1.10) -> warning, exit 0
 //   ratio > fail tolerance (default 2.00) -> hard failure, exit 1
 //
+// Counts — completed (requests), alloc_errors, heap_fallbacks (SmallFn
+// closures that spilled to the heap) — are exact: a report entry whose
+// count differs from the baseline's, or lacks it, fails whatever the
+// tolerances.
+//
 // Wall-clock columns — wall_s (lower is better) and events_per_sec (higher
 // is better) — are machine-dependent, so they can only ever WARN, never
 // fail, and use a looser tolerance (warn beyond 1.5x) to ride out CI host
@@ -108,6 +113,8 @@ int main(int argc, char** argv) {
 
   int warnings = 0, failures = 0, compared = 0;
   static const char* kLatencyMetrics[] = {"makespan_s", "p50_s", "p99_s"};
+  static const char* kCountMetrics[] = {"completed", "alloc_errors",
+                                        "heap_fallbacks"};
   // Wall-clock is host-dependent: warn-only, looser tolerance, never fails.
   const double wall_warn_tol = std::max(warn_tol, 1.50);
   const auto is_info_only = [](const Entry& e) {
@@ -138,6 +145,20 @@ int main(int argc, char** argv) {
         std::printf("WARN  %s %s: %.6f -> %.6f (%.2fx)\n", label.c_str(), m,
                     b->second, c->second, ratio);
         ++warnings;
+      }
+    }
+    for (const char* m : kCountMetrics) {
+      auto b = base.find(m);
+      if (b == base.end()) continue;
+      ++compared;
+      auto c = cur.find(m);
+      if (c == cur.end()) {
+        std::printf("FAIL  %s %s: missing from report\n", label.c_str(), m);
+        ++failures;
+      } else if (c->second != b->second) {
+        std::printf("FAIL  %s %s: %.0f -> %.0f (counts must match)\n",
+                    label.c_str(), m, b->second, c->second);
+        ++failures;
       }
     }
     auto bj = base.find("jain");
