@@ -103,6 +103,9 @@ class GpuScheduler {
                Config config);
   GpuScheduler(sim::Simulation& sim, Gid gid,
                std::unique_ptr<policies::DeviceSchedPolicy> policy);
+  // Epoch ticks and backlog listeners hold the scheduler's address.
+  GpuScheduler(const GpuScheduler&) = delete;
+  GpuScheduler& operator=(const GpuScheduler&) = delete;
 
   // ---- Request Manager ----
   /// Handshake steps 1+2: creates the RCB entry, returns the signal id.

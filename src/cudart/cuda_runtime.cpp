@@ -425,15 +425,15 @@ cudaError_t CudaRuntime::cudaGetLastError(ProcessId pid) {
 
 void CudaRuntime::count_stream_ops(ProcessId pid, int device,
                                    cudaStream_t stream,
-                                   sim::Backlog* counter) {
+                                   sim::Backlog* backlog) {
   Process* p = find_process(pid);
   if (p == nullptr) return;
-  p->stream_counters.insert_or_assign({device, stream}, counter);
+  p->stream_counters.insert_or_assign({device, stream}, backlog);
   auto cit = p->contexts.find(device);
   if (cit == p->contexts.end()) return;
   auto sit = cit->second->streams.find(stream);
   if (sit == cit->second->streams.end()) return;
-  sit->second.counter = counter;
+  sit->second.counter = backlog;
   sit->second.count(static_cast<int>(sit->second.pending.size()) +
                     sit->second.in_flight);
 }

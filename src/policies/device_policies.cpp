@@ -96,16 +96,11 @@ std::vector<std::uint64_t> LasPolicy::pick_awake(
     awake.push_back(least.at[i]->key);
     top_picked = std::max(top_picked, least.at[i]->key);
   }
-  settled_ = true;
-  if (backlogged > least.size) {
-    for (const auto& r : rcb) {
-      if (r.backlogged && r.key < top_picked &&
-          std::find(awake.begin(), awake.end(), r.key) == awake.end()) {
-        settled_ = false;
-        break;
-      }
-    }
-  }
+  // Settled iff the picks are the lowest backlogged keys.
+  settled_ = backlogged == least.size ||
+             std::count_if(rcb.begin(), rcb.end(), [&](const RcbSnapshot& r) {
+               return r.backlogged && r.key <= top_picked;
+             }) == static_cast<std::ptrdiff_t>(least.size);
   return awake;
 }
 

@@ -1,8 +1,10 @@
 // Per-device GPU scheduling policies (paper §IV-B).
 //
 // The Dispatcher evaluates one of these policies every scheduling epoch to
-// decide which backend threads stay awake (may issue GPU work). Policies are
-// pure functions over RCB snapshots so they are unit testable in isolation.
+// decide which backend threads stay awake (may issue GPU work), except the
+// epochs a decision the policy declares settled() makes redundant. Policies
+// are pure functions over RCB snapshots so they are unit testable in
+// isolation.
 //
 //   TFS — true fair share: weighted per-tenant shares with history-based
 //         penalties for overshoot; at most one thread awake.

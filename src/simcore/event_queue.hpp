@@ -18,8 +18,9 @@
 // (time, seq) — exactly the total order the seed's
 // std::priority_queue<QueuedEvent> gave. Queued seqs are unique, so the
 // order is total and FIFO tie-breaking falls out of it (the Simulation
-// reserves the seqs below 2^32 for events that lead their instant). tests/event_queue_test.cpp
-// checks this against a reference heap on randomized schedules.
+// reserves the seqs below 2^32 for events that lead their instant).
+// tests/event_queue_test.cpp checks this against a reference heap on
+// randomized schedules.
 #pragma once
 
 #include <bit>

@@ -334,7 +334,7 @@ TEST(PolicyStream, ChangeDrivenMatchesThePeriodicPath) {
   for (const Mode mode : {Mode::kRain, Mode::kDesign2, Mode::kStrings}) {
     for (const std::string policy :
          {"TFS", "LAS", "PS", "MQFQ", "MQFQ-short"}) {
-      SCOPED_TRACE(std::to_string(static_cast<int>(mode)) + " " + policy);
+      SCOPED_TRACE(std::string(workloads::mode_name(mode)) + " " + policy);
       Outcome periodic, plain;
       EXPECT_GT(run_scenario(mode, recorded_name(policy), &periodic)
                     .decisions,
