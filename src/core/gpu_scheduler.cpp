@@ -229,6 +229,16 @@ std::size_t GpuScheduler::index_of(int signal_id) const {
   return static_cast<std::size_t>(it - rcb_.begin());
 }
 
+template <typename Decide>
+void GpuScheduler::catch_up(std::vector<policies::RcbSnapshot>& view,
+                            std::int64_t n, Decide decide) const {
+  for (policies::RcbSnapshot& s : view) s.epoch_service = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    close_epoch(view);
+    decide(i);
+  }
+}
+
 std::vector<policies::RcbSnapshot> GpuScheduler::snapshot() const {
   ANALYSIS_READ(&rcb_, rcb_name(gid_));
   // Show the skipped grid points as run, as their ticks would have.
@@ -236,8 +246,7 @@ std::vector<policies::RcbSnapshot> GpuScheduler::snapshot() const {
   std::vector<policies::RcbSnapshot> caught_up;
   if (const std::int64_t n = skipped_points(); n > 0) {
     caught_up = view_;
-    for (policies::RcbSnapshot& s : caught_up) s.epoch_service = 0;
-    for (std::int64_t i = 0; i < n; ++i) close_epoch(caught_up);
+    catch_up(caught_up, n, [](std::int64_t) {});
     view = &caught_up;
   }
   std::vector<policies::RcbSnapshot> out;
@@ -319,15 +328,13 @@ void GpuScheduler::resume_ticks() {
   constexpr bool kShadowCheck = true;
 #endif
   if (n > 0) {
-    for (policies::RcbSnapshot& s : view_) s.epoch_service = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      close_epoch(view_);
+    catch_up(view_, n, [&](std::int64_t i) {
       if (kShadowCheck || i + 1 == n) {
         [[maybe_unused]] const int moved =
             dispatch(next_point_ + i * config_.epoch);
         assert(moved == 0 && "a settled decision changed at a skipped tick");
       }
-    }
+    });
     epochs_ += n;
     next_point_ += n * config_.epoch;
   }

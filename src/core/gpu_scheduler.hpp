@@ -197,6 +197,12 @@ class GpuScheduler {
   /// An input change is about to land: runs the skipped grid points up to
   /// now, then arms the next one.
   void resume_ticks();
+  /// Replays `n` skipped grid points over `view` as their ticks would have
+  /// run them: no new service, the backlog the last tick read, one
+  /// close_epoch() each; `decide(i)` runs after point i closes.
+  template <typename Decide>
+  void catch_up(std::vector<policies::RcbSnapshot>& view, std::int64_t n,
+                Decide decide) const;
   /// One epoch's CGS decay and entitlement accrual over `view`, from the
   /// epoch service and backlog its entries hold.
   void close_epoch(std::vector<policies::RcbSnapshot>& view) const;
