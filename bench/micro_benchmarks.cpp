@@ -37,25 +37,30 @@ using namespace strings;
 // and the STRINGS_BENCH_REPORT entries) ----------------------------------
 
 // `chains` self-rescheduling events round-robin until `total` events have
-// fired: pure schedule/pop cost, queue depth stays at `chains`.
+// fired: pure schedule/pop cost, queue depth stays at `chains`. Each chain
+// re-arms `delay` ahead: 1 us keeps every push on the heap; 0 makes every
+// re-arm a wakeup at the current instant, which the queue's same-instant
+// FIFO lane takes instead.
 struct EventChain {
   sim::Simulation* sim = nullptr;
   long remaining = 0;
   long* fired = nullptr;
+  sim::SimTime delay = 0;
   void fire() {
     ++*fired;
     if (--remaining > 0) {
-      sim->schedule(sim::usec(1), [this] { fire(); });
+      sim->schedule(delay, [this] { fire(); });
     }
   }
 };
 
-long run_event_chains(int chains, long total) {
+long run_event_chains(int chains, long total,
+                      sim::SimTime delay = sim::usec(1)) {
   sim::Simulation sim;
   long fired = 0;
   std::vector<EventChain> cs(static_cast<std::size_t>(chains));
   for (int i = 0; i < chains; ++i) {
-    cs[static_cast<std::size_t>(i)] = {&sim, total / chains, &fired};
+    cs[static_cast<std::size_t>(i)] = {&sim, total / chains, &fired, delay};
     sim.schedule(sim::usec(i), [&cs, i] { cs[static_cast<std::size_t>(i)].fire(); });
   }
   sim.run();
@@ -185,6 +190,16 @@ void BM_EventLoopThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_EventLoopThroughput)->Arg(100000);
+
+void BM_EventLoopZeroDelay(benchmark::State& state) {
+  // The same chains re-arming at zero delay: the same-instant lane's case.
+  const long events = state.range(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_event_chains(/*chains=*/256, events, 0));
+  }
+  state.SetItemsProcessed(state.iterations() * events);
+}
+BENCHMARK(BM_EventLoopZeroDelay)->Arg(100000);
 
 void BM_EventLoopBimodal(benchmark::State& state) {
   // Schedule/fire cost when near and far horizons share the queue.
@@ -434,6 +449,8 @@ void record_event_loop_report() {
   std::printf("\n-- event-loop throughput (STRINGS_BENCH_REPORT entries) --\n");
   record_throughput_entry("event_loop",
                           [] { return run_event_chains(256, 2'000'000); });
+  record_throughput_entry("event_loop_zero_delay",
+                          [] { return run_event_chains(256, 2'000'000, 0); });
   record_throughput_entry("event_loop_bimodal",
                           [] { return run_event_bimodal(2'000'000); });
   record_throughput_entry("park_resume",

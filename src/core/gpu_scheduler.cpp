@@ -291,6 +291,7 @@ void GpuScheduler::epoch_tick() {
     s.tenant_attained = tenants_[s.tenant_id].service;
   }
   close_epoch(view_);
+  assert(live_closes_ == epochs_ && "an epoch was not closed exactly once");
 
   const sim::SimTime now = sim_.now();
   dispatch(now);
@@ -336,6 +337,7 @@ void GpuScheduler::resume_ticks() {
       }
     });
     epochs_ += n;
+    assert(live_closes_ == epochs_ && "a replayed epoch was not closed once");
     next_point_ += n * config_.epoch;
   }
   arm_epoch(next_point_ - sim_.now());
@@ -343,6 +345,9 @@ void GpuScheduler::resume_ticks() {
 
 void GpuScheduler::close_epoch(
     std::vector<policies::RcbSnapshot>& view) const {
+#ifndef NDEBUG
+  if (&view == &view_) ++live_closes_;
+#endif
   // Decayed CGS (paper eq. 1), and entitlement accrual for TFS
   // (backlogged threads share the epoch by tenant weight — work
   // conservation).

@@ -236,6 +236,13 @@ class GpuScheduler {
   bool ticks_skipped_ = false;
   sim::SimTime next_point_ = 0;
   std::int64_t epochs_ = 0;
+#ifndef NDEBUG
+  // close_epoch() runs on view_ itself, from ticks and from resume_ticks'
+  // replay; every epoch counted in epochs_ must have closed exactly once,
+  // which both assert after counting, so a replay that skips or repeats a
+  // close fails where it happens.
+  mutable std::int64_t live_closes_ = 0;
+#endif
   std::function<void(const FeedbackRecord&)> feedback_sink_;
   obs::Tracer* tracer_ = nullptr;
   std::string engines_track_;  // "gpu<gid>.engines", set with the tracer

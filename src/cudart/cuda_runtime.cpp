@@ -544,11 +544,10 @@ void CudaRuntime::pump_stream(Context& ctx, cudaStream_t stream) {
     st.in_flight = 1;
     ++ctx.total_in_flight;
     const ProcessId owner = ctx.owner;
-    dev_op->on_done.push_back([this, &ctx, stream, owner,
-                               op_ptr = dev_op.get()] {
+    dev_op->on_done = [this, &ctx, stream, owner, op_ptr = dev_op.get()] {
       op_finished(ctx, stream);
       if (op_observer_) op_observer_(owner, stream, *op_ptr);
-    });
+    };
   }
 }
 

@@ -48,7 +48,6 @@ GpuDevice::OpRef GpuDevice::submit_copy(ContextId ctx, OpKind dir,
   op->bytes = bytes;
   op->pinned = pinned;
   op->submitted = sim_.now();
-  op->done_event = std::make_unique<sim::Event>(sim_);
   op->seq = g_next_op_seq++;
   (dir == OpKind::kH2D ? h2d_ : d2h_).queue.push_back(op);
   reschedule();
@@ -63,7 +62,6 @@ GpuDevice::OpRef GpuDevice::submit_kernel(ContextId ctx,
   op->kernel = desc;
   if (op->kernel.occupancy <= 0) op->kernel.occupancy = 0.01;
   op->submitted = sim_.now();
-  op->done_event = std::make_unique<sim::Event>(sim_);
   op->seq = g_next_op_seq++;
   compute_queue_.push_back(op);
   reschedule();
@@ -71,6 +69,8 @@ GpuDevice::OpRef GpuDevice::submit_kernel(ContextId ctx,
 }
 
 void GpuDevice::wait(const OpRef& op) {
+  if (op->done) return;
+  if (!op->done_event) op->done_event = std::make_unique<sim::Event>(sim_);
   while (!op->done) op->done_event->wait();
 }
 
@@ -159,10 +159,11 @@ void GpuDevice::schedule_compute_completion() {
     advance_compute();
     // Detach finished kernels first: completion callbacks may re-enter the
     // device (stream pumps submitting new work) and mutate resident_.
-    std::vector<OpRef> finished;
+    // Events never nest, so no other completion touches finished_ while
+    // this one walks it.
     for (auto it = resident_.begin(); it != resident_.end();) {
       if (it->remaining_ns <= 0.5) {
-        finished.push_back(it->op);
+        finished_.push_back(std::move(it->op));
         it = resident_.erase(it);
       } else {
         ++it;
@@ -170,10 +171,11 @@ void GpuDevice::schedule_compute_completion() {
     }
     // Survivors now run at new rates; re-arm the completion event.
     schedule_compute_completion();
-    for (const auto& op : finished) {
+    for (const auto& op : finished_) {
       ++counters_.kernels_completed;
       complete_op(op);
     }
+    finished_.clear();
     reschedule();
   });
 }
@@ -199,9 +201,11 @@ void GpuDevice::start_copy(CopyEngine& eng, OpKind kind) {
 void GpuDevice::complete_op(const OpRef& op) {
   op->done = true;
   op->completed = sim_.now();
-  for (auto& fn : op->on_done) fn();
-  op->on_done.clear();
-  op->done_event->notify_all();
+  if (op->on_done) {
+    op->on_done();
+    op->on_done = {};
+  }
+  if (op->done_event) op->done_event->notify_all();
 }
 
 bool GpuDevice::device_drained() const {

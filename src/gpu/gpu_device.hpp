@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "gpu/utilization.hpp"
 #include "simcore/flat_map.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/small_fn.hpp"
 
 namespace strings::gpu {
 
@@ -58,6 +58,13 @@ class GpuDevice {
 
   /// One queued/running/completed device operation. Shared with callers so a
   /// completed op can be inspected after the device forgets it.
+  ///
+  /// Completing an op allocates nothing: its one completion callback lives
+  /// inline in a SmallFn, and the Event that wait() blocks on is made by the
+  /// first wait() that finds the op still running. Most ops are never waited
+  /// on directly (the CUDA runtime chains stream successors through
+  /// on_done), so most never get one; completion notifies it only if it
+  /// exists, which wakes exactly the waiters an eager Event would have.
   struct Op {
     OpKind kind;
     ContextId ctx;
@@ -69,10 +76,11 @@ class GpuDevice {
     sim::SimTime completed = -1;
     bool done = false;
     std::uint64_t seq = 0;  // global arrival order, for context FIFO
-    std::unique_ptr<sim::Event> done_event;
-    /// Invoked (in kernel context) when the op completes, before waiters are
-    /// woken. Used by the CUDA-runtime layer to chain stream successors.
-    std::vector<std::function<void()>> on_done;
+    std::unique_ptr<sim::Event> done_event;  // made by the first wait()
+    /// Invoked once (in kernel context) when the op completes, before
+    /// waiters are woken. Used by the CUDA-runtime layer to chain stream
+    /// successors.
+    sim::SmallFn on_done;
   };
   using OpRef = std::shared_ptr<Op>;
 
@@ -150,6 +158,9 @@ class GpuDevice {
   CopyEngine d2h_;
   std::deque<OpRef> compute_queue_;
   std::vector<ResidentKernel> resident_;
+  /// Scratch for the kernels one compute completion detaches; kept so the
+  /// completion event allocates nothing.
+  std::vector<OpRef> finished_;
   sim::SimTime last_compute_advance_ = 0;
   std::uint64_t compute_gen_ = 0;
 

@@ -7,6 +7,7 @@
 // variable-size fields.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -60,7 +61,13 @@ class Marshal {
   void reserve(std::size_t n) { buf_.reserve(n); }
 
  private:
+  /// Capacity a Marshal takes at its first put: every fixed-field call and
+  /// reply fits, so a message costs one allocation instead of one per
+  /// doubling of the buffer.
+  static constexpr std::size_t kFirstReserve = 64;
+
   void put_raw(const void* p, std::size_t n) {
+    if (buf_.capacity() == 0) buf_.reserve(std::max(n, kFirstReserve));
     const auto* b = static_cast<const std::byte*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }

@@ -1,5 +1,5 @@
 // Event scheduler for the simulation kernel: a 4-ary min-heap of small keys
-// over a slab of closures.
+// over a slab of closures, plus a FIFO lane for same-instant events.
 //
 // The heap orders 24-byte keys (time, seq, slot, weak); the closures live in
 // a slab and never move while queued. push constructs the caller's closure
@@ -9,6 +9,19 @@
 // push does not depend on how far ahead the event lies — simulations mix
 // zero-delay wakeups, 10 ms dispatcher epochs and seconds-ahead arrivals in
 // one queue, and a calendar queue's single bucket width cannot fit them all.
+//
+// The same-instant lane. A push whose time equals the last popped time (a
+// zero-delay wakeup, a notify, a channel hop with no latency) and whose seq
+// is above the seq at the lane's back is appended to a plain FIFO instead of
+// the heap. Every lane key then has the same time, the floor, and the lane
+// holds them in ascending seq, so the lane front is the lane's least key;
+// pop compares it with the heap top by (time, seq) and takes the smaller.
+// The popped order is therefore exactly the heap-only order: the lane is a
+// sorted run the merge reads from its front. The floor cannot rise while the
+// lane holds a key (that key, at the floor, pops first), so the lane drains
+// before time moves on. A push that fails either test — a later time, a
+// run_until jump past the floor, or a schedule_first rank below the lane's
+// back — goes to the heap as before.
 //
 // The slab grows by chunks of doubling size that stay where they were
 // allocated, so growing it relocates no queued closure; freed slots go on a
@@ -52,6 +65,8 @@ class EventQueue {
   /// them never perturbs behaviour.
   struct Stats {
     std::uint64_t pushes = 0;
+    /// The pushes that took the same-instant lane instead of the heap.
+    std::uint64_t lane_pushes = 0;
     std::uint64_t pops = 0;
     /// Always 0: a heap never rebuilds. Kept because perfbench reports it
     /// as simcore.queue_rebuilds.
@@ -63,10 +78,15 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
   ~EventQueue() {
     for (const Key& k : heap_) std::destroy_at(&fn_at(k.slot));
+    for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+      std::destroy_at(&fn_at(lane_[i].slot));
+    }
   }
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty() && lane_empty(); }
+  std::size_t size() const {
+    return heap_.size() + (lane_.size() - lane_head_);
+  }
   const Stats& stats() const { return stats_; }
 
   void push(EventRecord ev) {
@@ -82,24 +102,40 @@ class EventQueue {
     // A free slot holds nothing or a moved-from (inert) SmallFn.
     std::construct_at(static_cast<SmallFn*>(slot_storage(slot)),
                       std::forward<F>(fn));
+    ++stats_.pushes;
+    if (time == floor_ && (lane_empty() || seq > lane_.back().seq)) {
+      lane_.push_back(Key{time, seq, slot, weak});
+      ++stats_.lane_pushes;
+      return;
+    }
     heap_.push_back(Key{time, seq, slot, weak});
     sift_up(heap_.size() - 1);
-    ++stats_.pushes;
   }
 
   /// The earliest event's timestamp. Queue must be non-empty.
   SimTime min_time() const {
-    assert(!heap_.empty());
-    return heap_.front().time;
+    assert(!empty());
+    // A lane key sits at the floor, which no heap key precedes.
+    return lane_empty() ? heap_.front().time : floor_;
   }
 
   /// Removes and returns the earliest event in (time, seq) order.
   EventRecord pop() {
-    assert(!heap_.empty());
-    const Key top = heap_.front();
-    const Key last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(last);
+    assert(!empty());
+    Key top{};
+    if (!lane_empty() &&
+        (heap_.empty() || less(lane_[lane_head_], heap_.front()))) {
+      top = lane_[lane_head_++];
+      if (lane_empty()) {  // drained: rewind, keeping the capacity
+        lane_.clear();
+        lane_head_ = 0;
+      }
+    } else {
+      top = heap_.front();
+      const Key last = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down(last);
+    }
     free_.push_back(top.slot);
     ++stats_.pops;
     floor_ = top.time;
@@ -122,6 +158,8 @@ class EventQueue {
   };
 
   static constexpr std::size_t kArity = 4;
+
+  bool lane_empty() const { return lane_head_ == lane_.size(); }
 
   // Branch-free: equal times are common (same-instant bursts), so a
   // time-then-seq branch would mispredict.
@@ -186,10 +224,15 @@ class EventQueue {
   }
 
   std::vector<Key> heap_;
+  /// The same-instant FIFO: keys at time floor_ in ascending seq, live from
+  /// lane_head_ on. Emptied (not shrunk) each time it drains.
+  std::vector<Key> lane_;
+  std::size_t lane_head_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;
   std::uint32_t slots_ = 0;  // slab slots ever handed out
-  /// Time of the last pop: no push may land before it.
+  /// Time of the last pop: no push may land before it, and the lane holds
+  /// only keys at it.
   SimTime floor_ = 0;
   Stats stats_;
 };

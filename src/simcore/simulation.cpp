@@ -89,6 +89,7 @@ void Simulation::terminate_processes() {
     current_ = p.get();
     p->resume();
     current_ = prev;
+    if (p->finished()) p->fiber_.reset();
   }
 }
 
@@ -104,16 +105,25 @@ Process& Simulation::spawn(std::string name, std::function<void()> body) {
     if (p.state_ == Process::State::kCreated) {
       p.state_ = Process::State::kRunnable;
       p.start();
-      Process* prev = current_;
-      current_ = &p;
-      if (auto* h = sim_hooks()) h->on_process_running(*this, p);
-      p.resume();
-      if (auto* h = sim_hooks()) h->on_process_yielded(*this, p);
-      current_ = prev;
-      if (p.finished()) --live_processes_;
+      run_process(p);
     }
   });
   return p;
+}
+
+void Simulation::run_process(Process& p) {
+  Process* prev = current_;
+  current_ = &p;
+  if (auto* h = sim_hooks()) h->on_process_running(*this, p);
+  p.resume();
+  if (auto* h = sim_hooks()) h->on_process_yielded(*this, p);
+  current_ = prev;
+  if (p.finished()) {
+    --live_processes_;
+    // The fiber made its last switch; its stack goes back to the thread's
+    // spare list for the next process to start.
+    p.fiber_.reset();
+  }
 }
 
 Process& Simulation::spawn_daemon(std::string name, std::function<void()> body) {
@@ -174,13 +184,7 @@ void Simulation::schedule_resume(Process& p, SimTime delay) {
   schedule(delay, [this, &p] {
     if (p.state_ != Process::State::kBlocked) return;
     p.state_ = Process::State::kRunnable;
-    Process* prev = current_;
-    current_ = &p;
-    if (auto* h = sim_hooks()) h->on_process_running(*this, p);
-    p.resume();
-    if (auto* h = sim_hooks()) h->on_process_yielded(*this, p);
-    current_ = prev;
-    if (p.finished()) --live_processes_;
+    run_process(p);
   });
 }
 
@@ -238,13 +242,14 @@ bool Event::wait_for(SimTime timeout) {
 }
 
 void Event::notify_all() {
-  auto pending = std::move(waiters_);
-  waiters_.clear();
-  for (Process* p : pending) {
+  // schedule_resume only queues an event, so nothing can wait on this Event
+  // while the loop runs; clearing afterwards keeps the vector's capacity.
+  for (Process* p : waiters_) {
     p->wait_woken_ = true;
     p->waiting_on_ = nullptr;
     sim_.schedule_resume(*p, 0);
   }
+  waiters_.clear();
 }
 
 void Event::notify_one() {

@@ -219,6 +219,9 @@ class Simulation {
   void check_deadlock() const;
   // Schedules a resume of `p` at now()+delay. Used by wait_for and Event.
   void schedule_resume(Process& p, SimTime delay);
+  // Switches to `p` as the current process until it parks or finishes; a
+  // finished process gives its fiber (and stack) back.
+  void run_process(Process& p);
   // Process-context helper: marks p blocked and suspends until resumed.
   void block_current();
 

@@ -155,6 +155,67 @@ TEST(EventQueue, BimodalHorizonScheduleMatchesReferenceHeap) {
   }
 }
 
+TEST(EventQueue, SameInstantLaneMatchesReferenceHeap) {
+  // The kernel's own push pattern around the lane: a clock `now` that is
+  // the last popped time or a run_until jump past it; zero-delay pushes
+  // (the lane's traffic) mixed with schedule_first ranks at the current
+  // instant, weak events and later times. Ranks come from the band below
+  // ordinary seqs, and a rank has at most one event queued, as in
+  // Simulation::schedule_first.
+  constexpr std::uint64_t kOrdinary = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kRanks = 16;
+  for (std::uint32_t seed : {2u, 11u, 4242u, 777777u}) {
+    std::mt19937 rng(seed);
+    EventQueue q;
+    RefHeap ref;
+    SimTime now = 0;
+    std::uint64_t seq = kOrdinary;
+    std::vector<bool> rank_queued(kRanks, false);
+    std::uniform_int_distribution<int> op(0, 99);
+    std::uniform_int_distribution<SimTime> later(1, usec(20));
+    std::uniform_int_distribution<SimTime> jump(1, usec(30));
+    auto pop_one = [&] {
+      const RefKey want = ref.top();
+      if (want.seq < kOrdinary) rank_queued[want.seq] = false;
+      now = want.time;
+      pop_and_compare(q, ref);
+    };
+    for (int step = 0; step < 30000; ++step) {
+      const int k = op(rng);
+      if (k < 35) {
+        push_both(q, ref, now, seq++, /*weak=*/k < 5);  // zero delay
+      } else if (k < 45) {
+        const std::uint64_t rank = rng() % kRanks;
+        if (!rank_queued[rank]) {
+          rank_queued[rank] = true;
+          push_both(q, ref, now + (k < 42 ? 0 : later(rng)), rank);
+        }
+      } else if (k < 60) {
+        push_both(q, ref, now + later(rng), seq++, /*weak=*/k < 48);
+      } else if (k < 63) {
+        // run_until(t): everything at or before t runs, then now = t, and
+        // the queue's floor stays at the last popped time.
+        const SimTime t = now + jump(rng);
+        while (!ref.empty() && ref.top().time <= t) pop_one();
+        if (HasFatalFailure()) return;
+        now = t;
+      } else if (!ref.empty()) {
+        pop_one();
+        if (HasFatalFailure()) return;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!ref.empty()) {
+      pop_one();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(q.empty());
+    // The lane carried a real share of the schedule, not none of it.
+    EXPECT_GT(q.stats().lane_pushes, q.stats().pushes / 5);
+    EXPECT_LT(q.stats().lane_pushes, q.stats().pushes);
+  }
+}
+
 /// A closure that counts its move constructions in a shared counter.
 struct MoveCounter {
   int* moves;
@@ -183,6 +244,34 @@ TEST(EventQueue, ClosureMovesAtMostOnceBeforeItRuns) {
   std::mt19937 rng(17);
   std::uniform_int_distribution<SimTime> when(0, msec(10));
   for (int i = 0; i < 12000; ++i) q.push(when(rng), seq++, [] {}, false);
+  for (int i = 0; i < kCounted; ++i) EXPECT_EQ(moves[i], 0) << "closure " << i;
+  while (!q.empty()) {
+    EventRecord ev = q.pop();
+    ev.fn();
+  }
+  for (int i = 0; i < kCounted; ++i) {
+    EXPECT_TRUE(ran[i]) << "closure " << i;
+    EXPECT_LE(moves[i], 1) << "closure " << i;
+  }
+}
+
+TEST(EventQueue, LaneClosureMovesAtMostOnceBeforeItRuns) {
+  // The same pin for the same-instant lane: counted closures pushed at the
+  // floor take the lane, 12k more same-instant pushes grow it behind them
+  // (the lane reallocates keys, never closures), and only pop moves each.
+  constexpr int kCounted = 8;
+  int moves[kCounted] = {};
+  bool ran[kCounted] = {};
+  EventQueue q;
+  std::uint64_t seq = 0;
+  q.push(msec(3), seq++, [] {}, false);
+  q.pop();  // the floor is now 3 ms
+  for (int i = 0; i < kCounted; ++i) {
+    const MoveCounter c(&moves[i], &ran[i]);
+    q.push(msec(3), seq++, c, /*weak=*/false);
+  }
+  for (int i = 0; i < 12000; ++i) q.push(msec(3), seq++, [] {}, false);
+  EXPECT_EQ(q.stats().lane_pushes, std::uint64_t{kCounted + 12000});
   for (int i = 0; i < kCounted; ++i) EXPECT_EQ(moves[i], 0) << "closure " << i;
   while (!q.empty()) {
     EventRecord ev = q.pop();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gpu/device_props.hpp"
 #include "simcore/simulation.hpp"
 
@@ -320,6 +322,51 @@ TEST(GpuDevice, OpTimestampsRecorded) {
   EXPECT_EQ(op->started, msec(3));
   EXPECT_EQ(op->completed, msec(13));
   EXPECT_TRUE(op->done);
+}
+
+TEST(GpuDevice, WaitWorksBeforeAndAfterCompletionWithLazyEvent) {
+  // An op gets its done Event from the first wait() that finds it running.
+  // Two processes wait on a running copy (the second reuses the first's
+  // Event); a third waits only after the copy completed and must return at
+  // once, without making an Event. An op nobody waited on never gets one,
+  // and its completion callback still runs exactly once.
+  sim::Simulation sim;
+  GpuDevice dev(sim, 0, test_props());
+  const SimTime dur = dev.copy_duration(1'000'000);
+  GpuDevice::OpRef waited;
+  GpuDevice::OpRef unwaited;
+  int callbacks = 0;
+  std::vector<SimTime> woke;
+  sim.spawn("submit", [&] {
+    waited = dev.submit_copy(1, GpuDevice::OpKind::kH2D, 1'000'000);
+    unwaited = dev.submit_kernel(1, make_kernel(msec(1)));
+    unwaited->on_done = [&callbacks] { ++callbacks; };
+    EXPECT_EQ(waited->done_event, nullptr);
+    dev.wait(waited);
+    woke.push_back(sim.now());
+  });
+  sim.spawn("second", [&] {
+    dev.wait(waited);
+    woke.push_back(sim.now());
+  });
+  sim.spawn("late", [&] {
+    sim.wait_for(dur + msec(5));
+    ASSERT_TRUE(waited->done);
+    const SimTime before = sim.now();
+    dev.wait(waited);
+    dev.wait(unwaited);
+    EXPECT_EQ(sim.now(), before);
+    woke.push_back(sim.now());
+  });
+  sim.run();
+  ASSERT_TRUE(waited != nullptr);
+  EXPECT_EQ(woke, (std::vector<SimTime>{dur, dur, dur + msec(5)}));
+  EXPECT_NE(waited->done_event, nullptr);
+  EXPECT_EQ(waited->done_event->waiter_count(), 0);
+  EXPECT_TRUE(unwaited->done);
+  EXPECT_EQ(unwaited->done_event, nullptr);
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_FALSE(unwaited->on_done);
 }
 
 TEST(GpuDevice, ConcurrentKernelLimitRespected) {

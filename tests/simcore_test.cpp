@@ -444,5 +444,56 @@ TEST(Fiber, FirstActivationIsAlignedAndExceptionsCrossParkedFrames) {
   EXPECT_EQ(sim.now(), usec(2));
 }
 
+TEST(Fiber, ReusedStackKeepsFpStateAndUnwindsAcrossParks) {
+  // A finished process hands its stack back to the thread's spare list,
+  // and the next process to start takes the most recent one. The second
+  // process below therefore runs on the first one's stack, whose last user
+  // switched to upward rounding and left exception frames behind: it must
+  // start with the kernel's FP control words and unwind across its own
+  // parked frames as on a fresh stack.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  Simulation sim;
+  std::uintptr_t first_addr = 0;
+  std::uintptr_t second_addr = 0;
+  std::string caught;
+  bool finished = false;
+  sim.spawn("first", [&] {
+    volatile char local = 0;
+    first_addr = reinterpret_cast<std::uintptr_t>(&local);
+    std::fesetround(FE_UPWARD);
+    try {
+      park_then_throw(sim);
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(std::fegetround(), FE_UPWARD);
+  });
+  sim.schedule(usec(5), [&] {
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    sim.spawn("second", [&] {
+      volatile char local = 0;
+      second_addr = reinterpret_cast<std::uintptr_t>(&local);
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+      EXPECT_EQ(runtime_third_bits(), kThirdNearest);
+      try {
+        park_then_throw(sim);
+      } catch (const std::runtime_error& e) {
+        caught = e.what();
+      }
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+      finished = true;
+    });
+  });
+  sim.run();
+  // Same stack: both locals lie within one stack's span.
+  const std::uintptr_t gap = first_addr > second_addr
+                                 ? first_addr - second_addr
+                                 : second_addr - first_addr;
+  EXPECT_LT(gap, Fiber::kStackBytes);
+  EXPECT_EQ(caught, "after park");
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(sim.kernel_stats().fibers_spawned, 2u);
+}
+
 }  // namespace
 }  // namespace strings::sim
