@@ -14,21 +14,48 @@ std::string lower(std::string s) {
 }
 }  // namespace
 
-const char* placement_mode_name(PlacementMode m) {
-  switch (m) {
-    case PlacementMode::kCentralized: return "centralized";
-    case PlacementMode::kDistributed: return "distributed";
+PolicyArbiter::PolicyArbiter(const std::string& static_policy,
+                             const std::string& feedback_policy,
+                             int min_feedback_samples)
+    : static_policy_(policies::make_balancing_policy(static_policy)),
+      min_feedback_samples_(min_feedback_samples) {
+  if (!feedback_policy.empty()) {
+    feedback_policy_ = policies::make_balancing_policy(feedback_policy);
   }
-  return "unknown";
 }
 
-const char* control_transport_name(ControlTransport t) {
-  switch (t) {
-    case ControlTransport::kDirect: return "direct";
-    case ControlTransport::kZeroCost: return "zero_cost";
-    case ControlTransport::kDataPlane: return "data_plane";
+void PolicyArbiter::configure_striping(int rank, int deciders) {
+  static_policy_->configure_striping(rank, deciders);
+  if (feedback_policy_ != nullptr) {
+    feedback_policy_->configure_striping(rank, deciders);
   }
-  return "unknown";
+}
+
+bool PolicyArbiter::use_feedback(const DstSnapshot& view,
+                                 const std::string& app_type) const {
+  return feedback_policy_ != nullptr &&
+         view.sft.samples(app_type) >= min_feedback_samples_;
+}
+
+const char* PolicyArbiter::policy_name(const DstSnapshot& view,
+                                       const std::string& app_type) const {
+  return use_feedback(view, app_type) ? feedback_policy_->name()
+                                      : static_policy_->name();
+}
+
+PolicyArbiter::Pick PolicyArbiter::select(const GMap& gmap,
+                                          const DstSnapshot& view,
+                                          const std::string& app_type,
+                                          NodeId origin_node) {
+  policies::BalanceInput in;
+  in.gmap = &gmap;
+  in.view = &view;
+  in.app_type = app_type;
+  in.origin_node = origin_node;
+  Pick pick;
+  pick.feedback = use_feedback(view, app_type);
+  pick.gid = (pick.feedback ? *feedback_policy_ : *static_policy_).select(in);
+  return pick;
 }
 
 PlacementMode parse_placement_mode(const std::string& s) {
@@ -48,20 +75,10 @@ ControlTransport parse_control_transport(const std::string& s) {
   throw std::invalid_argument("unknown control transport: " + s);
 }
 
-const char* sync_mode_name(SyncMode m) {
-  switch (m) {
-    case SyncMode::kPull: return "pull";
-    case SyncMode::kPush: return "push";
-    case SyncMode::kHybrid: return "hybrid";
-  }
-  return "unknown";
-}
-
 SyncMode parse_sync_mode(const std::string& s) {
   const std::string l = lower(s);
   if (l == "pull") return SyncMode::kPull;
   if (l == "push") return SyncMode::kPush;
-  if (l == "hybrid") return SyncMode::kHybrid;
   throw std::invalid_argument("unknown sync mode: " + s);
 }
 

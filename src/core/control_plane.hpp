@@ -3,13 +3,14 @@
 // The control plane splits the paper's monolithic GPU Affinity Mapper into a
 // PlacementService (authoritative DST/SFT, hosted on one node) and per-node
 // MapperAgents (cached gMap replica + staleness-bounded DstSnapshot). This
-// header holds what both sides agree on: deployment knobs, the wire encoding
-// of feedback records and snapshots, and the counters every component
-// reports into.
+// header holds what both sides share: deployment knobs, the Policy Arbiter
+// and the table edit both run, the wire encoding of feedback records and
+// snapshots, and the counters every component reports into.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/dst_snapshot.hpp"
 #include "core/gpool.hpp"
 #include "core/tables.hpp"
+#include "policies/balancing.hpp"
 #include "rpc/marshal.hpp"
 #include "simcore/sim_time.hpp"
 
@@ -53,20 +55,14 @@ enum class SyncMode {
   /// out versioned kDstDelta messages on every mutation; a version gap
   /// falls back to a full kDstSync pull (traffic scales with change rate).
   kPush,
-  /// Push plus the pull staleness bound as a safety net: deltas keep the
-  /// cache fresh, but a select older than `refresh_epoch` still pulls.
-  kHybrid,
 };
 
-const char* placement_mode_name(PlacementMode m);
-const char* control_transport_name(ControlTransport t);
-const char* sync_mode_name(SyncMode m);
 /// Parses "centralized"/"distributed" (case-insensitive); throws
 /// std::invalid_argument otherwise.
 PlacementMode parse_placement_mode(const std::string& s);
 /// Parses "direct"/"zero_cost"/"data_plane"; throws std::invalid_argument.
 ControlTransport parse_control_transport(const std::string& s);
-/// Parses "pull"/"push"/"hybrid"; throws std::invalid_argument.
+/// Parses "pull"/"push"; throws std::invalid_argument.
 SyncMode parse_sync_mode(const std::string& s);
 
 struct ControlPlaneConfig {
@@ -82,8 +78,40 @@ struct ControlPlaneConfig {
   int feedback_batch_size = 1;
   /// A partial batch is flushed this long after its first record arrives.
   sim::SimTime feedback_max_delay = sim::msec(1);
-  /// Distributed mode: how cached snapshots stay current (pull/push/hybrid).
+  /// Distributed mode: how cached snapshots stay current (pull/push).
   SyncMode sync_mode = SyncMode::kPull;
+};
+
+/// The Policy Arbiter (paper §III-C): the static balancing policy until the
+/// SFT of the view holds `min_feedback_samples` records for an app type,
+/// then the feedback policy. The service and every agent each own one and
+/// pick through it over their own DstSnapshot.
+class PolicyArbiter {
+ public:
+  /// An empty `feedback_policy` disables switching.
+  PolicyArbiter(const std::string& static_policy,
+                const std::string& feedback_policy, int min_feedback_samples);
+
+  /// Stripes both policies' cursors (see BalancingPolicy).
+  void configure_striping(int rank, int deciders);
+  /// Name of the policy select() would use for `app_type` over `view`.
+  const char* policy_name(const DstSnapshot& view,
+                          const std::string& app_type) const;
+
+  struct Pick {
+    Gid gid = -1;
+    bool feedback = false;  // picked by the feedback policy
+  };
+  Pick select(const GMap& gmap, const DstSnapshot& view,
+              const std::string& app_type, NodeId origin_node);
+
+ private:
+  bool use_feedback(const DstSnapshot& view,
+                    const std::string& app_type) const;
+
+  std::unique_ptr<policies::BalancingPolicy> static_policy_;
+  std::unique_ptr<policies::BalancingPolicy> feedback_policy_;
+  int min_feedback_samples_;
 };
 
 /// Counters reported by each MapperAgent (and aggregated by the Testbed).
@@ -153,10 +181,20 @@ struct DeltaOp {
   std::string app_type;      // kBind / kUnbind app
   FeedbackRecord feedback;   // kFeedback payload
   /// Agent that already applied this op optimistically to its own cache
-  /// (-1 = decided at the service). The origin skips the echo so its
-  /// optimistic bind/unbind is never double-applied.
+  /// (-1 = decided at the service, and always for feedback). The origin
+  /// skips the echo so its optimistic bind/unbind is never double-applied.
   NodeId applied_by = -1;
 };
+
+/// Folds one mutation into `s`: the one table edit the service and every
+/// agent's cache share.
+inline void apply(DstSnapshot& s, const DeltaOp& op) {
+  switch (op.kind) {
+    case DeltaOp::Kind::kBind: s.bind(op.gid, op.app_type); break;
+    case DeltaOp::Kind::kUnbind: s.unbind(op.gid, op.app_type); break;
+    case DeltaOp::Kind::kFeedback: s.sft.update(op.feedback); break;
+  }
+}
 
 /// A contiguous run of mutations: applying `ops` to a snapshot at
 /// `base_version` yields the authoritative state at `new_version`

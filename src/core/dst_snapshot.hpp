@@ -11,6 +11,7 @@
 // centralized mapper would have made at `taken_at`.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,6 +31,20 @@ struct DstSnapshot {
   /// App types currently bound to each GID (index = gid).
   std::vector<std::vector<std::string>> bound_types;
   SchedulerFeedbackTable sft;
+
+  /// Records one binding of `app_type` on `gid`. The service and every
+  /// agent edit their tables through this and unbind() only.
+  void bind(Gid gid, const std::string& app_type) {
+    dst.on_bind(gid);
+    bound_types[static_cast<std::size_t>(gid)].push_back(app_type);
+  }
+  /// Releases one binding of `app_type` on `gid`.
+  void unbind(Gid gid, const std::string& app_type) {
+    dst.on_unbind(gid);
+    auto& bound = bound_types[static_cast<std::size_t>(gid)];
+    auto it = std::find(bound.begin(), bound.end(), app_type);
+    if (it != bound.end()) bound.erase(it);
+  }
 
   const std::vector<std::string>& bound_on(Gid gid) const {
     static const std::vector<std::string> kEmpty;

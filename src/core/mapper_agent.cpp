@@ -26,15 +26,17 @@ MapperAgent::MapperAgent(sim::Simulation& sim, NodeId node,
       channel_(channel),
       push_channel_(push_channel),
       gmap_(service.gmap()),
-      static_policy_(
-          policies::make_balancing_policy(service.config().static_policy)) {
+      arbiter_(service.config().static_policy,
+               service.config().feedback_policy,
+               service.config().min_feedback_samples) {
   if (channel_ != nullptr) {
     client_ = std::make_unique<rpc::RpcClient>(*channel_);
+    channel_->request.count_wire(&wire_);
+    channel_->response.count_wire(&wire_);
   }
-  if (!service.config().feedback_policy.empty()) {
-    feedback_policy_ =
-        policies::make_balancing_policy(service.config().feedback_policy);
-  }
+  // Delta fan-out lands on this agent's link too, so push is not free: it
+  // scales with change rate instead of decision rate.
+  if (push_channel_ != nullptr) push_channel_->count_wire(&wire_);
   if (config_.placement == PlacementMode::kDistributed) {
     // Concurrent deciders: stripe stateful cursors (GRR) by agent id so the
     // union of all nodes' picks still covers the pool round-robin instead
@@ -43,10 +45,7 @@ MapperAgent::MapperAgent(sim::Simulation& sim, NodeId node,
     for (const auto& e : gmap_.entries()) {
       deciders = std::max(deciders, e.node + 1);
     }
-    static_policy_->configure_striping(node_, deciders);
-    if (feedback_policy_ != nullptr) {
-      feedback_policy_->configure_striping(node_, deciders);
-    }
+    arbiter_.configure_striping(node_, deciders);
   }
 }
 
@@ -61,7 +60,7 @@ bool MapperAgent::use_rpc() const {
 bool MapperAgent::push_enabled() const {
   return push_channel_ != nullptr &&
          config_.placement == PlacementMode::kDistributed &&
-         config_.sync_mode != SyncMode::kPull;
+         config_.sync_mode == SyncMode::kPush;
 }
 
 void MapperAgent::ensure_subscribed() {
@@ -107,36 +106,13 @@ void MapperAgent::apply_delta(const DstDelta& d) {
                               d.new_version, ANALYSIS_SITE);
   }
   ANALYSIS_WRITE(&snapshot_, snapshot_name(node_));
-  // Suffix apply: ops below the cached version are already reflected.
+  // Suffix apply: ops below the cached version are already reflected. An op
+  // this agent applied optimistically (its own bind or unbind) is the echo:
+  // applying it again would double-count. Feedback ops are never echoes.
   for (std::size_t i =
            static_cast<std::size_t>(snapshot_.version - d.base_version);
        i < d.ops.size(); ++i) {
-    const DeltaOp& op = d.ops[i];
-    switch (op.kind) {
-      case DeltaOp::Kind::kBind:
-        // This agent's own optimistic bind already mutated the cache (the
-        // echo); applying it again would double-count the load.
-        if (op.applied_by != node_) {
-          snapshot_.dst.on_bind(op.gid);
-          snapshot_.bound_types[static_cast<std::size_t>(op.gid)].push_back(
-              op.app_type);
-        }
-        break;
-      case DeltaOp::Kind::kUnbind:
-        if (op.applied_by != node_) {
-          snapshot_.dst.on_unbind(op.gid);
-          auto& bound =
-              snapshot_.bound_types[static_cast<std::size_t>(op.gid)];
-          auto it = std::find(bound.begin(), bound.end(), op.app_type);
-          if (it != bound.end()) bound.erase(it);
-        }
-        break;
-      case DeltaOp::Kind::kFeedback:
-        // Feedback folds into the SFT at the service, never optimistically
-        // at an agent, so the echo question does not arise.
-        snapshot_.sft.update(op.feedback);
-        break;
-    }
+    if (d.ops[i].applied_by != node_) apply(snapshot_, d.ops[i]);
   }
   snapshot_.version = d.new_version;
   snapshot_.taken_at = std::max(snapshot_.taken_at, d.taken_at);
@@ -160,34 +136,20 @@ Gid MapperAgent::select_device(const std::string& app_type) {
     if (push_enabled()) {
       ensure_subscribed();
       drain_deltas();
-      if (config_.sync_mode == SyncMode::kHybrid) {
-        refresh_snapshot_if_stale();
-      } else {
-        // Pure push serves every select from the cache; deltas (not a
-        // refresh epoch) bound its age, so only record what it was.
-        stats_.max_snapshot_age = std::max(stats_.max_snapshot_age,
-                                           sim_.now() - snapshot_.taken_at);
-      }
+      // Push serves every select from the cache; deltas (not a refresh
+      // epoch) bound its age, so only record what it was.
+      stats_.max_snapshot_age = std::max(stats_.max_snapshot_age,
+                                         sim_.now() - snapshot_.taken_at);
     } else {
       refresh_snapshot_if_stale();
     }
     ANALYSIS_READ(&snapshot_, snapshot_name(node_));
-    const bool feedback =
-        feedback_policy_ != nullptr &&
-        snapshot_.sft.samples(app_type) >=
-            service_.config().min_feedback_samples;
-    policies::BalanceInput in;
-    in.gmap = &gmap_;
-    in.view = &snapshot_;
-    in.app_type = app_type;
-    in.origin_node = node_;
-    gid = (feedback ? *feedback_policy_ : *static_policy_).select(in);
+    gid = arbiter_.select(gmap_, snapshot_, app_type, node_).gid;
     assert(gid >= 0 && gid < gmap_.size());
     // Optimistic local bind: later local decisions within the same epoch
     // must see this node's own placements even before the next sync.
     ANALYSIS_WRITE(&snapshot_, snapshot_name(node_));
-    snapshot_.dst.on_bind(gid);
-    snapshot_.bound_types[static_cast<std::size_t>(gid)].push_back(app_type);
+    snapshot_.bind(gid, app_type);
     ++stats_.oneway_msgs;
     rpc::Marshal m;
     m.put_i32(gid);
@@ -233,10 +195,7 @@ void MapperAgent::unbind(Gid gid, const std::string& app_type) {
   if (snapshot_valid_) {
     // Keep the cache coherent with this node's own lifecycle events.
     ANALYSIS_WRITE(&snapshot_, snapshot_name(node_));
-    snapshot_.dst.on_unbind(gid);
-    auto& bound = snapshot_.bound_types[static_cast<std::size_t>(gid)];
-    auto it = std::find(bound.begin(), bound.end(), app_type);
-    if (it != bound.end()) bound.erase(it);
+    snapshot_.unbind(gid, app_type);
   }
   ++stats_.unbind_rpcs;
   rpc::Marshal m;
@@ -290,29 +249,9 @@ void MapperAgent::flush_feedback() {
 
 ControlPlaneStats MapperAgent::stats() const {
   ControlPlaneStats s = stats_;
-  s.bytes_sent = bytes_sent();
-  s.packets_sent = packets_sent();
+  s.bytes_sent = wire_.bytes;
+  s.packets_sent = wire_.packets;
   return s;
-}
-
-// Delta fan-out traffic lands on this agent's link, so push is not free —
-// it just scales with change rate instead of decision rate.
-std::uint64_t MapperAgent::bytes_sent() const {
-  std::uint64_t b = 0;
-  if (channel_ != nullptr) {
-    b = channel_->request.bytes_sent() + channel_->response.bytes_sent();
-  }
-  if (push_channel_ != nullptr) b += push_channel_->bytes_sent();
-  return b;
-}
-
-std::uint64_t MapperAgent::packets_sent() const {
-  std::uint64_t p = 0;
-  if (channel_ != nullptr) {
-    p = channel_->request.packets_sent() + channel_->response.packets_sent();
-  }
-  if (push_channel_ != nullptr) p += push_channel_->packets_sent();
-  return p;
 }
 
 }  // namespace strings::core

@@ -35,13 +35,16 @@ class MapperAgent {
   /// `channel` is the duplex pair returned by
   /// PlacementService::connect_agent, or nullptr for kDirect transport.
   /// `push_channel` is the one-way service->agent delta channel returned by
-  /// PlacementService::connect_push (push/hybrid sync modes; nullptr keeps
-  /// the agent pull-only regardless of `config.sync_mode`).
+  /// PlacementService::connect_push (push sync mode; nullptr keeps the
+  /// agent pull-only regardless of `config.sync_mode`).
   /// Construct only after the service is finalized (the agent copies the
   /// gMap replica the gPool Creator "broadcasts").
   MapperAgent(sim::Simulation& sim, NodeId node, PlacementService& service,
               ControlPlaneConfig config, rpc::DuplexChannel* channel,
               rpc::Channel* push_channel = nullptr);
+  // The channels count into wire_ and timers capture `this`: not movable.
+  MapperAgent(const MapperAgent&) = delete;
+  MapperAgent& operator=(const MapperAgent&) = delete;
 
   /// Picks a GID for an app arriving on this node.
   Gid select_device(const std::string& app_type);
@@ -80,8 +83,8 @@ class MapperAgent {
   /// here (use the accessors below). Registry gauges read single fields.
   const ControlPlaneStats& counters() const { return stats_; }
   /// This agent's channel traffic: request, response and delta push.
-  std::uint64_t bytes_sent() const;
-  std::uint64_t packets_sent() const;
+  std::uint64_t bytes_sent() const { return wire_.bytes; }
+  std::uint64_t packets_sent() const { return wire_.packets; }
 
   /// Optional registry histogram: every placement decision's latency is
   /// additionally observed into it (milliseconds).
@@ -110,13 +113,14 @@ class MapperAgent {
   bool snapshot_valid_ = false;
   /// Distributed mode: this node's own policy instances, evaluated over
   /// the cached snapshot.
-  std::unique_ptr<policies::BalancingPolicy> static_policy_;
-  std::unique_ptr<policies::BalancingPolicy> feedback_policy_;
+  PolicyArbiter arbiter_;
   std::vector<FeedbackRecord> pending_feedback_;
   /// High-water mark of encoded batch size; pre-sizes the next flush.
   std::size_t feedback_body_hint_ = 0;
   bool flush_armed_ = false;
   ControlPlaneStats stats_;
+  /// What this agent's channels have sent (see bytes_sent()).
+  rpc::WireTotals wire_;
   obs::Histogram* latency_hist_ = nullptr;
 };
 

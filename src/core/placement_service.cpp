@@ -1,6 +1,5 @@
 #include "core/placement_service.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -12,12 +11,8 @@ namespace strings::core {
 
 PlacementService::PlacementService(Config config)
     : config_(std::move(config)),
-      static_policy_(policies::make_balancing_policy(config_.static_policy)) {
-  if (!config_.feedback_policy.empty()) {
-    feedback_policy_ =
-        policies::make_balancing_policy(config_.feedback_policy);
-  }
-}
+      arbiter_(config_.static_policy, config_.feedback_policy,
+               config_.min_feedback_samples) {}
 
 std::vector<Gid> PlacementService::report_node(
     NodeId node, const std::vector<gpu::DeviceProps>& devices) {
@@ -35,15 +30,9 @@ void PlacementService::finalize() {
   finalized_ = true;
 }
 
-bool PlacementService::use_feedback_for(const std::string& app_type) const {
-  return feedback_policy_ != nullptr &&
-         state_.sft.samples(app_type) >= config_.min_feedback_samples;
-}
-
 const char* PlacementService::active_policy_name(
     const std::string& app_type) const {
-  return use_feedback_for(app_type) ? feedback_policy_->name()
-                                    : static_policy_->name();
+  return arbiter_.policy_name(state_, app_type);
 }
 
 Gid PlacementService::select_device(const std::string& app_type,
@@ -51,88 +40,57 @@ Gid PlacementService::select_device(const std::string& app_type,
   assert(finalized_ && "select_device before finalize()");
   ANALYSIS_READ(&state_.dst, "service/dst");
   ANALYSIS_READ(&state_.sft, "service/sft");
-  policies::BalanceInput in;
-  in.gmap = &gmap_;
-  in.view = &state_;
-  in.app_type = app_type;
-  in.origin_node = origin_node;
-
-  Gid gid = -1;
-  if (use_feedback_for(app_type)) {
-    gid = feedback_policy_->select(in);
-    ++feedback_selections_;
-  } else {
-    gid = static_policy_->select(in);
-    ++static_selections_;
-  }
-  assert(gid >= 0 && gid < gmap_.size());
-  apply_bind(gid, app_type);
-  return gid;
+  const PolicyArbiter::Pick pick =
+      arbiter_.select(gmap_, state_, app_type, origin_node);
+  ++(pick.feedback ? feedback_selections_ : static_selections_);
+  assert(pick.gid >= 0 && pick.gid < gmap_.size());
+  apply_bind(pick.gid, app_type);
+  return pick.gid;
 }
 
 void PlacementService::apply_bind(Gid gid, const std::string& app_type,
                                   NodeId applied_by) {
   assert(finalized_);
   ANALYSIS_WRITE(&state_.dst, "service/dst");
-  state_.dst.on_bind(gid);
-  state_.bound_types[static_cast<std::size_t>(gid)].push_back(app_type);
-  ++state_.version;
+  DeltaOp op{.kind = DeltaOp::Kind::kBind, .gid = gid, .app_type = app_type,
+             .feedback = {}, .applied_by = applied_by};
+  apply(state_, op);
   placements_.emplace_back(app_type, gid);
   // The authoritative DST sees every bind (local selects and kBindReport),
   // so this is where round-robin divergence becomes observable.
-  if (analysis::enabled() && feedback_policy_ == nullptr &&
+  if (analysis::enabled() && config_.feedback_policy.empty() &&
       config_.static_policy == "GRR") {
     std::vector<std::int64_t> totals;
     totals.reserve(state_.dst.rows().size());
     for (const auto& r : state_.dst.rows()) totals.push_back(r.total_bound);
     analysis::inv_grr_bind(totals, ANALYSIS_SITE);
   }
-  DeltaOp op;
-  op.kind = DeltaOp::Kind::kBind;
-  op.gid = gid;
-  op.app_type = app_type;
-  op.applied_by = applied_by;
-  publish_delta(std::move(op));
+  publish(std::move(op));
 }
 
 void PlacementService::unbind(Gid gid, const std::string& app_type,
                               NodeId applied_by) {
   assert(finalized_);
   ANALYSIS_WRITE(&state_.dst, "service/dst");
-  state_.dst.on_unbind(gid);
-  auto& bound = state_.bound_types[static_cast<std::size_t>(gid)];
-  auto it = std::find(bound.begin(), bound.end(), app_type);
-  if (it != bound.end()) bound.erase(it);
-  ++state_.version;
-  DeltaOp op;
-  op.kind = DeltaOp::Kind::kUnbind;
-  op.gid = gid;
-  op.app_type = app_type;
-  op.applied_by = applied_by;
-  publish_delta(std::move(op));
+  DeltaOp op{.kind = DeltaOp::Kind::kUnbind, .gid = gid, .app_type = app_type,
+             .feedback = {}, .applied_by = applied_by};
+  apply(state_, op);
+  publish(std::move(op));
 }
 
 void PlacementService::on_feedback(const FeedbackRecord& rec) {
   ANALYSIS_WRITE(&state_.sft, "service/sft");
-  state_.sft.update(rec);
-  ++state_.version;
-  DeltaOp op;
-  op.kind = DeltaOp::Kind::kFeedback;
-  op.feedback = rec;
-  publish_delta(std::move(op));
+  DeltaOp op{.kind = DeltaOp::Kind::kFeedback, .gid = -1, .app_type = {},
+             .feedback = rec, .applied_by = -1};
+  apply(state_, op);
+  publish(std::move(op));
 }
 
-void PlacementService::publish_delta(DeltaOp op) {
+void PlacementService::publish(DeltaOp op) {
   // Every mutation bumps version by exactly one, so a single-op delta covers
   // [version-1, version). Subscribers that miss one see a base gap and pull.
-  bool any = false;
-  for (const auto& conn : conns_) {
-    if (conn->subscribed && conn->push != nullptr) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return;
+  ++state_.version;
+  if (subscriber_count() == 0) return;
 
   DstDelta delta;
   delta.base_version = state_.version - 1;
@@ -251,18 +209,15 @@ void PlacementService::serve_loop(sim::Simulation& sim, AgentConn& conn) {
         unbind(gid, u.get_string(), conn.node);
         break;
       }
-      case rpc::CallId::kDstSync: {
-        encode_snapshot(reply, snapshot(sim.now()));
-        break;
-      }
-      case rpc::CallId::kDstSubscribe: {
+      case rpc::CallId::kDstSubscribe:
         // Arm push fan-out and reply with a full snapshot so the agent
         // starts version-aligned; deltas published after this instant all
         // have base >= the shipped version.
         conn.subscribed = true;
+        [[fallthrough]];
+      case rpc::CallId::kDstSync:
         encode_snapshot(reply, snapshot(sim.now()));
         break;
-      }
       case rpc::CallId::kBindReport: {
         rpc::Unmarshal u(req.body);
         const Gid gid = u.get_i32();

@@ -31,7 +31,6 @@
 #include "core/dst_snapshot.hpp"
 #include "core/gpool.hpp"
 #include "core/tables.hpp"
-#include "policies/balancing.hpp"
 #include "rpc/channel.hpp"
 #include "simcore/simulation.hpp"
 
@@ -148,7 +147,7 @@ class PlacementService {
   struct AgentConn {
     NodeId node = -1;
     std::unique_ptr<rpc::DuplexChannel> channel;
-    /// Service->agent delta channel (push / hybrid sync modes).
+    /// Service->agent delta channel (push sync mode).
     std::unique_ptr<rpc::Channel> push;
     /// Set when the agent's kDstSubscribe arrives; deltas fan out only to
     /// subscribed connections.
@@ -156,11 +155,10 @@ class PlacementService {
     std::uint64_t push_seq = 0;
   };
 
-  bool use_feedback_for(const std::string& app_type) const;
   void serve_loop(sim::Simulation& sim, AgentConn& conn);
-  /// Fans one mutation out to every subscribed agent (see publish order in
-  /// apply_bind/unbind/on_feedback: state_ is already mutated and versioned).
-  void publish_delta(DeltaOp op);
+  /// Versions one mutation already applied to state_ and fans it out to
+  /// every subscribed agent.
+  void publish(DeltaOp op);
 
   Config config_;
   GMap gmap_;
@@ -168,8 +166,7 @@ class PlacementService {
   /// mutation, `taken_at` stamped only on copies handed to agents.
   DstSnapshot state_;
   std::vector<std::pair<std::string, Gid>> placements_;
-  std::unique_ptr<policies::BalancingPolicy> static_policy_;
-  std::unique_ptr<policies::BalancingPolicy> feedback_policy_;
+  PolicyArbiter arbiter_;
   std::vector<std::unique_ptr<AgentConn>> conns_;
   std::int64_t feedback_selections_ = 0;
   std::int64_t static_selections_ = 0;
@@ -177,11 +174,11 @@ class PlacementService {
   std::int64_t deltas_sent_ = 0;
   std::int64_t deltas_dropped_ = 0;
   PushFaultHook push_fault_;
-  /// Encode scratch for publish_delta: the delta body is encoded once per
+  /// Encode scratch for publish: the delta body is encoded once per
   /// mutation and copied into each subscriber's packet, so the marshal
   /// buffer itself can be reused across publishes (capacity is retained).
   rpc::Marshal delta_scratch_;
-  /// Set by connect_push(); publish_delta needs it to schedule delayed
+  /// Set by connect_push(); publish needs it to schedule delayed
   /// (fault-injected) deliveries.
   sim::Simulation* sim_ = nullptr;
   bool finalized_ = false;

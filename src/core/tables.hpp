@@ -78,6 +78,8 @@ struct FeedbackRecord {
   double mem_bw_gbps = 0.0;      // bytes accessed / gpu time
   double gpu_util = 0.0;         // gpu_time / exec_time
   Gid gid = -1;                  // where it ran
+
+  bool operator==(const FeedbackRecord&) const = default;
 };
 
 class SchedulerFeedbackTable {
@@ -122,6 +124,8 @@ class SchedulerFeedbackTable {
   struct Entry {
     FeedbackRecord rec;
     int samples = 0;
+
+    bool operator==(const Entry&) const = default;
   };
 
   /// All rows in key order (deterministic wire encoding).

@@ -154,7 +154,6 @@ class Channel {
     if (p && pending_ != nullptr) pending_->add(-1);
     return p;
   }
-  std::size_t pending_count() const { return inbox_.size(); }
 
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }

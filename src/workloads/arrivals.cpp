@@ -162,16 +162,9 @@ std::shared_ptr<std::vector<StreamStats>> start_open_loop(
                   const AppRunResult r =
                       run_app(sim, *api, *prof, cfg->programmed_device);
                   api.reset();  // detach: full RCB/DST unbind handshake
-                  const sim::SimTime response = r.finished - arrived;
-                  ++row->completed;
-                  row->errors += r.errors;
-                  row->total_response += response;
-                  row->max_response = std::max(row->max_response, response);
-                  row->total_service += r.elapsed();
-                  row->makespan = std::max(row->makespan, r.finished);
-                  row->response_times.push_back(response);
-                  bed.observe_request(cfg->name, response, r.elapsed(),
-                                      r.errors);
+                  row->record(r, arrived);
+                  bed.observe_request(cfg->name, r.finished - arrived,
+                                      r.elapsed(), r.errors);
                 });
           }
         });

@@ -209,7 +209,7 @@ ScenarioConfig parse_scenario(std::istream& in) {
         cfg.testbed.control_plane.feedback_max_delay =
             sim::msec(to_int(line, value));
       } else if (key == "sync_mode") {
-        // pull | push | hybrid
+        // pull | push
         try {
           cfg.testbed.control_plane.sync_mode = core::parse_sync_mode(value);
         } catch (const std::invalid_argument& e) {

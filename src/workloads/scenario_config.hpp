@@ -16,7 +16,7 @@
 //   control_transport = zero_cost  # direct | zero_cost | data_plane
 //   service_node = 0          # node hosting the PlacementService
 //   refresh_epoch_ms = 0      # DstSnapshot staleness bound (distributed)
-//   sync_mode = pull          # pull | push | hybrid delta invalidation
+//   sync_mode = pull          # pull | push delta invalidation
 //   feedback_batch = 1        # records per kFeedbackBatch
 //   feedback_flush_ms = 1     # partial-batch flush delay
 //   trace = false             # observability spans + device utilization

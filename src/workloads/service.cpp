@@ -20,6 +20,17 @@ sim::SimTime exponential_gap(std::mt19937& rng, double lambda_ns) {
 
 }  // namespace
 
+void StreamStats::record(const AppRunResult& r, sim::SimTime arrived) {
+  const sim::SimTime response = r.finished - arrived;
+  ++completed;
+  errors += r.errors;
+  total_response += response;
+  max_response = std::max(max_response, response);
+  total_service += r.elapsed();
+  makespan = std::max(makespan, r.finished);
+  response_times.push_back(response);
+}
+
 std::vector<StreamStats> run_streams(
     Testbed& bed, const std::vector<ArrivalConfig>& streams) {
   auto stats = start_streams(bed, streams);
@@ -71,16 +82,9 @@ std::shared_ptr<std::vector<StreamStats>> start_streams(
               auto api = bed.make_api(desc);
               const AppRunResult r =
                   run_app(sim, *api, prof, cfg.programmed_device);
-              const sim::SimTime response = r.finished - arrived;
-              ++stats_row->completed;
-              stats_row->errors += r.errors;
-              stats_row->total_response += response;
-              stats_row->max_response =
-                  std::max(stats_row->max_response, response);
-              stats_row->total_service += r.elapsed();
-              stats_row->makespan = std::max(stats_row->makespan, r.finished);
-              stats_row->response_times.push_back(response);
-              bed.observe_request(cfg.tenant, response, r.elapsed(), r.errors);
+              stats_row->record(r, arrived);
+              bed.observe_request(cfg.tenant, r.finished - arrived,
+                                  r.elapsed(), r.errors);
             }
           });
     }

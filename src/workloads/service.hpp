@@ -39,6 +39,9 @@ struct StreamStats {
   sim::SimTime makespan = 0;         // last completion
   std::vector<sim::SimTime> response_times;
 
+  /// Folds in one completed request that arrived at `arrived`.
+  void record(const AppRunResult& r, sim::SimTime arrived);
+
   double mean_response_s() const {
     return completed > 0
                ? sim::to_seconds(total_response) / completed

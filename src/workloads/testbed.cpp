@@ -107,19 +107,16 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
             ? "distributed"
             : "centralized");
     tracer_->set_meta("nodes", std::to_string(node_count));
-    if (config_.forensics || config_.exemplars > 0) {
+    if (config_.exemplars > 0) {
       tracer_->enable_forensics();
       // The profiler keys off these (online and offline alike): forensics
       // turns culprit attribution on; exemplar_k/window_ns let it re-derive
       // the per-window top-K from the exported trace byte-identically.
       tracer_->set_meta("forensics", "1");
-      if (config_.exemplars > 0) {
-        tracer_->set_meta("exemplar_k", std::to_string(config_.exemplars));
-        tracer_->set_meta("window_ns",
-                          std::to_string(config_.stream_window));
-        if (config_.stream_window > 0) {
-          tracer_->count_completions_per(config_.stream_window);
-        }
+      tracer_->set_meta("exemplar_k", std::to_string(config_.exemplars));
+      tracer_->set_meta("window_ns", std::to_string(config_.stream_window));
+      if (config_.stream_window > 0) {
+        tracer_->count_completions_per(config_.stream_window);
       }
     }
   }
@@ -196,7 +193,7 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
     if (channel != nullptr &&
         config_.control_plane.placement == core::PlacementMode::kDistributed &&
         config_.control_plane.sync_mode != core::SyncMode::kPull) {
-      // Push/hybrid sync: a dedicated service->agent delta channel. Under
+      // Push sync: a dedicated service->agent delta channel. Under
       // data-plane transport it shares the service->agent wire direction
       // with RPC responses, so fan-out traffic contends realistically.
       auto wire =

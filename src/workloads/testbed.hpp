@@ -75,16 +75,14 @@ struct TestbedConfig {
   bool stream = false;
   /// Tumbling-window width of the telemetry stream (virtual time).
   sim::SimTime stream_window = sim::msec(10);
-  /// Interference forensics: turn on the Tracer's occupant flight recorder
+  /// Per-window top-K slowest-request exemplars (> 0 enables). Also turns
+  /// on interference forensics: the Tracer's occupant flight recorder
   /// (GpuScheduler / BackendDaemon / Channel stamp who held which resource
-  /// when) so the profiler can attribute blocked time to culprit tenants.
-  /// Requires `trace`. Off by default — a disabled run is byte-for-byte
-  /// identical to one that never heard of forensics.
-  bool forensics = false;
-  /// Per-window top-K slowest-request exemplars (> 0 enables; implies
-  /// forensics). Exemplar ids ride closed stream windows and SLO alerts;
-  /// the full strings.exemplar.v1 lines are derived by the profiler at run
-  /// end. Requires `trace` + `stream`.
+  /// when), so the profiler can attribute blocked time to culprit tenants.
+  /// Exemplar ids ride closed stream windows and SLO alerts; the full
+  /// strings.exemplar.v1 lines are derived by the profiler at run end.
+  /// Requires `trace` + `stream`. Off by default — a disabled run is
+  /// byte-for-byte identical to one that never heard of forensics.
   int exemplars = 0;
   /// Ablation knobs (apply to Strings / Design-II modes; Rain always runs
   /// without conversions and with blocking RPC, as the real Rain did).

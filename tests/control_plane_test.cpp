@@ -56,8 +56,7 @@ TEST(ControlPlaneCodec, SnapshotRoundTrip) {
     EXPECT_DOUBLE_EQ(d.dst.row(g).weight, s.dst.row(g).weight) << g;
   }
   EXPECT_EQ(d.bound_types, s.bound_types);
-  EXPECT_EQ(d.sft.samples("MC"), 2);
-  EXPECT_DOUBLE_EQ(d.sft.lookup("MC")->exec_time_s, 1.5);
+  EXPECT_EQ(d.sft.entries(), s.sft.entries());
 }
 
 TEST(ControlPlaneCodec, ParseNames) {

@@ -413,7 +413,9 @@ TEST(ProfForensics, NoTimelineAttributesEverythingToIdle) {
 TEST(ProfForensics, LiveRunConservesAndAggregatesTheMatrix) {
   sim::Simulation sim;
   auto cfg = workloads::parse_scenario(std::string(kTwoTenantScenario));
-  cfg.testbed.forensics = true;
+  // Exemplars turn the occupant flight recorder on; they need the stream.
+  cfg.testbed.stream = true;
+  cfg.testbed.exemplars = 3;
   workloads::Testbed bed(sim, cfg.testbed);
   workloads::run_streams(bed, cfg.streams);
   const obs::prof::Report report =

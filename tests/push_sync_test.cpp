@@ -49,9 +49,11 @@ struct PushRig {
     for (NodeId n = 0; n < nodes; ++n) {
       rpc::DuplexChannel& ch = svc.connect_agent(sim, n, rpc::LinkModel{});
       rpc::Channel* push = nullptr;
-      if (cp.sync_mode != SyncMode::kPull) {
+      if (cp.sync_mode == SyncMode::kPush) {
         push = &svc.connect_push(sim, n, rpc::LinkModel{});
       }
+      channels.push_back(&ch);
+      pushes.push_back(push);
       agents.push_back(
           std::make_unique<MapperAgent>(sim, n, svc, cp, &ch, push));
     }
@@ -69,8 +71,9 @@ struct PushRig {
     sim.run();
   }
 
-  // A cached snapshot must agree with the authoritative DST row-for-row
-  // once every delta has been drained.
+  // A cached snapshot must agree with the authoritative state once every
+  // delta has been drained: every DST row, every GID's bound-app list and
+  // every SFT entry.
   void expect_coherent(const MapperAgent& a) {
     const DstSnapshot& s = a.cached_snapshot();
     EXPECT_EQ(s.version, svc.version());
@@ -80,11 +83,15 @@ struct PushRig {
       EXPECT_EQ(got.load, want.load) << "gid " << want.gid;
       EXPECT_EQ(got.total_bound, want.total_bound) << "gid " << want.gid;
     }
+    EXPECT_EQ(s.bound_types, svc.bound_types());
+    EXPECT_EQ(s.sft.entries(), svc.sft().entries());
   }
 
   sim::Simulation sim;
   PlacementService svc;
   std::vector<std::unique_ptr<MapperAgent>> agents;
+  std::vector<rpc::DuplexChannel*> channels;
+  std::vector<rpc::Channel*> pushes;
 };
 
 ControlPlaneConfig push_config() {
@@ -117,9 +124,16 @@ TEST(PushSync, FirstSelectSubscribesAndInstallsASnapshot) {
 TEST(PushSync, DeltasPropagateEveryMutationToEverySubscriber) {
   PushRig rig(push_config());
   rig.drive([&](auto& step) {
-    rig.agents[0]->select_device("MC");
+    const Gid g = rig.agents[0]->select_device("MC");
     step();
     rig.agents[1]->select_device("BS");
+    step();
+    FeedbackRecord rec;
+    rec.app_type = "MC";
+    rec.exec_time_s = 0.25;
+    rec.gpu_util = 0.5;
+    rec.gid = g;
+    rig.agents[0]->report_feedback(rec);  // a batch of one ships at once
     step();
     rig.agents[0]->select_device("DC");
     step();
@@ -127,7 +141,8 @@ TEST(PushSync, DeltasPropagateEveryMutationToEverySubscriber) {
     step();
   });
   for (auto& a : rig.agents) a->poll_push();
-  EXPECT_EQ(rig.svc.version(), 4u);
+  EXPECT_EQ(rig.svc.version(), 5u);
+  EXPECT_EQ(rig.svc.sft().samples("MC"), 1);
   EXPECT_GT(rig.svc.deltas_sent(), 0);
   EXPECT_EQ(rig.svc.deltas_dropped(), 0);
   for (auto& a : rig.agents) {
@@ -285,26 +300,30 @@ TEST(PushSync, ReorderedStragglerIsDiscardedAfterTheGapPull) {
   analyzer.uninstall();
 }
 
-TEST(PushSync, HybridModeRidesDeltasInsteadOfEpochPulls) {
-  ControlPlaneConfig cp = push_config();
-  cp.sync_mode = SyncMode::kHybrid;
-  cp.refresh_epoch = sim::sec(100);
-  PushRig rig(cp);
+TEST(PushSync, AgentWireTotalsEqualChannelSums) {
+  // An agent's byte and packet gauges read totals its request, response
+  // and push channels add into as they send.
+  PushRig rig(push_config());
   rig.drive([&](auto& step) {
-    for (int i = 0; i < 4; ++i) {
-      rig.agents[0]->select_device("MC");
-      step();
-      rig.agents[1]->select_device("BS");
-      step();
-    }
+    const Gid g = rig.agents[0]->select_device("MC");
+    step();
+    rig.agents[1]->select_device("BS");
+    step();
+    rig.agents[0]->unbind(g, "MC");
+    step();
   });
-  for (auto& a : rig.agents) a->poll_push();
-  for (auto& a : rig.agents) {
-    SCOPED_TRACE(a->node());
-    // Deltas keep taken_at current, so the epoch check never fires: the
-    // subscribe remains the only sync round trip.
-    EXPECT_EQ(a->stats().sync_rpcs, 1);
-    rig.expect_coherent(*a);
+  for (std::size_t n = 0; n < rig.agents.size(); ++n) {
+    SCOPED_TRACE(n);
+    const rpc::DuplexChannel& ch = *rig.channels[n];
+    const rpc::Channel& push = *rig.pushes[n];
+    const std::uint64_t bytes =
+        ch.request.bytes_sent() + ch.response.bytes_sent() + push.bytes_sent();
+    const std::uint64_t packets = ch.request.packets_sent() +
+                                  ch.response.packets_sent() +
+                                  push.packets_sent();
+    EXPECT_GT(push.packets_sent(), 0u);
+    EXPECT_EQ(rig.agents[n]->bytes_sent(), bytes);
+    EXPECT_EQ(rig.agents[n]->packets_sent(), packets);
   }
 }
 

@@ -448,10 +448,7 @@ TEST(DeltaCodec, FeedbackOpCarriesTheFullRecord) {
   const core::DstDelta out = core::decode_delta(u);
   ASSERT_EQ(out.ops.size(), 1u);
   EXPECT_EQ(out.ops[0].kind, core::DeltaOp::Kind::kFeedback);
-  EXPECT_EQ(out.ops[0].feedback.app_type, "BS");
-  EXPECT_DOUBLE_EQ(out.ops[0].feedback.exec_time_s, 2.5);
-  EXPECT_DOUBLE_EQ(out.ops[0].feedback.mem_bw_gbps, 42.0);
-  EXPECT_EQ(out.ops[0].feedback.gid, 2);
+  EXPECT_EQ(out.ops[0].feedback, op.feedback);
   EXPECT_TRUE(u.done());
 }
 

@@ -104,13 +104,9 @@ sync_mode = push
 app = MC
 )"));
   EXPECT_EQ(cfg.testbed.control_plane.sync_mode, core::SyncMode::kPush);
-  const ScenarioConfig hybrid = parse_scenario(std::string(R"(
-placement = distributed
-sync_mode = hybrid
-[stream]
-app = MC
-)"));
-  EXPECT_EQ(hybrid.testbed.control_plane.sync_mode, core::SyncMode::kHybrid);
+  // `hybrid` is not a sync mode: a line error.
+  EXPECT_THROW(parse_scenario(std::string("sync_mode = hybrid\n")),
+               ScenarioParseError);
   // Omitted: pull, the pre-push default.
   const ScenarioConfig dflt = parse_scenario(std::string(R"(
 [stream]
