@@ -46,6 +46,12 @@ BackendDaemon::BackendDaemon(sim::Simulation& sim, core::NodeId node,
 
 BackendDaemon::~BackendDaemon() = default;
 
+void BackendDaemon::set_tracer(obs::Tracer* tracer) {
+  tracer_ = tracer;
+  be_names_.reset();
+  daemon_resource_ = "node" + std::to_string(node_) + ".daemon";
+}
+
 void BackendDaemon::release_binding(const rpc::DuplexChannel& ch) {
   for (std::size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i]->channel.get() != &ch) continue;
@@ -219,7 +225,8 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     tracer_->request_phase(conn.app.app_id, obs::ReqPhase::kBackendQueue,
                            req.delivered_at);
     if (handle_start > req.delivered_at) {
-      tracer_->complete(req_track, "queue", req.delivered_at, handle_start);
+      tracer_->complete(req_track, obs::Tracer::kQueue, req.delivered_at,
+                        handle_start);
     }
   }
   if (tracer_ != nullptr) {
@@ -242,7 +249,7 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
       }
       conn.gate->wait_until_awake();
       if (tracer_ != nullptr && sim_.now() > t0) {
-        tracer_->complete(req_track, "gate_wait", t0, sim_.now());
+        tracer_->complete(req_track, obs::Tracer::kGateWait, t0, sim_.now());
       }
     }
     // The worker is past its gate and about to issue GPU work — the
@@ -430,14 +437,15 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     tracer_->request_phase(conn.app.app_id, obs::ReqPhase::kBackendDone,
                            sim_.now());
     if (sim_.now() > handle_start) {
-      tracer_->complete(req_track,
-                        std::string("be ") + rpc::call_name(req.call),
+      tracer_->complete(req_track, be_names_.get(*tracer_, req.call),
                         handle_start, sim_.now());
     }
     // Forensics: while this worker handled the call it occupied the node's
     // daemon — the resource backend_queue waits are blamed on.
-    tracer_->occupant("node" + std::to_string(node_) + ".daemon",
-                      conn.app.tenant, handle_start, sim_.now());
+    if (tracer_->forensics_enabled()) {
+      tracer_->occupant(daemon_resource_, conn.app.tenant, handle_start,
+                        sim_.now());
+    }
   }
   if (!req.oneway) {
     rpc::Packet resp;

@@ -82,7 +82,7 @@ class BackendDaemon {
   /// Attaches the observability tracer: connection channels get transmit
   /// spans on the network tracks and every request gets queue / gate-wait /
   /// handling spans plus lifecycle phases. Must be set before connect().
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  void set_tracer(obs::Tracer* tracer);
 
   /// Total bytes / packets this daemon's connections have put on the wire
   /// (both directions), for the metrics registry. Every connection's
@@ -142,6 +142,9 @@ class BackendDaemon {
                std::pair<core::GpuScheduler*, int>>
       routes_;
   obs::Tracer* tracer_ = nullptr;
+  rpc::CallNames be_names_{"be "};
+  /// "node{N}.daemon": the resource forensics blames backend queueing on.
+  std::string daemon_resource_;
   std::int64_t connections_ = 0;
   /// What every connection's channels have sent (see wire_bytes()).
   rpc::WireTotals wire_;

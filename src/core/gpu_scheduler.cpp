@@ -48,6 +48,7 @@ int GpuScheduler::register_app(const RcbInit& init) {
   e.gate = init.gate;
   e.awake = init.gate == nullptr || init.gate->awake();
   e.app_type = init.app_type;
+  if (tracer_ != nullptr) e.trace_app = tracer_->intern(e.app_type);
   e.registered_at = sim_.now();
   policies::RcbSnapshot s;
   s.key = static_cast<std::uint64_t>(signal_id);
@@ -58,7 +59,8 @@ int GpuScheduler::register_app(const RcbInit& init) {
   view_.insert(view_.begin() + (it - rcb_.begin()), s);
   ++unacked_;
   if (tracer_ != nullptr) {
-    tracer_->gpu_counter(gid_, "queue_depth", sim_.now(), registered_count());
+    tracer_->gpu_counter(gid_, obs::Tracer::kQueueDepth, sim_.now(),
+                         registered_count());
   }
   arm_epoch(config_.epoch);
   return signal_id;
@@ -85,10 +87,11 @@ void GpuScheduler::ack(int signal_id) {
   if (e.gate != nullptr && e.gate->awake()) {
     ++wakes_;
     if (tracer_ != nullptr) {
+      using obs::TraceArg;
       tracer_->dispatcher_event(gid_, /*wake=*/true, sim_.now(),
-                                {{"app", e.app_type},
-                                 {"signal", std::to_string(signal_id)},
-                                 {"admit", "1"}});
+                                {TraceArg::name(obs::Tracer::kApp, e.trace_app),
+                                 TraceArg::num(obs::Tracer::kSignal, signal_id),
+                                 TraceArg::num(obs::Tracer::kAdmit, 1)});
     }
   }
 }
@@ -112,7 +115,8 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
   if (!e.acked) --unacked_;
   if (e.backlog != nullptr) e.backlog->on_edge(nullptr);
   if (tracer_ != nullptr) {
-    tracer_->gpu_counter(gid_, "queue_depth", sim_.now(), registered_count());
+    tracer_->gpu_counter(gid_, obs::Tracer::kQueueDepth, sim_.now(),
+                         registered_count());
   }
 
   FeedbackRecord rec;
@@ -133,13 +137,15 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
   if (tracer_ != nullptr) {
     // Attained-service hook for the profiler: snapshot the tenant's engine
     // residency (the quantity the LAS CGS math accumulates) at departure.
+    using obs::TraceArg;
     char fmt[32];
     std::snprintf(fmt, sizeof fmt, "%.6f",
                   sim::to_seconds(tenants_[tenant_id].service));
-    tracer_->gpu_instant(gid_, "fe.departure", sim_.now(),
-                         {{"app", rec.app_type},
-                          {"tenant", tenants_[tenant_id].name},
-                          {"tenant_attained_s", fmt}});
+    tracer_->gpu_instant(
+        gid_, obs::Tracer::kFeDeparture, sim_.now(),
+        {TraceArg::name(obs::Tracer::kApp, e.trace_app),
+         TraceArg::name(obs::Tracer::kTenant, tenants_[tenant_id].trace_name),
+         TraceArg::str(obs::Tracer::kTenantAttainedS, fmt)});
   }
   if (feedback_sink_) feedback_sink_(rec);
   if (dispatches_) run_dispatcher();
@@ -182,13 +188,15 @@ void GpuScheduler::on_op_complete(int signal_id,
   }
   if (tracer_ != nullptr) {
     // Render the op's engine residency on the device's compute/copy track.
-    const char* kind = op.kind == gpu::GpuDevice::OpKind::kKernel ? "KL"
-                       : op.kind == gpu::GpuDevice::OpKind::kH2D ? "H2D"
-                                                                 : "D2H";
+    using obs::TraceArg;
+    const obs::NameId kind =
+        op.kind == gpu::GpuDevice::OpKind::kKernel ? obs::Tracer::kKL
+        : op.kind == gpu::GpuDevice::OpKind::kH2D  ? obs::Tracer::kH2D
+                                                   : obs::Tracer::kD2H;
     tracer_->gpu_op(gid_, kind, op.started, op.completed,
-                    {{"app", e.app_type},
-                     {"tenant", tenant.name},
-                     {"signal", std::to_string(signal_id)}});
+                    {TraceArg::name(obs::Tracer::kApp, e.trace_app),
+                     TraceArg::name(obs::Tracer::kTenant, tenant.trace_name),
+                     TraceArg::num(obs::Tracer::kSignal, signal_id)});
     // Forensics: engine residency is the occupant timeline both execute
     // contention and WakeGate (dispatch_wait) blame resolve against.
     tracer_->occupant(engines_track_, tenant.name, op.started,
@@ -207,6 +215,9 @@ void GpuScheduler::set_phase(int signal_id, policies::Phase phase) {
 void GpuScheduler::set_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   engines_track_ = "gpu" + std::to_string(gid_) + ".engines";
+  if (tracer_ == nullptr) return;
+  for (Tenant& t : tenants_) t.trace_name = tracer_->intern(t.name);
+  for (auto& [id, e] : rcb_) e.trace_app = tracer_->intern(e.app_type);
 }
 
 std::uint32_t GpuScheduler::intern_tenant(const std::string& tenant) {
@@ -216,6 +227,7 @@ std::uint32_t GpuScheduler::intern_tenant(const std::string& tenant) {
   const auto id = static_cast<std::uint32_t>(tenants_.size());
   tenant_ids_.emplace(tenant, id);
   tenants_.push_back({tenant});
+  if (tracer_ != nullptr) tenants_.back().trace_name = tracer_->intern(tenant);
   return id;
 }
 
@@ -417,9 +429,10 @@ int GpuScheduler::dispatch(sim::SimTime now) {
       ++sleeps_;
     }
     if (tracer_ != nullptr) {
+      using obs::TraceArg;
       tracer_->dispatcher_event(gid_, keep_awake, now,
-                                {{"app", e.app_type},
-                                 {"signal", std::to_string(id)}});
+                                {TraceArg::name(obs::Tracer::kApp, e.trace_app),
+                                 TraceArg::num(obs::Tracer::kSignal, id)});
     }
     e.gate->set(keep_awake);
   }

@@ -171,6 +171,7 @@ class GpuScheduler {
     // only the dispatcher moves it).
     bool awake = true;
     bool picked = false;  // in the policy's awake set (during dispatch)
+    obs::NameId trace_app = 0;  // app_type interned, when tracing
     // Request Manager and Request Monitor state.
     std::string app_type;
     sim::SimTime registered_at = 0;
@@ -181,6 +182,7 @@ class GpuScheduler {
   struct Tenant {
     std::string name;
     sim::SimTime service = 0;  // engine residency, all apps ever
+    obs::NameId trace_name = 0;  // name interned, when tracing
   };
 
   static bool backlogged(const RcbEntry& e) {

@@ -31,8 +31,8 @@ std::vector<std::byte> Interposer::traced_call(rpc::CallId id,
   phase(obs::ReqPhase::kMarshal);
   phase(obs::ReqPhase::kTransit);
   auto out = client_->call(id, std::move(args), payload_bytes);
-  config_.tracer->complete(config_.tracer->request_track(app_.app_id),
-                           rpc::call_name(id), t0, config_.sim->now());
+  config_.tracer->complete(track(), call_names_.get(*config_.tracer, id), t0,
+                           config_.sim->now());
   return out;
 }
 
@@ -45,9 +45,13 @@ void Interposer::traced_post(rpc::CallId id, rpc::Marshal&& args,
   phase(obs::ReqPhase::kMarshal);
   phase(obs::ReqPhase::kTransit);
   client_->post(id, std::move(args), payload_bytes);
-  config_.tracer->instant(config_.tracer->request_track(app_.app_id),
-                          std::string("post ") + rpc::call_name(id),
+  config_.tracer->instant(track(), post_names_.get(*config_.tracer, id),
                           config_.sim->now());
+}
+
+int Interposer::track() {
+  if (track_ < 0) track_ = config_.tracer->request_track(app_.app_id);
+  return track_;
 }
 
 cuda::cudaError_t Interposer::ensure_bound() {
@@ -74,11 +78,11 @@ cuda::cudaError_t Interposer::ensure_bound() {
     // Stamp the placement decision on the lifecycle record so the profiler
     // blames the right device, dispatcher and link.
     config_.tracer->request_bound(app_.app_id, gid, entry.node);
-    config_.tracer->complete(
-        config_.tracer->request_track(app_.app_id), "bind", bind_start,
-        config_.sim->now(),
-        {{"gid", std::to_string(gid)},
-         {"node", std::to_string(entry.node)}});
+    using obs::TraceArg;
+    config_.tracer->complete(track(), obs::Tracer::kBind, bind_start,
+                             config_.sim->now(),
+                             {TraceArg::num(obs::Tracer::kGid, gid),
+                              TraceArg::num(obs::Tracer::kNode, entry.node)});
   }
   return cudaError_t::cudaSuccess;
 }

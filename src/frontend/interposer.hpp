@@ -113,6 +113,8 @@ class Interposer final : public GpuApi {
   /// client_->post with phases and an instant marker (one-way, no span).
   void traced_post(rpc::CallId id, rpc::Marshal&& args,
                    std::uint64_t payload_bytes = 0);
+  /// The request's trace track, looked up once.
+  int track();
 
   SchedulerDirectory& directory_;
   backend::AppDescriptor app_;
@@ -126,6 +128,9 @@ class Interposer final : public GpuApi {
   std::unique_ptr<rpc::RpcClient> client_;
   std::optional<core::FeedbackRecord> feedback_;
   bool exited_ = false;
+  int track_ = -1;
+  rpc::CallNames call_names_;
+  rpc::CallNames post_names_{"post "};
 };
 
 }  // namespace strings::frontend

@@ -1,7 +1,9 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <concepts>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -15,74 +17,149 @@ namespace strings::obs {
 
 namespace {
 
-/// Microseconds with nanosecond precision (Chrome traces use double us).
-std::string fmt_us(sim::SimTime ns) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  return buf;
-}
+// What TraceWriter::put renders besides literals and integers.
+struct Str {  // a string, JSON-escaped and quoted
+  std::string_view s;
+};
+struct Us {  // ns as microseconds, printf("%lld.%03lld", ns / 1000, ns % 1000)
+  sim::SimTime ns;
+};
+struct Name {  // an interned name, escaped once up front
+  NameId id;
+};
 
-void write_args(std::ostream& os, const std::vector<TraceArg>& args) {
-  os << "\"args\":{";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) os << ',';
-    os << json::quote(args[i].key) << ':' << json::quote(args[i].value);
+/// The trace being rendered: one buffer, handed to the stream in large
+/// chunks so a big trace never sits in memory twice, and the "first event
+/// yet" state of its separator.
+class TraceWriter {
+ public:
+  TraceWriter(const Tracer& tracer, std::ostream& os)
+      : tracer_(tracer), os_(os) {
+    for (NameId id = 0; id < tracer.name_count(); ++id) {
+      name_at_.push_back(names_.size());
+      json::append_string(&names_, tracer.name(id));
+    }
+    name_at_.push_back(names_.size());
   }
-  os << '}';
-}
 
-void write_counter(std::ostream& os, const Tracer::Track& t,
-                   const std::string& name, sim::SimTime ts, double value) {
-  std::string val;
-  json::append_number(&val, value);
-  os << "{\"ph\":\"C\",\"name\":" << json::quote(name)
-     << ",\"pid\":" << t.pid << ",\"tid\":" << t.tid
-     << ",\"ts\":" << fmt_us(ts) << ",\"args\":{\"value\":" << val << "}}";
-}
+  /// Appends each part: a literal, an integer, or a Str, Us or Name.
+  template <typename... Parts>
+  void put(const Parts&... parts) {
+    (append(parts), ...);
+  }
+  /// Starts the next event, first writing out a full chunk.
+  void sep() {
+    if (out_.size() >= kChunk) flush();
+    put(first_ ? "\n" : ",\n");
+    first_ = false;
+  }
+  void args(std::span<const Tracer::Arg> args) {
+    put("\"args\":{");
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const Tracer::Arg& a = args[i];
+      put(i > 0 ? "," : "", Name{a.key}, ":");
+      switch (a.kind) {
+        case Tracer::Arg::Kind::kInt:  // digits and '-' need no escape
+          put("\"", a.value, "\"");
+          break;
+        case Tracer::Arg::Kind::kName:
+          put(Name{static_cast<NameId>(a.value)});
+          break;
+        case Tracer::Arg::Kind::kText:
+          put(Str{tracer_.text(a)});
+          break;
+        case Tracer::Arg::Kind::kSteps: {  // phase names, '@', ';', digits
+          put("\"");
+          const RequestTrace* r =
+              tracer_.find_request(static_cast<std::uint64_t>(a.value));
+          if (r != nullptr) r->append_steps(&out_);
+          put("\"");
+          break;
+        }
+      }
+    }
+    put("}");
+  }
+  void counter(const Tracer::Track& t, NameId name, sim::SimTime ts,
+               double value) {
+    put("{\"ph\":\"C\",\"name\":", Name{name}, ",\"pid\":", t.pid,
+        ",\"tid\":", t.tid, ",\"ts\":", Us{ts}, ",\"args\":{\"value\":");
+    json::append_number(&out_, value);
+    put("}}");
+  }
+  void flush() {
+    os_.write(out_.data(), static_cast<std::streamsize>(out_.size()));
+    out_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kChunk = std::size_t{1} << 20;
+
+  void append(std::string_view s) { out_.append(s); }
+  void append(std::integral auto v) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  }
+  void append(Str s) { json::append_string(&out_, s.s); }
+  void append(Name n) {
+    out_.append(names_, name_at_[n.id], name_at_[n.id + 1] - name_at_[n.id]);
+  }
+  void append(Us t) {
+    append(t.ns / 1000);
+    std::int64_t frac = t.ns % 1000;
+    if (frac < 0) {  // %03lld pads a negative value after its sign
+      frac = -frac;
+      append(frac < 10 ? ".-0" : ".-");
+    } else {
+      append(frac < 10 ? ".00" : frac < 100 ? ".0" : ".");
+    }
+    append(frac);
+  }
+
+  const Tracer& tracer_;
+  std::ostream& os_;
+  std::string names_;                // every name, JSON-quoted
+  std::vector<std::size_t> name_at_;  // name id -> offset in names_
+  std::string out_;
+  bool first_ = true;
+};
 
 }  // namespace
 
 void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",";
-    first = false;
-    os << "\n";
-  };
+  TraceWriter w(tracer, os);
+  w.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
 
   // Metadata: run-level labels (mode, policies, topology). Offline tools
   // (tools/strings_prof) read these back so their reports carry the same
   // header the online profiler prints.
   if (!tracer.meta().empty()) {
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"strings_run_config\",\"pid\":0,"
-          "\"tid\":0,";
-    std::vector<TraceArg> meta_args;
-    for (const auto& [k, v] : tracer.meta()) meta_args.push_back({k, v});
-    write_args(os, meta_args);
-    os << '}';
+    w.sep();
+    w.put("{\"ph\":\"M\",\"name\":\"strings_run_config\",\"pid\":0,"
+          "\"tid\":0,\"args\":{");
+    const char* comma = "";
+    for (const auto& [k, v] : tracer.meta()) {
+      w.put(comma, Str{k}, ":", Str{v});
+      comma = ",";
+    }
+    w.put("}}");
   }
 
   // Metadata: process and thread names + sort order.
   const auto& procs = tracer.processes();
   for (std::size_t pid = 0; pid < procs.size(); ++pid) {
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":" << json::quote(procs[pid].name)
-       << "}}";
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"sort_index\":" << procs[pid].sort_index
-       << "}}";
+    w.sep();
+    w.put("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":", pid,
+          ",\"tid\":0,\"args\":{\"name\":", Str{procs[pid].name}, "}}");
+    w.sep();
+    w.put("{\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":", pid,
+          ",\"tid\":0,\"args\":{\"sort_index\":", procs[pid].sort_index,
+          "}}");
   }
   for (const auto& t : tracer.tracks()) {
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << t.pid
-       << ",\"tid\":" << t.tid << ",\"args\":{\"name\":"
-       << json::quote(t.name) << "}}";
+    w.sep();
+    w.put("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":", t.pid,
+          ",\"tid\":", t.tid, ",\"args\":{\"name\":", Str{t.name}, "}}");
   }
 
   // Each GPU's KL/H2D/D2H spans (its compute and copy tracks), gathered by
@@ -96,29 +173,28 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
   std::map<int, std::vector<std::pair<sim::SimTime, sim::SimTime>>> busy;
   for (const auto& e : tracer.events()) {
     const auto& t = tracks[static_cast<std::size_t>(e.track)];
-    sep();
+    w.sep();
     switch (e.type) {
       case Tracer::EventType::kComplete:
         if (const int d = dispatch_of[static_cast<std::size_t>(e.track)];
             d >= 0 && e.dur > 0) {
           busy[d].emplace_back(e.ts, e.ts + e.dur);
         }
-        os << "{\"ph\":\"X\",\"name\":" << json::quote(e.name)
-           << ",\"pid\":" << t.pid << ",\"tid\":" << t.tid
-           << ",\"ts\":" << fmt_us(e.ts) << ",\"dur\":" << fmt_us(e.dur)
-           << ',';
-        write_args(os, e.args);
-        os << '}';
+        w.put("{\"ph\":\"X\",\"name\":", Name{e.name}, ",\"pid\":", t.pid,
+              ",\"tid\":", t.tid, ",\"ts\":", Us{e.ts}, ",\"dur\":",
+              Us{e.dur}, ",");
+        w.args(tracer.args(e));
+        w.put("}");
         break;
       case Tracer::EventType::kInstant:
-        os << "{\"ph\":\"i\",\"s\":\"t\",\"name\":" << json::quote(e.name)
-           << ",\"pid\":" << t.pid << ",\"tid\":" << t.tid
-           << ",\"ts\":" << fmt_us(e.ts) << ',';
-        write_args(os, e.args);
-        os << '}';
+        w.put("{\"ph\":\"i\",\"s\":\"t\",\"name\":", Name{e.name},
+              ",\"pid\":", t.pid, ",\"tid\":", t.tid, ",\"ts\":", Us{e.ts},
+              ",");
+        w.args(tracer.args(e));
+        w.put("}");
         break;
       case Tracer::EventType::kCounter:
-        write_counter(os, t, e.name, e.ts, e.value);
+        w.counter(t, e.name, e.ts, e.value);
         break;
     }
   }
@@ -129,10 +205,10 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
   for (auto& [d, spans] : busy) {
     const auto& t = tracks[static_cast<std::size_t>(d)];
     auto emit = [&](sim::SimTime begin, sim::SimTime end) {
-      sep();
-      write_counter(os, t, "util", begin, 1.0);
-      sep();
-      write_counter(os, t, "util", end, 0.0);
+      w.sep();
+      w.counter(t, Tracer::kUtil, begin, 1.0);
+      w.sep();
+      w.counter(t, Tracer::kUtil, end, 0.0);
     };
     std::sort(spans.begin(), spans.end());
     sim::SimTime begin = spans.front().first, end = spans.front().second;
@@ -152,23 +228,22 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
   // real process). tools/strings_prof reads these back to re-derive the
   // interference matrix and exemplars byte-identically offline.
   if (tracer.forensics_enabled() && !tracer.occupants().empty()) {
-    const int fpid = static_cast<int>(procs.size());
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << fpid
-       << ",\"tid\":0,\"args\":{\"name\":\"forensics\"}}";
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":" << fpid
-       << ",\"tid\":0,\"args\":{\"sort_index\":2000}}";
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << fpid
-       << ",\"tid\":0,\"args\":{\"name\":\"occupants\"}}";
+    const std::size_t fpid = procs.size();
+    w.sep();
+    w.put("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":", fpid,
+          ",\"tid\":0,\"args\":{\"name\":\"forensics\"}}");
+    w.sep();
+    w.put("{\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":", fpid,
+          ",\"tid\":0,\"args\":{\"sort_index\":2000}}");
+    w.sep();
+    w.put("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":", fpid,
+          ",\"tid\":0,\"args\":{\"name\":\"occupants\"}}");
     for (const auto& s : tracer.occupants()) {
-      sep();
-      os << "{\"ph\":\"X\",\"name\":\"occ\",\"pid\":" << fpid
-         << ",\"tid\":0,\"ts\":" << fmt_us(s.begin)
-         << ",\"dur\":" << fmt_us(s.end - s.begin) << ',';
-      write_args(os, {{"res", s.resource}, {"tenant", s.tenant}});
-      os << '}';
+      w.sep();
+      w.put("{\"ph\":\"X\",\"name\":\"occ\",\"pid\":", fpid,
+            ",\"tid\":0,\"ts\":", Us{s.begin}, ",\"dur\":",
+            Us{s.end - s.begin}, ",\"args\":{\"res\":", Str{s.resource},
+            ",\"tenant\":", Str{s.tenant}, "}}");
     }
   }
 
@@ -183,22 +258,20 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
       pid = t.pid;
       tid = t.tid;
     }
-    sep();
-    os << "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"request.incomplete\","
-          "\"pid\":"
-       << pid << ",\"tid\":" << tid << ",\"ts\":" << fmt_us(r.issued_at)
-       << ',';
     // The profiler takes a tenant's weight from its requests, complete or
     // not, so a straggler carries it too.
-    char w[kG17Chars];
-    write_args(os, {{"tenant", r.tenant},
-                    {"app_id", std::to_string(app_id)},
-                    {"app", r.app_type},
-                    {"weight", std::string(format_g17(r.tenant_weight, w))},
-                    {"issued", std::to_string(r.issued_at)}});
-    os << '}';
+    char weight[kG17Chars];
+    w.sep();
+    w.put("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"request.incomplete\","
+          "\"pid\":",
+          pid, ",\"tid\":", tid, ",\"ts\":", Us{r.issued_at},
+          ",\"args\":{\"tenant\":", Str{r.tenant}, ",\"app_id\":\"", app_id,
+          "\",\"app\":", Str{r.app_type}, ",\"weight\":",
+          Str{format_g17(r.tenant_weight, weight)}, ",\"issued\":\"",
+          r.issued_at, "\"}}");
   }
-  os << "\n]}\n";
+  w.put("\n]}\n");
+  w.flush();
 }
 
 bool write_chrome_trace_file(const Tracer& tracer, const std::string& path) {

@@ -214,10 +214,13 @@ ProfInput input_from_tracer(const Tracer& tracer) {
   }
   for (const auto& e : tracer.events()) {
     if (e.type != Tracer::EventType::kComplete) continue;
-    if (e.name != "KL" && e.name != "H2D" && e.name != "D2H") continue;
-    for (const auto& a : e.args) {
-      if (a.key == "tenant") {
-        in.attained_ns[a.value] += e.dur;
+    if (e.name != Tracer::kKL && e.name != Tracer::kH2D &&
+        e.name != Tracer::kD2H) {
+      continue;
+    }
+    for (const auto& a : tracer.args(e)) {
+      if (a.key == Tracer::kTenant) {
+        in.attained_ns[std::string(tracer.text(a))] += e.dur;
         break;
       }
     }
@@ -694,7 +697,7 @@ void write_exemplars_jsonl(const Report& r, std::ostream& os) {
       os << '}';
     }
     os << "},\"steps\":\"";
-    // Same encoding RequestTrace::encode_steps uses on the umbrella span,
+    // Same encoding RequestTrace::append_steps uses on the umbrella span,
     // so the full causal timeline rides the exemplar line verbatim.
     for (std::size_t i = 0; i < ex.req.steps.size(); ++i) {
       if (i > 0) os << ';';

@@ -24,13 +24,18 @@ void Histogram::observe(double v) {
 }
 
 std::vector<std::int64_t> Histogram::cumulative() const {
-  std::vector<std::int64_t> out(buckets_.size());
+  std::vector<std::int64_t> out;
+  cumulative(&out);
+  return out;
+}
+
+void Histogram::cumulative(std::vector<std::int64_t>* out) const {
+  out->resize(buckets_.size());
   std::int64_t acc = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     acc += buckets_[i];
-    out[i] = acc;
+    (*out)[i] = acc;
   }
-  return out;
 }
 
 Counter& Registry::counter(const std::string& name) {

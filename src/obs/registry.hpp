@@ -64,6 +64,8 @@ class Histogram {
   /// Cumulative count of observations <= bounds()[i]; the final entry is
   /// the +inf bucket (== count()).
   std::vector<std::int64_t> cumulative() const;
+  /// cumulative() into `*out`, reusing its storage.
+  void cumulative(std::vector<std::int64_t>* out) const;
 
  private:
   std::vector<double> bounds_;       // ascending upper bounds

@@ -1,5 +1,6 @@
 #include "obs/timeseries.hpp"
 
+#include <charconv>
 #include <stdexcept>
 #include <utility>
 
@@ -41,17 +42,23 @@ TimeSeries::TimeSeries(const Registry& registry, Config config)
 void TimeSeries::resolve() {
   scalars_.clear();
   hists_.clear();
+  keys_json_.clear();
   // A name seen for the first time starts at 0, so its first window's delta
-  // is its whole cumulative value.
-  const auto entry = [this](const std::string& name) {
-    return &*window_.series.try_emplace(name).first;
+  // is its whole cumulative value. Every key is rendered here, so a stream
+  // line copies it instead of escaping it again.
+  const auto scalar = [this](const std::string& name, const Counter* c,
+                             const Gauge* g) {
+    const std::size_t at = keys_json_.size();
+    json::append_string(&keys_json_, name);
+    scalars_.push_back({c, g, &*window_.series.try_emplace(name).first, at,
+                        keys_json_.size() - at});
   };
   registry_.for_each(
       [&](const std::string& name, const Counter& c) {
-        scalars_.push_back({&c, nullptr, entry(name)});
+        scalar(name, &c, nullptr);
       },
       [&](const std::string& name, const Gauge& g) {
-        scalars_.push_back({nullptr, &g, entry(name)});
+        scalar(name, nullptr, &g);
       },
       [&](const std::string& name, const Histogram& h) {
         hists_.push_back({&name, &h, &prev_hist_[name]});
@@ -76,24 +83,37 @@ const Window& TimeSeries::close_window(sim::SimTime end, bool partial) {
                              : s.gauge->value();
     p.delta = value - p.value;
     p.value = value;
-    if (p.delta != 0.0) w.moved.push_back(s.entry);
+    if (p.delta != 0.0) {
+      w.moved.push_back(
+          {s.entry, std::string_view(keys_json_).substr(s.key_at, s.key_len)});
+    }
   }
 
-  w.hists.clear();
+  // Take last close's entries back; the moved ones go in again below.
+  for (const HistHandle& h : hists_) {
+    if (!h.prev->in_window) continue;
+    h.prev->node = w.hists.extract(*h.name);
+    h.prev->in_window = false;
+  }
   for (const HistHandle& h : hists_) {
     HistState& prev = *h.prev;
     if (h.hist->count() == prev.count) continue;  // idle: no entry
-    std::vector<std::int64_t> cum = h.hist->cumulative();
-    WindowHistogram wh;
-    wh.bounds = h.hist->bounds();
-    wh.cum = cum;
+    const auto it =
+        prev.node.empty()
+            ? w.hists.emplace_hint(w.hists.end(), *h.name, WindowHistogram{})
+            : w.hists.insert(w.hists.end(), std::move(prev.node));
+    prev.in_window = true;
+    WindowHistogram& wh = it->second;
+    wh.bounds.assign(h.hist->bounds().begin(), h.hist->bounds().end());
+    h.hist->cumulative(&wh.cum);
     // Cumulative-over-buckets of per-window bucket deltas equals the delta
     // of the cumulative buckets, so the window histogram stays monotone.
     for (std::size_t b = 0; b < prev.cum.size(); ++b) wh.cum[b] -= prev.cum[b];
     wh.count = wh.cum.back();
     wh.sum = h.hist->sum() - prev.sum;
-    prev = {std::move(cum), h.hist->sum(), h.hist->count()};
-    w.hists.emplace_hint(w.hists.end(), *h.name, std::move(wh));
+    h.hist->cumulative(&prev.cum);
+    prev.sum = h.hist->sum();
+    prev.count = h.hist->count();
   }
 
   last_end_ = end;
@@ -136,10 +156,14 @@ std::optional<double> reduce_window(const Window& w, const std::string& series,
 void write_stream_line(std::ostream& os, const Window& w,
                        const std::string& alerts_json,
                        const std::vector<std::string>& exemplar_ids) {
-  std::string line;
-  line.reserve(512);
+  // One buffer per thread, kept across lines: after the first few windows
+  // a line allocates nothing.
+  thread_local std::string line;
+  line.clear();
+  char digits[24];
   line.append("{\"schema\":\"strings.stream.v1\",\"window\":");
-  line.append(std::to_string(w.index));
+  line.append(digits,
+              std::to_chars(digits, digits + sizeof digits, w.index).ptr);
   line.append(",\"start_ms\":");
   json::append_number(&line, sim::to_millis(w.start));
   line.append(",\"end_ms\":");
@@ -147,14 +171,14 @@ void write_stream_line(std::ostream& os, const Window& w,
   if (w.partial) line.append(",\"partial\":true");
   line.append(",\"series\":{");
   bool first = true;
-  for (const auto* moved : w.moved) {  // quiet series stay implicit
+  for (const Window::Moved& moved : w.moved) {  // quiet series stay implicit
     if (!first) line.push_back(',');
     first = false;
-    json::append_string(&line, moved->first);
+    line.append(moved.json_key);
     line.append(":{\"value\":");
-    json::append_number(&line, moved->second.value);
+    json::append_number(&line, moved.entry->second.value);
     line.append(",\"delta\":");
-    json::append_number(&line, moved->second.delta);
+    json::append_number(&line, moved.entry->second.delta);
     line.push_back('}');
   }
   line.append("},\"quantiles\":{");
@@ -164,7 +188,8 @@ void write_stream_line(std::ostream& os, const Window& w,
     first = false;
     json::append_string(&line, name);
     line.append(":{\"count\":");
-    line.append(std::to_string(h.count));
+    line.append(digits,
+                std::to_chars(digits, digits + sizeof digits, h.count).ptr);
     line.append(",\"sum\":");
     json::append_number(&line, h.sum);
     line.append(",\"p50\":");

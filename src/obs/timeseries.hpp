@@ -29,6 +29,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -77,11 +78,18 @@ struct Window {
   /// The in-memory map stays complete so rule evaluation can read values
   /// that happen to be flat.
   std::map<std::string, SeriesPoint> series;
+  /// One `series` entry that moved, with its name rendered as a JSON
+  /// string (quotes included) once, when the TimeSeries resolved it.
+  struct Moved {
+    const std::map<std::string, SeriesPoint>::value_type* entry;
+    std::string_view json_key;
+  };
   /// The `series` entries whose delta is non-zero this window, in name
   /// order: the ones the JSONL writer emits, so a line costs what moved,
   /// not what exists. Filled by TimeSeries::close_window and pointing into
-  /// the `series` of the window it returns; a hand-built Window has none.
-  std::vector<const std::map<std::string, SeriesPoint>::value_type*> moved;
+  /// the `series` of the window it returns and the TimeSeries' rendered
+  /// keys; a hand-built Window has none.
+  std::vector<Moved> moved;
   /// Histograms that recorded at least one observation this window.
   std::map<std::string, WindowHistogram> hists;
 
@@ -126,16 +134,25 @@ class TimeSeries {
   std::uint64_t windows_closed() const { return next_index_; }
 
  private:
+  using HistNode = std::map<std::string, WindowHistogram>::node_type;
   struct HistState {
     std::vector<std::int64_t> cum;  // empty until a close it moved in
     double sum = 0.0;
     std::int64_t count = 0;
+    /// Its Window::hists entry while it is out of the window: a histogram
+    /// that moves again reinserts the node, vectors and all, instead of
+    /// allocating a new one.
+    HistNode node;
+    bool in_window = false;
   };
-  /// A counter or a gauge (exactly one is set) and its series entry.
+  /// A counter or a gauge (exactly one is set), its series entry and where
+  /// its JSON key sits in keys_json_.
   struct ScalarHandle {
     const Counter* counter;
     const Gauge* gauge;
     std::map<std::string, SeriesPoint>::value_type* entry;
+    std::size_t key_at;
+    std::size_t key_len;
   };
   struct HistHandle {
     const std::string* name;  // the registry's key
@@ -154,6 +171,8 @@ class TimeSeries {
   /// removed, so an unchanged size means an unchanged instrument set.
   std::size_t resolved_size_ = 0;
   std::vector<ScalarHandle> scalars_;
+  /// Every scalar's name as a JSON string, rendered at resolve().
+  std::string keys_json_;
   std::vector<HistHandle> hists_;
   /// Each histogram's cumulative state at the last close it moved in.
   std::map<std::string, HistState> prev_hist_;
@@ -169,8 +188,9 @@ class TimeSeries {
 /// is non-empty the window's tail-exemplar ids ("w{window}.{rank}", see
 /// obs::prof) ride along as an "exemplars" array — the full exemplar lines
 /// (strings.exemplar.v1) are appended at run end once the forensics ring is
-/// complete. Terminated with '\n' and written with one os.write;
-/// deterministic field order (name order + the %.17g format_g17 renders).
+/// complete. Rendered into one reused buffer, terminated with '\n' and
+/// written with one os.write; deterministic field order (name order + the
+/// %.17g format_g17 renders).
 void write_stream_line(std::ostream& os, const Window& w,
                        const std::string& alerts_json = std::string(),
                        const std::vector<std::string>& exemplar_ids = {});

@@ -1,7 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
+#include <iterator>
 #include <stdexcept>
 
 #include "obs/number.hpp"
@@ -48,18 +50,14 @@ int RequestTrace::count(ReqPhase p) const {
   return n;
 }
 
-std::string RequestTrace::encode_steps() const {
-  // No worst-case reserve: the string moves into the umbrella span's args
-  // and keeps whatever capacity it has.
-  std::string out;
+void RequestTrace::append_steps(std::string* out) const {
   char at[24];  // any int64 in decimal
-  for (const auto& s : steps) {
-    if (!out.empty()) out += ';';
-    out += req_phase_name(s.phase);
-    out += '@';
-    out.append(at, std::to_chars(at, at + sizeof at, s.at).ptr);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    if (i > 0) out->push_back(';');
+    out->append(req_phase_name(steps[i].phase));
+    out->push_back('@');
+    out->append(at, std::to_chars(at, at + sizeof at, steps[i].at).ptr);
   }
-  return out;
 }
 
 std::vector<RequestTrace::Step> RequestTrace::decode_steps(
@@ -84,6 +82,41 @@ std::vector<RequestTrace::Step> RequestTrace::decode_steps(
   return steps;
 }
 
+namespace {
+
+// Tracer::KnownName's strings, in its order.
+constexpr std::string_view kKnown[] = {
+    "KL", "H2D", "D2H", "queue", "gate_wait", "bind", "dispatch.wake",
+    "dispatch.sleep", "queue_depth", "fe.departure", "util",
+    "app", "tenant", "signal", "admit", "tenant_attained_s", "seq", "bytes",
+    "gid", "node", "app_id", "origin", "weight", "issued", "completed",
+    "steps", "series", "value", "threshold",
+};
+static_assert(std::size(kKnown) == Tracer::kKnownNames);
+static_assert(sizeof(Tracer::Event) == 40);
+
+}  // namespace
+
+Tracer::Tracer() {
+  for (const std::string_view s : kKnown) intern(s);
+}
+
+NameId Tracer::intern(std::string_view s) {
+  if (auto it = name_ids_.find(s); it != name_ids_.end()) return it->second;
+  const auto id = static_cast<NameId>(names_.size());
+  names_.emplace_back(s);
+  name_ids_.emplace(names_.back(), id);
+  return id;
+}
+
+NameId Tracer::intern(std::string_view a, std::string_view b,
+                      std::string_view c) {
+  concat_.assign(a);
+  concat_.append(b);
+  concat_.append(c);
+  return intern(concat_);
+}
+
 int Tracer::add_process(const std::string& name, int sort_index) {
   auto it = process_by_name_.find(name);
   if (it != process_by_name_.end()) return it->second;
@@ -94,17 +127,11 @@ int Tracer::add_process(const std::string& name, int sort_index) {
 }
 
 int Tracer::add_track(int pid, const std::string& name) {
-  Track t;
-  t.pid = pid;
   // tids are assigned in creation order within the process, so Perfetto
   // shows tracks in the order the testbed registered them.
-  int tid = 0;
-  for (const auto& existing : tracks_) {
-    if (existing.pid == pid) ++tid;
-  }
-  t.tid = tid;
-  t.name = name;
-  tracks_.push_back(std::move(t));
+  const auto p = static_cast<std::size_t>(pid);
+  if (p >= next_tid_.size()) next_tid_.resize(p + 1, 0);
+  tracks_.push_back(Track{pid, next_tid_[p]++, name});
   return static_cast<int>(tracks_.size() - 1);
 }
 
@@ -112,41 +139,58 @@ int Tracer::node_process(int node) {
   return add_process("node" + std::to_string(node), /*sort_index=*/node);
 }
 
-void Tracer::complete(int track, std::string name, sim::SimTime start,
-                      sim::SimTime end, std::vector<TraceArg> args) {
-  if (track < 0) return;
+void Tracer::record(EventType type, int track, NameId name, sim::SimTime ts,
+                    sim::SimTime dur, double value,
+                    std::initializer_list<TraceArg> args) {
+  assert(args.size() < kMaxArgs);
   Event e;
-  e.type = EventType::kComplete;
+  e.type = type;
   e.track = track;
-  e.name = std::move(name);
-  e.ts = start;
-  e.dur = end > start ? end - start : 0;
-  e.args = std::move(args);
-  events_.push_back(std::move(e));
-}
-
-void Tracer::instant(int track, std::string name, sim::SimTime ts,
-                     std::vector<TraceArg> args) {
-  if (track < 0) return;
-  Event e;
-  e.type = EventType::kInstant;
-  e.track = track;
-  e.name = std::move(name);
+  e.name = name;
   e.ts = ts;
-  e.args = std::move(args);
-  events_.push_back(std::move(e));
-}
-
-void Tracer::counter(int track, std::string name, sim::SimTime ts,
-                     double value) {
-  if (track < 0) return;
-  Event e;
-  e.type = EventType::kCounter;
-  e.track = track;
-  e.name = std::move(name);
-  e.ts = ts;
+  e.dur = dur;
   e.value = value;
-  events_.push_back(std::move(e));
+  e.first_arg = static_cast<std::uint32_t>(args_.size());
+  e.arg_count = static_cast<std::uint8_t>(args.size());
+  for (const TraceArg& a : args) {
+    if (a.kind == TraceArg::Kind::kText) {
+      args_.push_back({a.key, Arg::Kind::kText,
+                       static_cast<std::int64_t>(texts_.size())});
+      texts_.emplace_back(a.text);
+    } else {
+      args_.push_back({a.key,
+                       a.kind == TraceArg::Kind::kInt ? Arg::Kind::kInt
+                                                      : Arg::Kind::kName,
+                       a.value});
+    }
+  }
+  events_.push_back(e);
+}
+
+void Tracer::complete(int track, NameId name, sim::SimTime start,
+                      sim::SimTime end, std::initializer_list<TraceArg> args) {
+  if (track < 0) return;
+  record(EventType::kComplete, track, name, start,
+         end > start ? end - start : 0, 0.0, args);
+}
+
+void Tracer::instant(int track, NameId name, sim::SimTime ts,
+                     std::initializer_list<TraceArg> args) {
+  if (track < 0) return;
+  record(EventType::kInstant, track, name, ts, 0, 0.0, args);
+}
+
+void Tracer::counter(int track, NameId name, sim::SimTime ts, double value) {
+  if (track < 0) return;
+  record(EventType::kCounter, track, name, ts, 0, value, {});
+}
+
+std::string_view Tracer::text(const Arg& a) const {
+  switch (a.kind) {
+    case Arg::Kind::kName: return name(static_cast<NameId>(a.value));
+    case Arg::Kind::kText: return texts_[static_cast<std::size_t>(a.value)];
+    default: return {};
+  }
 }
 
 void Tracer::register_gpu(int gid, int node, const std::string& label) {
@@ -161,31 +205,30 @@ void Tracer::register_gpu(int gid, int node, const std::string& label) {
   gpu_tracks_.emplace(gid, t);
 }
 
-void Tracer::gpu_op(int gid, const char* kind, sim::SimTime start,
-                    sim::SimTime end, std::vector<TraceArg> args) {
+void Tracer::gpu_op(int gid, NameId kind, sim::SimTime start,
+                    sim::SimTime end, std::initializer_list<TraceArg> args) {
   auto it = gpu_tracks_.find(gid);
   if (it == gpu_tracks_.end()) return;
-  const bool is_kernel = kind != nullptr && kind[0] == 'K';
-  complete(is_kernel ? it->second.compute : it->second.copy, kind, start, end,
-           std::move(args));
+  complete(kind == kKL ? it->second.compute : it->second.copy, kind, start,
+           end, args);
 }
 
 void Tracer::dispatcher_event(int gid, bool wake, sim::SimTime ts,
-                              std::vector<TraceArg> args) {
+                              std::initializer_list<TraceArg> args) {
   auto it = gpu_tracks_.find(gid);
   if (it == gpu_tracks_.end()) return;
-  instant(it->second.dispatch, wake ? "dispatch.wake" : "dispatch.sleep", ts,
-          std::move(args));
+  instant(it->second.dispatch, wake ? kDispatchWake : kDispatchSleep, ts,
+          args);
 }
 
-void Tracer::gpu_instant(int gid, const char* name, sim::SimTime ts,
-                         std::vector<TraceArg> args) {
+void Tracer::gpu_instant(int gid, NameId name, sim::SimTime ts,
+                         std::initializer_list<TraceArg> args) {
   auto it = gpu_tracks_.find(gid);
   if (it == gpu_tracks_.end()) return;
-  instant(it->second.dispatch, name, ts, std::move(args));
+  instant(it->second.dispatch, name, ts, args);
 }
 
-void Tracer::gpu_counter(int gid, const char* name, sim::SimTime ts,
+void Tracer::gpu_counter(int gid, NameId name, sim::SimTime ts,
                          double value) {
   auto it = gpu_tracks_.find(gid);
   if (it == gpu_tracks_.end()) return;
@@ -204,12 +247,32 @@ int Tracer::link_track(int from, int to) {
 }
 
 RequestTrace& Tracer::request_or_create(std::uint64_t app_id) {
+  if (app_id < request_by_id_.size() && request_by_id_[app_id] != nullptr) {
+    return *request_by_id_[app_id];
+  }
+  auto [it, created] = requests_.try_emplace(app_id);
+  RequestTrace& r = it->second;
+  if (created) {
+    r.app_id = app_id;
+    r.app_type = "app";
+  }
+  // Index ids up to twice the range seen so far: a sequence stays dense,
+  // and a stray huge id does not size the vector.
+  if (app_id < 2 * request_by_id_.size() + 64) {
+    if (app_id >= request_by_id_.size()) {
+      request_by_id_.resize(app_id + 1, nullptr);
+    }
+    request_by_id_[app_id] = &r;
+  }
+  return r;
+}
+
+const RequestTrace* Tracer::find_request(std::uint64_t app_id) const {
+  if (app_id < request_by_id_.size() && request_by_id_[app_id] != nullptr) {
+    return request_by_id_[app_id];
+  }
   auto it = requests_.find(app_id);
-  if (it != requests_.end()) return it->second;
-  RequestTrace r;
-  r.app_id = app_id;
-  r.app_type = "app";
-  return requests_.emplace(app_id, std::move(r)).first->second;
+  return it != requests_.end() ? &it->second : nullptr;
 }
 
 RequestTrace& Tracer::begin_request(std::uint64_t app_id,
@@ -263,16 +326,21 @@ void Tracer::end_request(std::uint64_t app_id, sim::SimTime now) {
       ++completions_[bucket];
     }
     char weight[kG17Chars];
-    complete(request_track(app_id), "request " + r.app_type, r.issued_at, now,
-             {{"tenant", r.tenant},
-              {"app_id", std::to_string(r.app_id)},
-              {"origin", std::to_string(r.origin_node)},
-              {"gid", std::to_string(r.bound_gid)},
-              {"node", std::to_string(r.bound_node)},
-              {"weight", std::string(format_g17(r.tenant_weight, weight))},
-              {"issued", std::to_string(r.issued_at)},
-              {"completed", std::to_string(r.completed_at)},
-              {"steps", r.encode_steps()}});
+    const auto id = static_cast<std::int64_t>(r.app_id);
+    complete(request_track(app_id), intern("request ", r.app_type),
+             r.issued_at, now,
+             {TraceArg::name(kTenant, intern(r.tenant)),
+              TraceArg::num(kAppId, id),
+              TraceArg::num(kOrigin, r.origin_node),
+              TraceArg::num(kGid, r.bound_gid),
+              TraceArg::num(kNode, r.bound_node),
+              TraceArg::str(kWeight, format_g17(r.tenant_weight, weight)),
+              TraceArg::num(kIssued, r.issued_at),
+              TraceArg::num(kCompleted, r.completed_at)});
+    // The lifecycle is encoded at export (Arg::Kind::kSteps), not here: a
+    // request holds thousands of steps.
+    args_.push_back({kSteps, Arg::Kind::kSteps, id});
+    ++events_.back().arg_count;
   }
 }
 

@@ -27,7 +27,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,11 +39,32 @@
 
 namespace strings::obs {
 
-/// One key/value annotation attached to an event (rendered in Perfetto's
-/// argument pane).
+/// An interned string: its index in the Tracer's name table. Event names,
+/// arg keys and string arg values are all interned, so a record holds ids
+/// and the text is written once, at export.
+using NameId = std::uint32_t;
+
+/// One key/value annotation as a call site passes it (rendered in
+/// Perfetto's argument pane). The value is an int64, rendered at export
+/// exactly as std::to_string renders it; an interned string; or text the
+/// Tracer copies, for the rare value that is formatted at the call site.
+/// A call site passes its args as a braced list, which lives on the stack.
 struct TraceArg {
-  std::string key;
-  std::string value;
+  enum class Kind : std::uint8_t { kInt, kName, kText };
+  NameId key = 0;
+  Kind kind = Kind::kInt;
+  std::int64_t value = 0;  // kInt: the value; kName: its NameId
+  std::string_view text;   // kText only
+
+  static TraceArg num(NameId key, std::int64_t v) {
+    return {key, Kind::kInt, v, {}};
+  }
+  static TraceArg name(NameId key, NameId v) {
+    return {key, Kind::kName, static_cast<std::int64_t>(v), {}};
+  }
+  static TraceArg str(NameId key, std::string_view v) {
+    return {key, Kind::kText, 0, v};
+  }
 };
 
 /// Phases of the simulated request lifecycle, in the order a request moves
@@ -85,11 +108,12 @@ struct RequestTrace {
   /// Number of recorded transitions into `p`.
   int count(ReqPhase p) const;
 
-  /// Compact "phase@ns;phase@ns;..." encoding of `steps`, in append order.
-  /// Carried on the exported umbrella span so offline tools (strings_prof)
-  /// re-derive exactly the record the online profiler saw.
-  std::string encode_steps() const;
-  /// Inverse of encode_steps; unknown phases are skipped, and a step time
+  /// Appends the compact "phase@ns;phase@ns;..." encoding of `steps`, in
+  /// append order, to `*out`. The export writes it on the umbrella span so
+  /// offline tools (strings_prof) re-derive exactly the record the online
+  /// profiler saw.
+  void append_steps(std::string* out) const;
+  /// Inverse of append_steps; unknown phases are skipped, and a step time
   /// that is not a decimal integer throws std::invalid_argument.
   static std::vector<Step> decode_steps(std::string_view encoded);
 };
@@ -109,16 +133,32 @@ struct OccupantStamp {
 
 class Tracer {
  public:
-  enum class EventType { kComplete, kInstant, kCounter };
+  enum class EventType : std::uint8_t { kComplete, kInstant, kCounter };
 
+  /// One recorded annotation: an interned key and a value. The strings
+  /// behind it are rendered only at export (obs/export.hpp).
+  struct Arg {
+    /// TraceArg's three kinds, plus kSteps: the umbrella span's encoded
+    /// lifecycle, rendered at export from the kept RequestTrace.
+    enum class Kind : std::uint8_t { kInt, kName, kText, kSteps };
+    NameId key = 0;
+    Kind kind = Kind::kInt;
+    /// kInt: the value; kName: its NameId; kText: an index into the text
+    /// table; kSteps: the request's app_id.
+    std::int64_t value = 0;
+  };
+
+  /// A fixed-size record: no strings, no owned vectors. Its args are the
+  /// slice [first_arg, first_arg + arg_count) of one shared array (args()).
   struct Event {
-    EventType type = EventType::kComplete;
-    int track = -1;
-    std::string name;
     sim::SimTime ts = 0;
-    sim::SimTime dur = 0;      // kComplete only
-    double value = 0.0;        // kCounter only
-    std::vector<TraceArg> args;
+    sim::SimTime dur = 0;   // kComplete only
+    double value = 0.0;     // kCounter only
+    int track = -1;
+    NameId name = 0;
+    std::uint32_t first_arg = 0;
+    std::uint8_t arg_count = 0;
+    EventType type = EventType::kComplete;
   };
 
   struct Track {
@@ -138,6 +178,33 @@ class Tracer {
     int dispatch = -1;
   };
 
+  /// The names instrumented components record, interned by the constructor
+  /// in this order so a call site passes a constant instead of a string.
+  enum KnownName : NameId {
+    // event names
+    kKL, kH2D, kD2H, kQueue, kGateWait, kBind, kDispatchWake,
+    kDispatchSleep, kQueueDepth, kFeDeparture, kUtil,
+    // arg keys
+    kApp, kTenant, kSignal, kAdmit, kTenantAttainedS, kSeq, kBytes, kGid,
+    kNode, kAppId, kOrigin, kWeight, kIssued, kCompleted, kSteps, kSeries,
+    kValue, kThreshold,
+    kKnownNames
+  };
+
+  Tracer();
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
+
+  // ---- interning ----
+  /// The id of `s`, added to the name table on first use. Call sites
+  /// intern a name once and keep the id; only the export reads the text.
+  NameId intern(std::string_view s);
+  /// intern() of `a` + `b` + `c`, without building a string per call.
+  NameId intern(std::string_view a, std::string_view b,
+                std::string_view c = {});
+  std::string_view name(NameId id) const { return names_[id]; }
+  std::size_t name_count() const { return names_.size(); }
+
   // ---- track registry ----
   /// Creates (or returns) the process named `name`.
   int add_process(const std::string& name, int sort_index = 0);
@@ -147,27 +214,28 @@ class Tracer {
   int node_process(int node);
 
   // ---- generic events ----
-  void complete(int track, std::string name, sim::SimTime start,
-                sim::SimTime end, std::vector<TraceArg> args = {});
-  void instant(int track, std::string name, sim::SimTime ts,
-               std::vector<TraceArg> args = {});
-  void counter(int track, std::string name, sim::SimTime ts, double value);
+  void complete(int track, NameId name, sim::SimTime start, sim::SimTime end,
+                std::initializer_list<TraceArg> args = {});
+  void instant(int track, NameId name, sim::SimTime ts,
+               std::initializer_list<TraceArg> args = {});
+  void counter(int track, NameId name, sim::SimTime ts, double value);
 
   // ---- device tracks (registered by the testbed) ----
   /// Creates the compute/copy/dispatch tracks of GPU `gid` on `node`.
   void register_gpu(int gid, int node, const std::string& label);
-  /// A KL/H2D/D2H execution span on the device's compute or copy track.
-  void gpu_op(int gid, const char* kind, sim::SimTime start, sim::SimTime end,
-              std::vector<TraceArg> args = {});
+  /// A kKL/kH2D/kD2H execution span on the device's compute (kKL) or copy
+  /// track.
+  void gpu_op(int gid, NameId kind, sim::SimTime start, sim::SimTime end,
+              std::initializer_list<TraceArg> args = {});
   /// A dispatcher wake/sleep instant on the device's dispatch track.
   void dispatcher_event(int gid, bool wake, sim::SimTime ts,
-                        std::vector<TraceArg> args = {});
+                        std::initializer_list<TraceArg> args = {});
   /// A counter sample (queue depth) on the dispatch track.
-  void gpu_counter(int gid, const char* name, sim::SimTime ts, double value);
+  void gpu_counter(int gid, NameId name, sim::SimTime ts, double value);
   /// A named instant on the device's dispatch track (scheduler milestones
   /// that are neither wake nor sleep, e.g. feedback-engine departures).
-  void gpu_instant(int gid, const char* name, sim::SimTime ts,
-                   std::vector<TraceArg> args = {});
+  void gpu_instant(int gid, NameId name, sim::SimTime ts,
+                   std::initializer_list<TraceArg> args = {});
   bool has_gpu(int gid) const { return gpu_tracks_.count(gid) != 0; }
   const std::map<int, GpuTracks>& gpu_tracks() const { return gpu_tracks_; }
 
@@ -191,7 +259,8 @@ class Tracer {
   int request_track(std::uint64_t app_id);
   /// Closes the record and emits the umbrella "request" span. The span args
   /// carry the full lifecycle (ids, binding, weight, encoded steps) so the
-  /// exported JSON alone reproduces the profiler's input.
+  /// exported JSON alone reproduces the profiler's input. The steps are
+  /// encoded at export, from the record as it stands then.
   void end_request(std::uint64_t app_id, sim::SimTime now);
   /// Counts the completions of issued requests (issued_at >= 0) per
   /// `width`-wide bucket of completion time (completed_at / width) as
@@ -225,22 +294,45 @@ class Tracer {
 
   // ---- introspection / export ----
   const std::vector<Event>& events() const { return events_; }
+  std::span<const Arg> args(const Event& e) const {
+    return {args_.data() + e.first_arg, e.arg_count};
+  }
+  /// A kName or kText arg's string; empty for the other kinds.
+  std::string_view text(const Arg& a) const;
   const std::vector<Track>& tracks() const { return tracks_; }
   const std::vector<ProcessInfo>& processes() const { return processes_; }
   const std::map<std::uint64_t, RequestTrace>& requests() const {
     return requests_;
   }
+  /// The record of `app_id`, or nullptr.
+  const RequestTrace* find_request(std::uint64_t app_id) const;
 
  private:
   RequestTrace& request_or_create(std::uint64_t app_id);
+  static constexpr std::size_t kMaxArgs = 255;  // Event::arg_count's range
+  void record(EventType type, int track, NameId name, sim::SimTime ts,
+              sim::SimTime dur, double value,
+              std::initializer_list<TraceArg> args);
 
+  // Names live in a deque, so the string_views keying the index stay valid
+  // as it grows. Only intern() reads the index; recording never does.
+  std::deque<std::string> names_;
+  std::map<std::string_view, NameId> name_ids_;
+  std::string concat_;  // the three-part intern()'s reused buffer
+  std::vector<std::string> texts_;  // kText values
   std::vector<ProcessInfo> processes_;
+  std::vector<int> next_tid_;  // by pid
   std::vector<Track> tracks_;
   std::vector<Event> events_;
+  std::vector<Arg> args_;
   std::map<std::string, int> process_by_name_;
   std::map<int, GpuTracks> gpu_tracks_;
   std::map<std::pair<int, int>, int> link_tracks_;
+  // Map nodes never move, so an index can hold their addresses. App ids
+  // are handed out in sequence, so a vector indexed by id finds a record
+  // in O(1); an id far past the others is left to the map's O(log n).
   std::map<std::uint64_t, RequestTrace> requests_;
+  std::vector<RequestTrace*> request_by_id_;
   std::map<std::string, std::string> meta_;
   sim::SimTime completion_width_ = 0;  // 0: not counting
   std::vector<std::int64_t> completions_;  // by completion bucket

@@ -8,8 +8,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -68,6 +70,33 @@ struct Packet {
   }
 };
 
+/// The trace names of the CallIds under one prefix ("", "post ", "be "),
+/// each interned at its first use, so a traced call names its span by
+/// index instead of building a string. One table serves one Tracer: its
+/// owner calls reset() when it attaches another.
+class CallNames {
+ public:
+  explicit CallNames(std::string_view prefix = {}) : prefix_(prefix) {
+    reset();
+  }
+  void reset() { ids_.fill(kUnset); }
+  obs::NameId get(obs::Tracer& tracer, CallId id) {
+    // kResponse takes slot 0, which no request CallId uses.
+    const auto slot =
+        id == CallId::kResponse ? 0 : static_cast<std::size_t>(id);
+    if (slot >= ids_.size()) return tracer.intern(prefix_, call_name(id));
+    obs::NameId& name = ids_[slot];
+    if (name == kUnset) name = tracer.intern(prefix_, call_name(id));
+    return name;
+  }
+
+ private:
+  static constexpr obs::NameId kUnset = ~obs::NameId{0};
+  std::string_view prefix_;
+  std::array<obs::NameId, 32> ids_;  // by CallId
+  static_assert(static_cast<std::size_t>(CallId::kDstDelta) < 32);
+};
+
 class Channel {
  public:
   Channel(sim::Simulation& sim, LinkModel link,
@@ -90,9 +119,12 @@ class Channel {
     const sim::SimTime deliver_at = wire_->busy_until + link_.latency;
     p.delivered_at = deliver_at;
     if (tracer_ != nullptr) {
-      tracer_->complete(trace_track_, call_name(p.call), start, deliver_at,
-                        {{"seq", std::to_string(p.seq)},
-                         {"bytes", std::to_string(p.wire_size())}});
+      using obs::TraceArg;
+      tracer_->complete(
+          trace_track_, call_names_.get(*tracer_, p.call), start, deliver_at,
+          {TraceArg::num(obs::Tracer::kSeq, static_cast<std::int64_t>(p.seq)),
+           TraceArg::num(obs::Tracer::kBytes,
+                         static_cast<std::int64_t>(p.wire_size()))});
       if (!occ_resource_.empty()) {
         // Forensics: the serialization slice [start, busy_until) is the
         // contended part of the link — propagation latency is nobody's
@@ -130,6 +162,7 @@ class Channel {
   void set_tracer(obs::Tracer* tracer, int track) {
     tracer_ = tracer;
     trace_track_ = track;
+    call_names_.reset();
   }
 
   /// Labels this channel's wire occupancy for interference forensics: every
@@ -172,6 +205,7 @@ class Channel {
   std::string occ_tenant_;
   sim::Backlog* pending_ = nullptr;
   WireTotals* wire_totals_ = nullptr;
+  CallNames call_names_;  // last: only traced sends read it
 };
 
 /// A request/response pair of channels (one per frontend/backend binding).

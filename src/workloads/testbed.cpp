@@ -483,10 +483,13 @@ void Testbed::emit_window(bool partial) {
           slo_track_ = tracer_->add_track(
               tracer_->add_process("slo", /*sort_index=*/-1), "alerts");
         }
-        tracer_->instant(slo_track_, a.severity + " " + a.rule, w.end,
-                         {{"series", a.series},
-                          {"value", std::to_string(a.value)},
-                          {"threshold", std::to_string(a.threshold)}});
+        using obs::TraceArg;
+        tracer_->instant(
+            slo_track_, tracer_->intern(a.severity, " ", a.rule), w.end,
+            {TraceArg::name(obs::Tracer::kSeries, tracer_->intern(a.series)),
+             TraceArg::str(obs::Tracer::kValue, std::to_string(a.value)),
+             TraceArg::str(obs::Tracer::kThreshold,
+                           std::to_string(a.threshold))});
       }
     }
   }

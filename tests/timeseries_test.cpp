@@ -88,7 +88,7 @@ TEST(TimeSeries, MovedListTracksWhatMovedThisWindow) {
   TimeSeries ts(reg, cfg(sim::msec(10)));
   const auto moved_names = [](const Window& w) {
     std::vector<std::string> names;
-    for (const auto* e : w.moved) names.push_back(e->first);
+    for (const auto& m : w.moved) names.push_back(m.entry->first);
     return names;
   };
   reg.counter("a/steady").inc();
@@ -375,7 +375,8 @@ TEST(TimeSeries, InPlaceWindowsMatchMapKeyedReference) {
     ReferenceTimeSeries ref;
 
     // Names are unique across kinds; prefixes interleave the kinds in the
-    // registry's merged name order.
+    // registry's merged name order, and some need JSON escapes (a key is
+    // rendered once, when the TimeSeries resolves it).
     std::vector<Counter*> counters;
     std::vector<Gauge*> gauges;
     std::vector<Histogram*> hists;
@@ -384,8 +385,10 @@ TEST(TimeSeries, InPlaceWindowsMatchMapKeyedReference) {
     std::vector<std::unique_ptr<double>> cells;
     int next_name = 0;
     const auto fresh_name = [&] {
-      static const char* kPrefixes[] = {"a/", "m/", "node0/", "tenant/", "z/"};
-      return std::string(kPrefixes[pick(5)]) + std::to_string(next_name++);
+      static const char* kPrefixes[] = {"a/",      "m/",    "node0/",
+                                        "tenant/", "z/",    "q\"x/",
+                                        "b\\s/",  "c\x01/", "t\tn/"};
+      return std::string(kPrefixes[pick(9)]) + std::to_string(next_name++);
     };
     const auto add_instrument = [&] {
       switch (pick(4)) {

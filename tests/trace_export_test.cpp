@@ -107,11 +107,12 @@ TEST(TraceExport, DeviceAndNetworkTracksPopulated) {
   EXPECT_NE(track_names.find("dispatch"), std::string::npos);
   EXPECT_NE(track_names.find("n0->n1"), std::string::npos);
   for (const auto& e : tracer->events()) {
-    if (e.name == "KL") ++kernels;
-    if (e.name == "H2D" || e.name == "D2H") ++copies;
-    if (e.name == "dispatch.wake") ++wakes;
-    if (e.name == "queue_depth") ++samples;
-    if (e.name.rfind("strings.", 0) == 0 &&
+    const std::string_view name = tracer->name(e.name);
+    if (name == "KL") ++kernels;
+    if (name == "H2D" || name == "D2H") ++copies;
+    if (name == "dispatch.wake") ++wakes;
+    if (name == "queue_depth") ++samples;
+    if (name.starts_with("strings.") &&
         e.type == obs::Tracer::EventType::kComplete) {
       ++net_spans;
     }
@@ -157,7 +158,7 @@ class QueueDepthWatch final : public sim::SimHooks {
     for (; seen_ < events.size(); ++seen_) {
       const auto& e = events[seen_];
       if (e.type != obs::Tracer::EventType::kCounter ||
-          e.name != "queue_depth") {
+          e.name != obs::Tracer::kQueueDepth) {
         continue;
       }
       last_[e.track] = e.value;
@@ -410,8 +411,8 @@ TEST(TracedStack, TfsDispatcherLogsWakeSleepTransitions) {
   int wakes = 0, sleeps = 0;
   for (const auto& e : tracer->events()) {
     if (e.type != obs::Tracer::EventType::kInstant) continue;
-    wakes += e.name == "dispatch.wake";
-    sleeps += e.name == "dispatch.sleep";
+    wakes += e.name == obs::Tracer::kDispatchWake;
+    sleeps += e.name == obs::Tracer::kDispatchSleep;
   }
   EXPECT_GT(sleeps, 0);
   EXPECT_GT(wakes, 0);

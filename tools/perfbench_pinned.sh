@@ -2,8 +2,10 @@
 # Runs one perfbench workload with --seed 1 and fails unless the virtual-time
 # digest it prints matches the workload's pin in
 # tests/data/perfbench_digests.txt. With --trace 1 it also fails unless the
-# result line's simcore.events matches the pinned kernel event count. Run it
-# from the repository root:
+# result line's simcore.events matches the pinned kernel event count. For
+# telemetry_2x2_obs it also checks the stream, trace and metrics the run
+# exported against tests/data/perfbench_obs_artifacts.sha256. Run it from
+# the repository root:
 #
 #   tools/perfbench_pinned.sh <workload> <further perfbench/run.py options>
 #
@@ -39,6 +41,9 @@ if [ "$got" != "$want" ]; then
   exit 1
 fi
 echo "perfbench_pinned: $workload digest $got matches the pin"
+if [ "$workload" = telemetry_2x2_obs ]; then
+  sha256sum -c tests/data/perfbench_obs_artifacts.sha256
+fi
 [ "$traced" -eq 1 ] || exit 0
 got_events=$(tail -n 1 "$log" | python3 -c \
   'import json, sys; print(int(json.load(sys.stdin)["metrics"]["simcore.events"]["value"]))')
