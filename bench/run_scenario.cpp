@@ -267,6 +267,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  cfg.testbed.exemplars = args.exemplar_k;
+
   workloads::RunResult result;
   try {
     workloads::RunArtifacts artifacts;
@@ -277,7 +279,6 @@ int main(int argc, char** argv) {
     artifacts.stream_path = args.stream_path;
     artifacts.slo_rules_path = args.slo_rules_path;
     artifacts.alerts_path = args.alerts_path;
-    artifacts.exemplar_k = args.exemplar_k;
     if (args.stream_wall) {
       // Wall clock injected from the bench layer only: src code never reads
       // it (determinism lint DL001), and the default stream file stays

@@ -78,6 +78,9 @@ std::vector<sim::SimTime> arrival_schedule(const OpenLoopTenant& t) {
   if (t.requests <= 0) {
     throw std::invalid_argument("arrivals: requests must be positive");
   }
+  if (t.attach_at < 0) {
+    throw std::invalid_argument("arrivals: attach_at must be non-negative");
+  }
   if (t.detach_at >= 0 && t.detach_at <= t.attach_at) {
     throw std::invalid_argument("arrivals: detach_at must exceed attach_at");
   }
@@ -134,38 +137,32 @@ std::shared_ptr<std::vector<StreamStats>> start_open_loop(
   auto stats = std::make_shared<std::vector<StreamStats>>(tenants.size());
 
   for (std::size_t i = 0; i < tenants.size(); ++i) {
-    auto cfg = std::make_shared<const OpenLoopTenant>(tenants[i]);
-    (*stats)[i].app = cfg->app;
-    (*stats)[i].tenant = cfg->name;
-    const AppProfile* prof = &profile(cfg->app);
+    const OpenLoopTenant& cfg = tenants[i];
+    (*stats)[i].app = cfg.app;
+    (*stats)[i].tenant = cfg.name;
+    auto desc = std::make_shared<const backend::AppDescriptor>(
+        backend::AppDescriptor{.app_type = cfg.app,
+                               .tenant = cfg.name,
+                               .tenant_weight = cfg.weight,
+                               .origin_node = cfg.origin});
     auto schedule = std::make_shared<const std::vector<sim::SimTime>>(
-        arrival_schedule(*cfg));
+        arrival_schedule(cfg));
 
     // One generator fiber per tenant walks the precomputed schedule and
     // spawns a short-lived fiber per request: open loop, so arrivals never
     // wait for earlier requests to finish.
     sim.spawn(
-        "ol-gen/" + cfg->name,
-        [&sim, &bed, cfg, prof, schedule, row = &(*stats)[i]] {
+        "ol-gen/" + cfg.name,
+        [&sim, &bed, desc, prof = &profile(cfg.app),
+         device = cfg.programmed_device, schedule, row = &(*stats)[i]] {
           for (std::size_t k = 0; k < schedule->size(); ++k) {
             const sim::SimTime at = (*schedule)[k];
             if (at > sim.now()) sim.wait_for(at - sim.now());
-            sim.spawn(
-                "ol/" + cfg->name + "/" + std::to_string(k),
-                [&sim, &bed, cfg, prof, row, arrived = at] {
-                  backend::AppDescriptor desc;
-                  desc.app_type = cfg->app;
-                  desc.tenant = cfg->name;
-                  desc.tenant_weight = cfg->weight;
-                  desc.origin_node = cfg->origin;
-                  auto api = bed.make_api(desc);
-                  const AppRunResult r =
-                      run_app(sim, *api, *prof, cfg->programmed_device);
-                  api.reset();  // detach: full RCB/DST unbind handshake
-                  row->record(r, arrived);
-                  bed.observe_request(cfg->name, r.finished - arrived,
-                                      r.elapsed(), r.errors);
-                });
+            sim.spawn("ol/" + desc->tenant + "/" + std::to_string(k),
+                      [&bed, desc, prof, device, row, arrived = at] {
+                        serve_request(bed, *desc, *prof, device, arrived,
+                                      *row);
+                      });
           }
         });
   }

@@ -44,7 +44,7 @@ struct OpenLoopTenant {
   /// (blank lines and #-comments ignored), relative to attach_at.
   std::string trace_file;
   int requests = 100;           // schedule length cap
-  /// Tenant churn window: no arrivals before attach_at or at/after
+  /// Tenant churn window: no arrivals before attach_at (>= 0) or at/after
   /// detach_at (detach_at < 0 means the tenant never detaches).
   sim::SimTime attach_at = 0;
   sim::SimTime detach_at = -1;
@@ -64,8 +64,8 @@ std::vector<sim::SimTime> arrival_schedule(const OpenLoopTenant& tenant);
 
 /// Spawns the per-tenant generator fibers on `bed`'s simulation without
 /// driving it; stats (one row per tenant, in order) fill in as requests
-/// complete. Each arrival runs as its own short-lived fiber: bind API →
-/// run app → record → unbind.
+/// complete. Each arrival runs serve_request as its own short-lived fiber:
+/// bind API → run app → unbind → record.
 std::shared_ptr<std::vector<StreamStats>> start_open_loop(
     Testbed& bed, const std::vector<OpenLoopTenant>& tenants);
 

@@ -57,6 +57,13 @@ double to_double(int line, const std::string& v) {
   }
 }
 
+/// `v`, or a line error naming `key` when `v` is not positive.
+template <typename T>
+T positive(int line, const std::string& key, T v) {
+  if (v <= 0) fail(line, key + " must be positive");
+  return v;
+}
+
 bool to_bool(int line, const std::string& v) {
   const std::string l = lower(v);
   if (l == "true" || l == "1" || l == "yes" || l == "on") return true;
@@ -100,6 +107,37 @@ rpc::LinkModel to_link(int line, const std::string& v) {
   if (l == "gige") return rpc::LinkModel::gigabit_ethernet();
   if (l == "shm") return rpc::LinkModel::shared_memory();
   fail(line, "unknown link '" + v + "' (numa|gige|shm)");
+}
+
+/// Parses one of the keys [stream] and [tenant] share (app, origin,
+/// requests, seed, weight) into `section`; false when `key` is none of
+/// them. `weight` is the section's tenant-weight field.
+template <typename Section>
+bool parse_request_key(int line, const std::string& key,
+                       const std::string& value, Section& section,
+                       double& weight) {
+  if (key == "app") {
+    profile(value);  // validates; throws std::invalid_argument if bad
+    section.app = value;
+  } else if (key == "origin") {
+    section.origin = to_int(line, value);
+  } else if (key == "requests") {
+    section.requests = positive(line, key, to_int(line, value));
+  } else if (key == "seed") {
+    section.seed = static_cast<decltype(section.seed)>(to_int(line, value));
+  } else if (key == "weight") {
+    weight = positive(line, key, to_double(line, value));
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Opens a run artifact for writing; throws std::runtime_error naming it.
+std::ofstream open_artifact(const std::string& path, const std::string& what) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot write " + what + ": " + path);
+  return out;
 }
 
 }  // namespace
@@ -157,8 +195,7 @@ ScenarioConfig parse_scenario(std::istream& in) {
         cfg.testbed.device_policy = value;
       } else if (key == "mqfq_t") {
         // Keys are lowercased, so this accepts the documented `mqfq_T`.
-        const double ms = to_double(line, value);
-        if (ms <= 0) fail(line, "mqfq_T must be positive");
+        const double ms = positive(line, "mqfq_T", to_double(line, value));
         cfg.testbed.mqfq.throttle_T = static_cast<sim::SimTime>(ms * 1e6);
       } else if (key == "mqfq_sticky_ms") {
         const double ms = to_double(line, value);
@@ -169,17 +206,11 @@ ScenarioConfig parse_scenario(std::istream& in) {
       } else if (key == "shared_network") {
         cfg.testbed.shared_network = to_bool(line, value);
       } else if (key == "epoch_ms") {
-        cfg.testbed.sched_epoch = sim::msec(to_int(line, value));
-      } else if (key == "trace") {
-        cfg.testbed.trace = to_bool(line, value);
-      } else if (key == "analyze") {
-        cfg.testbed.analyze = to_bool(line, value);
-      } else if (key == "stream") {
-        cfg.testbed.stream = to_bool(line, value);
+        cfg.testbed.sched_epoch =
+            sim::msec(positive(line, key, to_int(line, value)));
       } else if (key == "stream_window_ms") {
-        const int ms = to_int(line, value);
-        if (ms <= 0) fail(line, "stream_window_ms must be positive");
-        cfg.testbed.stream_window = sim::msec(ms);
+        cfg.testbed.stream_window =
+            sim::msec(positive(line, key, to_int(line, value)));
       } else if (key == "cpu_fallback") {
         cfg.testbed.cpu_fallback_devices = to_bool(line, value);
       } else if (key == "placement") {
@@ -221,11 +252,6 @@ ScenarioConfig parse_scenario(std::istream& in) {
     } else if (tenant != nullptr) {
       if (key == "name") {
         tenant->name = value;
-      } else if (key == "app") {
-        profile(value);  // validates; throws std::invalid_argument if bad
-        tenant->app = value;
-      } else if (key == "origin") {
-        tenant->origin = to_int(line, value);
       } else if (key == "arrival") {
         const std::string l = lower(value);
         if (l == "poisson") {
@@ -238,56 +264,33 @@ ScenarioConfig parse_scenario(std::istream& in) {
           fail(line, "unknown arrival '" + value + "' (poisson|bursty|trace)");
         }
       } else if (key == "rate") {
-        tenant->rate_rps = to_double(line, value);
-        if (tenant->rate_rps <= 0) fail(line, "rate must be positive");
+        tenant->rate_rps = positive(line, key, to_double(line, value));
       } else if (key == "burst_factor") {
-        tenant->burst_factor = to_double(line, value);
-        if (tenant->burst_factor <= 0) {
-          fail(line, "burst_factor must be positive");
-        }
+        tenant->burst_factor = positive(line, key, to_double(line, value));
       } else if (key == "burst_on_ms") {
-        tenant->burst_on = sim::msec(to_int(line, value));
-        if (tenant->burst_on <= 0) fail(line, "burst_on_ms must be positive");
+        tenant->burst_on = sim::msec(positive(line, key, to_int(line, value)));
       } else if (key == "burst_off_ms") {
-        tenant->burst_off = sim::msec(to_int(line, value));
-        if (tenant->burst_off <= 0) {
-          fail(line, "burst_off_ms must be positive");
-        }
+        tenant->burst_off = sim::msec(positive(line, key, to_int(line, value)));
       } else if (key == "trace_file") {
         tenant->trace_file = value;
-      } else if (key == "requests") {
-        tenant->requests = to_int(line, value);
-        if (tenant->requests <= 0) fail(line, "requests must be positive");
       } else if (key == "attach_ms") {
         tenant->attach_at = sim::msec(to_int(line, value));
+        if (tenant->attach_at < 0) fail(line, "attach_ms must be non-negative");
       } else if (key == "detach_ms") {
         tenant->detach_at = sim::msec(to_int(line, value));
-      } else if (key == "seed") {
-        tenant->seed = static_cast<std::uint64_t>(to_int(line, value));
-      } else if (key == "weight") {
-        tenant->weight = to_double(line, value);
-      } else {
+      } else if (!parse_request_key(line, key, value, *tenant,
+                                    tenant->weight)) {
         fail(line, "unknown tenant key '" + key + "'");
       }
     } else {
-      if (key == "app") {
-        profile(value);  // validates; throws std::invalid_argument if bad
-        stream->app = value;
-      } else if (key == "origin") {
-        stream->origin = to_int(line, value);
-      } else if (key == "requests") {
-        stream->requests = to_int(line, value);
-      } else if (key == "lambda_scale") {
-        stream->lambda_scale = to_double(line, value);
+      if (key == "lambda_scale") {
+        stream->lambda_scale = positive(line, key, to_double(line, value));
       } else if (key == "server_threads") {
-        stream->server_threads = to_int(line, value);
-      } else if (key == "seed") {
-        stream->seed = static_cast<std::uint32_t>(to_int(line, value));
+        stream->server_threads = positive(line, key, to_int(line, value));
       } else if (key == "tenant") {
         stream->tenant = value;
-      } else if (key == "weight") {
-        stream->tenant_weight = to_double(line, value);
-      } else {
+      } else if (!parse_request_key(line, key, value, *stream,
+                                    stream->tenant_weight)) {
         fail(line, "unknown stream key '" + key + "'");
       }
     }
@@ -304,23 +307,20 @@ ScenarioConfig parse_scenario(std::istream& in) {
       cfg.testbed.control_plane.service_node >= node_count) {
     throw ScenarioParseError("service_node out of range for topology");
   }
+  const auto check_app_and_origin = [node_count](const std::string& who,
+                                                 const auto& section) {
+    if (section.app.empty()) throw ScenarioParseError(who + " has no app");
+    if (section.origin < 0 || section.origin >= node_count) {
+      throw ScenarioParseError(who + " origin out of range");
+    }
+  };
   for (std::size_t i = 0; i < cfg.streams.size(); ++i) {
-    if (cfg.streams[i].app.empty()) {
-      throw ScenarioParseError("stream " + std::to_string(i + 1) +
-                               " has no app");
-    }
-    if (cfg.streams[i].origin < 0 || cfg.streams[i].origin >= node_count) {
-      throw ScenarioParseError("stream " + std::to_string(i + 1) +
-                               " origin out of range");
-    }
+    check_app_and_origin("stream " + std::to_string(i + 1), cfg.streams[i]);
   }
   for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
     const OpenLoopTenant& t = cfg.tenants[i];
     const std::string who = "tenant " + std::to_string(i + 1);
-    if (t.app.empty()) throw ScenarioParseError(who + " has no app");
-    if (t.origin < 0 || t.origin >= node_count) {
-      throw ScenarioParseError(who + " origin out of range");
-    }
+    check_app_and_origin(who, t);
     if (t.arrival == ArrivalKind::kTrace && t.trace_file.empty()) {
       throw ScenarioParseError(who + " uses arrival=trace with no trace_file");
     }
@@ -352,14 +352,6 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
   if (!artifacts.stream_path.empty() || !artifacts.slo_rules_path.empty()) {
     run_cfg.testbed.stream = true;
   }
-  if (artifacts.exemplar_k > 0) {
-    // Exemplars need the full pipeline: request traces for the causal
-    // timelines, streaming windows for the ids, forensics for the culprit
-    // attribution (exemplars > 0 implies forensics in the Testbed).
-    run_cfg.testbed.trace = true;
-    run_cfg.testbed.stream = true;
-    run_cfg.testbed.exemplars = artifacts.exemplar_k;
-  }
   sim::Simulation sim;
   Testbed bed(sim, run_cfg.testbed);
   // Streaming exporter: open (and fail) before the run, flush per window so
@@ -367,17 +359,7 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
   // closes.
   std::ofstream stream_out;
   if (!artifacts.stream_path.empty()) {
-    stream_out.open(artifacts.stream_path);
-    if (!stream_out) {
-      throw std::runtime_error("cannot write stream file: " +
-                               artifacts.stream_path);
-    }
-  }
-  if (!artifacts.slo_rules_path.empty()) {
-    bed.attach_slo(obs::load_slo_rules(artifacts.slo_rules_path));
-  }
-  if (artifacts.wall_clock_ms) bed.set_wall_clock(artifacts.wall_clock_ms);
-  if (stream_out.is_open()) {
+    stream_out = open_artifact(artifacts.stream_path, "stream file");
     bed.set_stream_sink([&stream_out](const obs::Window& w,
                                       const std::vector<obs::SloAlert>& a,
                                       const std::vector<std::string>& ex) {
@@ -386,6 +368,10 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
       stream_out.flush();
     });
   }
+  if (!artifacts.slo_rules_path.empty()) {
+    bed.attach_slo(obs::load_slo_rules(artifacts.slo_rules_path));
+  }
+  if (artifacts.wall_clock_ms) bed.set_wall_clock(artifacts.wall_clock_ms);
   auto stream_stats = start_streams(bed, run_cfg.streams);
   auto tenant_stats = start_open_loop(bed, run_cfg.tenants);
   if (horizon == sim::kNever) {
@@ -405,7 +391,7 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
   result.control_plane = bed.control_plane_stats();
   for (core::Gid g = 0; g < bed.gpu_count(); ++g) {
     result.device_counters.push_back(bed.device(g).counters());
-    if (run_cfg.testbed.trace && result.makespan > 0) {
+    if (bed.config().trace && result.makespan > 0) {
       result.device_util.push_back(
           bed.device(g).utilization().summary(result.makespan));
     }
@@ -418,17 +404,13 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
     result.slo_fails = bed.watchdog()->fail_count();
     result.slo_hard_violations = bed.watchdog()->hard_violations();
     if (!artifacts.alerts_path.empty()) {
-      std::ofstream out(artifacts.alerts_path);
-      if (!out) {
-        throw std::runtime_error("cannot write alerts file: " +
-                                 artifacts.alerts_path);
-      }
+      std::ofstream out = open_artifact(artifacts.alerts_path, "alerts file");
       obs::write_alerts_jsonl(out, bed.watchdog()->alerts());
     }
   }
   const bool want_prof = !artifacts.prof_path.empty();
   const bool want_exemplars =
-      artifacts.exemplar_k > 0 && stream_out.is_open();
+      bed.config().exemplars > 0 && stream_out.is_open();
   if ((want_prof || want_exemplars) && bed.tracer() != nullptr) {
     // Profile before the metrics export so prof/... instruments (and the
     // interference/... gauges when forensics is on) land in the CSV too.
@@ -437,11 +419,7 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
     if (want_prof) result.prof_incomplete_requests = report.incomplete_requests;
     obs::prof::export_to_registry(report, bed.metrics_registry());
     if (want_prof) {
-      std::ofstream out(artifacts.prof_path);
-      if (!out) {
-        throw std::runtime_error("cannot write prof report: " +
-                                 artifacts.prof_path);
-      }
+      std::ofstream out = open_artifact(artifacts.prof_path, "prof report");
       obs::prof::render(report, out);
     }
     if (want_exemplars) {
@@ -451,12 +429,8 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
       // schema checks and byte-compare fixtures.
       obs::prof::write_exemplars_jsonl(report, stream_out);
       stream_out.flush();
-      const std::string sidecar =
-          artifacts.stream_path + ".exemplars.jsonl";
-      std::ofstream ex_out(sidecar);
-      if (!ex_out) {
-        throw std::runtime_error("cannot write exemplars file: " + sidecar);
-      }
+      std::ofstream ex_out = open_artifact(
+          artifacts.stream_path + ".exemplars.jsonl", "exemplars file");
       obs::prof::write_exemplars_jsonl(report, ex_out);
     }
   }
@@ -471,16 +445,12 @@ RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts,
     throw std::runtime_error("cannot write metrics file: " +
                              artifacts.metrics_path);
   }
-  const std::string& analysis_path = artifacts.analysis_path;
   if (bed.analyzer() != nullptr) {
     result.invariant_violations = bed.analyzer()->report().invariant_violations();
     result.logical_races = bed.analyzer()->report().logical_races();
-    if (!analysis_path.empty()) {
-      std::ofstream out(analysis_path);
-      if (!out) {
-        throw std::runtime_error("cannot write analysis report: " +
-                                 analysis_path);
-      }
+    if (!artifacts.analysis_path.empty()) {
+      std::ofstream out =
+          open_artifact(artifacts.analysis_path, "analysis report");
       bed.analyzer()->render(out);
     }
   }

@@ -19,17 +19,14 @@
 //   sync_mode = pull          # pull | push delta invalidation
 //   feedback_batch = 1        # records per kFeedbackBatch
 //   feedback_flush_ms = 1     # partial-batch flush delay
-//   trace = false             # observability spans + device utilization
-//                             # series (run_scenario --trace)
-//   analyze = false           # invariant checker (run_scenario --analyze)
-//   stream = false            # streaming telemetry (run_scenario --stream)
+//   epoch_ms = 10             # dispatcher epoch (> 0)
 //   stream_window_ms = 10     # telemetry tumbling-window width
 //
 //   [stream]
 //   app = MC                  # Table I abbreviation
 //   origin = 0
-//   requests = 10
-//   lambda_scale = 0.25
+//   requests = 10             # > 0, as are lambda_scale, server_threads
+//   lambda_scale = 0.25       # and weight
 //   server_threads = 8
 //   seed = 42
 //   tenant = pricing-svc
@@ -56,13 +53,16 @@
 //   burst_off_ms = 800        # mean OFF dwell (bursty)
 //   trace_file = arrivals.txt # offsets in ms, one per line (trace)
 //   requests = 400            # schedule length cap
-//   attach_ms = 0             # tenant churn window: attach time
+//   attach_ms = 0             # tenant churn window: attach time (>= 0)
 //   detach_ms = 1500          # detach time (omit: never detaches)
 //   seed = 7
 //   weight = 1.0
 //
+// app, origin, requests, seed and weight mean the same in both sections.
+//
 // Parsed into a ScenarioConfig — the one experiment description: a
-// TestbedConfig plus closed-loop streams and open-loop tenants.
+// TestbedConfig plus closed-loop streams and open-loop tenants. It switches
+// no artifact on; run_scenario's flags do (RunArtifacts paths, --exemplars).
 // workloads::run executes it; bench/run_scenario is the command-line front
 // end, and the figure benches build ScenarioConfigs in code.
 #pragma once
@@ -111,11 +111,6 @@ struct RunArtifacts {
   std::string stream_path;    // telemetry JSONL (forces streaming on)
   std::string slo_rules_path;  // SLO rule file (forces streaming on)
   std::string alerts_path;     // SLO alerts JSONL (needs slo_rules_path)
-  /// Per-window top-K tail exemplars (> 0 enables interference forensics;
-  /// forces trace + streaming on). Exemplar ids ride stream windows and SLO
-  /// alerts; the full strings.exemplar.v1 lines are appended to the stream
-  /// file at run end and duplicated to "<stream_path>.exemplars.jsonl".
-  int exemplar_k = 0;
   /// Optional wall-clock source (milliseconds, any epoch) for the
   /// sim/wall_ms_per_window gauge. Only the bench layer may install one
   /// (src code never reads the wall clock); when unset the stream is
@@ -161,8 +156,11 @@ struct RunResult {
 /// is still backlogged) and unwinds the requests still in flight. Writes
 /// the requested `artifacts`; a non-empty prof path runs obs::prof over the
 /// tracer and registers prof/... metrics before the CSV export, so the
-/// metrics file carries the attribution too. Throws std::runtime_error
-/// when an output file can't be written.
+/// metrics file carries the attribution too. With TestbedConfig::exemplars
+/// on and a stream path set, the full strings.exemplar.v1 lines are appended
+/// to the stream file at run end and duplicated to
+/// "<stream_path>.exemplars.jsonl". Throws std::runtime_error when an output
+/// file can't be written.
 RunResult run(const ScenarioConfig& cfg, const RunArtifacts& artifacts = {},
               sim::SimTime horizon = sim::kNever);
 

@@ -31,6 +31,17 @@ void StreamStats::record(const AppRunResult& r, sim::SimTime arrived) {
   response_times.push_back(response);
 }
 
+void serve_request(Testbed& bed, const backend::AppDescriptor& app,
+                   const AppProfile& prof, int programmed_device,
+                   sim::SimTime arrived, StreamStats& row) {
+  auto api = bed.make_api(app);
+  const AppRunResult r =
+      run_app(bed.simulation(), *api, prof, programmed_device);
+  api.reset();  // detach: full RCB/DST unbind handshake
+  row.record(r, arrived);
+  bed.observe_request(app.tenant, r.finished - arrived, r.elapsed(), r.errors);
+}
+
 std::vector<StreamStats> run_streams(
     Testbed& bed, const std::vector<ArrivalConfig>& streams) {
   auto stats = start_streams(bed, streams);
@@ -67,24 +78,19 @@ std::shared_ptr<std::vector<StreamStats>> start_streams(
               });
 
     // Finite server pool (SPECpower model).
+    const backend::AppDescriptor desc{.app_type = cfg.app,
+                                      .tenant = cfg.tenant,
+                                      .tenant_weight = cfg.tenant_weight,
+                                      .origin_node = cfg.origin};
     for (int t = 0; t < cfg.server_threads; ++t) {
       sim.spawn(
           "srv/" + cfg.app + "/" + std::to_string(s) + "." + std::to_string(t),
-          [&sim, &bed, cfg, queue, stats_row = &(*stats)[s], &prof] {
+          [&bed, desc, queue, row = &(*stats)[s], &prof,
+           device = cfg.programmed_device] {
             while (true) {
               const sim::SimTime arrived = queue->receive();
               if (arrived < 0) break;
-              backend::AppDescriptor desc;
-              desc.app_type = cfg.app;
-              desc.tenant = cfg.tenant;
-              desc.tenant_weight = cfg.tenant_weight;
-              desc.origin_node = cfg.origin;
-              auto api = bed.make_api(desc);
-              const AppRunResult r =
-                  run_app(sim, *api, prof, cfg.programmed_device);
-              stats_row->record(r, arrived);
-              bed.observe_request(cfg.tenant, r.finished - arrived,
-                                  r.elapsed(), r.errors);
+              serve_request(bed, desc, prof, device, arrived, *row);
             }
           });
     }

@@ -52,6 +52,15 @@ struct StreamStats {
   }
 };
 
+/// Serves one end-user request that arrived at `arrived`, as both the
+/// closed-loop servers and the open-loop request fibers do: bind an API for
+/// `app`, run `prof` end to end, detach (the full RCB/DST unbind
+/// handshake), then charge the request its queueing plus service in `row`
+/// and in the tenant's stream instruments. Must run in a simulation process.
+void serve_request(Testbed& bed, const backend::AppDescriptor& app,
+                   const AppProfile& prof, int programmed_device,
+                   sim::SimTime arrived, StreamStats& row);
+
 /// Runs the given request streams to completion on `bed` (drives the
 /// simulation). Returns one StreamStats per ArrivalConfig, in order.
 std::vector<StreamStats> run_streams(Testbed& bed,

@@ -64,6 +64,9 @@ std::vector<std::vector<gpu::DeviceProps>> supernode() {
 Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
     : sim_(sim), config_(std::move(config)) {
   if (config_.nodes.empty()) config_.nodes = small_server();
+  // Exemplars need request traces for their causal timelines and stream
+  // windows for their ids.
+  if (config_.exemplars > 0) config_.trace = config_.stream = true;
   if (config_.cpu_fallback_devices) {
     for (auto& node : config_.nodes) node.push_back(gpu::cpu_executor());
   }
@@ -461,8 +464,7 @@ void Testbed::emit_window(bool partial) {
   // window_ns convention the profiler derives the full exemplar lines
   // with at run end — so the ids referenced here resolve to those lines.
   std::vector<std::string> exemplar_ids;
-  if (config_.exemplars > 0 && tracer_ != nullptr &&
-      tracer_->forensics_enabled() && config_.stream_window > 0) {
+  if (config_.exemplars > 0) {
     const auto index = static_cast<std::int64_t>(w.index);
     exemplar_ids = obs::prof::exemplar_ids_for_window(
         tracer_->completions_in(index), index, config_.exemplars);

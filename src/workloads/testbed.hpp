@@ -81,7 +81,7 @@ struct TestbedConfig {
   /// when), so the profiler can attribute blocked time to culprit tenants.
   /// Exemplar ids ride closed stream windows and SLO alerts; the full
   /// strings.exemplar.v1 lines are derived by the profiler at run end.
-  /// Requires `trace` + `stream`. Off by default — a disabled run is
+  /// Turns `trace` and `stream` on. Off by default — a disabled run is
   /// byte-for-byte identical to one that never heard of forensics.
   int exemplars = 0;
   /// Ablation knobs (apply to Strings / Design-II modes; Rain always runs

@@ -247,7 +247,6 @@ placement = distributed
 control_transport = data_plane
 service_node = 0
 refresh_epoch_ms = 10000
-analyze = true
 
 [stream]
 app = MC
@@ -268,6 +267,7 @@ tenant = options-svc
 
 TEST(AnalysisEndToEnd, CleanDistributedRunHasNoInvariantViolations) {
   auto cfg = workloads::parse_scenario(std::string(kAnalyzedScenario));
+  cfg.testbed.analyze = true;
   const auto result = workloads::run(cfg);
   EXPECT_EQ(result.invariant_violations, 0);
   for (const auto& s : result.streams) EXPECT_EQ(s.errors, 0);
@@ -275,8 +275,8 @@ TEST(AnalysisEndToEnd, CleanDistributedRunHasNoInvariantViolations) {
 
 TEST(AnalysisEndToEnd, ReportArtifactWrittenAndAnalyzeForcedOn) {
   const std::string path = ::testing::TempDir() + "/analysis_e2e_report.txt";
-  auto cfg = workloads::parse_scenario(std::string(kAnalyzedScenario));
-  cfg.testbed.analyze = false;  // a non-empty path must force it back on
+  // The analyzer is off in the config: a non-empty path must turn it on.
+  const auto cfg = workloads::parse_scenario(std::string(kAnalyzedScenario));
   workloads::RunArtifacts artifacts;
   artifacts.analysis_path = path;
   const auto result = workloads::run(cfg, artifacts);

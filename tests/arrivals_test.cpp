@@ -155,6 +155,11 @@ TEST(ArrivalsChurn, InvalidWindowsThrow) {
   t.requests = 10;
   t.rate_rps = 0.0;
   EXPECT_THROW(arrival_schedule(t), std::invalid_argument);
+  // Arrivals stamped before t = 0 could only start at 0, inflating every
+  // response time by the gap.
+  t.rate_rps = 50.0;
+  t.attach_at = -sim::msec(5);
+  EXPECT_THROW(arrival_schedule(t), std::invalid_argument);
 }
 
 // ---- Trace files -------------------------------------------------------
@@ -247,7 +252,6 @@ TEST(ArrivalsChurnEndToEnd, AnalyzerFindsNoViolationsUnderChurn) {
 topology = small
 device_policy = mqfq
 mqfq_T = 25
-analyze = true
 
 [tenant]
 name = churny

@@ -164,7 +164,6 @@ mode = strings
 topology = supernode
 balancing = GWtMin
 device_policy = PS
-trace = true
 
 [stream]
 app = MC
@@ -188,6 +187,7 @@ weight = 1.0
 struct ProfiledRun {
   ProfiledRun() {
     cfg = workloads::parse_scenario(std::string(kTwoTenantScenario));
+    cfg.testbed.trace = true;
     bed = std::make_unique<workloads::Testbed>(sim, cfg.testbed);
     stats = workloads::run_streams(*bed, cfg.streams);
     report = obs::prof::profile(obs::prof::input_from_tracer(*bed->tracer()));
@@ -413,8 +413,7 @@ TEST(ProfForensics, NoTimelineAttributesEverythingToIdle) {
 TEST(ProfForensics, LiveRunConservesAndAggregatesTheMatrix) {
   sim::Simulation sim;
   auto cfg = workloads::parse_scenario(std::string(kTwoTenantScenario));
-  // Exemplars turn the occupant flight recorder on; they need the stream.
-  cfg.testbed.stream = true;
+  // Exemplars turn the occupant flight recorder on (and trace + stream).
   cfg.testbed.exemplars = 3;
   workloads::Testbed bed(sim, cfg.testbed);
   workloads::run_streams(bed, cfg.streams);
@@ -481,7 +480,6 @@ TEST(ProfForensics, ExemplarIdsArePositional) {
 TEST(ProfForensics, ExemplarsAreRankedAndSerializedDeterministically) {
   sim::Simulation sim;
   auto cfg = workloads::parse_scenario(std::string(kTwoTenantScenario));
-  cfg.testbed.stream = true;
   cfg.testbed.stream_window = sim::msec(20);
   cfg.testbed.exemplars = 2;
   workloads::Testbed bed(sim, cfg.testbed);
@@ -527,7 +525,7 @@ TEST(ProfForensics, ForensicsIsAPureObserver) {
 
   workloads::RunArtifacts forensic;
   forensic.stream_path = dir + "/forensics_observer.stream.jsonl";
-  forensic.exemplar_k = 2;
+  cfg.testbed.exemplars = 2;
   const auto on = workloads::run(cfg, forensic);
 
   ASSERT_EQ(off.streams.size(), on.streams.size());

@@ -18,7 +18,6 @@ device_policy = PS
 remote_link = gige
 shared_network = true
 epoch_ms = 20
-trace = true
 
 [stream]
 app = MC
@@ -37,7 +36,6 @@ weight = 2.5
   EXPECT_EQ(cfg.testbed.feedback_policy, "MBF");
   EXPECT_EQ(cfg.testbed.device_policy, "PS");
   EXPECT_TRUE(cfg.testbed.shared_network);
-  EXPECT_TRUE(cfg.testbed.trace);
   EXPECT_EQ(cfg.testbed.sched_epoch, sim::msec(20));
   EXPECT_DOUBLE_EQ(cfg.testbed.remote_link.bandwidth_gbps, 0.117);
   ASSERT_EQ(cfg.streams.size(), 1u);
@@ -115,24 +113,24 @@ app = MC
   EXPECT_EQ(dflt.testbed.control_plane.sync_mode, core::SyncMode::kPull);
 }
 
-TEST(ScenarioParse, UnknownSyncModeIsALineError) {
+// Parsing `text` throws a ScenarioParseError whose message contains `what`.
+void expect_line_error(const std::string& text, const std::string& what) {
+                       SCOPED_TRACE(text);
   try {
-    parse_scenario(std::string("mode = strings\nsync_mode = gossip\n"));
-    FAIL() << "expected ScenarioParseError";
+    parse_scenario(text);
+    ADD_FAILURE() << "expected ScenarioParseError";
   } catch (const ScenarioParseError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("unknown sync mode"), std::string::npos) << what;
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
   }
 }
 
+TEST(ScenarioParse, UnknownSyncModeIsALineError) {
+  expect_line_error("mode = strings\nsync_mode = gossip\n",
+                    "line 2: unknown sync mode");
+}
+
 TEST(ScenarioParse, ErrorsCarryLineNumbers) {
-  try {
-    parse_scenario(std::string("mode = strings\nbogus_key = 1\n"));
-    FAIL() << "expected ScenarioParseError";
-  } catch (const ScenarioParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
+  expect_line_error("mode = strings\nbogus_key = 1\n", "line 2");
 }
 
 TEST(ScenarioParse, RejectsMalformedInput) {
@@ -150,17 +148,32 @@ TEST(ScenarioParse, RejectsMalformedInput) {
                ScenarioParseError);
   // Not options: `trace` records the device series, the sampling period is
   // fixed, and scheduler decisions are read from the Tracer and analyzer.
-  for (const char* key : {"trace_events", "trace_devices", "sampler_epoch_ms"}) {
-    SCOPED_TRACE(key);
-    try {
-      parse_scenario(std::string(key) + " = 1\n[stream]\napp = GA\n");
-      ADD_FAILURE() << "expected ScenarioParseError";
-    } catch (const ScenarioParseError& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown global key"),
-                std::string::npos)
-          << e.what();
-    }
+  // Nor does a scenario switch an artifact on: run_scenario's --trace,
+  // --analyze and --stream (or the TestbedConfig fields) do.
+  for (const char* key : {"trace_events", "trace_devices", "sampler_epoch_ms",
+                          "trace", "analyze", "stream"}) {
+    expect_line_error(std::string(key) + " = true\n[stream]\napp = GA\n",
+                      "line 1: unknown global key '" + std::string(key) + "'");
   }
+  // Numbers out of range are line errors, not crashes or silent no-ops.
+  const std::string app = "[stream]\napp = GA\n";
+  expect_line_error("epoch_ms = 0\n" + app,
+                    "line 1: epoch_ms must be positive");
+  expect_line_error("epoch_ms = -10\n" + app, "epoch_ms must be positive");
+  expect_line_error(app + "server_threads = 0\n",
+                    "line 3: server_threads must be positive");
+  expect_line_error(app + "requests = 0\n", "requests must be positive");
+  expect_line_error(app + "requests = -3\n", "requests must be positive");
+  expect_line_error(app + "lambda_scale = 0\n",
+                    "lambda_scale must be positive");
+  expect_line_error(app + "lambda_scale = -0.5\n",
+                    "lambda_scale must be positive");
+  expect_line_error(app + "weight = 0\n", "weight must be positive");
+  expect_line_error("[tenant]\nweight = -1\n",
+                    "line 2: weight must be positive");
+  expect_line_error("[tenant]\nrequests = 0\n", "requests must be positive");
+  expect_line_error("[tenant]\nattach_ms = -5000\n",
+                    "line 2: attach_ms must be non-negative");
 }
 
 TEST(ScenarioParse, RejectsEmptyOrIncompleteScenarios) {

@@ -31,7 +31,6 @@ placement = distributed
 control_transport = data_plane
 service_node = 0
 refresh_epoch_ms = 10000
-trace = true
 
 [stream]
 app = MC
@@ -50,9 +49,15 @@ server_threads = 4
 tenant = options-svc
 )";
 
+workloads::ScenarioConfig traced_scenario() {
+  auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
+  cfg.testbed.trace = true;
+  return cfg;
+}
+
 struct TracedScenario {
   TracedScenario() {
-    cfg = workloads::parse_scenario(std::string(kDistributedScenario));
+    cfg = traced_scenario();
     bed = std::make_unique<workloads::Testbed>(sim, cfg.testbed);
     stats = workloads::run_streams(*bed, cfg.streams);
   }
@@ -187,7 +192,7 @@ struct HooksGuard {
 // queue_depth tracks registered_count().
 TEST(TraceExport, UtilAndQueueDepthAreExact) {
   sim::Simulation sim;
-  const auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
+  const auto cfg = traced_scenario();
   workloads::Testbed bed(sim, cfg.testbed);
   QueueDepthWatch watch(bed);
   {
@@ -291,8 +296,8 @@ TEST(TraceExport, FilesWrittenViaRunScenarioConfig) {
   workloads::RunArtifacts art;
   art.trace_path = trace_path;
   art.metrics_path = metrics_path;
-  auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
-  cfg.testbed.trace = false;  // a trace path must force it back on
+  // Tracing is off in the config: the trace path must turn it on.
+  const auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
   ASSERT_EQ(workloads::run(cfg, art).streams.size(), 2u);
   std::ifstream tf(trace_path);
   ASSERT_TRUE(tf.good());
