@@ -22,12 +22,10 @@ GpuScheduler::GpuScheduler(sim::Simulation& sim, Gid gid,
       gid_(gid),
       policy_(std::move(policy)),
       config_(config),
-      // AllAwake keeps every gate open whatever the RCB holds, so no
-      // decision could move one: run no Dispatcher at all.
-      dispatches_(dynamic_cast<const policies::AllAwakePolicy*>(
-                      policy_.get()) == nullptr) {
-  assert(policy_ != nullptr);
-}
+      // A policy whose decisions never move a gate (AllAwake keeps every
+      // gate open whatever the RCB holds) runs no Dispatcher at all.
+      dispatches_(policy_->quiescence(0) !=
+                  policies::Quiescence::kNeverMovesGate) {}
 
 GpuScheduler::GpuScheduler(sim::Simulation& sim, Gid gid,
                            std::unique_ptr<policies::DeviceSchedPolicy> policy)
@@ -39,11 +37,11 @@ int GpuScheduler::register_app(const RcbInit& init) {
     analysis::inv_rcb_register(gid_, signal_id, ANALYSIS_SITE);
   }
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
-  resume_ticks();
+  resume_ticks(Change::kBacklogOrEntries);
   RcbEntry e;
   e.backlog = init.backlog;
   if (dispatches_ && e.backlog != nullptr) {
-    e.backlog->on_edge([this] { resume_ticks(); });
+    e.backlog->on_edge([this] { resume_ticks(Change::kBacklogOrEntries); });
   }
   e.gate = init.gate;
   e.awake = init.gate == nullptr || init.gate->awake();
@@ -71,7 +69,7 @@ void GpuScheduler::ack(int signal_id) {
     analysis::inv_rcb_ack(gid_, signal_id, ANALYSIS_SITE);
   }
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
-  resume_ticks();
+  resume_ticks(Change::kBacklogOrEntries);
   auto it = rcb_.find(signal_id);
   assert(it != rcb_.end() && "ack for unknown signal id");
   if (!it->second.acked) --unacked_;
@@ -103,7 +101,7 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   const std::size_t at = index_of(signal_id);
   assert(at != rcb_.size() && "unregister for unknown signal id");
-  resume_ticks();
+  resume_ticks(Change::kBacklogOrEntries);
   const auto offset = static_cast<std::ptrdiff_t>(at);
   // Take the entry out before erasing: the RCB is flat storage, so erase
   // slides later entries into this slot and a reference would silently
@@ -163,7 +161,7 @@ void GpuScheduler::on_op_complete(int signal_id,
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   const std::size_t at = index_of(signal_id);
   if (at == rcb_.size()) return;  // late completion after unregister
-  resume_ticks();
+  resume_ticks(Change::kServiceOrPhase);
   RcbEntry& e = (rcb_.begin() + static_cast<std::ptrdiff_t>(at))->second;
   policies::RcbSnapshot& s = view_[at];
   const sim::SimTime begin =
@@ -208,7 +206,7 @@ void GpuScheduler::set_phase(int signal_id, policies::Phase phase) {
   ANALYSIS_WRITE(&rcb_, rcb_name(gid_));
   const std::size_t at = index_of(signal_id);
   if (at == view_.size() || view_[at].phase == phase) return;
-  resume_ticks();
+  resume_ticks(Change::kServiceOrPhase);
   view_[at].phase = phase;
 }
 
@@ -244,8 +242,14 @@ std::size_t GpuScheduler::index_of(int signal_id) const {
 template <typename Decide>
 void GpuScheduler::catch_up(std::vector<policies::RcbSnapshot>& view,
                             std::int64_t n, Decide decide) const {
-  for (policies::RcbSnapshot& s : view) s.epoch_service = 0;
+  auto e = rcb_.begin();
+  for (policies::RcbSnapshot& s : view) {
+    s.epoch_service = s.total_service - (e++)->second.service_at_last_epoch;
+  }
   for (std::int64_t i = 0; i < n; ++i) {
+    if (i == 1) {
+      for (policies::RcbSnapshot& s : view) s.epoch_service = 0;
+    }
     close_epoch(view);
     decide(i);
   }
@@ -308,33 +312,43 @@ void GpuScheduler::epoch_tick() {
   const sim::SimTime now = sim_.now();
   dispatch(now);
   // Until an input changes, every later tick would see no service, the
-  // same backlog, and CGS scaled by 1 - las_k: a settled decision would
-  // come back unchanged, so arm nothing (resume_ticks() catches up). The
-  // analyzer observes every tick's RCB access, so it keeps them all.
-  if (policy_->settled(now + config_.epoch) && 1.0 - config_.las_k >= 0.0 &&
-      !analysis::enabled()) {
-    ticks_skipped_ = true;
-    next_point_ = now + config_.epoch;
-  } else {
+  // same backlog, and CGS scaled by 1 - las_k: a decision that stands
+  // until then would come back unchanged, so arm nothing (resume_ticks()
+  // catches up). A backlog-bound decision stands through service and phase
+  // changes too, whatever they do to CGS. The analyzer observes every
+  // tick's RCB access, so it keeps them all.
+  using policies::Quiescence;
+  Quiescence q = analysis::enabled()
+                     ? Quiescence::kEveryEpoch
+                     : policy_->quiescence(now + config_.epoch);
+  if (q == Quiescence::kUntilInputChanges && 1.0 - config_.las_k < 0.0) {
+    q = Quiescence::kEveryEpoch;
+  }
+  if (q == Quiescence::kEveryEpoch) {
     arm_epoch(config_.epoch);
+  } else {
+    quiet_ = q;
+    next_point_ = now + config_.epoch;
   }
 }
 
 std::int64_t GpuScheduler::skipped_points() const {
-  if (!ticks_skipped_ || sim_.now() < next_point_) return 0;
+  if (quiet_ == policies::Quiescence::kEveryEpoch || sim_.now() < next_point_) {
+    return 0;
+  }
   return (sim_.now() - next_point_) / config_.epoch + 1;
 }
 
-void GpuScheduler::resume_ticks() {
-  if (!ticks_skipped_) return;
+void GpuScheduler::resume_ticks(Change change) {
+  if (quiet_ == policies::Quiescence::kEveryEpoch) return;
   const std::int64_t n = skipped_points();
-  ticks_skipped_ = false;
-  // Each skipped tick would have found no new service and the backlog the
-  // last tick read (the change that called us lands after them: a tick
-  // leads its instant), closed its epoch, and decided the same awake set.
-  // Run their bookkeeping, then the last one's decision, at its own time,
-  // so the policy's state (MQFQ's sticky slots) is what the ticks would
-  // have left. Debug builds re-run every skipped decision and check it.
+  // Each skipped tick would have found the backlog the last tick read (the
+  // change that called us lands after them: a tick leads its instant),
+  // closed its epoch, and decided the same awake set. The first closes the
+  // service completed since the last closed point, the rest none. Run
+  // their bookkeeping, then the last one's decision, at its own time, so
+  // the policy's state (MQFQ's sticky slots) is what the ticks would have
+  // left. Debug builds re-run every skipped decision and check it.
 #ifdef NDEBUG
   constexpr bool kShadowCheck = false;
 #else
@@ -345,13 +359,25 @@ void GpuScheduler::resume_ticks() {
       if (kShadowCheck || i + 1 == n) {
         [[maybe_unused]] const int moved =
             dispatch(next_point_ + i * config_.epoch);
-        assert(moved == 0 && "a settled decision changed at a skipped tick");
+        assert(moved == 0 && "a standing decision changed at a skipped tick");
       }
     });
+    auto e = rcb_.begin();
+    for (const policies::RcbSnapshot& s : view_) {
+      (e++)->second.service_at_last_epoch = s.total_service;
+    }
     epochs_ += n;
     assert(live_closes_ == epochs_ && "a replayed epoch was not closed once");
     next_point_ += n * config_.epoch;
   }
+  // Service and phase cannot move a backlog-bound decision: the ticks stay
+  // skipped, and the next change replays from here.
+  if (change == Change::kServiceOrPhase &&
+      quiet_ == policies::Quiescence::kUntilBacklogChanges) {
+    assert(policy_->quiescence(next_point_) == quiet_);
+    return;
+  }
+  quiet_ = policies::Quiescence::kEveryEpoch;
   arm_epoch(next_point_ - sim_.now());
 }
 

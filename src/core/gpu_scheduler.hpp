@@ -7,18 +7,27 @@
 //   Dispatcher             — every scheduling epoch, runs the configured
 //     device policy (TFS / LAS / PS / MQFQ) over RCB snapshots and
 //     toggles each backend thread's WakeGate (the RT-signal analog).
-//     AllAwake (plain sharing, §IV-B) has no Dispatcher: that policy never
-//     puts a thread to sleep, so the scheduler arms no epoch and makes no
-//     decision, and epochs_run() stays 0.
-//     The Dispatcher is change-driven. A tick at time T runs before every
-//     other event at T (Simulation::schedule_first, ranked by gid). When
-//     the policy declares its decision settled for the next grid point
-//     (DeviceSchedPolicy::settled), no tick is armed: quiet epochs would
-//     only decay CGS, accrue entitlement and return the same awake set.
-//     The next input change (register, ack, unregister, op completion,
-//     phase change, backlog zero crossing) first replays the skipped grid
-//     points up to now exactly, with the inputs they would have seen, then
-//     arms the next one. epochs_run() and snapshot() count and show the
+//     The Dispatcher is change-driven, by the quiescence the policy
+//     declares for its last decision (DeviceSchedPolicy::quiescence):
+//       every epoch — a tick is armed for the next grid point;
+//       until an input changes — no tick is armed: quiet epochs would only
+//         decay CGS, accrue entitlement and return the same awake set. The
+//         next input change (register, ack, unregister, op completion,
+//         phase change, backlog zero crossing) first replays the skipped
+//         grid points up to now, with the inputs they would have seen,
+//         then arms the next one;
+//       until the backlog changes — likewise, except that op completions
+//         and phase changes replay the skipped points and arm nothing:
+//         only a backlog zero crossing or a register, ack or unregister
+//         arms the next tick (LAS with at most three backlogged threads
+//         wakes them all, whatever their CGS);
+//       never moves a gate — no Dispatcher: the scheduler asks once, at
+//         construction, arms no epoch and makes no decision, and
+//         epochs_run() stays 0 (AllAwake, plain sharing, §IV-B).
+//     A tick at time T runs before every other event at T
+//     (Simulation::schedule_first, ranked by gid), so a replay closes, at
+//     its first point, the service completed since the last closed point,
+//     and none at the rest. epochs_run() and snapshot() count and show the
 //     skipped points as run. Under the analyzer every tick runs, so it
 //     observes each one's RCB access.
 //   Request Monitor (RMO)  — accumulates per-application GPU time, transfer
@@ -196,11 +205,15 @@ class GpuScheduler {
   void epoch_tick();
   /// Grid points at or before now whose tick was skipped.
   std::int64_t skipped_points() const;
+  /// The input change resume_ticks() is called for.
+  enum class Change { kServiceOrPhase, kBacklogOrEntries };
   /// An input change is about to land: runs the skipped grid points up to
-  /// now, then arms the next one.
-  void resume_ticks();
+  /// now, then arms the next one, unless the change is service or phase
+  /// and the decision is backlog-bound.
+  void resume_ticks(Change change);
   /// Replays `n` skipped grid points over `view` as their ticks would have
-  /// run them: no new service, the backlog the last tick read, one
+  /// run them: the backlog the last tick read, the service completed since
+  /// the last closed point at the first point and none after, one
   /// close_epoch() each; `decide(i)` runs after point i closes.
   template <typename Decide>
   void catch_up(std::vector<policies::RcbSnapshot>& view, std::int64_t n,
@@ -219,7 +232,8 @@ class GpuScheduler {
   Gid gid_;
   std::unique_ptr<policies::DeviceSchedPolicy> policy_;
   Config config_;
-  // False under AllAwake: no epoch timer, no decision on ack/unregister.
+  // False when the policy never moves a gate (AllAwake): no epoch timer, no
+  // decision on ack/unregister.
   const bool dispatches_;
   sim::FlatMap<int, RcbEntry> rcb_;
   std::vector<policies::RcbSnapshot> view_;  // parallel to rcb_
@@ -233,9 +247,10 @@ class GpuScheduler {
   std::vector<policies::RcbSnapshot> acked_view_;
   int next_signal_ = 1;
   bool epoch_armed_ = false;
-  // No tick armed while the last decision is settled; next_point_ is then
-  // the first grid point not yet run.
-  bool ticks_skipped_ = false;
+  // kEveryEpoch while ticks run; otherwise no tick is armed, the last
+  // decision stands at this level, and next_point_ is the first grid point
+  // not yet run.
+  policies::Quiescence quiet_ = policies::Quiescence::kEveryEpoch;
   sim::SimTime next_point_ = 0;
   std::int64_t epochs_ = 0;
 #ifndef NDEBUG

@@ -44,7 +44,8 @@ std::vector<std::uint64_t> TfsPolicy::pick_awake(
       best_deficit = deficit;
     }
   }
-  settled_ = backlogged <= 1;
+  quiescence_ = backlogged <= 1 ? Quiescence::kUntilBacklogChanges
+                                : Quiescence::kEveryEpoch;
   if (best == nullptr) return {};
   return {best->key};
 }
@@ -96,11 +97,16 @@ std::vector<std::uint64_t> LasPolicy::pick_awake(
     awake.push_back(least.at[i]->key);
     top_picked = std::max(top_picked, least.at[i]->key);
   }
-  // Settled iff the picks are the lowest backlogged keys.
-  settled_ = backlogged == least.size ||
-             std::count_if(rcb.begin(), rcb.end(), [&](const RcbSnapshot& r) {
-               return r.backlogged && r.key <= top_picked;
-             }) == static_cast<std::ptrdiff_t>(least.size);
+  // Every backlogged thread picked: only the backlog can change that.
+  // Otherwise the pick stands iff the picks are the lowest backlogged keys.
+  quiescence_ =
+      backlogged == least.size ? Quiescence::kUntilBacklogChanges
+      : std::count_if(rcb.begin(), rcb.end(),
+                      [&](const RcbSnapshot& r) {
+                        return r.backlogged && r.key <= top_picked;
+                      }) == static_cast<std::ptrdiff_t>(least.size)
+          ? Quiescence::kUntilInputChanges
+          : Quiescence::kEveryEpoch;
   return awake;
 }
 

@@ -2,9 +2,9 @@
 //
 // The Dispatcher evaluates one of these policies every scheduling epoch to
 // decide which backend threads stay awake (may issue GPU work), except the
-// epochs a decision the policy declares settled() makes redundant. Policies
-// are pure functions over RCB snapshots so they are unit testable in
-// isolation.
+// epochs that the quiescence() a policy declares for its decision makes
+// redundant. Policies are pure functions over RCB snapshots so they are
+// unit testable in isolation.
 //
 //   TFS — true fair share: weighted per-tenant shares with history-based
 //         penalties for overshoot; at most one thread awake.
@@ -35,6 +35,26 @@ namespace strings::policies {
 enum class Phase { kKernelLaunch, kH2D, kD2H, kDefault };
 
 const char* phase_name(Phase p);
+
+/// How long a policy's last decision stands, as the Dispatcher reads it
+/// (DeviceSchedPolicy::quiescence). Later values promise more.
+enum class Quiescence {
+  /// Decide again every epoch.
+  kEveryEpoch,
+  /// Every decision at `next` or later returns the last awake set as long
+  /// as the inputs move only as quiet epochs move them: every `cgs` scaled
+  /// by one nonnegative factor per epoch (epoch_service 0) and every
+  /// backlogged entry's `entitled` grown by one fixed share per epoch. Any
+  /// input change (service, phase, backlog, registration) ends it.
+  kUntilInputChanges,
+  /// Every later decision returns the last awake set whatever service,
+  /// phase, `cgs` and `entitled` do, as long as the backlog and the
+  /// registered entries stay as they are.
+  kUntilBacklogChanges,
+  /// No decision ever moves a gate: the scheduler runs no Dispatcher. A
+  /// policy answers this from construction on, or never.
+  kNeverMovesGate,
+};
 
 /// Read-only view of one Request Control Block entry at epoch boundary.
 struct RcbSnapshot {
@@ -77,15 +97,14 @@ class DeviceSchedPolicy {
       const std::vector<RcbSnapshot>& rcb, sim::SimTime /*now*/) {
     return pick_awake(rcb);
   }
-  /// The declared quiescence of the last decision: true iff every decision
-  /// at `next` or later returns the awake set the last one returned, as
-  /// long as its inputs move only as quiet epochs move them — every `cgs`
-  /// scaled by one nonnegative factor per epoch (epoch_service 0) and every
-  /// backlogged entry's `entitled` grown by one fixed share per epoch. The
-  /// Dispatcher then arms no tick until an input changes (GpuScheduler).
-  /// The default keeps every tick, so a decorator that does not forward
-  /// this keeps the policy it wraps on the periodic path.
-  virtual bool settled(sim::SimTime /*next*/) const { return false; }
+  /// The declared quiescence of the last decision for the decisions at
+  /// `next` or later; the Dispatcher arms no tick until what it names
+  /// changes (GpuScheduler). The default keeps every tick, so a decorator
+  /// that does not forward this keeps the policy it wraps on the periodic
+  /// path.
+  virtual Quiescence quiescence(sim::SimTime /*next*/) const {
+    return Quiescence::kEveryEpoch;
+  }
 };
 
 /// Everything awake — the behaviour of plain GPU sharing with no
@@ -95,6 +114,9 @@ class AllAwakePolicy final : public DeviceSchedPolicy {
   const char* name() const override { return "AllAwake"; }
   std::vector<std::uint64_t> pick_awake(
       const std::vector<RcbSnapshot>& rcb) override;
+  Quiescence quiescence(sim::SimTime /*next*/) const override {
+    return Quiescence::kNeverMovesGate;
+  }
 };
 
 class TfsPolicy final : public DeviceSchedPolicy {
@@ -102,12 +124,15 @@ class TfsPolicy final : public DeviceSchedPolicy {
   const char* name() const override { return "TFS"; }
   std::vector<std::uint64_t> pick_awake(
       const std::vector<RcbSnapshot>& rcb) override;
-  /// With at most one backlogged entry the pick cannot depend on deficits;
-  /// with two, entitlements that grow by weight can reorder them.
-  bool settled(sim::SimTime /*next*/) const override { return settled_; }
+  /// With at most one backlogged entry the pick cannot depend on deficits
+  /// (backlog-bound); with two, entitlements that grow by weight can
+  /// reorder them.
+  Quiescence quiescence(sim::SimTime /*next*/) const override {
+    return quiescence_;
+  }
 
  private:
-  bool settled_ = false;
+  Quiescence quiescence_ = Quiescence::kEveryEpoch;
 };
 
 class LasPolicy final : public DeviceSchedPolicy {
@@ -115,14 +140,18 @@ class LasPolicy final : public DeviceSchedPolicy {
   const char* name() const override { return "LAS"; }
   std::vector<std::uint64_t> pick_awake(
       const std::vector<RcbSnapshot>& rcb) override;
-  /// A common nonnegative decay keeps `a <= b` between CGS values, but
-  /// rounding and underflow can make two of them equal, and a tie goes to
-  /// the lower key. So the pick stands iff every picked key is below every
-  /// unpicked backlogged key.
-  bool settled(sim::SimTime /*next*/) const override { return settled_; }
+  /// With at most three backlogged entries all of them wake, whatever the
+  /// CGS values: backlog-bound. Otherwise a common nonnegative decay keeps
+  /// `a <= b` between CGS values, but rounding and underflow can make two
+  /// of them equal, and a tie goes to the lower key. So the pick stands
+  /// until an input changes iff every picked key is below every unpicked
+  /// backlogged key.
+  Quiescence quiescence(sim::SimTime /*next*/) const override {
+    return quiescence_;
+  }
 
  private:
-  bool settled_ = false;
+  Quiescence quiescence_ = Quiescence::kEveryEpoch;
 };
 
 class PsPolicy final : public DeviceSchedPolicy {
@@ -130,8 +159,11 @@ class PsPolicy final : public DeviceSchedPolicy {
   const char* name() const override { return "PS"; }
   std::vector<std::uint64_t> pick_awake(
       const std::vector<RcbSnapshot>& rcb) override;
-  /// Phases, backlog and attained service move only with inputs.
-  bool settled(sim::SimTime /*next*/) const override { return true; }
+  /// Phases, backlog and attained service move only with inputs; each of
+  /// them can move the picks.
+  Quiescence quiescence(sim::SimTime /*next*/) const override {
+    return Quiescence::kUntilInputChanges;
+  }
 };
 
 struct MqfqConfig {
@@ -164,10 +196,12 @@ class MqfqStickyPolicy final : public DeviceSchedPolicy {
                                         sim::SimTime now) override;
   /// Virtual times and throttles move only with attained service and
   /// backlog, so the (vt, name) order stands; stickiness can reorder it.
-  /// Settled iff no runnable flow was sticky at the last decision and the
-  /// slots it handed out have expired by `next`.
-  bool settled(sim::SimTime next) const override {
-    return !sticky_ranked_ && last_now_ + cfg_.sticky_window <= next;
+  /// Until an input changes iff no runnable flow was sticky at the last
+  /// decision and the slots it handed out have expired by `next`.
+  Quiescence quiescence(sim::SimTime next) const override {
+    return !sticky_ranked_ && last_now_ + cfg_.sticky_window <= next
+               ? Quiescence::kUntilInputChanges
+               : Quiescence::kEveryEpoch;
   }
 
   const MqfqConfig& config() const { return cfg_; }

@@ -64,6 +64,13 @@ T positive(int line, const std::string& key, T v) {
   return v;
 }
 
+/// `v`, or a line error naming `key` when `v` is negative.
+template <typename T>
+T non_negative(int line, const std::string& key, T v) {
+  if (v < 0) fail(line, key + " must be non-negative");
+  return v;
+}
+
 bool to_bool(int line, const std::string& v) {
   const std::string l = lower(v);
   if (l == "true" || l == "1" || l == "yes" || l == "on") return true;
@@ -198,8 +205,7 @@ ScenarioConfig parse_scenario(std::istream& in) {
         const double ms = positive(line, "mqfq_T", to_double(line, value));
         cfg.testbed.mqfq.throttle_T = static_cast<sim::SimTime>(ms * 1e6);
       } else if (key == "mqfq_sticky_ms") {
-        const double ms = to_double(line, value);
-        if (ms < 0) fail(line, "mqfq_sticky_ms must be non-negative");
+        const double ms = non_negative(line, key, to_double(line, value));
         cfg.testbed.mqfq.sticky_window = static_cast<sim::SimTime>(ms * 1e6);
       } else if (key == "remote_link") {
         cfg.testbed.remote_link = to_link(line, value);
@@ -233,12 +239,13 @@ ScenarioConfig parse_scenario(std::istream& in) {
         cfg.testbed.control_plane.service_node = to_int(line, value);
       } else if (key == "refresh_epoch_ms") {
         cfg.testbed.control_plane.refresh_epoch =
-            sim::msec(to_int(line, value));
+            sim::msec(non_negative(line, key, to_int(line, value)));
       } else if (key == "feedback_batch") {
-        cfg.testbed.control_plane.feedback_batch_size = to_int(line, value);
+        cfg.testbed.control_plane.feedback_batch_size =
+            positive(line, key, to_int(line, value));
       } else if (key == "feedback_flush_ms") {
         cfg.testbed.control_plane.feedback_max_delay =
-            sim::msec(to_int(line, value));
+            sim::msec(non_negative(line, key, to_int(line, value)));
       } else if (key == "sync_mode") {
         // pull | push
         try {
@@ -274,8 +281,8 @@ ScenarioConfig parse_scenario(std::istream& in) {
       } else if (key == "trace_file") {
         tenant->trace_file = value;
       } else if (key == "attach_ms") {
-        tenant->attach_at = sim::msec(to_int(line, value));
-        if (tenant->attach_at < 0) fail(line, "attach_ms must be non-negative");
+        tenant->attach_at =
+            sim::msec(non_negative(line, key, to_int(line, value)));
       } else if (key == "detach_ms") {
         tenant->detach_at = sim::msec(to_int(line, value));
       } else if (!parse_request_key(line, key, value, *tenant,

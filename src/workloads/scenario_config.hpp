@@ -15,10 +15,10 @@
 //   placement = centralized   # centralized | distributed mapper agents
 //   control_transport = zero_cost  # direct | zero_cost | data_plane
 //   service_node = 0          # node hosting the PlacementService
-//   refresh_epoch_ms = 0      # DstSnapshot staleness bound (distributed)
+//   refresh_epoch_ms = 0      # DstSnapshot staleness bound (>= 0)
 //   sync_mode = pull          # pull | push delta invalidation
-//   feedback_batch = 1        # records per kFeedbackBatch
-//   feedback_flush_ms = 1     # partial-batch flush delay
+//   feedback_batch = 1        # records per kFeedbackBatch (> 0)
+//   feedback_flush_ms = 1     # partial-batch flush delay (>= 0)
 //   epoch_ms = 10             # dispatcher epoch (> 0)
 //   stream_window_ms = 10     # telemetry tumbling-window width
 //

@@ -76,6 +76,13 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
           node_count) {
     throw std::invalid_argument("control-plane service_node out of range");
   }
+  if (config_.control_plane.refresh_epoch < 0 ||
+      config_.control_plane.feedback_batch_size <= 0 ||
+      config_.control_plane.feedback_max_delay < 0) {
+    throw std::invalid_argument(
+        "control-plane refresh_epoch and feedback_max_delay must be "
+        "non-negative, feedback_batch_size positive");
+  }
 
   // The analyzer must observe every event from the first schedule() on, so
   // it installs before any component is constructed. GRR's divergence bound

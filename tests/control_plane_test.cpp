@@ -204,6 +204,22 @@ TEST(ControlPlaneTransport, ServiceNodePlacementValidated) {
   EXPECT_THROW(Testbed bed(sim, cfg), std::invalid_argument);
 }
 
+TEST(ControlPlaneTransport, TimingKnobsValidated) {
+  // A negative delay would schedule into the past, and an empty batch
+  // would never ship.
+  const auto rejects = [](auto set) {
+    sim::Simulation sim;
+    TestbedConfig cfg;
+    cfg.nodes = small_server();
+    cfg.control_plane.placement = PlacementMode::kDistributed;
+    set(cfg.control_plane);
+    EXPECT_THROW(Testbed bed(sim, cfg), std::invalid_argument);
+  };
+  rejects([](ControlPlaneConfig& c) { c.feedback_max_delay = -sim::msec(5); });
+  rejects([](ControlPlaneConfig& c) { c.feedback_batch_size = 0; });
+  rejects([](ControlPlaneConfig& c) { c.refresh_epoch = -sim::msec(1); });
+}
+
 // ---- feedback batching -------------------------------------------------
 
 TEST(ControlPlaneFeedback, BatchedReportsAllReachTheService) {

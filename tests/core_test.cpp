@@ -481,7 +481,7 @@ TEST(GpuScheduler, BackloggedBitsFollowTheCounterAtEachDecision) {
   g_backlog_log = nullptr;
 }
 
-/// Forwards every decision but not settled(): the periodic Dispatcher.
+/// Forwards every decision but not quiescence(): the periodic Dispatcher.
 class PeriodicPolicy final : public policies::DeviceSchedPolicy {
  public:
   explicit PeriodicPolicy(std::unique_ptr<policies::DeviceSchedPolicy> inner)
@@ -582,6 +582,102 @@ TEST(GpuScheduler, SkippedTicksReadAsRun) {
     }
   }
   EXPECT_LT(skipping.events, periodic.events);
+}
+
+/// What one scheduler showed at each read of run_backlog_bound_las.
+struct BoundReads {
+  std::vector<std::int64_t> epochs;
+  std::vector<std::vector<policies::RcbSnapshot>> snaps;
+  std::vector<std::vector<bool>> gates;
+  std::uint64_t events = 0;
+  std::size_t queued_at_end = 0;
+};
+
+/// Four LAS threads, three of them backlogged: LAS wakes all three whatever
+/// their CGS, a backlog-bound decision. Kernels complete over 25 epochs,
+/// one exactly on a grid point, and a phase changes; each completion reads
+/// epochs_run(), snapshot() and the gates after it lands.
+BoundReads run_backlog_bound_las(
+    std::unique_ptr<policies::DeviceSchedPolicy> policy) {
+  GpuScheduler::Config cfg;
+  cfg.epoch = msec(10);
+  sim::Simulation sim;
+  GpuScheduler sched(sim, 0, std::move(policy), cfg);
+  std::deque<WakeGate> gates;
+  std::deque<sim::Backlog> backlog(4);
+  set_backlogs(backlog, {1, 1, 0, 1});
+  std::vector<int> ids;
+  for (std::size_t i = 0; i < 4; ++i) {
+    GpuScheduler::RcbInit init;
+    init.tenant = std::string(1, static_cast<char>('A' + i));
+    init.gate = &gates.emplace_back(sim);
+    init.backlog = &backlog[i];
+    ids.push_back(sched.register_app(init));
+    sched.ack(ids.back());
+  }
+  BoundReads out;
+  const auto read = [&] {
+    out.epochs.push_back(sched.epochs_run());
+    out.snaps.push_back(sched.snapshot());
+    std::vector<bool> open;
+    for (const WakeGate& g : gates) open.push_back(g.awake());
+    out.gates.push_back(std::move(open));
+  };
+  // (completion time ms, thread, kernel length ms); 120 is a grid point.
+  const int completions[][3] = {{3, 0, 3},   {17, 1, 6},   {18, 3, 1},
+                                {44, 0, 20}, {61, 1, 9},   {120, 3, 30},
+                                {133, 0, 2}, {150, 1, 15}, {171, 3, 4},
+                                {205, 0, 30}, {246, 1, 40}, {251, 3, 5}};
+  for (const auto& [t, i, length] : completions) {
+    const auto thread = static_cast<std::size_t>(i);
+    sim.schedule(msec(t), [&, thread, length] {
+      sched.on_op_complete(
+          ids[thread], make_op(gpu::GpuDevice::OpKind::kKernel,
+                               sim.now() - msec(length), sim.now()));
+      read();
+    });
+  }
+  sim.schedule(msec(90), [&] { sched.set_phase(ids[1], Phase::kH2D); });
+  sim.run_until(msec(255));
+  read();
+  out.events = sim.events_executed();
+  out.queued_at_end = sim.queue_size();
+  return out;
+}
+
+TEST(GpuScheduler, BacklogBoundDecisionArmsNoTick) {
+  const BoundReads skipping =
+      run_backlog_bound_las(policies::make_device_policy("LAS"));
+  const BoundReads periodic = run_backlog_bound_las(
+      std::make_unique<PeriodicPolicy>(policies::make_device_policy("LAS")));
+  // The registration's tick at 10 ms decides, and no tick follows it: only
+  // the 12 completions and the phase change run.
+  EXPECT_EQ(skipping.events, 1u + 12u + 1u);
+  EXPECT_EQ(skipping.queued_at_end, 0u);
+  EXPECT_EQ(periodic.events, skipping.events + 24u);
+  EXPECT_EQ(skipping.epochs, periodic.epochs);
+  EXPECT_EQ(periodic.epochs.back(), 25);
+  EXPECT_EQ(skipping.gates, periodic.gates);
+  EXPECT_EQ(periodic.gates.back(),
+            (std::vector<bool>{true, true, false, true}));
+  ASSERT_EQ(skipping.snaps.size(), periodic.snaps.size());
+  for (std::size_t r = 0; r < periodic.snaps.size(); ++r) {
+    SCOPED_TRACE(r);
+    ASSERT_EQ(skipping.snaps[r].size(), periodic.snaps[r].size());
+    for (std::size_t i = 0; i < periodic.snaps[r].size(); ++i) {
+      const policies::RcbSnapshot& a = skipping.snaps[r][i];
+      const policies::RcbSnapshot& b = periodic.snaps[r][i];
+      EXPECT_EQ(a.key, b.key);
+      EXPECT_EQ(a.total_service, b.total_service);
+      EXPECT_EQ(a.epoch_service, b.epoch_service);
+      EXPECT_EQ(a.cgs, b.cgs);
+      EXPECT_EQ(a.entitled, b.entitled);
+      EXPECT_EQ(a.phase, b.phase);
+      EXPECT_EQ(a.backlogged, b.backlogged);
+    }
+  }
+  // Service moved CGS: the replay did not just decay zeros.
+  EXPECT_GT(periodic.snaps.back()[0].cgs, 0.0);
 }
 
 TEST(GpuScheduler, TenantIdsAreDenseAndServiceAnswersByName) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <queue>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -214,6 +215,130 @@ TEST(EventQueue, SameInstantLaneMatchesReferenceHeap) {
     EXPECT_GT(q.stats().lane_pushes, q.stats().pushes / 5);
     EXPECT_LT(q.stats().lane_pushes, q.stats().pushes);
   }
+}
+
+TEST(EventQueue, DeepHeapMatchesReferenceHeap) {
+  // The scale workloads keep hundreds of keys queued; keep at least 4,096
+  // here so the hole walks five levels and more, with weak events
+  // interleaved and ties at each instant.
+  constexpr std::size_t kDepth = 4096;
+  for (std::uint32_t seed : {3u, 64u, 90210u}) {
+    std::mt19937 rng(seed);
+    EventQueue q;
+    RefHeap ref;
+    SimTime floor = 0;
+    std::uint64_t seq = std::uint64_t{1} << 32;
+    std::uniform_int_distribution<SimTime> gap(0, msec(100));
+    std::uniform_int_distribution<int> coin(0, 3);
+    const auto push = [&] {
+      const SimTime at = floor + (coin(rng) == 0 ? 0 : gap(rng));
+      push_both(q, ref, at, seq++, /*weak=*/coin(rng) == 0);
+    };
+    while (q.size() < kDepth + 64) push();
+    for (int step = 0; step < 60000; ++step) {
+      if (q.size() > kDepth && coin(rng) != 0) {
+        floor = ref.top().time;
+        pop_and_compare(q, ref);
+        if (HasFatalFailure()) return;
+      } else {
+        push();
+      }
+      ASSERT_GE(q.size(), kDepth);
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!q.empty()) {
+      pop_and_compare(q, ref);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EventQueue, PartialLastSiblingGroup) {
+  // Every heap size from 1 to 70 leaves the last group of siblings with
+  // one to four keys in turn, at every depth a pop can start from.
+  std::mt19937 rng(8);
+  std::uniform_int_distribution<SimTime> when(0, 50);
+  for (std::size_t n = 1; n <= 70; ++n) {
+    SCOPED_TRACE(n);
+    EventQueue q;
+    RefHeap ref;
+    std::uint64_t seq = 0;
+    // Time 0 would take the lane; start at 1 so every key is in the heap.
+    for (std::size_t i = 0; i < n; ++i) {
+      push_both(q, ref, 1 + when(rng), seq++, i % 5 == 0);
+    }
+    EXPECT_EQ(q.stats().lane_pushes, 0u);
+    while (!q.empty()) {
+      pop_and_compare(q, ref);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EventQueue, RanksBelowTheLaneBackGoToTheHeap) {
+  // Ordinary events at the floor take the lane; a schedule_first rank at
+  // the same instant has a seq below the lane's back, so it goes to the
+  // heap, and pops before every lane key.
+  constexpr std::uint64_t kOrdinary = std::uint64_t{1} << 32;
+  EventQueue q;
+  RefHeap ref;
+  push_both(q, ref, msec(2), kOrdinary);
+  pop_and_compare(q, ref);  // the floor is now 2 ms
+  for (std::uint64_t i = 1; i <= 6; ++i) {
+    push_both(q, ref, msec(2), kOrdinary + i, i % 2 == 0);
+  }
+  EXPECT_EQ(q.stats().lane_pushes, 6u);
+  push_both(q, ref, msec(2), 7);  // a rank
+  push_both(q, ref, msec(2), 3);  // a lower rank, pushed later
+  EXPECT_EQ(q.stats().lane_pushes, 6u);
+  push_both(q, ref, msec(2), kOrdinary + 7);  // above the back: the lane
+  EXPECT_EQ(q.stats().lane_pushes, 7u);
+  std::vector<std::uint64_t> order;
+  while (!q.empty()) {
+    order.push_back(ref.top().seq);
+    pop_and_compare(q, ref);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(order.front(), 3u);
+  EXPECT_EQ(order[1], 7u);
+}
+
+TEST(EventQueue, SeqsJustBelowThePackingLimit) {
+  // The top of the 40-bit seq field, against ranks and ties: the packed
+  // key must still order by (time, seq).
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << EventQueue::kSeqBits;
+  std::mt19937 rng(40);
+  std::uniform_int_distribution<SimTime> when(0, 20);
+  EventQueue q;
+  RefHeap ref;
+  SimTime floor = 0;
+  for (std::uint64_t seq = kLimit - 3000; seq < kLimit; ++seq) {
+    push_both(q, ref, floor + when(rng), seq, seq % 4 == 0);
+    if (seq % 3 == 0) {
+      floor = ref.top().time;
+      pop_and_compare(q, ref);
+      if (HasFatalFailure()) return;
+    }
+    if (seq % 500 == 0) push_both(q, ref, floor + when(rng), seq % 16);
+  }
+  while (!q.empty()) {
+    pop_and_compare(q, ref);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EventQueue, SeqPastThePackingLimitThrows) {
+  // Past 2^40 the seq would spill into the time field: the queue refuses
+  // it in every build instead of misordering, and stays usable.
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << EventQueue::kSeqBits;
+  EventQueue q;
+  q.push(msec(1), kLimit - 1, [] {}, false);
+  EXPECT_THROW(q.push(msec(1), kLimit, [] {}, false), std::length_error);
+  EXPECT_THROW(q.push(0, ~std::uint64_t{0}, [] {}, true), std::length_error);
+  EXPECT_EQ(q.size(), 1u);
+  const EventRecord ev = q.pop();
+  EXPECT_EQ(ev.seq, kLimit - 1);
+  EXPECT_TRUE(q.empty());
 }
 
 /// A closure that counts its move constructions in a shared counter.

@@ -350,26 +350,36 @@ TEST(DevicePolicyOracles, LasAndPsMatchStableSortOnEveryDecision) {
   }
 }
 
-// settled(): whether every later decision over inputs that move only as
-// quiet epochs move them (CGS decays, entitlement accrues) returns the
-// last decision's awake set.
+// quiescence(): how long the last decision's awake set stands — until an
+// input changes (every later decision over inputs that move only as quiet
+// epochs move them, CGS decaying and entitlement accruing, returns it),
+// until the backlog changes (whatever service, phase, CGS and entitlement
+// do), or never a gate moved at all.
 
 TEST(DevicePolicySettled, PsAlwaysTfsWithAtMostOneBackloggedEntry) {
   PsPolicy ps;
   ps.pick_awake({snap(1, msec(2), 0, Phase::kKernelLaunch),
                  snap(2, 0, 0, Phase::kH2D), snap(3, 0, 0), snap(4, 0, 0)});
-  EXPECT_TRUE(ps.settled(msec(10)));
+  EXPECT_EQ(ps.quiescence(msec(10)), Quiescence::kUntilInputChanges);
+  // PS is never backlog-bound, not even with one backlogged entry: phase
+  // and attained service move its picks.
+  ps.pick_awake({snap(1, 0, 0, Phase::kKernelLaunch),
+                 snap(2, 0, 0, Phase::kDefault, false)});
+  EXPECT_EQ(ps.quiescence(msec(10)), Quiescence::kUntilInputChanges);
 
   TfsPolicy tfs;
+  EXPECT_EQ(tfs.quiescence(0), Quiescence::kEveryEpoch);  // no decision yet
+  tfs.pick_awake({snap(1, 0, 0, Phase::kDefault, false)});
+  EXPECT_EQ(tfs.quiescence(msec(10)), Quiescence::kUntilBacklogChanges);
   tfs.pick_awake({snap(1, 0, 0), snap(2, 0, 0, Phase::kDefault, false)});
-  EXPECT_TRUE(tfs.settled(msec(10)));
+  EXPECT_EQ(tfs.quiescence(msec(10)), Quiescence::kUntilBacklogChanges);
   // Two backlogged tenants of weights 3 and 1: their entitlements grow
   // 7.5 and 2.5 ms an epoch, so the larger deficit changes hands.
   std::vector<RcbSnapshot> two = {
       snap(1, msec(8), 0, Phase::kDefault, true, msec(10), 3.0),
       snap(2, msec(2), 0, Phase::kDefault, true, msec(10), 1.0)};
   EXPECT_EQ(tfs.pick_awake(two), (std::vector<std::uint64_t>{2}));
-  EXPECT_FALSE(tfs.settled(msec(10)));
+  EXPECT_EQ(tfs.quiescence(msec(10)), Quiescence::kEveryEpoch);
   for (int epoch = 0; epoch < 2; ++epoch) {
     two[0].entitled += usec(7500);
     two[1].entitled += usec(2500);
@@ -385,7 +395,7 @@ TEST(DevicePolicySettled, LasTiesAfterDecayGoToTheLowerKey) {
                                   snap(3, 0, 0.0),
                                   snap(4, 0, std::nextafter(1.0, 0.0))};
   EXPECT_EQ(las.pick_awake(rcb), (std::vector<std::uint64_t>{2, 3, 4}));
-  EXPECT_FALSE(las.settled(msec(10)));
+  EXPECT_EQ(las.quiescence(msec(10)), Quiescence::kEveryEpoch);
   // Quiet epochs decay every CGS by the same factor, with the Dispatcher's
   // expression. Rounding makes the two values meet, and the tie goes to
   // key 1.
@@ -402,7 +412,37 @@ TEST(DevicePolicySettled, LasTiesAfterDecayGoToTheLowerKey) {
   las.pick_awake({snap(1, 0, 0.0), snap(2, 0, 0.5),
                   snap(3, 0, std::nextafter(1.0, 0.0)), snap(4, 0, 1.0),
                   snap(5, 0, 0.0, Phase::kDefault, false)});
-  EXPECT_TRUE(las.settled(msec(10)));
+  EXPECT_EQ(las.quiescence(msec(10)), Quiescence::kUntilInputChanges);
+}
+
+TEST(DevicePolicySettled, LasIsBacklogBoundWithAtMostThreeBackloggedEntries) {
+  // Three backlogged entries fill LAS's three slots: all wake whatever
+  // their CGS, so only the backlog can change the pick.
+  LasPolicy las;
+  std::vector<RcbSnapshot> rcb = {snap(1, 0, 5.0), snap(2, 0, 1.0),
+                                  snap(3, 0, 9.0),
+                                  snap(4, 0, 0.0, Phase::kDefault, false)};
+  EXPECT_EQ(las.pick_awake(rcb), (std::vector<std::uint64_t>{2, 1, 3}));
+  EXPECT_EQ(las.quiescence(msec(10)), Quiescence::kUntilBacklogChanges);
+  rcb[2].cgs = -1.0;  // any CGS change keeps the set
+  EXPECT_EQ(las.pick_awake(rcb), (std::vector<std::uint64_t>{3, 2, 1}));
+  EXPECT_EQ(las.quiescence(msec(10)), Quiescence::kUntilBacklogChanges);
+
+  // A fourth backlogged entry: the CGS order picks, so it is not.
+  rcb[3].backlogged = true;
+  rcb[3].cgs = 2.0;
+  EXPECT_EQ(las.pick_awake(rcb), (std::vector<std::uint64_t>{3, 2, 4}));
+  EXPECT_EQ(las.quiescence(msec(10)), Quiescence::kEveryEpoch);
+  rcb[3].cgs = 20.0;  // the picks are now the three lowest keys
+  EXPECT_EQ(las.pick_awake(rcb), (std::vector<std::uint64_t>{3, 2, 1}));
+  EXPECT_EQ(las.quiescence(msec(10)), Quiescence::kUntilInputChanges);
+}
+
+TEST(DevicePolicySettled, AllAwakeNeverMovesAGate) {
+  AllAwakePolicy all;
+  EXPECT_EQ(all.quiescence(0), Quiescence::kNeverMovesGate);
+  all.pick_awake({snap(1, 0, 0), snap(2, 0, 0, Phase::kDefault, false)});
+  EXPECT_EQ(all.quiescence(msec(10)), Quiescence::kNeverMovesGate);
 }
 
 RcbSnapshot flow_snap(std::uint64_t key, std::uint32_t tenant_id,
@@ -421,19 +461,28 @@ TEST(DevicePolicySettled, MqfqOnceItsStickySlotsHaveExpired) {
   cfg.sticky_window = msec(2);
   MqfqStickyPolicy mqfq(cfg);
   mqfq.pick_awake(rcb, msec(10));  // no flow holds a slot yet
-  EXPECT_TRUE(mqfq.settled(msec(20)));
-  EXPECT_FALSE(mqfq.settled(msec(11)));  // the slot holds until 12 ms
+  EXPECT_EQ(mqfq.quiescence(msec(20)), Quiescence::kUntilInputChanges);
+  // The slot holds until 12 ms.
+  EXPECT_EQ(mqfq.quiescence(msec(11)), Quiescence::kEveryEpoch);
   // Decided inside the slot: the sticky flow ranked first.
   mqfq.pick_awake(rcb, msec(11));
-  EXPECT_FALSE(mqfq.settled(msec(21)));
+  EXPECT_EQ(mqfq.quiescence(msec(21)), Quiescence::kEveryEpoch);
 
-  // Slots that outlast the epoch: never settled.
+  // Slots that outlast the epoch: never quiet.
   cfg.sticky_window = msec(20);
   MqfqStickyPolicy sticky(cfg);
   for (sim::SimTime t = msec(10); t <= msec(100); t += msec(10)) {
     sticky.pick_awake(rcb, t);
-    EXPECT_FALSE(sticky.settled(t + msec(10)));
+    EXPECT_EQ(sticky.quiescence(t + msec(10)), Quiescence::kEveryEpoch);
   }
+
+  // Never backlog-bound, not even with one backlogged flow: its virtual
+  // time moves with service, and stickiness with time.
+  MqfqStickyPolicy one;
+  one.pick_awake({flow_snap(1, 0, "a")}, msec(10));
+  EXPECT_NE(one.quiescence(msec(40)), Quiescence::kUntilBacklogChanges);
+  one.pick_awake({flow_snap(1, 0, "a")}, msec(40));
+  EXPECT_NE(one.quiescence(msec(80)), Quiescence::kUntilBacklogChanges);
 }
 
 TEST(DevicePolicyFactory, MakesAllAndRejectsUnknown) {

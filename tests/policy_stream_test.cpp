@@ -11,14 +11,14 @@
 // events, so a backlog that counted a packet at send time, or missed a
 // stream's event records, changes the digest.
 //
-// AllAwake runs no dispatcher: the scheduler recognises the policy by type
-// and arms no epoch. The decorator is not AllAwakePolicy, so the AllAwake
-// rows pin the decorated, periodic path, and a second test checks that the
-// plain, tick-free path leaves every outcome of the same scenarios as the
-// periodic path does. Nor does the decorator forward settled(), so every
-// row ticks every epoch; a third test checks that the plain policies,
-// whose Dispatcher skips the ticks a settled decision makes redundant,
-// leave every outcome as the periodic path does.
+// AllAwake runs no dispatcher: its quiescence() says no decision ever
+// moves a gate, so the scheduler arms no epoch. The decorator does not
+// forward quiescence(), so the AllAwake rows pin the decorated, periodic
+// path, and a second test checks that the plain, tick-free path leaves
+// every outcome of the same scenarios as the periodic path does. Every
+// other row ticks every epoch too; a third test checks that the plain
+// policies, whose Dispatcher skips the ticks a standing decision makes
+// redundant, leave every outcome as the periodic path does.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -128,8 +128,8 @@ std::string recorded_name(const std::string& policy) {
   return name;
 }
 
-/// The same policy, unwrapped: it declares its own settledness, so the
-/// Dispatcher skips the ticks a settled decision makes redundant.
+/// The same policy, unwrapped: it declares its own quiescence, so the
+/// Dispatcher skips the ticks a standing decision makes redundant.
 std::string plain_name(const std::string& policy) {
   const std::string name = "policy_stream.plain." + policy;
   policies::register_device_policy(name,
@@ -328,9 +328,9 @@ TEST(PolicyStream, PlainAllAwakeMatchesThePeriodicPath) {
 }
 
 TEST(PolicyStream, ChangeDrivenMatchesThePeriodicPath) {
-  // The recorder does not forward settled(), so it pins the periodic path.
-  // MQFQ's default 2 ms sticky slots outlast the 1 ms epoch, so it never
-  // settles; MQFQ-short's do not.
+  // The recorder does not forward quiescence(), so it pins the periodic
+  // path. MQFQ's default 2 ms sticky slots outlast the 1 ms epoch, so its
+  // decisions never stand; MQFQ-short's do.
   for (const Mode mode : {Mode::kRain, Mode::kDesign2, Mode::kStrings}) {
     for (const std::string policy :
          {"TFS", "LAS", "PS", "MQFQ", "MQFQ-short"}) {

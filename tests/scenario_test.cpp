@@ -174,6 +174,17 @@ TEST(ScenarioParse, RejectsMalformedInput) {
   expect_line_error("[tenant]\nrequests = 0\n", "requests must be positive");
   expect_line_error("[tenant]\nattach_ms = -5000\n",
                     "line 2: attach_ms must be non-negative");
+  // Control-plane timing: a negative delay would schedule into the past.
+  expect_line_error("feedback_flush_ms = -5\n" + app,
+                    "line 1: feedback_flush_ms must be non-negative");
+  expect_line_error("feedback_batch = 0\n" + app,
+                    "line 1: feedback_batch must be positive");
+  expect_line_error("feedback_batch = -2\n" + app,
+                    "feedback_batch must be positive");
+  expect_line_error("refresh_epoch_ms = -1\n" + app,
+                    "line 1: refresh_epoch_ms must be non-negative");
+  expect_line_error("mqfq_sticky_ms = -1\n" + app,
+                    "line 1: mqfq_sticky_ms must be non-negative");
 }
 
 TEST(ScenarioParse, RejectsEmptyOrIncompleteScenarios) {
