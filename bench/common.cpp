@@ -23,10 +23,6 @@ Options Options::parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) opt.quick = true;
   }
-  if (const char* env = std::getenv("STRINGS_BENCH_QUICK");
-      env != nullptr && env[0] == '1') {
-    opt.quick = true;
-  }
   return opt;
 }
 

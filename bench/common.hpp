@@ -3,7 +3,7 @@
 // Every bench binary describes its runs as workloads::ScenarioConfig (the
 // same description scenario files parse into), executes them through
 // bench::run, and prints a table mirroring the paper's figure. Pass --quick
-// (or set STRINGS_BENCH_QUICK=1) for a reduced sweep.
+// for a reduced sweep.
 #pragma once
 
 #include <functional>

@@ -17,23 +17,16 @@ BackendDaemon::BackendDaemon(sim::Simulation& sim, core::NodeId node,
       config_(std::move(config)) {
   assert(static_cast<int>(gids_.size()) == rt_.device_count());
   for (int dev = 0; dev < rt_.device_count(); ++dev) {
-    // MQFQ is constructed directly so the scenario's throttle/stickiness
-    // knobs reach it; every other policy goes through the name factory.
-    std::unique_ptr<policies::DeviceSchedPolicy> policy;
-    if (config_.device_policy == "MQFQ" || config_.device_policy == "mqfq") {
-      policy = std::make_unique<policies::MqfqStickyPolicy>(config_.mqfq);
-    } else {
-      policy = policies::make_device_policy(config_.device_policy);
-    }
     schedulers_.push_back(std::make_unique<core::GpuScheduler>(
-        sim_, gids_[static_cast<std::size_t>(dev)], std::move(policy),
+        sim_, gids_[static_cast<std::size_t>(dev)],
+        policies::make_device_policy(config_.device_policy, config_.mqfq),
         config_.sched));
     // The per-GPU backend process hosting the shared GPU context
-    // (Designs II and III).
+    // (Designs II and III), bound to its GPU for life.
     device_pids_.push_back(rt_.create_process());
     rt_.cudaSetDevice(device_pids_.back(), dev);
     packers_.push_back(std::make_unique<ContextPacker>(
-        sim_, rt_, device_pids_.back(), dev, config_.packer,
+        sim_, rt_, device_pids_.back(), config_.packer,
         gids_[static_cast<std::size_t>(dev)]));
     master_inbox_.push_back(
         std::make_unique<sim::Mailbox<std::pair<Conn*, rpc::Packet>>>(sim_));
@@ -87,7 +80,11 @@ rpc::DuplexChannel& BackendDaemon::connect(
   conn->channel->request.count_pending(&conn->backlog);
   conn->channel->request.count_wire(&wire_);
   conn->channel->response.count_wire(&wire_);
-  conn->gate = std::make_unique<core::WakeGate>(sim_);
+  // Design II's single master thread cannot be gated per application (one
+  // of its documented shortcomings), so only per-app workers get a gate.
+  if (config_.design != Design::kSingleMaster) {
+    conn->gate = std::make_unique<core::WakeGate>(sim_);
+  }
   if (tracer_ != nullptr) {
     // Frontend->backend traffic renders on the directed network tracks.
     conn->channel->request.set_tracer(tracer_,
@@ -124,12 +121,10 @@ rpc::DuplexChannel& BackendDaemon::connect(
           "be-master/n" + std::to_string(node_) + "/d" +
               std::to_string(local_dev),
           [this, local_dev] {
-            const cuda::ProcessId pid =
-                device_pids_[static_cast<std::size_t>(local_dev)];
             auto& inbox = *master_inbox_[static_cast<std::size_t>(local_dev)];
             while (true) {
               auto [conn_ptr, pkt] = inbox.receive();
-              handle_request(*conn_ptr, pid, conn_ptr->signal_id, pkt);
+              if (handle_request(*conn_ptr, pkt)) retire(*conn_ptr);
             }
           });
     }
@@ -143,47 +138,21 @@ rpc::DuplexChannel& BackendDaemon::connect(
         if (is_exit) break;
       }
     });
-    // Register with the scheduler for monitoring/feedback. No per-app gate:
-    // a single master thread cannot be dispatched per application — one of
-    // Design II's documented shortcomings.
-    auto& sched = *schedulers_[dev_index];
-    const cuda::ProcessId pid = device_pids_[dev_index];
-    const cuda::cudaStream_t stream = packers_[dev_index]->stream_for(app.app_id);
-    core::GpuScheduler::RcbInit init;
-    init.app_type = app.app_type;
-    init.tenant = app.tenant;
-    init.tenant_weight = app.tenant_weight;
-    init.gate = nullptr;
-    init.backlog = &c.backlog;
-    rt_.count_stream_ops(pid, local_dev, stream, &c.backlog);
-    c.signal_id = sched.register_app(init);
-    sched.ack(c.signal_id);
-    routes_[{pid, stream}] = {&sched, c.signal_id};
+    // Design II has no per-app worker, so the app is admitted here.
+    admit(c, device_pids_[dev_index],
+          packers_[dev_index]->stream_for(app.app_id));
   } else {
     sim_.spawn(name, [this, &c] { worker_loop(c); });
   }
   return *c.channel;
 }
 
-void BackendDaemon::worker_loop(Conn& conn) {
-  const auto dev_index = static_cast<std::size_t>(conn.local_dev);
-  auto& sched = *schedulers_[dev_index];
-
-  cuda::ProcessId pid = 0;
-  cuda::cudaStream_t stream = cuda::cudaStreamDefault;
-  if (config_.design == Design::kThreadPerApp) {
-    // Strings: join the per-GPU backend process; private stream via SC.
-    pid = device_pids_[dev_index];
-    stream = packers_[dev_index]->stream_for(conn.app.app_id);
-  } else {
-    // Rain: a fresh backend process — its own GPU context.
-    pid = rt_.create_process();
-    rt_.cudaSetDevice(pid, conn.local_dev);
-  }
-
+void BackendDaemon::admit(Conn& conn, cuda::ProcessId pid,
+                          cuda::cudaStream_t stream) {
+  auto& sched = *schedulers_[static_cast<std::size_t>(conn.local_dev)];
   // Three-way handshake with the Request Manager (paper Fig. 7a):
   // (1) register stream/tenant -> (2) RM returns the signal id ->
-  // (3) worker installs its handler (the WakeGate) and acks.
+  // (3) worker installs its handler (the WakeGate, if any) and acks.
   core::GpuScheduler::RcbInit init;
   init.app_type = conn.app.app_type;
   init.tenant = conn.app.tenant;
@@ -191,26 +160,47 @@ void BackendDaemon::worker_loop(Conn& conn) {
   init.gate = conn.gate.get();
   init.backlog = &conn.backlog;
   rt_.count_stream_ops(pid, conn.local_dev, stream, &conn.backlog);
-  const int signal_id = sched.register_app(init);
-  sched.ack(signal_id);
-  routes_[{pid, stream}] = {&sched, signal_id};
-  conn.signal_id = signal_id;
+  conn.pid = pid;
+  conn.stream = stream;
+  conn.signal_id = sched.register_app(init);
+  assert(conn.signal_id > 0);
+  sched.ack(conn.signal_id);
+  routes_[{pid, stream}] = {&sched, conn.signal_id};
+}
+
+void BackendDaemon::retire(Conn& conn) {
+  routes_.erase({conn.pid, conn.stream});
+  if (config_.design == Design::kProcessPerApp) rt_.destroy_process(conn.pid);
+  conn.done = true;
+}
+
+void BackendDaemon::worker_loop(Conn& conn) {
+  const auto dev_index = static_cast<std::size_t>(conn.local_dev);
+  if (config_.design == Design::kThreadPerApp) {
+    // Strings: join the per-GPU backend process; private stream via SC.
+    admit(conn, device_pids_[dev_index],
+          packers_[dev_index]->stream_for(conn.app.app_id));
+  } else {
+    // Rain: a fresh backend process — its own GPU context, bound to the
+    // app's GPU for life.
+    const cuda::ProcessId pid = rt_.create_process();
+    rt_.cudaSetDevice(pid, conn.local_dev);
+    admit(conn, pid, cuda::cudaStreamDefault);
+  }
 
   bool exit = false;
   while (!exit) {
     rpc::Packet req = conn.channel->request.receive();
     conn.backlog.add(1);  // the request being handled
-    exit = handle_request(conn, pid, signal_id, req);
+    exit = handle_request(conn, req);
     conn.backlog.add(-1);
   }
-
-  routes_.erase({pid, stream});
-  if (config_.design == Design::kProcessPerApp) rt_.destroy_process(pid);
-  conn.done = true;
+  retire(conn);
 }
 
-bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
-                                   int signal_id, const rpc::Packet& req) {
+bool BackendDaemon::handle_request(Conn& conn, const rpc::Packet& req) {
+  const cuda::ProcessId pid = conn.pid;
+  const int signal_id = conn.signal_id;
   const auto dev_index = static_cast<std::size_t>(conn.local_dev);
   auto& sched = *schedulers_[dev_index];
   ContextPacker& packer = *packers_[dev_index];
@@ -238,10 +228,9 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
 
   auto gate_gpu_work = [&] {
     // The dispatcher's RT-signal analog: a sleeping backend worker does not
-    // issue new GPU work. Per-app workers exist in Designs I (processes,
-    // Rain) and III (threads, Strings); Design II's single master thread
-    // cannot be gated per application.
-    if (conn.gate && config_.design != Design::kSingleMaster) {
+    // issue new GPU work. Only the per-app workers of Designs I
+    // (processes, Rain) and III (threads, Strings) have a gate.
+    if (conn.gate) {
       const sim::SimTime t0 = sim_.now();
       if (tracer_ != nullptr) {
         tracer_->request_phase(conn.app.app_id, obs::ReqPhase::kDispatchWait,
@@ -255,14 +244,11 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     // The worker is past its gate and about to issue GPU work — the
     // protocol point the analysis layer checks against the three-way
     // handshake (INV-HSK-1).
-    if (signal_id > 0) sched.notify_dispatch(signal_id);
+    sched.notify_dispatch(signal_id);
     if (tracer_ != nullptr) {
       tracer_->request_phase(conn.app.app_id, obs::ReqPhase::kExecute,
                              sim_.now());
     }
-  };
-  auto set_phase = [&](Phase p) {
-    if (signal_id > 0) sched.set_phase(signal_id, p);
   };
 
   rpc::Unmarshal u(req.body);
@@ -279,7 +265,6 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     }
     case CallId::kMalloc: {
       const std::size_t bytes = u.get_u64();
-      rt_.cudaSetDevice(pid, conn.local_dev);
       cuda::DevPtr ptr = 0;
       const cudaError_t err = rt_.cudaMalloc(pid, &ptr, bytes);
       if (err == cudaError_t::cudaSuccess) conn.allocations[ptr] = bytes;
@@ -289,7 +274,6 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     }
     case CallId::kFree: {
       const cuda::DevPtr ptr = u.get_u64();
-      rt_.cudaSetDevice(pid, conn.local_dev);
       const cudaError_t err = rt_.cudaFree(pid, ptr);
       if (err == cudaError_t::cudaSuccess) conn.allocations.erase(ptr);
       reply.put_enum(err);
@@ -303,13 +287,14 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
         response_payload = bytes;
       }
       gate_gpu_work();
-      set_phase(kind == cudaMemcpyKind::cudaMemcpyHostToDevice ? Phase::kH2D
-                                                               : Phase::kD2H);
+      sched.set_phase(signal_id,
+                      kind == cudaMemcpyKind::cudaMemcpyHostToDevice
+                          ? Phase::kH2D
+                          : Phase::kD2H);
       cudaError_t err;
       if (packed) {
         err = packer.memcpy_sync(conn.app.app_id, ptr, bytes, kind);
       } else {
-        rt_.cudaSetDevice(pid, conn.local_dev);
         err = rt_.cudaMemcpy(pid, ptr, bytes, kind);
       }
       reply.put_enum(err);
@@ -320,13 +305,14 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
       const std::size_t bytes = u.get_u64();
       const auto kind = u.get_enum<cudaMemcpyKind>();
       gate_gpu_work();
-      set_phase(kind == cudaMemcpyKind::cudaMemcpyHostToDevice ? Phase::kH2D
-                                                               : Phase::kD2H);
+      sched.set_phase(signal_id,
+                      kind == cudaMemcpyKind::cudaMemcpyHostToDevice
+                          ? Phase::kH2D
+                          : Phase::kD2H);
       cudaError_t err;
       if (packed) {
         err = packer.memcpy_async(conn.app.app_id, ptr, bytes, kind);
       } else {
-        rt_.cudaSetDevice(pid, conn.local_dev);
         err = rt_.cudaMemcpyAsync(pid, ptr, bytes, kind,
                                   cuda::cudaStreamDefault);
       }
@@ -336,12 +322,11 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     case CallId::kLaunch: {
       const cuda::KernelLaunch kl = decode_launch(u);
       gate_gpu_work();
-      set_phase(Phase::kKernelLaunch);
+      sched.set_phase(signal_id, Phase::kKernelLaunch);
       cudaError_t err;
       if (packed) {
         err = packer.launch(conn.app.app_id, kl);
       } else {
-        rt_.cudaSetDevice(pid, conn.local_dev);
         err = rt_.cudaLaunchKernel(pid, kl, cuda::cudaStreamDefault);
       }
       reply.put_enum(err);
@@ -353,16 +338,14 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
         // SST: stream-synchronize so other packed apps are unaffected.
         err = packer.device_synchronize(conn.app.app_id);
       } else {
-        rt_.cudaSetDevice(pid, conn.local_dev);
         err = rt_.cudaDeviceSynchronize(pid);
       }
-      set_phase(Phase::kDefault);
+      sched.set_phase(signal_id, Phase::kDefault);
       reply.put_enum(err);
       break;
     }
     case CallId::kEventCreate: {
       cuda::cudaEvent_t ev = 0;
-      rt_.cudaSetDevice(pid, conn.local_dev);
       const cudaError_t err = rt_.cudaEventCreate(pid, &ev);
       reply.put_enum(err);
       reply.put_u64(ev);
@@ -370,16 +353,12 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     }
     case CallId::kEventRecord: {
       const cuda::cudaEvent_t ev = u.get_u64();
-      rt_.cudaSetDevice(pid, conn.local_dev);
       // AST: the record lands on the app's private stream in packed designs.
-      const cuda::cudaStream_t stream =
-          packed ? packer.stream_for(conn.app.app_id) : cuda::cudaStreamDefault;
-      reply.put_enum(rt_.cudaEventRecord(pid, ev, stream));
+      reply.put_enum(rt_.cudaEventRecord(pid, ev, conn.stream));
       break;
     }
     case CallId::kEventSynchronize: {
       const cuda::cudaEvent_t ev = u.get_u64();
-      rt_.cudaSetDevice(pid, conn.local_dev);
       reply.put_enum(rt_.cudaEventSynchronize(pid, ev));
       break;
     }
@@ -387,7 +366,6 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
       const cuda::cudaEvent_t start = u.get_u64();
       const cuda::cudaEvent_t end = u.get_u64();
       double ms = 0.0;
-      rt_.cudaSetDevice(pid, conn.local_dev);
       const cudaError_t err = rt_.cudaEventElapsedTime(pid, &ms, start, end);
       reply.put_enum(err);
       reply.put_double(ms);
@@ -395,19 +373,14 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     }
     case CallId::kEventDestroy: {
       const cuda::cudaEvent_t ev = u.get_u64();
-      rt_.cudaSetDevice(pid, conn.local_dev);
       reply.put_enum(rt_.cudaEventDestroy(pid, ev));
       break;
     }
     case CallId::kThreadExit: {
-      const cuda::cudaStream_t app_stream =
-          packed ? packer.stream_for(conn.app.app_id) : cuda::cudaStreamDefault;
-      conn.exit_stream = app_stream;
       cudaError_t err = cudaError_t::cudaSuccess;
       if (packed) {
         err = packer.thread_exit(conn.app.app_id);
         // Free whatever the app left behind in the shared context.
-        rt_.cudaSetDevice(pid, conn.local_dev);
         for (const auto& [ptr, bytes] : conn.allocations) {
           rt_.cudaFree(pid, ptr);
         }
@@ -416,14 +389,11 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
         err = rt_.cudaThreadExit(pid);
       }
       reply.put_enum(err);
-      if (signal_id > 0) {
-        // Feedback Engine: piggyback the app's record on the response.
-        const core::FeedbackRecord rec = sched.unregister_app(signal_id);
-        reply.put_bool(true);
-        encode_feedback(reply, rec);
-      } else {
-        reply.put_bool(false);
-      }
+      // Feedback Engine: piggyback the app's record on the response. The
+      // has-feedback byte is always true now; it stays so response sizes,
+      // and with them wire times, do not move.
+      reply.put_bool(true);
+      encode_feedback(reply, sched.unregister_app(signal_id));
       exit = true;
       break;
     }
@@ -453,10 +423,6 @@ bool BackendDaemon::handle_request(Conn& conn, cuda::ProcessId pid,
     resp.body = std::move(reply).take();
     resp.payload_bytes = response_payload;
     conn.channel->response.send(std::move(resp));
-  }
-  if (exit && config_.design == Design::kSingleMaster) {
-    conn.done = true;
-    if (signal_id > 0) routes_.erase({pid, conn.exit_stream});
   }
   return exit;
 }

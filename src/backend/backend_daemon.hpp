@@ -106,6 +106,7 @@ class BackendDaemon {
     AppDescriptor app;
     int local_dev = 0;
     std::unique_ptr<rpc::DuplexChannel> channel;
+    /// The per-app worker's Dispatcher gate; null under Design II.
     std::unique_ptr<core::WakeGate> gate;
     /// The RCB entry's backlog: requests delivered but not yet received
     /// (counted by the request channel), plus one while the worker handles
@@ -113,17 +114,28 @@ class BackendDaemon {
     /// stream (counted by cudart).
     sim::Backlog backlog;
     bool done = false;
+    /// Set by admit(): the backend process serving the app, the stream its
+    /// work lands on, and its RCB entry's signal id.
+    cuda::ProcessId pid = 0;
+    cuda::cudaStream_t stream = cuda::cudaStreamDefault;
     int signal_id = -1;
-    cuda::cudaStream_t exit_stream = 0;
     /// Packed designs share one context per GPU, so the daemon must free an
     /// exiting app's leftover allocations itself.
     sim::FlatMap<cuda::DevPtr, std::size_t> allocations;
   };
 
+  /// The Fig. 7a handshake every design runs once per app: registers the
+  /// app's RCB entry for its work on `stream` of process `pid`, acks it and
+  /// routes the stream's op completions to it.
+  void admit(Conn& conn, cuda::ProcessId pid, cuda::cudaStream_t stream);
+  /// Once the app's cudaThreadExit is served (its RCB entry left with the
+  /// feedback record): drops its route and, under Design I, its process,
+  /// and marks the connection done.
+  void retire(Conn& conn);
   void worker_loop(Conn& conn);
-  /// Executes one request; returns true when the connection should close.
-  bool handle_request(Conn& conn, cuda::ProcessId pid, int signal_id,
-                      const rpc::Packet& req);
+  /// Executes one request of an admitted app; returns true when the
+  /// connection should close.
+  bool handle_request(Conn& conn, const rpc::Packet& req);
   void route_op(cuda::ProcessId pid, cuda::cudaStream_t stream,
                 const gpu::GpuDevice::Op& op);
 

@@ -1,6 +1,5 @@
 #include "backend/context_packer.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "analysis/access.hpp"
@@ -20,20 +19,14 @@ std::string streams_name(int gid) {
 }  // namespace
 
 ContextPacker::ContextPacker(sim::Simulation& sim, cuda::CudaRuntime& rt,
-                             cuda::ProcessId device_pid, int local_device,
-                             Config config, int gid)
-    : sim_(sim),
-      rt_(rt),
-      device_pid_(device_pid),
-      local_device_(local_device),
-      config_(config),
-      gid_(gid) {}
+                             cuda::ProcessId device_pid, Config config,
+                             int gid)
+    : sim_(sim), rt_(rt), device_pid_(device_pid), config_(config), gid_(gid) {}
 
 cuda::cudaStream_t ContextPacker::stream_for(std::uint64_t app_id) {
   auto it = streams_.find(app_id);
   if (it != streams_.end()) return it->second;
   cuda::cudaStream_t stream = 0;
-  rt_.cudaSetDevice(device_pid_, local_device_);
   const cudaError_t err = rt_.cudaStreamCreate(device_pid_, &stream);
   assert(err == cudaError_t::cudaSuccess);
   (void)err;
@@ -57,14 +50,13 @@ cudaError_t ContextPacker::memcpy_sync(std::uint64_t app_id, cuda::DevPtr ptr,
     analysis::inv_stream_op(static_cast<std::uint64_t>(gid_), stream, app_id,
                             ANALYSIS_SITE);
   }
-  rt_.cudaSetDevice(device_pid_, local_device_);
   if (kind == cudaMemcpyKind::cudaMemcpyHostToDevice &&
       config_.convert_sync_to_async) {
     // MOT: host buffer -> pinned staging buffer, then async copy; the app
     // regains the CPU immediately.
     stage_into_pinned(bytes);
     ANALYSIS_WRITE(&pmt_, pmt_name(gid_));
-    pmt_.push_back(PmtEntry{app_id, stream, ptr, bytes, kind});
+    pmt_[app_id] += bytes;
     pinned_bytes_ += bytes;
     return rt_.cudaMemcpyAsync(device_pid_, ptr, bytes, kind, stream,
                                /*pinned_host=*/true);
@@ -96,7 +88,6 @@ cudaError_t ContextPacker::memcpy_async(std::uint64_t app_id,
     analysis::inv_stream_op(static_cast<std::uint64_t>(gid_), stream, app_id,
                             ANALYSIS_SITE);
   }
-  rt_.cudaSetDevice(device_pid_, local_device_);
   return rt_.cudaMemcpyAsync(device_pid_, ptr, bytes, kind, stream);
 }
 
@@ -107,7 +98,6 @@ cudaError_t ContextPacker::launch(std::uint64_t app_id,
     analysis::inv_stream_op(static_cast<std::uint64_t>(gid_), stream, app_id,
                             ANALYSIS_SITE);
   }
-  rt_.cudaSetDevice(device_pid_, local_device_);
   // AST: the app targeted the default stream; retarget via configure+launch.
   rt_.cudaConfigureCall(device_pid_, stream);
   return rt_.cudaLaunch(device_pid_, kl);
@@ -115,7 +105,6 @@ cudaError_t ContextPacker::launch(std::uint64_t app_id,
 
 cudaError_t ContextPacker::device_synchronize(std::uint64_t app_id) {
   const cuda::cudaStream_t stream = stream_for(app_id);
-  rt_.cudaSetDevice(device_pid_, local_device_);
   cudaError_t err;
   if (config_.convert_device_sync) {
     // SST: the device-wide sync narrows to the app's private stream; the
@@ -139,7 +128,6 @@ cudaError_t ContextPacker::thread_exit(std::uint64_t app_id) {
   // another app packing into this context meanwhile moves the flat table's
   // entries, so the iterator must not be held across it.
   const cuda::cudaStream_t stream = it->second;
-  rt_.cudaSetDevice(device_pid_, local_device_);
   const cudaError_t err = rt_.cudaStreamSynchronize(device_pid_, stream);
   release_pmt_entries(app_id);
   if (analysis::enabled()) {
@@ -153,14 +141,10 @@ cudaError_t ContextPacker::thread_exit(std::uint64_t app_id) {
 
 void ContextPacker::release_pmt_entries(std::uint64_t app_id) {
   ANALYSIS_WRITE(&pmt_, pmt_name(gid_));
-  for (auto it = pmt_.begin(); it != pmt_.end();) {
-    if (it->app_id == app_id) {
-      pinned_bytes_ -= it->bytes;
-      it = pmt_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  auto it = pmt_.find(app_id);
+  if (it == pmt_.end()) return;
+  pinned_bytes_ -= it->second;
+  pmt_.erase(it);
 }
 
 }  // namespace strings::backend

@@ -17,23 +17,14 @@
 // process (Design III), so all packed applications share one GPU context.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "cudart/cuda_runtime.hpp"
 #include "simcore/flat_map.hpp"
 #include "simcore/simulation.hpp"
 
 namespace strings::backend {
-
-/// One Pinned Memory Table row (paper Fig. 6 "PMT").
-struct PmtEntry {
-  std::uint64_t app_id = 0;
-  cuda::cudaStream_t stream = 0;
-  cuda::DevPtr device_ptr = 0;
-  std::size_t bytes = 0;
-  cuda::cudaMemcpyKind phase = cuda::cudaMemcpyKind::cudaMemcpyHostToDevice;
-};
 
 class ContextPacker {
  public:
@@ -48,12 +39,12 @@ class ContextPacker {
     bool convert_device_sync = true;
   };
 
+  /// `device_pid` is the per-GPU backend process, already bound to its GPU.
   /// `gid` is the packed context's global GPU id — it names this packer's
   /// streams and tables in analysis reports (ProcessIds restart per node
   /// runtime, so they cannot identify a context deployment-wide).
   ContextPacker(sim::Simulation& sim, cuda::CudaRuntime& rt,
-                cuda::ProcessId device_pid, int local_device, Config config,
-                int gid = -1);
+                cuda::ProcessId device_pid, Config config, int gid = -1);
 
   /// SC: creates (once) and returns the application's private stream.
   cuda::cudaStream_t stream_for(std::uint64_t app_id);
@@ -81,7 +72,9 @@ class ContextPacker {
   cuda::cudaError_t thread_exit(std::uint64_t app_id);
 
   // ---- introspection ----
-  const std::vector<PmtEntry>& pmt() const { return pmt_; }
+  /// The Pinned Memory Table (paper Fig. 6 "PMT"): bytes each app has
+  /// staged since its last synchronization point.
+  const sim::FlatMap<std::uint64_t, std::size_t>& pmt() const { return pmt_; }
   std::size_t pinned_bytes() const { return pinned_bytes_; }
   cuda::ProcessId device_pid() const { return device_pid_; }
   int packed_apps() const { return static_cast<int>(streams_.size()); }
@@ -93,11 +86,10 @@ class ContextPacker {
   sim::Simulation& sim_;
   cuda::CudaRuntime& rt_;
   cuda::ProcessId device_pid_;
-  int local_device_;
   Config config_;
   int gid_;
   sim::FlatMap<std::uint64_t, cuda::cudaStream_t> streams_;
-  std::vector<PmtEntry> pmt_;
+  sim::FlatMap<std::uint64_t, std::size_t> pmt_;
   std::size_t pinned_bytes_ = 0;
 };
 

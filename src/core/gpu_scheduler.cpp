@@ -10,6 +10,9 @@
 namespace strings::core {
 
 namespace {
+/// Decay constant k of CGSn = k*GSn + (1-k)*CGSn-1 (paper eq. 1).
+constexpr double kLasK = 0.8;
+
 std::string rcb_name(Gid gid) {
   return "gpu" + std::to_string(gid) + "/rcb";
 }
@@ -312,18 +315,15 @@ void GpuScheduler::epoch_tick() {
   const sim::SimTime now = sim_.now();
   dispatch(now);
   // Until an input changes, every later tick would see no service, the
-  // same backlog, and CGS scaled by 1 - las_k: a decision that stands
+  // same backlog, and CGS scaled by 1 - k: a decision that stands
   // until then would come back unchanged, so arm nothing (resume_ticks()
   // catches up). A backlog-bound decision stands through service and phase
   // changes too, whatever they do to CGS. The analyzer observes every
   // tick's RCB access, so it keeps them all.
   using policies::Quiescence;
-  Quiescence q = analysis::enabled()
-                     ? Quiescence::kEveryEpoch
-                     : policy_->quiescence(now + config_.epoch);
-  if (q == Quiescence::kUntilInputChanges && 1.0 - config_.las_k < 0.0) {
-    q = Quiescence::kEveryEpoch;
-  }
+  const Quiescence q = analysis::enabled()
+                           ? Quiescence::kEveryEpoch
+                           : policy_->quiescence(now + config_.epoch);
   if (q == Quiescence::kEveryEpoch) {
     arm_epoch(config_.epoch);
   } else {
@@ -391,8 +391,7 @@ void GpuScheduler::close_epoch(
   // conservation).
   double backlogged_weight = 0.0;
   for (policies::RcbSnapshot& s : view) {
-    s.cgs = config_.las_k * static_cast<double>(s.epoch_service) +
-            (1.0 - config_.las_k) * s.cgs;
+    s.cgs = kLasK * static_cast<double>(s.epoch_service) + (1.0 - kLasK) * s.cgs;
     if (s.backlogged) backlogged_weight += s.tenant_weight;
   }
   if (backlogged_weight > 0) {

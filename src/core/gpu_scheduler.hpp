@@ -83,8 +83,6 @@ class GpuScheduler {
  public:
   struct Config {
     sim::SimTime epoch = sim::msec(10);
-    /// Decay constant of CGSn = k*GSn + (1-k)*CGSn-1 (paper eq. 1).
-    double las_k = 0.8;
     /// Rain measures service at backend-process granularity, so queueing
     /// and context-switch time leak into the accounting (the paper's
     /// explanation for TFS-Rain's fairness error). Strings measures

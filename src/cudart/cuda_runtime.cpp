@@ -438,18 +438,6 @@ void CudaRuntime::count_stream_ops(ProcessId pid, int device,
                     sit->second.in_flight);
 }
 
-int CudaRuntime::outstanding_ops(ProcessId pid, int device) const {
-  auto pit = processes_.find(pid);
-  if (pit == processes_.end()) return 0;
-  auto cit = pit->second->contexts.find(device);
-  if (cit == pit->second->contexts.end()) return 0;
-  int n = cit->second->total_in_flight;
-  for (const auto& [id, st] : cit->second->streams) {
-    n += static_cast<int>(st.pending.size());
-  }
-  return n;
-}
-
 // ------------------------------------------------------- stream machinery
 
 bool CudaRuntime::stream_may_submit(const Context& ctx,

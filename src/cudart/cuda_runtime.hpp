@@ -104,10 +104,6 @@ class CudaRuntime {
   gpu::GpuDevice* device(int index) const;
   int device_count() const { return static_cast<int>(devices_.size()); }
 
-  /// Total ops queued in runtime streams plus in flight on `device` for the
-  /// given process (used by schedulers to observe progress).
-  int outstanding_ops(ProcessId pid, int device) const;
-
   /// Keeps `*backlog` counting the ops queued or in flight on one stream of
   /// the process's context on `device` (Strings workers share a process;
   /// backlog is per stream): adds the stream's current count, then +1 per

@@ -332,7 +332,8 @@ void register_device_policy(
   custom_device_registry()[name] = std::move(factory);
 }
 
-std::unique_ptr<DeviceSchedPolicy> make_device_policy(const std::string& name) {
+std::unique_ptr<DeviceSchedPolicy> make_device_policy(const std::string& name,
+                                                      const MqfqConfig& mqfq) {
   if (auto it = custom_device_registry().find(name);
       it != custom_device_registry().end()) {
     return it->second();
@@ -341,7 +342,9 @@ std::unique_ptr<DeviceSchedPolicy> make_device_policy(const std::string& name) {
   if (name == "TFS") return std::make_unique<TfsPolicy>();
   if (name == "LAS") return std::make_unique<LasPolicy>();
   if (name == "PS") return std::make_unique<PsPolicy>();
-  if (name == "MQFQ" || name == "mqfq") return std::make_unique<MqfqStickyPolicy>();
+  if (name == "MQFQ" || name == "mqfq") {
+    return std::make_unique<MqfqStickyPolicy>(mqfq);
+  }
   throw std::invalid_argument("unknown device policy: " + name);
 }
 

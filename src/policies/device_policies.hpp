@@ -256,10 +256,11 @@ class MqfqStickyPolicy final : public DeviceSchedPolicy {
   bool sticky_ranked_ = false;  // a runnable flow was sticky at last_now_
 };
 
-/// Factory by name ("AllAwake", "TFS", "LAS", "PS", "MQFQ" with default
-/// knobs, or any name registered via register_device_policy); throws
-/// std::invalid_argument otherwise.
-std::unique_ptr<DeviceSchedPolicy> make_device_policy(const std::string& name);
+/// Factory by name ("AllAwake", "TFS", "LAS", "PS", "MQFQ" with the `mqfq`
+/// knobs, or any name registered via register_device_policy, which wins over
+/// a built-in of the same name); throws std::invalid_argument otherwise.
+std::unique_ptr<DeviceSchedPolicy> make_device_policy(
+    const std::string& name, const MqfqConfig& mqfq = {});
 
 /// Registers a user-defined device policy under `name` (overrides built-ins
 /// of the same name). The factory is called once per GpuScheduler.

@@ -210,9 +210,6 @@ TEST(ArrivalsTrace, MissingFileAndBadOffsetsThrow) {
 // ---- Churn leaves no orphaned state ------------------------------------
 
 TEST(ArrivalsChurnEndToEnd, DetachLeavesNoOrphanedRcbsOrConnections) {
-  workloads::TestbedConfig tcfg;
-  tcfg.mode = workloads::Mode::kStrings;
-  tcfg.device_policy = "MQFQ";
   OpenLoopTenant churn;
   churn.name = "churn-svc";
   churn.app = "GA";
@@ -228,21 +225,28 @@ TEST(ArrivalsChurnEndToEnd, DetachLeavesNoOrphanedRcbsOrConnections) {
   steady.requests = 6;
   steady.seed = 24;
 
-  sim::Simulation sim;
-  workloads::Testbed bed(sim, tcfg);
-  const auto stats = workloads::run_open_loop(bed, {churn, steady});
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_GT(stats[0].completed, 0);
-  EXPECT_EQ(stats[1].completed, 6);
+  // Every backend design admits and retires each short-lived request.
+  for (const workloads::Mode mode :
+       {workloads::Mode::kRain, workloads::Mode::kDesign2,
+        workloads::Mode::kStrings}) {
+    SCOPED_TRACE(workloads::mode_name(mode));
+    workloads::TestbedConfig tcfg;
+    tcfg.mode = mode;
+    tcfg.device_policy = "MQFQ";
+    sim::Simulation sim;
+    workloads::Testbed bed(sim, tcfg);
+    const auto stats = workloads::run_open_loop(bed, {churn, steady});
+    ASSERT_EQ(stats.size(), 2u);
+    EXPECT_GT(stats[0].completed, 0);
+    EXPECT_EQ(stats[1].completed, 6);
 
-  // Every short-lived request attached and detached: after the drain no
-  // RCB may stay registered and no backend connection may stay alive.
-  for (core::NodeId node = 0; node < 1; ++node) {
-    backend::BackendDaemon& daemon = bed.daemon(node);
-    EXPECT_EQ(daemon.live_connections(), 0u) << "node " << node;
+    // Every short-lived request attached and detached: after the drain no
+    // RCB may stay registered and no backend connection may stay alive.
+    backend::BackendDaemon& daemon = bed.daemon(0);
+    EXPECT_EQ(daemon.live_connections(), 0u);
     for (int dev = 0; dev < daemon.device_count(); ++dev) {
       EXPECT_EQ(daemon.scheduler(dev).registered_count(), 0)
-          << "node " << node << " device " << dev;
+          << "device " << dev;
     }
   }
 }

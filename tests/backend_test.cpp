@@ -29,7 +29,7 @@ struct PackerFixture {
     rt = std::make_unique<cuda::CudaRuntime>(
         sim, std::vector<gpu::GpuDevice*>{dev.get()});
     pid = rt->create_process();
-    packer = std::make_unique<ContextPacker>(sim, *rt, pid, 0,
+    packer = std::make_unique<ContextPacker>(sim, *rt, pid,
                                              ContextPacker::Config{});
   }
   sim::Simulation sim;
@@ -65,7 +65,7 @@ TEST(ContextPacker, MotConvertsH2DToAsyncAndTracksPmt) {
     returned_at = f.sim.now();
     EXPECT_EQ(f.packer->pmt().size(), 1u);
     EXPECT_EQ(f.packer->pinned_bytes(), 60'000'000u);
-    EXPECT_EQ(f.packer->pmt()[0].app_id, 1u);
+    EXPECT_EQ(f.packer->pmt().at(1), 60'000'000u);
     // Sync point releases the pinned staging buffer.
     EXPECT_EQ(f.packer->device_synchronize(1), cudaError_t::cudaSuccess);
     EXPECT_TRUE(f.packer->pmt().empty());
@@ -96,12 +96,46 @@ TEST(ContextPacker, D2HBlocksAndReleasesPmt) {
   EXPECT_EQ(returned_at, msec(23));
 }
 
+TEST(ContextPacker, EachSyncPointReleasesOnlyItsOwnAppsStaging) {
+  PackerFixture f;
+  f.sim.spawn("t", [&] {
+    cuda::DevPtr p = 0;
+    f.rt->cudaMalloc(f.pid, &p, 60 * kMB);
+    const auto h2d = cudaMemcpyKind::cudaMemcpyHostToDevice;
+    // Apps 1 and 2 interleave staged copies on one packer.
+    f.packer->memcpy_sync(1, p, 10'000'000, h2d);
+    f.packer->memcpy_sync(2, p, 20'000'000, h2d);
+    f.packer->memcpy_sync(1, p, 5'000'000, h2d);
+    EXPECT_EQ(f.packer->pmt().at(1), 15'000'000u);
+    EXPECT_EQ(f.packer->pmt().at(2), 20'000'000u);
+    EXPECT_EQ(f.packer->pinned_bytes(), 35'000'000u);
+    // App 1's barrier frees app 1's buffers and leaves app 2's staged.
+    EXPECT_EQ(f.packer->device_synchronize(1), cudaError_t::cudaSuccess);
+    EXPECT_FALSE(f.packer->pmt().contains(1));
+    EXPECT_EQ(f.packer->pmt().at(2), 20'000'000u);
+    EXPECT_EQ(f.packer->pinned_bytes(), 20'000'000u);
+    // App 1 stages again; app 2's D2H frees only app 2's buffers.
+    f.packer->memcpy_sync(1, p, 7'000'000, h2d);
+    EXPECT_EQ(f.packer->pinned_bytes(), 27'000'000u);
+    EXPECT_EQ(f.packer->memcpy_sync(2, p, 1'000'000,
+                                    cudaMemcpyKind::cudaMemcpyDeviceToHost),
+              cudaError_t::cudaSuccess);
+    EXPECT_FALSE(f.packer->pmt().contains(2));
+    EXPECT_EQ(f.packer->pmt().at(1), 7'000'000u);
+    EXPECT_EQ(f.packer->pinned_bytes(), 7'000'000u);
+    EXPECT_EQ(f.packer->device_synchronize(1), cudaError_t::cudaSuccess);
+    EXPECT_TRUE(f.packer->pmt().empty());
+    EXPECT_EQ(f.packer->pinned_bytes(), 0u);
+  });
+  f.sim.run();
+}
+
 TEST(ContextPacker, SyncConversionDisabledBlocksOnH2D) {
   PackerFixture f;
   ContextPacker::Config cfg;
   cfg.convert_sync_to_async = false;
   cfg.staging_gbps = 0;  // no staging either
-  auto packer = std::make_unique<ContextPacker>(f.sim, *f.rt, f.pid, 0, cfg);
+  auto packer = std::make_unique<ContextPacker>(f.sim, *f.rt, f.pid, cfg);
   SimTime returned_at = -1;
   f.sim.spawn("t", [&] {
     cuda::DevPtr p = 0;

@@ -380,13 +380,15 @@ TEST(CudaRuntime, OutstandingOpsTracksQueueDepth) {
   f.sim.spawn("app", [&] {
     cudaStream_t s = 0;
     ASSERT_EQ(f.rt->cudaStreamCreate(pid, &s), E::cudaSuccess);
+    sim::Backlog queued;
+    f.rt->count_stream_ops(pid, 0, s, &queued);
     for (int i = 0; i < 3; ++i) {
       ASSERT_EQ(f.rt->cudaLaunchKernel(pid, kernel(msec(10)), s),
                 E::cudaSuccess);
     }
-    EXPECT_EQ(f.rt->outstanding_ops(pid, 0), 3);
+    EXPECT_EQ(queued.count(), 3);
     ASSERT_EQ(f.rt->cudaStreamSynchronize(pid, s), E::cudaSuccess);
-    EXPECT_EQ(f.rt->outstanding_ops(pid, 0), 0);
+    EXPECT_EQ(queued.count(), 0);
   });
   f.sim.run();
 }

@@ -23,11 +23,9 @@ gpu::GpuDevice::Op kernel_op(SimTime start, SimTime end) {
 }
 
 struct Fixture {
-  explicit Fixture(const std::string& policy = "AllAwake",
-                   double las_k = 0.8) {
+  explicit Fixture(const std::string& policy = "AllAwake") {
     GpuScheduler::Config cfg;
     cfg.epoch = msec(10);
-    cfg.las_k = las_k;
     sched = std::make_unique<GpuScheduler>(
         sim, 0, policies::make_device_policy(policy), cfg);
   }
@@ -49,7 +47,7 @@ struct Fixture {
 
 TEST(SchedulerMath, CgsFollowsEquationOne) {
   // CGSn = k*GSn + (1-k)*CGSn-1 with k = 0.8 (paper eq. 1).
-  Fixture f("LAS", 0.8);
+  Fixture f("LAS");
   const int id = f.add_app("A");
 
   // Epoch 1: 4ms of service.
